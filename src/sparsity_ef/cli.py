@@ -8,8 +8,9 @@ verify.  Exit codes form the CI contract:
        `emit --verify` / `verify`: full PASS)
     1  parse/validation errors, inadmissible inputs, negative verdicts
     2  internal cross-check failure (sparsity oracle disagreement,
-       expectation/slack mismatch) — a bug trap, not a user error
-    3  enumeration guard exceeded
+       expectation/slack mismatch, factorization or extension
+       verification failure) — a bug trap, not a user error
+    3  enumeration guard or int64 range guard exceeded
     4  empty polytope (no basis exists)
 
 All numeric output is exact (integers or p/q rationals) except the Monte
@@ -22,18 +23,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .factorization import (
     build_factorization,
     factor_csvs,
+    render_rational,
     slack_matrix,
     slack_matrix_csv,
     slack_value,
     verify_factorization,
 )
 from .graphs import Graph, GraphError, InstanceError, SparsityParams, load_graph_file, validate_instance
-from .lifted import EmptyPolytopeError, build_lifted, emit_ine, verify_extension
+from .lifted import EmptyPolytopeError, InfeasibleLiftedPointError, build_lifted, emit_ine, verify_extension
 from .orientation import InfeasibleOrientationError, orient_with_targets, protocol_targets_A, protocol_targets_B
 from .protocol import exact_expectation, monte_carlo, resolve_variant
 from .sparsity import EnumerationGuardError, enumerate_bases, is_sparse_bruteforce, is_sparse_pebble, is_tight
@@ -77,11 +78,6 @@ def _load_instance(args) -> tuple[Graph, SparsityParams]:
     p = SparsityParams(args.k, args.l)
     validate_instance(g, p)
     return g, p
-
-
-def _frac(v) -> str:
-    f = Fraction(v)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def cmd_check(args) -> int:
@@ -137,12 +133,12 @@ def cmd_protocol(args) -> int:
         expectation = exact_expectation(g, p, variant, x_set, basis)
         slack = slack_value(g, p, x_set, basis)
         match = expectation == slack
-        print(f"expectation: {_frac(expectation)}")
-        print(f"slack: {_frac(slack)}")
+        print(f"expectation: {render_rational(expectation)}")
+        print(f"slack: {render_rational(slack)}")
         print("MATCH" if match else "MISMATCH")
         return EXIT_OK if match else EXIT_MISMATCH
     result = monte_carlo(g, p, variant, x_set, basis, args.samples, args.seed)
-    print(f"mean: {_frac(result.mean)}")
+    print(f"mean: {render_rational(result.mean)}")
     print(f"stderr: {result.stderr!r}")
     print(f"samples: {result.samples}")
     print(f"seed: {args.seed}")
@@ -165,7 +161,7 @@ def cmd_factorize(args) -> int:
     g, p = _load_instance(args)
     variant = resolve_variant(p, args.variant)
     s = slack_matrix(g, p, max_enum=args.max_enum)
-    fac = build_factorization(g, p, variant, max_enum=args.max_enum)
+    fac = build_factorization(g, p, variant, bases=s.cols)
     check = verify_factorization(s, fac)
     print(f"variant: {variant}")
     print(f"slack matrix: {s.shape[0]}x{s.shape[1]}")
@@ -187,11 +183,12 @@ def cmd_factorize(args) -> int:
 def cmd_emit(args) -> int:
     g, p = _load_instance(args)
     variant = resolve_variant(p, args.variant)
-    q = build_lifted(g, p, variant, max_enum=args.max_enum)
+    bases = enumerate_bases(g, p, max_enum=args.max_enum)
+    q = build_lifted(g, p, variant, bases=bases)
     emit_ine(q, args.out)
     print(f"wrote {args.out} ({q.equality_count} equalities + {q.inequality_count} inequalities)")
     if args.verify:
-        report = verify_extension(g, p, variant, seed=args.seed, max_enum=args.max_enum)
+        report = verify_extension(g, p, variant, seed=args.seed, bases=bases)
         print(json.dumps(report, indent=2, sort_keys=True))
         return EXIT_OK if report["pass"] else EXIT_MISMATCH
     return EXIT_OK
@@ -291,6 +288,10 @@ def main(argv=None) -> int:
     except EmptyPolytopeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY
+    except (AssertionError, RuntimeError, InfeasibleLiftedPointError) as exc:
+        # a failed verification or internal consistency check, not a user error
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     except InfeasibleOrientationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if exc.witness is not None:

@@ -10,15 +10,22 @@ A transcript is one full protocol round: Alice's announced vertices plus
 Bob's announced directed edge.  Transcripts are indexed lexicographically
 by (alice vertices, edge index, head flag), where flag 0 points the edge
 at its higher endpoint and flag 1 at its lower; there are 2n|E| of them
-for variant A and 2n(n-1)|E| for variant B.  The factor matrices are
+for variant A and 2n(n-1)|E| for variant B.  Every basis has
+|F| = c = k n - l edges, so both factors are integral up to that one scale:
 
-    T[X][w] = (k n - l) * [alice(w) = alice_choice(X)]
-                        * [w's edge enters X]            in {0, k n - l}
-    U[w][F] = 1/|F|     * [w's directed edge appears in Bob's
-                           orientation of F for alice(w)]  in {0, 1/|F|}
+    T = c * A,   A[X][w] = [alice(w) = alice_choice(X)] * [w's edge enters X]
+    U = B / c,   B[w][F] = [w's directed edge appears in Bob's
+                            orientation of F for alice(w)]
 
-and T @ U recovers the slack matrix exactly; every entry here is a python
-int or Fraction, never a float.
+with A and B 0/1 incidence matrices.  T @ U = S is therefore the integer
+identity T @ B = c * S, which is how it is checked.  T and B are int64
+arrays; the scale 1/c appears only in the U view and at the CSV
+boundary, where entries render as exact 'p' or 'p/q'.
+
+No integer formed by the exact checks here or in ``lifted`` exceeds
+c * (|E| + |W| + k n) times the largest point weight (1 for a basis lift,
+at most ``AUDIT_WEIGHT`` times the basis count for an audit point), and
+``check_int64_range`` refuses an instance where that bound leaves int64.
 """
 
 from __future__ import annotations
@@ -28,16 +35,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 from .graphs import Graph, SparsityParams, induced_edges, validate_instance
-from .protocol import (
-    VARIANT_A,
-    alice_choice,
-    canonical_orientation,
-    resolve_variant,
-)
+from .protocol import VARIANT_A, alice_choice, orient_basis, resolve_variant
 from .sparsity import Basis, EnumerationGuardError, enumerate_bases
 
 MAX_ROW_ENUM_N = 16
+INT64_MAX = int(np.iinfo(np.int64).max)
+AUDIT_WEIGHT = 10  # audit points weigh each basis lift by an integer in 0..AUDIT_WEIGHT
 
 
 class Transcript(NamedTuple):
@@ -48,6 +54,25 @@ class Transcript(NamedTuple):
     def directed(self, g: Graph) -> tuple[int, int]:
         u, v = g.edges[self.edge]
         return (u, v) if self.head == v else (v, u)
+
+
+def render_rational(value) -> str:
+    """The text of an exact number: 'p' for an integer, 'p/q' in lowest terms otherwise."""
+    return str(value) if isinstance(value, int) else str(Fraction(value))
+
+
+def check_int64_range(g: Graph, p: SparsityParams, transcripts: int, weight: int = 1) -> None:
+    """Refuse (EnumerationGuardError) an instance whose exact checks could overflow int64.
+
+    ``weight`` bounds the common denominator of the points checked: 1 for
+    basis lifts, AUDIT_WEIGHT times the basis count for audit points.
+    """
+    c = p.k * g.n - p.ell
+    bound = c * (g.edge_count + transcripts + p.k * g.n) * weight
+    if bound > INT64_MAX:
+        raise EnumerationGuardError(
+            f"exact integer checks could reach {bound}, beyond the int64 limit {INT64_MAX}"
+        )
 
 
 def enumerate_rows(g: Graph, p: SparsityParams) -> list[tuple[int, ...]]:
@@ -72,6 +97,43 @@ def slack_value(g: Graph, p: SparsityParams, x_set: Iterable[int], basis: Iterab
     return p.k * len(members) - p.ell - overlap
 
 
+def _membership(g: Graph, rows: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """Boolean |rows| x n matrix: vertex v lies in X."""
+    inside = np.zeros((len(rows), g.n), dtype=bool)
+    for i, x in enumerate(rows):
+        inside[i, list(x)] = True
+    return inside
+
+
+def row_incidence(g: Graph, rows: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """int64 |rows| x |E| matrix R: R[X][e] = 1 when e lies in E(X)."""
+    inside = _membership(g, rows)
+    ends = np.array(g.edges, dtype=np.intp).reshape(g.edge_count, 2)
+    return (inside[:, ends[:, 0]] & inside[:, ends[:, 1]]).astype(np.int64)
+
+
+def basis_incidence(g: Graph, bases: Sequence[Basis]) -> np.ndarray:
+    """int64 |E| x #bases matrix: column j is the 0/1 incidence vector of basis j."""
+    x = np.zeros((g.edge_count, len(bases)), dtype=np.int64)
+    for j, basis in enumerate(bases):
+        x[list(basis), j] = 1
+    return x
+
+
+def sparse_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact a @ b for int64 matrices, summing each row over its nonzero entries only.
+
+    T has at most |E| nonzeros per row of |W|, so this does a small
+    fraction of the work of a dense integer product.
+    """
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for i, row in enumerate(a):
+        nz = np.flatnonzero(row)
+        if nz.size:
+            out[i] = row[nz] @ b[nz]
+    return out
+
+
 @dataclass(frozen=True)
 class SlackMatrix:
     rows: tuple[tuple[int, ...], ...]
@@ -84,12 +146,14 @@ class SlackMatrix:
 
 
 def slack_matrix(g: Graph, p: SparsityParams, *, max_enum: int | None = None) -> SlackMatrix:
+    """S = (k|X| - l) - R @ X over all bases."""
     rows = enumerate_rows(g, p)
     cols = enumerate_bases(g, p, max_enum=max_enum)
-    entries = tuple(
-        tuple(slack_value(g, p, x, f) for f in cols) for x in rows
+    rhs = np.array([p.k * len(x) - p.ell for x in rows], dtype=np.int64)
+    entries = rhs[:, None] - row_incidence(g, rows) @ basis_incidence(g, cols)
+    return SlackMatrix(
+        rows=tuple(rows), cols=tuple(cols), entries=tuple(map(tuple, entries.tolist()))
     )
-    return SlackMatrix(rows=tuple(rows), cols=tuple(cols), entries=entries)
 
 
 def _alice_parts(g: Graph, variant: str) -> list[tuple[int, ...]]:
@@ -114,21 +178,20 @@ def build_T(
     variant: str,
     rows: Sequence[tuple[int, ...]],
     transcripts: Sequence[Transcript],
-) -> tuple[tuple[int, ...], ...]:
+) -> np.ndarray:
+    """T = c * A as an int64 |rows| x |W| array."""
     c = p.k * g.n - p.ell
-    out = []
-    for x in rows:
-        members = frozenset(x)
-        announce = alice_choice(members, variant)
-        row = []
-        for w in transcripts:
-            if w.alice != announce:
-                row.append(0)
-                continue
-            tail, head = w.directed(g)
-            row.append(c if (tail not in members and head in members) else 0)
-        out.append(tuple(row))
-    return tuple(out)
+    alice_ids: dict[tuple[int, ...], int] = {}
+    w_alice = np.array(
+        [alice_ids.setdefault(w.alice, len(alice_ids)) for w in transcripts], dtype=np.intp
+    )
+    announced = np.array(
+        [alice_ids.get(alice_choice(x, variant), -1) for x in rows], dtype=np.intp
+    )
+    ends = np.array([w.directed(g) for w in transcripts], dtype=np.intp).reshape(len(transcripts), 2)
+    inside = _membership(g, rows)
+    enters = ~inside[:, ends[:, 0]] & inside[:, ends[:, 1]]
+    return c * ((announced[:, None] == w_alice[None, :]) & enters).astype(np.int64)
 
 
 def build_U(
@@ -137,48 +200,66 @@ def build_U(
     variant: str,
     cols: Sequence[Basis],
     transcripts: Sequence[Transcript],
-) -> tuple[tuple[Fraction, ...], ...]:
+) -> np.ndarray:
+    """B = c * U as an int64 0/1 |W| x |cols| array.
+
+    Orients each (basis, Alice announcement) pair exactly once.
+    """
     index = {w: i for i, w in enumerate(transcripts)}
     alice_parts = _alice_parts(g, variant)
-    u_cols: list[dict[int, Fraction]] = []
-    for basis in cols:
-        weight = Fraction(1, len(basis))
-        col: dict[int, Fraction] = {}
+    hits: list[int] = []
+    hit_cols: list[int] = []
+    for j, basis in enumerate(cols):
         for alice in alice_parts:
-            orientation = canonical_orientation(g, p, variant, basis, alice)
-            for edge_idx, head in zip(basis, orientation.heads):
-                col[index[Transcript(alice=alice, edge=edge_idx, head=head)]] = weight
-        u_cols.append(col)
-    return tuple(
-        tuple(u_cols[j].get(i, Fraction(0)) for j in range(len(cols)))
-        for i in range(len(transcripts))
-    )
+            heads = orient_basis(g, p, variant, basis, alice).heads
+            for e, h in zip(basis, heads):
+                hits.append(index[alice, e, h])
+                hit_cols.append(j)
+    b = np.zeros((len(transcripts), len(cols)), dtype=np.int64)
+    b[hits, hit_cols] = 1
+    return b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Factorization:
+    """S = T @ U with T = c * A and U = B / c; T and B are int64 arrays."""
+
     variant: str
     transcripts: tuple[Transcript, ...]
     rows: tuple[tuple[int, ...], ...]
     cols: tuple[Basis, ...]
-    T: tuple[tuple[int, ...], ...]
-    U: tuple[tuple[Fraction, ...], ...]
+    T: np.ndarray
+    B: np.ndarray
+    c: int
+
+    @property
+    def U(self) -> tuple[tuple[Fraction, ...], ...]:
+        """B / c as exact rationals, row by row."""
+        return tuple(tuple(Fraction(b, self.c) for b in row) for row in self.B.tolist())
 
 
 def build_factorization(
-    g: Graph, p: SparsityParams, variant: str = "auto", *, max_enum: int | None = None
+    g: Graph,
+    p: SparsityParams,
+    variant: str = "auto",
+    *,
+    max_enum: int | None = None,
+    bases: Sequence[Basis] | None = None,
 ) -> Factorization:
+    """Factor the slack matrix over the given bases, or over all of them when ``bases`` is None."""
     variant = resolve_variant(p, variant)
     rows = enumerate_rows(g, p)
-    cols = enumerate_bases(g, p, max_enum=max_enum)
+    cols = enumerate_bases(g, p, max_enum=max_enum) if bases is None else list(bases)
     transcripts = enumerate_transcripts(g, variant)
+    check_int64_range(g, p, len(transcripts))
     return Factorization(
         variant=variant,
         transcripts=transcripts,
         rows=tuple(rows),
         cols=tuple(cols),
         T=build_T(g, p, variant, rows, transcripts),
-        U=build_U(g, p, variant, cols, transcripts),
+        B=build_U(g, p, variant, cols, transcripts),
+        c=p.k * g.n - p.ell,
     )
 
 
@@ -191,47 +272,44 @@ class FactorizationCheck(NamedTuple):
         return self.ok
 
 
+def _first(mask: np.ndarray) -> tuple[int, int] | None:
+    """Row-major first True entry of a 2-D mask."""
+    hits = np.argwhere(mask)
+    return (int(hits[0][0]), int(hits[0][1])) if len(hits) else None
+
+
 def verify_factorization(s: SlackMatrix, fac: Factorization) -> FactorizationCheck:
     """Exact check that T and U are nonnegative and T @ U equals the slack matrix.
 
-    The witness names the first offending entry in row-major order:
-    ("T", i, j) / ("U", i, j) for a negative factor entry, (i, j) for a
-    product mismatch.  Dimension incompatibilities raise instead.
+    Checked as the integer identity T @ B = c * S.  The witness names the
+    first offending entry in row-major order: ("T", i, j) / ("U", i, j)
+    for a negative factor entry, (i, j) for a product mismatch.
+    Dimension incompatibilities raise instead.
     """
     nrows, ncols = s.shape
     w = len(fac.transcripts)
-    if len(fac.T) != nrows or any(len(r) != w for r in fac.T):
+    if fac.T.shape != (nrows, w):
         raise ValueError(f"T must be {nrows}x{w}")
-    if len(fac.U) != w or any(len(r) != ncols for r in fac.U):
+    if fac.B.shape != (w, ncols):
         raise ValueError(f"U must be {w}x{ncols}")
-    for i, row in enumerate(fac.T):
-        for j, t in enumerate(row):
-            if t < 0:
-                return FactorizationCheck(False, ("T", i, j), f"T[{i}][{j}] = {t} < 0")
-    for i, row in enumerate(fac.U):
-        for j, u in enumerate(row):
-            if u < 0:
-                return FactorizationCheck(False, ("U", i, j), f"U[{i}][{j}] = {u} < 0")
-    # column-sparse product: U columns hold at most one nonzero per (alice, basis edge)
-    nonzero_cols: list[list[tuple[int, Fraction]]] = [[] for _ in range(ncols)]
-    for wi, row in enumerate(fac.U):
-        for j, u in enumerate(row):
-            if u:
-                nonzero_cols[j].append((wi, u))
-    for i in range(nrows):
-        t_row = fac.T[i]
-        for j in range(ncols):
-            acc = Fraction(0)
-            for wi, u in nonzero_cols[j]:
-                t = t_row[wi]
-                if t:
-                    acc += t * u
-            if acc != s.entries[i][j]:
-                return FactorizationCheck(
-                    False,
-                    (i, j),
-                    f"(T@U)[{i}][{j}] = {acc} but slack is {s.entries[i][j]}",
-                )
+    bad = _first(fac.T < 0)
+    if bad is not None:
+        i, j = bad
+        return FactorizationCheck(False, ("T", i, j), f"T[{i}][{j}] = {fac.T[i, j]} < 0")
+    bad = _first(fac.B < 0)
+    if bad is not None:
+        i, j = bad
+        u = render_rational(Fraction(int(fac.B[i, j]), fac.c))
+        return FactorizationCheck(False, ("U", i, j), f"U[{i}][{j}] = {u} < 0")
+    product = sparse_matmul(fac.T, fac.B)
+    slack = np.array(s.entries, dtype=np.int64).reshape(nrows, ncols)
+    bad = _first(product != fac.c * slack)
+    if bad is not None:
+        i, j = bad
+        acc = render_rational(Fraction(int(product[i, j]), fac.c))
+        return FactorizationCheck(
+            False, (i, j), f"(T@U)[{i}][{j}] = {acc} but slack is {s.entries[i][j]}"
+        )
     return FactorizationCheck(True, None, "T@U = S exactly; T, U >= 0")
 
 
@@ -240,15 +318,18 @@ def _label(prefix: str, indices: Iterable[int]) -> str:
 
 
 def format_matrix_csv(
-    row_labels: Sequence[str], col_labels: Sequence[str], entries
+    row_labels: Sequence[str], col_labels: Sequence[str], entries, denominator: int = 1
 ) -> str:
     """Matrix dump: header line of column labels, then one labelled row per line.
 
-    Entries are exact rationals rendered as 'p' or 'p/q'.
+    Entries are integers over the common ``denominator``, rendered as exact
+    rationals 'p' or 'p/q'.
     """
+    values = np.asarray(entries, dtype=np.int64).reshape(len(row_labels), len(col_labels))
+    text = {v: render_rational(Fraction(v, denominator)) for v in np.unique(values).tolist()}
     lines = ["," + ",".join(col_labels)]
-    for label, row in zip(row_labels, entries):
-        lines.append(label + "," + ",".join(str(Fraction(v)) for v in row))
+    for label, row in zip(row_labels, values.tolist()):
+        lines.append(label + "," + ",".join(map(text.__getitem__, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -269,6 +350,6 @@ def factor_csvs(fac: Factorization) -> tuple[str, str]:
         [_label("X:", x) for x in fac.rows], w_labels, fac.T
     )
     u_csv = format_matrix_csv(
-        w_labels, [_label("F:", f) for f in fac.cols], fac.U
+        w_labels, [_label("F:", f) for f in fac.cols], fac.B, fac.c
     )
     return t_csv, u_csv

@@ -13,6 +13,16 @@ feasibly with y set to its U-column.  The inequality count |E| + |W| is
 an upper bound on the facet count (the measure the size theorems use);
 reports carry both totals, with and without the |E| edge bounds.
 
+Verification works on integer arrays (see ``factorization`` for the
+A/B incidences and the int64 bound).  A batch of points is kept as
+numerators over a per-point common denominator: x = xnum / den and
+y = ynum / (c den), where c = k n - l, so a basis lift is its edge
+incidence and its B-column over den = 1.  Scaled by c den, every
+equality residual is the integer c R xnum + T ynum - c rhs den, with R
+the E(X)-incidence of the counting rows.  ``lift_vertex``,
+``equality_residuals``, ``assert_in_lifted`` and ``check_projection``
+are the per-point ``Fraction`` reference path for the same checks.
+
 Emission uses the cdd/lrs ``.ine`` H-representation layout with equality
 rows first and exact integer coefficients, byte-deterministic for a
 fixed instance.
@@ -26,12 +36,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .factorization import (
+    AUDIT_WEIGHT,
     Transcript,
+    basis_incidence,
     build_T,
     build_U,
+    check_int64_range,
     enumerate_rows,
     enumerate_transcripts,
+    render_rational,
+    row_incidence,
+    sparse_matmul,
 )
 from .graphs import Graph, SparsityParams, induced_edges, validate_instance
 from .protocol import VARIANT_A, bit_complexity, resolve_variant
@@ -46,7 +64,7 @@ class InfeasibleLiftedPointError(ValueError):
     """A point claimed to lie in the lifted polytope violates one of its constraints."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LiftedPolytope:
     graph: Graph
     params: SparsityParams
@@ -55,7 +73,7 @@ class LiftedPolytope:
     row_edges: tuple[tuple[int, ...], ...]  # E(X) indices per row
     row_rhs: tuple[int, ...]
     transcripts: tuple[Transcript, ...]
-    T: tuple[tuple[int, ...], ...]
+    T: np.ndarray  # int64 |rows| x |W|
     global_rhs: int
 
     @property
@@ -82,12 +100,23 @@ class LiftedPoint(NamedTuple):
 
 
 def build_lifted(
-    g: Graph, p: SparsityParams, variant: str = "auto", *, max_enum: int | None = None
+    g: Graph,
+    p: SparsityParams,
+    variant: str = "auto",
+    *,
+    max_enum: int | None = None,
+    bases: Sequence[Basis] | None = None,
 ) -> LiftedPolytope:
-    """Assemble the equality system; refuses instances with an empty basis family."""
+    """Assemble the equality system; refuses instances with an empty basis family.
+
+    ``bases`` is the instance's basis list when the caller already has it;
+    otherwise the bases are enumerated to test for emptiness.
+    """
     validate_instance(g, p)
     variant = resolve_variant(p, variant)
-    if not enumerate_bases(g, p, max_enum=max_enum):
+    if bases is None:
+        bases = enumerate_bases(g, p, max_enum=max_enum)
+    if not bases:
         raise EmptyPolytopeError(
             f"no (k={p.k},l={p.ell})-tight spanning subgraph exists: the polytope is empty"
         )
@@ -112,20 +141,24 @@ def lift_vertex(q: LiftedPolytope, basis: Basis) -> LiftedPoint:
     basis = tuple(sorted(basis))
     in_basis = set(basis)
     x = tuple(Fraction(1 if i in in_basis else 0) for i in range(g.edge_count))
-    column = build_U(g, p, q.variant, [basis], q.transcripts)
-    y = tuple(row[0] for row in column)
+    column = build_U(g, p, q.variant, [basis], q.transcripts)[:, 0].tolist()
+    y = tuple(Fraction(b, q.global_rhs) for b in column)
     return LiftedPoint(x=x, y=y)
 
 
 def equality_residuals(q: LiftedPolytope, point: LiftedPoint) -> list[Fraction]:
     """Left-hand side minus right-hand side for each row equality, then the global one."""
     residuals = []
-    for edge_idx, t_row, rhs in zip(q.row_edges, q.T, q.row_rhs):
+    for edge_idx, t_row, rhs in zip(q.row_edges, q.T.tolist(), q.row_rhs):
         acc = sum((point.x[i] for i in edge_idx), Fraction(0))
         acc += sum((t * yw for t, yw in zip(t_row, point.y) if t), Fraction(0))
         residuals.append(acc - rhs)
     residuals.append(sum(point.x, Fraction(0)) - q.global_rhs)
     return residuals
+
+
+def _row_name(q: LiftedPolytope, idx: int) -> str:
+    return "global" if idx == len(q.rows) else f"X={q.rows[idx]}"
 
 
 def assert_in_lifted(q: LiftedPolytope, point: LiftedPoint) -> None:
@@ -142,20 +175,13 @@ def assert_in_lifted(q: LiftedPolytope, point: LiftedPoint) -> None:
             raise InfeasibleLiftedPointError(f"y[{i}] = {yv} < 0")
     for idx, res in enumerate(equality_residuals(q, point)):
         if res != 0:
-            name = "global" if idx == len(q.rows) else f"X={q.rows[idx]}"
-            raise InfeasibleLiftedPointError(f"equality row {name} has residual {res}")
+            raise InfeasibleLiftedPointError(
+                f"equality row {_row_name(q, idx)} has residual {res}"
+            )
 
 
-def check_projection(g: Graph, p: SparsityParams, q: LiftedPolytope, point: LiftedPoint) -> bool:
-    """Soundness audit: a feasible lifted point must project into the base polytope.
-
-    Raises InfeasibleLiftedPointError when the point is not in the lifted
-    polytope (that is an input error, not a projection failure); otherwise
-    returns whether the x-part satisfies every counting inequality, the
-    global equality and x >= 0.
-    """
-    assert_in_lifted(q, point)
-    x = point.x
+def in_base_polytope(g: Graph, p: SparsityParams, x: Sequence[Fraction]) -> bool:
+    """Whether x satisfies x >= 0, the global equality and every counting inequality."""
     if any(xv < 0 for xv in x):
         return False
     if sum(x, Fraction(0)) != max(p.k * g.n - p.ell, 0):
@@ -168,28 +194,89 @@ def check_projection(g: Graph, p: SparsityParams, q: LiftedPolytope, point: Lift
     return True
 
 
-def _audit_points(
-    q: LiftedPolytope, lifts: Sequence[LiftedPoint], samples: int, seed: int
-) -> list[LiftedPoint]:
-    """Seeded random rational convex combinations of the lifted vertices."""
+def check_projection(g: Graph, p: SparsityParams, q: LiftedPolytope, point: LiftedPoint) -> bool:
+    """Soundness audit: a feasible lifted point must project into the base polytope.
+
+    Raises InfeasibleLiftedPointError when the point is not in the lifted
+    polytope (that is an input error, not a projection failure); otherwise
+    returns whether the x-part satisfies every counting inequality, the
+    global equality and x >= 0.
+    """
+    assert_in_lifted(q, point)
+    return in_base_polytope(g, p, point.x)
+
+
+def lift_residuals(
+    q: LiftedPolytope, xnum: np.ndarray, ynum: np.ndarray, den: np.ndarray
+) -> np.ndarray:
+    """Equality residuals of the points x = xnum/den, y = ynum/(c den), scaled by c den.
+
+    One column per point; the rows follow ``equality_residuals``: the
+    counting rows, then the global row.
+    """
+    c = q.global_rhs
+    rows = c * (row_incidence(q.graph, q.rows) @ xnum) + sparse_matmul(q.T, ynum)
+    rows -= c * np.outer(np.array(q.row_rhs, dtype=np.int64), den)
+    total = c * (xnum.sum(axis=0) - q.global_rhs * den)
+    return np.vstack([rows, total])
+
+
+def _assert_batch_in_lifted(
+    q: LiftedPolytope, xnum: np.ndarray, ynum: np.ndarray, den: np.ndarray, names: Sequence[str]
+) -> None:
+    """assert_in_lifted for a batch: raises on the first infeasible point, naming it."""
+    residuals = lift_residuals(q, xnum, ynum, den)
+    bad = (xnum < 0).any(axis=0) | (ynum < 0).any(axis=0) | (residuals != 0).any(axis=0)
+    if not bad.any():
+        return
+    j = int(np.argmax(bad))
+    c, d = q.global_rhs, int(den[j])
+    for label, column, scale in (("x", xnum[:, j], d), ("y", ynum[:, j], c * d)):
+        negative = np.flatnonzero(column < 0)
+        if negative.size:
+            i = int(negative[0])
+            value = render_rational(Fraction(int(column[i]), scale))
+            raise InfeasibleLiftedPointError(f"{names[j]}: {label}[{i}] = {value} < 0")
+    idx = int(np.flatnonzero(residuals[:, j])[0])
+    value = render_rational(Fraction(int(residuals[idx, j]), c * d))
+    raise InfeasibleLiftedPointError(
+        f"{names[j]}: equality row {_row_name(q, idx)} has residual {value}"
+    )
+
+
+def base_polytope_verdicts(
+    g: Graph, p: SparsityParams, xnum: np.ndarray, den: np.ndarray
+) -> np.ndarray:
+    """in_base_polytope for every point x = xnum/den at once.
+
+    Sums each point over every vertex mask by looping over edges, adding
+    an edge's column to the masks that hold both its ends, so memory stays
+    O(2^n * points).
+    """
+    masks = np.arange(1 << g.n)
+    sizes = sum((masks >> v) & 1 for v in range(g.n))
+    totals = np.zeros((masks.size, xnum.shape[1]), dtype=np.int64)
+    for e, (u, v) in enumerate(g.edges):
+        totals[((masks >> u) & (masks >> v) & 1).astype(bool)] += xnum[e]
+    limits = np.outer(np.maximum(p.k * sizes - p.ell, 0), den)
+    counted = sizes >= 2
+    return (
+        (xnum >= 0).all(axis=0)
+        & (xnum.sum(axis=0) == max(p.k * g.n - p.ell, 0) * den)
+        & (totals[counted] <= limits[counted]).all(axis=0)
+    )
+
+
+def _audit_weights(bases: int, samples: int, seed: int) -> np.ndarray:
+    """#bases x (1 + samples) integer weights: the first basis alone, then seeded random mixes."""
     rng = random.Random(seed)
-    points = []
+    columns = [[1] + [0] * (bases - 1)]
     for _ in range(samples):
-        raw = [rng.randint(0, 10) for _ in lifts]
+        raw = [rng.randint(0, AUDIT_WEIGHT) for _ in range(bases)]
         if sum(raw) == 0:
             raw[rng.randrange(len(raw))] = 1
-        den = sum(raw)
-        weights = [Fraction(w, den) for w in raw]
-        x = tuple(
-            sum((w * lift.x[i] for w, lift in zip(weights, lifts)), Fraction(0))
-            for i in range(q.x_count)
-        )
-        y = tuple(
-            sum((w * lift.y[i] for w, lift in zip(weights, lifts)), Fraction(0))
-            for i in range(q.y_count)
-        )
-        points.append(LiftedPoint(x=x, y=y))
-    return points
+        columns.append(raw)
+    return np.array(columns, dtype=np.int64).T
 
 
 def verify_extension(
@@ -200,41 +287,43 @@ def verify_extension(
     audit_samples: int = 5,
     seed: int = 0,
     max_enum: int | None = None,
+    bases: Sequence[Basis] | None = None,
 ) -> dict:
     """End-to-end verification report for one instance.
 
     Asserts that every basis lifts with zero residuals, that T is
     entrywise nonnegative (the structural certificate that feasible
-    points project into the base polytope), audits seeded convex
-    combinations through check_projection, and reconciles all counts
-    against the protocol's size bounds.  Raises on any failed assertion;
-    returns the report dict on success.
+    points project into the base polytope), audits the first lift and
+    seeded convex combinations of all lifts through the batched
+    projection check, and reconciles all counts against the protocol's
+    size bounds.  Raises on any failed assertion; returns the report
+    dict on success.  ``bases`` is the instance's basis list when the
+    caller already has it.
     """
     validate_instance(g, p)
     variant = resolve_variant(p, variant)
-    bases = enumerate_bases(g, p, max_enum=max_enum)
-    if not bases:
-        raise EmptyPolytopeError(
-            f"no (k={p.k},l={p.ell})-tight spanning subgraph exists: the polytope is empty"
-        )
-    q = build_lifted(g, p, variant, max_enum=max_enum)
+    if bases is None:
+        bases = enumerate_bases(g, p, max_enum=max_enum)
+    q = build_lifted(g, p, variant, bases=bases)
+    check_int64_range(g, p, q.y_count, AUDIT_WEIGHT * len(bases))
 
-    lifts = []
-    for basis in bases:
-        point = lift_vertex(q, basis)
-        assert_in_lifted(q, point)  # raises with witness on any residual
-        lifts.append(point)
+    lift_x = basis_incidence(g, bases)
+    lift_y = build_U(g, p, variant, bases, q.transcripts)
+    names = [f"basis {tuple(b)}" for b in bases]
+    _assert_batch_in_lifted(q, lift_x, lift_y, np.ones(len(bases), dtype=np.int64), names)
 
-    for i, row in enumerate(q.T):
-        for j, t in enumerate(row):
-            if t < 0:
-                raise AssertionError(f"T[{i}][{j}] = {t} < 0 breaks the projection argument")
+    negative = np.argwhere(q.T < 0)
+    if negative.size:
+        i, j = negative[0]
+        raise AssertionError(f"T[{i}][{j}] = {q.T[i, j]} < 0 breaks the projection argument")
 
-    audits = _audit_points(q, lifts, audit_samples, seed)
-    audited = [lifts[0], *audits]
-    for point in audited:
-        if not check_projection(g, p, q, point):
-            raise AssertionError("a feasible lifted point projected outside the base polytope")
+    weights = _audit_weights(len(bases), audit_samples, seed)
+    den = weights.sum(axis=0)
+    audit_x = lift_x @ weights
+    names = [f"audit point {i}" for i in range(weights.shape[1])]
+    _assert_batch_in_lifted(q, audit_x, lift_y @ weights, den, names)
+    if not base_polytope_verdicts(g, p, audit_x, den).all():
+        raise AssertionError("a feasible lifted point projected outside the base polytope")
 
     n, m = g.n, g.edge_count
     w = q.y_count
@@ -278,8 +367,8 @@ def verify_extension(
             "within_size_bound": q.inequality_count <= size_bound,
         },
         "checks": {
-            "basis_lifts_feasible": len(lifts),
-            "projection_audits": len(audited),
+            "basis_lifts_feasible": len(bases),
+            "projection_audits": weights.shape[1],
             "factor_nonnegative": True,
         },
         "note": (
@@ -289,11 +378,6 @@ def verify_extension(
     }
 
 
-def _render(value) -> str:
-    f = Fraction(value)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def format_ine(q: LiftedPolytope) -> str:
     """H-representation text: equalities first (listed in `linearity`), then bounds.
 
@@ -301,28 +385,26 @@ def format_ine(q: LiftedPolytope) -> str:
     ``b + a'.z >= 0``); columns are 1 + |E| + |W|.
     """
     d = q.x_count + q.y_count
-    rows: list[list] = []
-    for edge_idx, t_row, rhs in zip(q.row_edges, q.T, q.row_rhs):
-        coeff = [0] * d
-        for i in edge_idx:
-            coeff[i] = -1
-        for j, t in enumerate(t_row):
-            if t:
-                coeff[q.x_count + j] = -t
-        rows.append([rhs, *coeff])
-    rows.append([q.global_rhs, *([-1] * q.x_count), *([0] * q.y_count)])
-    for i in range(d):
-        coeff = [0] * d
-        coeff[i] = 1
-        rows.append([0, *coeff])
-
     n_eq = q.equality_count
+    equalities = np.zeros((n_eq, 1 + d), dtype=np.int64)
+    equalities[:-1, 0] = q.row_rhs
+    for i, edge_idx in enumerate(q.row_edges):
+        equalities[i, [1 + e for e in edge_idx]] = -1
+    equalities[:-1, 1 + q.x_count:] = -q.T
+    equalities[-1, 0] = q.global_rhs
+    equalities[-1, 1:1 + q.x_count] = -1
+
     lines = ["H-representation"]
     lines.append("linearity " + " ".join([str(n_eq), *[str(i + 1) for i in range(n_eq)]]))
     lines.append("begin")
-    lines.append(f"{len(rows)} {d + 1} rational")
-    for row in rows:
-        lines.append(" ".join(_render(v) for v in row))
+    lines.append(f"{n_eq + d} {d + 1} rational")
+    for row in equalities.tolist():
+        lines.append(" ".join(map(render_rational, row)))
+    bound = ["0"] * (d + 1)
+    for i in range(1, d + 1):
+        bound[i] = "1"
+        lines.append(" ".join(bound))
+        bound[i] = "0"
     lines.append("end")
     return "\n".join(lines) + "\n"
 

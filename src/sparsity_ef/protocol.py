@@ -87,14 +87,19 @@ def targets_for(g: Graph, p: SparsityParams, variant: str, alice: tuple[int, ...
     return protocol_targets_B(g.n, p, x, y)
 
 
-@lru_cache(maxsize=None)
-def canonical_orientation(
+def orient_basis(
     g: Graph, p: SparsityParams, variant: str, basis: Basis, alice: tuple[int, ...]
 ) -> Orientation:
     """Bob's deterministic orientation of the basis for the announced vertices."""
     targets = targets_for(g, p, variant, alice)
     edges = tuple(g.edges[i] for i in basis)
     return orient_with_targets(g.n, edges, targets)
+
+
+# Single protocol rounds reorient the same (basis, announcement) for every X
+# that shares it.  The factor builders orient each pair once and call
+# orient_basis directly, so they add nothing to this cache.
+canonical_orientation = lru_cache(maxsize=None)(orient_basis)
 
 
 @lru_cache(maxsize=None)

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from sparsity_ef import cli
+from sparsity_ef import cli, factorization, lifted
 from sparsity_ef.graphs import dump_graph
+from sparsity_ef.lifted import InfeasibleLiftedPointError
 
 from conftest import complete_graph, path_graph
 
@@ -209,3 +210,46 @@ def test_verify_command(k4_path, tmp_path, capsys):
     saved = json.loads(open(report_path).read())
     assert saved["pass"] and saved["variant"] == "B"
     assert saved["counts"]["inequality_count"] == 150
+
+
+def test_injected_residual_exits_2(k4_path, tmp_path, monkeypatch, capsys):
+    build_t = lifted.build_T
+
+    def corrupted(*args):
+        t = build_t(*args)
+        t[0] += 1
+        return t
+
+    monkeypatch.setattr(lifted, "build_T", corrupted)
+    base = ["--graph", k4_path, "--k", "2", "--l", "3"]
+    for argv in (["verify", *base], ["emit", *base, "--out", str(tmp_path / "x.ine"), "--verify"]):
+        code, _, err = run(argv, capsys)
+        assert code == 2, argv
+        assert err.startswith("error: basis (") and "equality row X=" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        AssertionError("a feasible lifted point projected outside the base polytope"),
+        RuntimeError("internal consistency failure: orientation of a basis was refused"),
+        InfeasibleLiftedPointError("y[0] = -1/5 < 0"),
+    ],
+)
+def test_failed_verification_exits_2(k4_path, monkeypatch, capsys, exc):
+    def failing(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "verify_extension", failing)
+    code, _, err = run(["verify", "--graph", k4_path, "--k", "2", "--l", "3"], capsys)
+    assert code == 2
+    assert err == f"error: {exc}\n"
+
+
+def test_int64_range_guard_exits_3(k4_path, monkeypatch, capsys):
+    monkeypatch.setattr(factorization, "INT64_MAX", 100)
+    for command in ("verify", "factorize"):
+        code, _, err = run([command, "--graph", k4_path, "--k", "2", "--l", "3"], capsys)
+        assert code == 3, command
+        assert "int64" in err

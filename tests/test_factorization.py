@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from dataclasses import replace
 from fractions import Fraction
@@ -9,6 +10,7 @@ from sparsity_ef.factorization import (
     build_factorization,
     enumerate_rows,
     enumerate_transcripts,
+    factor_csvs,
     slack_matrix,
     slack_matrix_csv,
     slack_value,
@@ -106,10 +108,9 @@ def test_verify_factorization_small_instances():
 def test_fault_injection_detected():
     s = slack_matrix(K3, P11)
     fac = build_factorization(K3, P11, "A")
-    u_rows = [list(row) for row in fac.U]
-    u_rows[4][1] += 1
-    broken = replace(fac, U=tuple(tuple(r) for r in u_rows))
-    check = verify_factorization(s, broken)
+    b = fac.B.copy()
+    b[4][1] += fac.c  # U[4][1] += 1
+    check = verify_factorization(s, replace(fac, B=b))
     assert not check.ok
     assert check.witness is not None
 
@@ -117,10 +118,9 @@ def test_fault_injection_detected():
 def test_negative_entry_detected():
     s = slack_matrix(K3, P11)
     fac = build_factorization(K3, P11, "A")
-    u_rows = [list(row) for row in fac.U]
-    u_rows[2][0] -= 1
-    broken = replace(fac, U=tuple(tuple(r) for r in u_rows))
-    check = verify_factorization(s, broken)
+    b = fac.B.copy()
+    b[2][0] -= fac.c  # U[2][0] -= 1
+    check = verify_factorization(s, replace(fac, B=b))
     assert not check.ok and check.witness == ("U", 2, 0)
 
 
@@ -162,3 +162,14 @@ def test_slack_csv_golden():
         "X:1+2,1,0,0\n"
     )
     assert slack_matrix_csv(slack_matrix(K3, P11)) == expected
+
+
+def test_factor_csv_golden_k4():
+    """T.csv and U.csv bytes of K4 (2,3), pinned from the Fraction-based implementation."""
+    t_csv, u_csv = factor_csvs(build_factorization(K4, P23, "B"))
+    assert hashlib.sha256(t_csv.encode()).hexdigest() == (
+        "c368c0608e08c33647e72cdde5400c64b2f8949252b75503d4f6c89aad519428"
+    )
+    assert hashlib.sha256(u_csv.encode()).hexdigest() == (
+        "e6f40800c1624c3cd49e36ff98cbf699de0c740bc6803e4b8853995efaace070"
+    )

@@ -1,22 +1,30 @@
-import itertools
+import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from sparsity_ef import lifted
+from sparsity_ef.factorization import basis_incidence, build_U
 from sparsity_ef.graphs import SparsityParams, make_graph
 from sparsity_ef.lifted import (
     EmptyPolytopeError,
     InfeasibleLiftedPointError,
     LiftedPoint,
     assert_in_lifted,
+    base_polytope_verdicts,
     build_lifted,
     check_projection,
     emit_ine,
     equality_residuals,
     format_ine,
+    in_base_polytope,
+    lift_residuals,
     lift_vertex,
     verify_extension,
 )
+from sparsity_ef.protocol import resolve_variant
 from sparsity_ef.sparsity import enumerate_bases
 
 from conftest import complete_graph, path_graph
@@ -155,3 +163,87 @@ def test_single_edge_ine_vertices_project_correctly():
     # the global equality forces x0 = 1 for any feasible point
     point = lift_vertex(q, (0,))
     assert point.x == (1,)
+
+
+def _differential_points(g, p, q, bases, rng):
+    """Numerators and denominators of lifts, convex mixes and perturbed (often infeasible) points."""
+    lift_x = basis_incidence(g, bases)
+    lift_y = build_U(g, p, q.variant, bases, q.transcripts)
+    weights = np.zeros((len(bases), 10), dtype=np.int64)
+    for col in range(4):  # the first lifts as they are
+        weights[min(col, len(bases) - 1), col] = 1
+    for col in range(4, 10):
+        weights[:, col] = [rng.randint(0, 3) for _ in bases]
+        weights[rng.randrange(len(bases)), col] += 1
+    xnum, ynum, den = lift_x @ weights, lift_y @ weights, weights.sum(axis=0)
+    feasible = xnum.shape[1]
+    for col in range(4, 10):  # perturb copies of the mixes
+        x, y = xnum[:, col].copy(), ynum[:, col].copy()
+        a, b = rng.randrange(g.edge_count), rng.randrange(g.edge_count)
+        x[a] -= rng.randint(1, den[col])
+        x[b] += rng.randint(1, den[col])
+        y[rng.randrange(q.y_count)] += rng.randint(0, 2)
+        xnum = np.column_stack([xnum, x])
+        ynum = np.column_stack([ynum, y])
+        den = np.append(den, den[col])
+    return xnum, ynum, den, feasible
+
+
+def test_batched_checks_match_fraction_reference(corpus_cells):
+    """Integer residuals and projection verdicts equal the per-point Fraction path."""
+    rng = random.Random(7)
+    verdicts = set()
+    for name, g, p, bases in corpus_cells:
+        if name not in ("K3", "K4", "W5", "prism"):
+            continue
+        q = build_lifted(g, p, resolve_variant(p, "auto"))
+        c = q.global_rhs
+        xnum, ynum, den, feasible = _differential_points(g, p, q, bases, rng)
+        residuals = lift_residuals(q, xnum, ynum, den)
+        batch_verdicts = base_polytope_verdicts(g, p, xnum, den)
+        for j in range(xnum.shape[1]):
+            d = int(den[j])
+            point = LiftedPoint(
+                x=tuple(Fraction(v, d) for v in xnum[:, j].tolist()),
+                y=tuple(Fraction(v, c * d) for v in ynum[:, j].tolist()),
+            )
+            expected = equality_residuals(q, point)
+            assert [Fraction(v, c * d) for v in residuals[:, j].tolist()] == expected, (name, p, j)
+            assert bool(batch_verdicts[j]) == in_base_polytope(g, p, point.x), (name, p, j)
+            if j < feasible:
+                assert bool(batch_verdicts[j]) == check_projection(g, p, q, point), (name, p, j)
+            verdicts.add(bool(batch_verdicts[j]))
+    assert verdicts == {True, False}
+
+
+def test_verify_extension_catches_flipped_u_entry(monkeypatch):
+    q = build_lifted(K4, P23, "B")
+    w = int(np.flatnonzero((q.T != 0).any(axis=0))[0])  # a transcript some row charges
+    real_build_u = lifted.build_U
+
+    def flipped(*args):
+        b = real_build_u(*args)
+        b[w, 0] = 1 - b[w, 0]
+        return b
+
+    monkeypatch.setattr(lifted, "build_U", flipped)
+    basis = enumerate_bases(K4, P23)[0]
+    with pytest.raises(InfeasibleLiftedPointError, match=re.escape(f"basis {basis}: equality row X=")):
+        verify_extension(K4, P23, "B")
+
+
+def test_verify_extension_catches_corrupted_t_entry(monkeypatch):
+    bases = enumerate_bases(K4, P23)
+    q = build_lifted(K4, P23, "B")
+    w = int(np.flatnonzero(build_U(K4, P23, "B", bases[:1], q.transcripts)[:, 0])[0])
+    real_build_t = lifted.build_T
+
+    def corrupted(*args):
+        t = real_build_t(*args)
+        t[3, w] += 1
+        return t
+
+    monkeypatch.setattr(lifted, "build_T", corrupted)
+    expected = f"basis {bases[0]}: equality row X={q.rows[3]} has residual"
+    with pytest.raises(InfeasibleLiftedPointError, match=re.escape(expected)):
+        verify_extension(K4, P23, "B")
