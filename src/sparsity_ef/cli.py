@@ -15,7 +15,9 @@ verify.  Exit codes form the CI contract:
 
 All numeric output is exact (integers or p/q rationals) except the Monte
 Carlo standard error.  The SPARSITY_EF_MAX_ENUM environment variable or
---max-enum override the basis-enumeration guard.
+--max-enum override the basis-enumeration guard.  `emit` enumerates bases
+only under --verify; without it, emptiness is one pebble game, so the
+enumeration guard does not apply and `emit --max-enum 1` exits 0.
 """
 
 from __future__ import annotations
@@ -183,8 +185,9 @@ def cmd_factorize(args) -> int:
 def cmd_emit(args) -> int:
     g, p = _load_instance(args)
     variant = resolve_variant(p, args.variant)
-    bases = enumerate_bases(g, p, max_enum=args.max_enum)
-    q = build_lifted(g, p, variant, bases=bases)
+    # enumerated before the .ine is written, so a refused --verify writes nothing
+    bases = enumerate_bases(g, p, max_enum=args.max_enum) if args.verify else None
+    q = build_lifted(g, p, variant)
     emit_ine(q, args.out)
     print(f"wrote {args.out} ({q.equality_count} equalities + {q.inequality_count} inequalities)")
     if args.verify:

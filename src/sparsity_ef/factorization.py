@@ -44,6 +44,8 @@ from .sparsity import Basis, EnumerationGuardError, enumerate_bases
 MAX_ROW_ENUM_N = 16
 INT64_MAX = int(np.iinfo(np.int64).max)
 AUDIT_WEIGHT = 10  # audit points weigh each basis lift by an integer in 0..AUDIT_WEIGHT
+MAX_U_BYTES = 2**30  # build_U refuses a dense B and hit lists estimated beyond this
+HIT_BYTES = 32  # per hit: a slot in each of two Python lists and two intp index arrays
 
 
 class Transcript(NamedTuple):
@@ -203,10 +205,20 @@ def build_U(
 ) -> np.ndarray:
     """B = c * U as an int64 0/1 |W| x |cols| array.
 
-    Orients each (basis, Alice announcement) pair exactly once.
+    Orients each (basis, Alice announcement) pair exactly once.  Before
+    any orientation, refuses (EnumerationGuardError) an instance whose
+    dense B and hit lists, c hits per basis and announcement, are
+    estimated at more than ``MAX_U_BYTES``.
     """
     index = {w: i for i, w in enumerate(transcripts)}
     alice_parts = _alice_parts(g, variant)
+    c = p.k * g.n - p.ell
+    estimate = len(cols) * (8 * len(transcripts) + HIT_BYTES * c * len(alice_parts))
+    if estimate > MAX_U_BYTES:
+        raise EnumerationGuardError(
+            f"B and its hit lists for {len(cols)} bases would take about {estimate} bytes, "
+            f"beyond the memory guard of {MAX_U_BYTES}"
+        )
     hits: list[int] = []
     hit_cols: list[int] = []
     for j, basis in enumerate(cols):

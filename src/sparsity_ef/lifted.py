@@ -53,7 +53,7 @@ from .factorization import (
 )
 from .graphs import Graph, SparsityParams, induced_edges, validate_instance
 from .protocol import VARIANT_A, bit_complexity, resolve_variant
-from .sparsity import Basis, enumerate_bases
+from .sparsity import Basis, enumerate_bases, has_basis
 
 
 class EmptyPolytopeError(ValueError):
@@ -99,24 +99,16 @@ class LiftedPoint(NamedTuple):
     y: tuple[Fraction, ...]
 
 
-def build_lifted(
-    g: Graph,
-    p: SparsityParams,
-    variant: str = "auto",
-    *,
-    max_enum: int | None = None,
-    bases: Sequence[Basis] | None = None,
-) -> LiftedPolytope:
+def build_lifted(g: Graph, p: SparsityParams, variant: str = "auto") -> LiftedPolytope:
     """Assemble the equality system; refuses instances with an empty basis family.
 
-    ``bases`` is the instance's basis list when the caller already has it;
-    otherwise the bases are enumerated to test for emptiness.
+    Emptiness is decided by ``has_basis``, one greedy pebble game that
+    finds the matroid rank, so no basis is enumerated and no enumeration
+    guard applies.
     """
     validate_instance(g, p)
     variant = resolve_variant(p, variant)
-    if bases is None:
-        bases = enumerate_bases(g, p, max_enum=max_enum)
-    if not bases:
+    if not has_basis(g, p):
         raise EmptyPolytopeError(
             f"no (k={p.k},l={p.ell})-tight spanning subgraph exists: the polytope is empty"
         )
@@ -304,7 +296,7 @@ def verify_extension(
     variant = resolve_variant(p, variant)
     if bases is None:
         bases = enumerate_bases(g, p, max_enum=max_enum)
-    q = build_lifted(g, p, variant, bases=bases)
+    q = build_lifted(g, p, variant)
     check_int64_range(g, p, q.y_count, AUDIT_WEIGHT * len(bases))
 
     lift_x = basis_incidence(g, bases)

@@ -12,11 +12,19 @@ against each other exhaustively on small graphs.
 An edge subset F is identified by its sorted tuple of edge indices; a
 basis is such a tuple of cardinality max(k*n - l, 0) whose subgraph is
 sparse (hence tight and spanning).
+
+The same pebble game serves two more uses.  ``enumerate_bases`` is a
+depth-first search over edges in index order that keeps one game for
+its current prefix, adding and taking out one edge at a time, and skips
+an edge as soon as the prefix plus that edge is dependent, pruning all
+of its extensions at once (sparsity is hereditary).  ``has_basis`` plays
+the game greedily once over all edges: the sparse edge sets are the
+independent sets of a matroid, so the count inserted is its rank, and a
+basis exists iff that rank is k*n - l.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from typing import Iterable
@@ -108,64 +116,98 @@ def _bruteforce_edge_form(g: Graph, p: SparsityParams, subset: Basis) -> bool:
     return True
 
 
+class _PebbleGame:
+    """The (k,l)-pebble game of Lee & Streinu (Discrete Math. 308, 2008) on n vertices.
+
+    State: the free pebbles of each vertex and the accepted edges, each
+    oriented away from the vertex whose pebble it took, so a vertex's free
+    pebbles and out-edges always add up to k.  For a sparse edge set F in
+    any such orientation, the free pebbles on a vertex set X plus the edges
+    leaving X number k|X| - |F ∩ E(X)|, whatever the orientation.  So
+    l+1 pebbles can be gathered on u and v exactly when F + uv is sparse,
+    in every state the game can reach, and an edge can be taken out again
+    by returning its pebble to its tail.
+    """
+
+    def __init__(self, n: int, p: SparsityParams):
+        self.ell = p.ell
+        self.pebbles = [p.k] * n
+        self.out: list[set[int]] = [set() for _ in range(n)]
+
+    def accepts(self, u: int, v: int) -> bool:
+        """Gather l+1 pebbles on u and v; whether uv is independent of the accepted edges.
+
+        A fetch only reverses paths, so the state stays valid for the same
+        edges whether or not uv is then inserted.
+        """
+        pebbles = self.pebbles
+        while pebbles[u] + pebbles[v] <= self.ell:
+            if not self._fetch(u, v):
+                return False
+        return True
+
+    def _fetch(self, u: int, v: int) -> bool:
+        """Move one pebble onto u or v by reversing a directed path; False if none is reachable.
+
+        Breadth-first from u and v, stopping at the first vertex found with
+        a free pebble.  Which pebble is fetched changes no answer.
+        """
+        out, pebbles = self.out, self.pebbles
+        parent = {u: -1, v: -1}
+        queue = [u, v]
+        for w in queue:  # the queue grows while it is walked
+            for s in out[w]:
+                if s in parent:
+                    continue
+                parent[s] = w
+                if pebbles[s] == 0:
+                    queue.append(s)
+                    continue
+                # reverse the path root -> s, paying s's pebble to the root
+                node = s
+                while parent[node] >= 0:
+                    prev = parent[node]
+                    out[prev].discard(node)
+                    out[node].add(prev)
+                    node = prev
+                pebbles[s] -= 1
+                pebbles[node] += 1
+                return True
+        return False
+
+    def insert(self, u: int, v: int) -> None:
+        """Accept uv, after ``accepts(u, v)``, paying with a pebble of u if it has one."""
+        tail, head = (u, v) if self.pebbles[u] > 0 else (v, u)
+        self.pebbles[tail] -= 1
+        self.out[tail].add(head)
+
+    def remove(self, u: int, v: int) -> None:
+        """Take out the accepted edge uv and return its pebble to its tail."""
+        tail, head = (u, v) if v in self.out[u] else (v, u)
+        self.out[tail].remove(head)
+        self.pebbles[tail] += 1
+
+    def add(self, u: int, v: int) -> bool:
+        """Insert uv if it is independent of the accepted edges; whether it was."""
+        if not self.accepts(u, v):
+            return False
+        self.insert(u, v)
+        return True
+
+
 def is_sparse_pebble(g: Graph, p: SparsityParams, edge_set: Iterable[int]) -> bool:
     """Decide sparsity with the (k,l)-pebble game (production path).
 
     Every vertex starts with k pebbles.  Edges of F are inserted in
     ascending index order; inserting {u,v} requires l+1 pebbles gathered
     on u and v, where a pebble is fetched by searching the oriented
-    inserted edges (BFS, lower vertex index first) for a pebbled vertex
-    and reversing the connecting path.  F is sparse iff every edge gets
-    inserted.
+    inserted edges breadth-first for a pebbled vertex and reversing the
+    connecting path.  F is sparse iff every edge gets inserted.
     """
     validate_instance(g, p)
     subset = _normalize_subset(g, edge_set)
-    k, ell = p
-    pebbles = [k] * g.n
-    out: list[set[int]] = [set() for _ in range(g.n)]
-    for i in subset:
-        u, v = g.edges[i]
-        while pebbles[u] + pebbles[v] < ell + 1:
-            if not _fetch_pebble(out, pebbles, u, v):
-                return False
-        if pebbles[u] > 0:
-            pebbles[u] -= 1
-            out[u].add(v)
-        else:
-            pebbles[v] -= 1
-            out[v].add(u)
-    return True
-
-
-def _fetch_pebble(out: list[set[int]], pebbles: list[int], u: int, v: int) -> bool:
-    """Move one pebble onto u or v by reversing a directed path; False if none reachable."""
-    roots = (u, v) if u < v else (v, u)
-    parent: dict[int, int | None] = {roots[0]: None, roots[1]: None}
-    queue = list(roots)
-    head = 0
-    target = -1
-    while head < len(queue):
-        w = queue[head]
-        head += 1
-        if w != u and w != v and pebbles[w] > 0:
-            target = w
-            break
-        for s in sorted(out[w]):
-            if s not in parent:
-                parent[s] = w
-                queue.append(s)
-    if target < 0:
-        return False
-    # reverse the path root -> target, paying the pebble to the root
-    node = target
-    while parent[node] is not None:
-        prev = parent[node]
-        out[prev].discard(node)
-        out[node].add(prev)
-        node = prev
-    pebbles[target] -= 1
-    pebbles[node] += 1
-    return True
+    game = _PebbleGame(g.n, p)
+    return all(game.add(*g.edges[i]) for i in subset)
 
 
 def tight_cardinality(g: Graph, p: SparsityParams) -> int:
@@ -185,10 +227,19 @@ def enumerate_bases(
 ) -> list[Basis]:
     """All tight spanning edge sets, in lexicographic edge-index order.
 
-    Brute force over the C(|E|, k*n-l) fixed-size subsets, each filtered
-    through the pebble game.  Refuses (EnumerationGuardError) when the
-    candidate count exceeds the guard; an empty result is a legal outcome
-    meaning the base polytope is empty.
+    A depth-first search over edges in index order that carries one
+    pebble game for the current prefix: edge j joins the prefix when l+1
+    pebbles can be gathered on its ends, and is skipped otherwise, which
+    prunes every extension through it (sparsity is hereditary).  An edge
+    accepted at the last depth is recorded without being inserted, and
+    backtracking takes the last edge out again.  The search is a loop, so
+    its depth, the basis size, is not bounded by Python's recursion limit.
+
+    Refuses (EnumerationGuardError) when C(|E|, k*n-l) exceeds the guard.
+    That count bounds the work rather than measuring it:
+    each test at the last depth is a distinct subset of that size, and
+    the ones with a dependent prefix are never reached.  An empty result
+    is a legal outcome meaning the base polytope is empty.
     """
     validate_instance(g, p)
     guard = default_max_enum() if max_enum is None else max_enum
@@ -200,8 +251,34 @@ def enumerate_bases(
         raise EnumerationGuardError(
             f"C({g.edge_count},{m}) = {candidates} exceeds enumeration guard {guard}"
         )
-    return [
-        subset
-        for subset in itertools.combinations(range(g.edge_count), m)
-        if is_sparse_pebble(g, p, subset)
-    ]
+    edges = g.edges
+    game = _PebbleGame(g.n, p)
+    bases: list[Basis] = []
+    prefix: list[int] = []
+    j = 0
+    while True:
+        if len(edges) - j < m - len(prefix):  # too few edges left to complete the prefix
+            if not prefix:
+                return bases
+            j = prefix.pop()
+            game.remove(*edges[j])
+        elif game.accepts(*edges[j]):
+            if len(prefix) == m - 1:
+                bases.append((*prefix, j))
+            else:
+                game.insert(*edges[j])
+                prefix.append(j)
+        j += 1
+
+
+def has_basis(g: Graph, p: SparsityParams) -> bool:
+    """Whether a tight spanning edge set exists, from one greedy pebble game.
+
+    The game inserts every edge it can, in index order; the count it
+    inserts is the rank of the sparsity matroid, and a basis exists iff
+    that rank is k*n - l.  Polynomial, so no enumeration guard applies.
+    """
+    validate_instance(g, p)
+    game = _PebbleGame(g.n, p)
+    rank = sum(game.add(u, v) for u, v in g.edges)
+    return rank == tight_cardinality(g, p)

@@ -253,3 +253,23 @@ def test_int64_range_guard_exits_3(k4_path, monkeypatch, capsys):
         code, _, err = run([command, "--graph", k4_path, "--k", "2", "--l", "3"], capsys)
         assert code == 3, command
         assert "int64" in err
+
+
+def test_emit_needs_no_enumeration(k4_path, tmp_path, capsys):
+    base = ["emit", "--graph", k4_path, "--k", "1", "--l", "1"]
+    plain, guarded = tmp_path / "plain.ine", tmp_path / "guarded.ine"
+    assert run([*base, "--out", str(plain)], capsys)[0] == 0
+    assert run([*base, "--out", str(guarded), "--max-enum", "1"], capsys)[0] == 0
+    assert guarded.read_bytes() == plain.read_bytes()
+    verified = tmp_path / "verified.ine"
+    code, _, err = run([*base, "--out", str(verified), "--verify", "--max-enum", "1"], capsys)
+    assert code == 3 and "guard" in err
+    assert not verified.exists()
+
+
+def test_memory_guard_exits_3(k4_path, monkeypatch, capsys):
+    monkeypatch.setattr(factorization, "MAX_U_BYTES", 1000)
+    for command in ("verify", "factorize"):
+        code, _, err = run([command, "--graph", k4_path, "--k", "2", "--l", "3"], capsys)
+        assert code == 3, command
+        assert "guard" in err

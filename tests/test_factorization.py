@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from sparsity_ef import factorization
 from sparsity_ef.graphs import SparsityParams
 from sparsity_ef.factorization import (
+    build_U,
     build_factorization,
     enumerate_rows,
     enumerate_transcripts,
@@ -17,7 +19,7 @@ from sparsity_ef.factorization import (
     verify_factorization,
 )
 from sparsity_ef.protocol import exact_expectation
-from sparsity_ef.sparsity import enumerate_bases
+from sparsity_ef.sparsity import EnumerationGuardError, enumerate_bases
 
 from conftest import complete_graph, path_graph
 
@@ -122,6 +124,25 @@ def test_negative_entry_detected():
     b[2][0] -= fac.c  # U[2][0] -= 1
     check = verify_factorization(s, replace(fac, B=b))
     assert not check.ok and check.witness == ("U", 2, 0)
+
+
+def test_memory_guard_threshold(monkeypatch):
+    # the guard reads only the basis count, so placeholder bases suffice
+    k7 = complete_graph(7)
+    with pytest.raises(EnumerationGuardError, match="memory guard"):
+        build_U(k7, P23, "B", [None] * 190491, enumerate_transcripts(k7, "B"))
+    with pytest.raises(EnumerationGuardError, match="memory guard"):  # K7 (2,2): about 1.15 GB
+        build_U(k7, SparsityParams(2, 2), "A", [None] * 228690, enumerate_transcripts(k7, "A"))
+
+    class Oriented(Exception):
+        pass
+
+    def reached(*args):
+        raise Oriented
+
+    monkeypatch.setattr(factorization, "orient_basis", reached)
+    with pytest.raises(Oriented):  # K7 (1,1) passes the guard and reaches orientation
+        build_U(k7, P11, "A", [None] * 7**5, enumerate_transcripts(k7, "A"))
 
 
 def test_dimension_mismatch_raises():

@@ -9,6 +9,7 @@ from sparsity_ef.graphs import SparsityParams, make_graph
 from sparsity_ef.sparsity import (
     EnumerationGuardError,
     enumerate_bases,
+    has_basis,
     is_sparse_bruteforce,
     is_sparse_pebble,
     is_tight,
@@ -18,6 +19,7 @@ from sparsity_ef.sparsity import (
 from conftest import (
     PARAM_GRID,
     complete_graph,
+    corpus_graphs,
     path_graph,
     random_graph,
     spanning_tree_count,
@@ -58,6 +60,40 @@ def test_known_basis_counts():
     ]
     assert len(by_brute) == 6
     assert enumerate_bases(K4, P23) == by_brute
+
+
+def _bases_by_brute_force(g, p):
+    """The basis list with no pebble game: every fixed-size subset, filtered by counting."""
+    size = tight_cardinality(g, p)
+    return [
+        f
+        for f in itertools.combinations(range(g.edge_count), size)
+        if is_sparse_bruteforce(g, p, f)
+    ]
+
+
+def test_enumeration_matches_brute_force_oracle():
+    rng = random.Random(2026)
+    graphs = corpus_graphs() + [
+        (f"random {i}", random_graph(rng, rng.randint(2, 7))) for i in range(30)
+    ]
+    for name, g in graphs:
+        for k, ell in PARAM_GRID:
+            p = SparsityParams(k, ell)
+            expected = _bases_by_brute_force(g, p)
+            assert enumerate_bases(g, p) == expected, (name, g.edges, p)
+            assert has_basis(g, p) == bool(expected), (name, g.edges, p)
+
+
+def test_complete_graph_counts():
+    assert len(enumerate_bases(complete_graph(7), P11)) == 7**5  # Cayley
+    assert len(enumerate_bases(complete_graph(6), P23)) == 3355
+
+
+def test_long_path_has_one_basis():
+    path = path_graph(1500)
+    assert enumerate_bases(path, P11) == [tuple(range(1499))]
+    assert has_basis(path, P11)
 
 
 def test_spanning_tree_counts_match_matrix_tree(corpus):
