@@ -6,7 +6,6 @@ the exact nonnegative slack factorization they induce, and emit the
 resulting lifted polytope as an ``.ine`` H-representation.
 """
 
-from ._kernels import BACKEND
 from .factorization import (
     Factorization,
     FactorizationCheck,
@@ -72,7 +71,6 @@ from .sparsity import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "Basis",
     "EmptyPolytopeError",
     "EnumerationGuardError",

@@ -1,31 +1,19 @@
-"""Hot counting kernels with two interchangeable backends.
+"""Integer numpy kernels: vertex-subset scans and Monte Carlo edge draws.
 
 Everything in here is integer-only bitmask work: scanning all vertex
 subsets of a small graph (as masks 0..2^n-1) for counting violations, and
-drawing uniform edge indices for the Monte Carlo sampler.  Each kernel has
-a numba ``@njit`` implementation and a vectorized pure-numpy fallback; the
-active backend is chosen once at import time from the environment variable
-``SPARSITY_EF_BACKEND``:
-
-    SPARSITY_EF_BACKEND=numba   force the jitted kernels (default if numba
-                                imports cleanly)
-    SPARSITY_EF_BACKEND=numpy   force the pure-numpy fallback
-
-Both backends are exact (int64/uint64 arithmetic, no floats) and return
-bit-identical results; ``benchmarks/bench_kernels.py`` compares their
-speed.
+drawing uniform edge indices for the Monte Carlo sampler.  The two subset
+scans back the test oracles ``is_sparse_bruteforce`` and
+``hakimi_violation``.  All arithmetic is exact (int64/uint64, no floats).
 
 Random draws use a counter-based splitmix64 stream: draw ``t`` of ``seed``
 is ``mix64(seed + (t+1)*GOLDEN) mod m``.  The same stream is implemented
-three times (pure python here, vectorized numpy, numba loop) and the test
-suite pins them to each other.  The modulo introduces a bias of order
-m * 2^-64, far below anything observable at desk scale.
+twice (pure python in ``splitmix_draw``, vectorized numpy in ``mc_hits``)
+and the test suite pins them to each other.  The modulo introduces a bias
+of order m * 2^-64, far below anything observable at desk scale.
 """
 
 from __future__ import annotations
-
-import os
-import warnings
 
 import numpy as np
 
@@ -44,10 +32,6 @@ def splitmix_draw(seed: int, t: int, m: int) -> int:
     return z % m
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy backend
-
-
 def _popcounts(masks: np.ndarray, n: int) -> np.ndarray:
     pc = np.zeros(masks.shape, dtype=np.int64)
     for i in range(n):
@@ -63,7 +47,8 @@ def _edge_in_counts(masks: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.nda
     return cnt
 
 
-def count_violation_numpy(eu: np.ndarray, ev: np.ndarray, n: int, k: int, ell: int) -> int:
+def count_violation(eu: np.ndarray, ev: np.ndarray, n: int, k: int, ell: int) -> int:
+    """Smallest mask X with |X| >= 2 and more than max(k|X| - ell, 0) edges inside, or -1."""
     masks = np.arange(1 << n, dtype=np.int64)
     pc = _popcounts(masks, n)
     cnt = _edge_in_counts(masks, eu, ev)
@@ -74,7 +59,8 @@ def count_violation_numpy(eu: np.ndarray, ev: np.ndarray, n: int, k: int, ell: i
     return int(np.argmax(bad))
 
 
-def hakimi_violation_numpy(eu: np.ndarray, ev: np.ndarray, m: np.ndarray, n: int) -> int:
+def hakimi_violation(eu: np.ndarray, ev: np.ndarray, m: np.ndarray, n: int) -> int:
+    """Smallest mask X with more edges inside than the sum of m over X, or -1."""
     masks = np.arange(1 << n, dtype=np.int64)
     cnt = _edge_in_counts(masks, eu, ev)
     msum = np.zeros(masks.shape, dtype=np.int64)
@@ -89,7 +75,8 @@ def hakimi_violation_numpy(eu: np.ndarray, ev: np.ndarray, m: np.ndarray, n: int
 _MC_CHUNK = 1 << 20
 
 
-def mc_hits_numpy(entering: np.ndarray, samples: int, seed: int) -> int:
+def mc_hits(entering: np.ndarray, samples: int, seed: int) -> int:
+    """How many of draws 0..samples-1 of the stream pick an entry of ``entering`` that is 1."""
     m = np.uint64(len(entering))
     s = np.uint64(seed & _MASK64)
     hits = 0
@@ -105,100 +92,6 @@ def mc_hits_numpy(entering: np.ndarray, samples: int, seed: int) -> int:
         hits += int(entering[idx].sum())
         start = stop
     return hits
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def count_violation_numba(eu, ev, n, k, ell):  # pragma: no cover - jitted
-        nedges = len(eu)
-        for mask in range(1, 1 << n):
-            pc = 0
-            for i in range(n):
-                pc += (mask >> i) & 1
-            if pc < 2:
-                continue
-            cnt = 0
-            for j in range(nedges):
-                if (mask >> eu[j]) & (mask >> ev[j]) & 1:
-                    cnt += 1
-            rhs = k * pc - ell
-            if rhs < 0:
-                rhs = 0
-            if cnt > rhs:
-                return mask
-        return -1
-
-    @njit(cache=True)
-    def hakimi_violation_numba(eu, ev, m, n):  # pragma: no cover - jitted
-        nedges = len(eu)
-        for mask in range(1, 1 << n):
-            cnt = 0
-            for j in range(nedges):
-                if (mask >> eu[j]) & (mask >> ev[j]) & 1:
-                    cnt += 1
-            msum = 0
-            for v in range(n):
-                if (mask >> v) & 1:
-                    msum += m[v]
-            if cnt > msum:
-                return mask
-        return -1
-
-    @njit(cache=True)
-    def _mc_hits_jit(entering, samples, seed):  # pragma: no cover - jitted
-        g = np.uint64(_GOLDEN)
-        m1 = np.uint64(_MIX1)
-        m2 = np.uint64(_MIX2)
-        m = np.uint64(len(entering))
-        hits = 0
-        for t in range(samples):
-            z = seed + np.uint64(t + 1) * g
-            z = (z ^ (z >> np.uint64(30))) * m1
-            z = (z ^ (z >> np.uint64(27))) * m2
-            z = z ^ (z >> np.uint64(31))
-            if entering[np.int64(z % m)]:
-                hits += 1
-        return hits
-
-    def mc_hits_numba(entering: np.ndarray, samples: int, seed: int) -> int:
-        return int(_mc_hits_jit(entering, samples, np.uint64(seed & _MASK64)))
-
-
-def _resolve_backend() -> str:
-    requested = os.environ.get("SPARSITY_EF_BACKEND", "").strip().lower()
-    if requested not in ("", "numba", "numpy"):
-        raise ValueError(
-            f"SPARSITY_EF_BACKEND={requested!r}: expected 'numba' or 'numpy'"
-        )
-    if requested == "numpy":
-        return "numpy"
-    if requested == "numba" and not HAVE_NUMBA:
-        warnings.warn("numba requested but not importable; using numpy backend")
-        return "numpy"
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-BACKEND = _resolve_backend()
-
-if BACKEND == "numba":
-    count_violation = count_violation_numba
-    hakimi_violation = hakimi_violation_numba
-    mc_hits = mc_hits_numba
-else:
-    count_violation = count_violation_numpy
-    hakimi_violation = hakimi_violation_numpy
-    mc_hits = mc_hits_numpy
 
 
 def as_edge_arrays(edges) -> tuple[np.ndarray, np.ndarray]:

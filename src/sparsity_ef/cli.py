@@ -149,7 +149,8 @@ def cmd_protocol(args) -> int:
 
 def cmd_slack(args) -> int:
     g, p = _load_instance(args)
-    csv = slack_matrix_csv(slack_matrix(g, p, max_enum=args.max_enum))
+    bases = enumerate_bases(g, p, max_enum=args.max_enum)
+    csv = slack_matrix_csv(slack_matrix(g, p, bases=bases))
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(csv)
@@ -162,8 +163,10 @@ def cmd_slack(args) -> int:
 def cmd_factorize(args) -> int:
     g, p = _load_instance(args)
     variant = resolve_variant(p, args.variant)
-    s = slack_matrix(g, p, max_enum=args.max_enum)
-    fac = build_factorization(g, p, variant, bases=s.cols)
+    bases = enumerate_bases(g, p, max_enum=args.max_enum)
+    # factor first: build_U's memory guard refuses before S is materialized
+    fac = build_factorization(g, p, variant, bases=bases)
+    s = slack_matrix(g, p, bases=bases)
     check = verify_factorization(s, fac)
     print(f"variant: {variant}")
     print(f"slack matrix: {s.shape[0]}x{s.shape[1]}")
@@ -200,7 +203,8 @@ def cmd_emit(args) -> int:
 def cmd_verify(args) -> int:
     g, p = _load_instance(args)
     variant = resolve_variant(p, args.variant)
-    report = verify_extension(g, p, variant, seed=args.seed, max_enum=args.max_enum)
+    bases = enumerate_bases(g, p, max_enum=args.max_enum)
+    report = verify_extension(g, p, variant, seed=args.seed, bases=bases)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

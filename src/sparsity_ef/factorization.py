@@ -147,10 +147,12 @@ class SlackMatrix:
         return (len(self.rows), len(self.cols))
 
 
-def slack_matrix(g: Graph, p: SparsityParams, *, max_enum: int | None = None) -> SlackMatrix:
-    """S = (k|X| - l) - R @ X over all bases."""
+def slack_matrix(
+    g: Graph, p: SparsityParams, *, bases: Sequence[Basis] | None = None
+) -> SlackMatrix:
+    """S = (k|X| - l) - R @ X over the given bases, or over all of them when ``bases`` is None."""
     rows = enumerate_rows(g, p)
-    cols = enumerate_bases(g, p, max_enum=max_enum)
+    cols = enumerate_bases(g, p) if bases is None else list(bases)
     rhs = np.array([p.k * len(x) - p.ell for x in rows], dtype=np.int64)
     entries = rhs[:, None] - row_incidence(g, rows) @ basis_incidence(g, cols)
     return SlackMatrix(
@@ -255,13 +257,12 @@ def build_factorization(
     p: SparsityParams,
     variant: str = "auto",
     *,
-    max_enum: int | None = None,
     bases: Sequence[Basis] | None = None,
 ) -> Factorization:
     """Factor the slack matrix over the given bases, or over all of them when ``bases`` is None."""
     variant = resolve_variant(p, variant)
     rows = enumerate_rows(g, p)
-    cols = enumerate_bases(g, p, max_enum=max_enum) if bases is None else list(bases)
+    cols = enumerate_bases(g, p) if bases is None else list(bases)
     transcripts = enumerate_transcripts(g, variant)
     check_int64_range(g, p, len(transcripts))
     return Factorization(

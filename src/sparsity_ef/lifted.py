@@ -278,7 +278,6 @@ def verify_extension(
     *,
     audit_samples: int = 5,
     seed: int = 0,
-    max_enum: int | None = None,
     bases: Sequence[Basis] | None = None,
 ) -> dict:
     """End-to-end verification report for one instance.
@@ -295,7 +294,7 @@ def verify_extension(
     validate_instance(g, p)
     variant = resolve_variant(p, variant)
     if bases is None:
-        bases = enumerate_bases(g, p, max_enum=max_enum)
+        bases = enumerate_bases(g, p)
     q = build_lifted(g, p, variant)
     check_int64_range(g, p, q.y_count, AUDIT_WEIGHT * len(bases))
 

@@ -11,7 +11,8 @@ factorization module turns into a nonnegative matrix factorization.
 Alice's "arbitrary" announcement is pinned to the smallest index (pair of
 smallest indices) in X, and Bob's orientation is the deterministic one
 from the orientation module, so each transcript is a pure function of
-(X, F).  At l = k both variants are legal; callers default to A.
+(X, F).  Each public round checks and orients F afresh; nothing is kept
+between calls.  At l = k both variants are legal; callers default to A.
 
 The random edge pick uses the documented splitmix64 counter stream from
 ``_kernels``: ``run_once`` consumes draw 0 of its seed, ``monte_carlo``
@@ -22,7 +23,6 @@ draws 0..samples-1, so a Monte Carlo run is exactly the average of
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import sqrt
 from typing import Iterable, NamedTuple
 
@@ -36,7 +36,7 @@ from .orientation import (
     protocol_targets_A,
     protocol_targets_B,
 )
-from .sparsity import Basis, is_tight, tight_cardinality
+from .sparsity import Basis, is_tight
 
 VARIANT_A = "A"
 VARIANT_B = "B"
@@ -96,17 +96,6 @@ def orient_basis(
     return orient_with_targets(g.n, edges, targets)
 
 
-# Single protocol rounds reorient the same (basis, announcement) for every X
-# that shares it.  The factor builders orient each pair once and call
-# orient_basis directly, so they add nothing to this cache.
-canonical_orientation = lru_cache(maxsize=None)(orient_basis)
-
-
-@lru_cache(maxsize=None)
-def _tight_cached(g: Graph, p: SparsityParams, basis: Basis) -> bool:
-    return is_tight(g, p, basis)
-
-
 def _check_round_inputs(
     g: Graph, p: SparsityParams, variant: str, x_set: Iterable[int], basis: Iterable[int]
 ) -> tuple[frozenset[int], Basis]:
@@ -120,7 +109,7 @@ def _check_round_inputs(
     if len(members) < need:
         raise ValueError(f"variant {variant} needs |X| >= {need}, got {len(members)}")
     b = tuple(sorted(set(basis)))
-    if not _tight_cached(g, p, b):
+    if not is_tight(g, p, b):
         raise ValueError("the edge set is not a basis (not tight for these parameters)")
     return members, b
 
@@ -131,7 +120,7 @@ def _oriented_round(
     members, b = _check_round_inputs(g, p, variant, x_set, basis)
     alice = alice_choice(members, variant)
     try:
-        orientation = canonical_orientation(g, p, variant, b, alice)
+        orientation = orient_basis(g, p, variant, b, alice)
     except Exception as exc:  # Lemma guarantees feasibility for tight F
         raise RuntimeError(
             f"internal consistency failure: orientation of a basis was refused ({exc})"
@@ -195,8 +184,8 @@ def monte_carlo(
 ) -> MCResult:
     """Seeded sample mean and standard error of the round output.
 
-    Deterministic for a fixed seed regardless of kernel backend; stderr is
-    the only floating-point quantity in the package (0.0 when samples=1).
+    Deterministic for a fixed seed; stderr is the only floating-point
+    quantity in the package (0.0 when samples=1).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

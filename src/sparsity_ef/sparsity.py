@@ -279,6 +279,9 @@ def has_basis(g: Graph, p: SparsityParams) -> bool:
     that rank is k*n - l.  Polynomial, so no enumeration guard applies.
     """
     validate_instance(g, p)
+    m = tight_cardinality(g, p)
+    if g.edge_count < m:  # before the game's O(n) state is built
+        return False
     game = _PebbleGame(g.n, p)
     rank = sum(game.add(u, v) for u, v in g.edges)
-    return rank == tight_cardinality(g, p)
+    return rank == m

@@ -267,6 +267,17 @@ def test_emit_needs_no_enumeration(k4_path, tmp_path, capsys):
     assert not verified.exists()
 
 
+def test_factorize_guard_fires_before_the_slack_matrix(k4_path, monkeypatch, capsys):
+    def no_slack(*args, **kwargs):
+        raise AssertionError("slack_matrix was built")
+
+    monkeypatch.setattr(factorization, "MAX_U_BYTES", 1000)
+    monkeypatch.setattr(cli, "slack_matrix", no_slack)
+    code, _, err = run(["factorize", "--graph", k4_path, "--k", "2", "--l", "3"], capsys)
+    assert code == 3
+    assert "guard" in err
+
+
 def test_memory_guard_exits_3(k4_path, monkeypatch, capsys):
     monkeypatch.setattr(factorization, "MAX_U_BYTES", 1000)
     for command in ("verify", "factorize"):

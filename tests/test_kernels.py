@@ -1,84 +1,28 @@
-"""Backend agreement: the numba and numpy kernels must be bit-identical."""
-
-import random
-import subprocess
-import sys
+"""The numpy kernels: subset scans on known cases, and the draw stream pinned to splitmix_draw."""
 
 import numpy as np
-import pytest
 
 from sparsity_ef import _kernels
 from sparsity_ef._kernels import (
-    HAVE_NUMBA,
     as_edge_arrays,
-    count_violation_numpy,
-    hakimi_violation_numpy,
-    mc_hits_numpy,
+    count_violation,
+    hakimi_violation,
+    mc_hits,
     splitmix_draw,
 )
-
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-
-
-def _random_edge_arrays(rng, n):
-    import itertools
-
-    pool = list(itertools.combinations(range(n), 2))
-    edges = [e for e in pool if rng.random() < 0.5]
-    return as_edge_arrays(edges)
-
-
-@needs_numba
-def test_count_violation_backends_agree():
-    rng = random.Random(11)
-    for _ in range(200):
-        n = rng.randint(2, 7)
-        eu, ev = _random_edge_arrays(rng, n)
-        k = rng.randint(1, 3)
-        ell = rng.randint(0, 2 * k - 1)
-        a = count_violation_numpy(eu, ev, n, k, ell)
-        b = _kernels.count_violation_numba(eu, ev, n, k, ell)
-        assert a == b
-
-
-@needs_numba
-def test_hakimi_violation_backends_agree():
-    rng = random.Random(12)
-    for _ in range(200):
-        n = rng.randint(2, 7)
-        eu, ev = _random_edge_arrays(rng, n)
-        m = np.array([rng.randint(0, 3) for _ in range(n)], dtype=np.int64)
-        a = hakimi_violation_numpy(eu, ev, m, n)
-        b = _kernels.hakimi_violation_numba(eu, ev, m, n)
-        assert a == b
-
-
-@needs_numba
-def test_mc_hits_backends_agree():
-    rng = random.Random(13)
-    for _ in range(20):
-        size = rng.randint(1, 12)
-        entering = np.array([rng.randint(0, 1) for _ in range(size)], dtype=np.uint8)
-        samples = rng.randint(1, 5000)
-        seed = rng.getrandbits(64)
-        assert mc_hits_numpy(entering, samples, seed) == _kernels.mc_hits_numba(
-            entering, samples, seed
-        )
 
 
 def test_mc_hits_matches_python_stream():
     entering = np.array([1, 0, 1, 0, 0], dtype=np.uint8)
     samples, seed = 997, 42
     expected = sum(int(entering[splitmix_draw(seed, t, 5)]) for t in range(samples))
-    assert mc_hits_numpy(entering, samples, seed) == expected
-    if HAVE_NUMBA:
-        assert _kernels.mc_hits_numba(entering, samples, seed) == expected
+    assert mc_hits(entering, samples, seed) == expected
 
 
 def test_mc_hits_chunked_consistent():
     entering = np.array([1, 0, 1], dtype=np.uint8)
     samples = _kernels._MC_CHUNK + 17  # crosses a chunk boundary
-    assert mc_hits_numpy(entering, samples, 5) == sum(
+    assert mc_hits(entering, samples, 5) == sum(
         int(entering[splitmix_draw(5, t, 3)]) for t in range(samples)
     )
 
@@ -86,35 +30,12 @@ def test_mc_hits_chunked_consistent():
 def test_count_violation_returns_smallest_mask():
     # triangle is not (1,1)-sparse; the full vertex set 0b111 is the only violator
     eu, ev = as_edge_arrays([(0, 1), (0, 2), (1, 2)])
-    assert count_violation_numpy(eu, ev, 3, 1, 1) == 0b111
-    assert count_violation_numpy(eu, ev, 3, 1, 0) == -1
+    assert count_violation(eu, ev, 3, 1, 1) == 0b111
+    assert count_violation(eu, ev, 3, 1, 0) == -1
 
 
 def test_hakimi_violation_example():
     # path 0-1-2 with targets (0,0,2): X={0,1} holds one edge but zero target mass
     eu, ev = as_edge_arrays([(0, 1), (1, 2)])
     m = np.array([0, 0, 2], dtype=np.int64)
-    assert hakimi_violation_numpy(eu, ev, m, 3) == 0b011
-
-
-def test_backend_env_selection():
-    import os
-
-    code = (
-        "from sparsity_ef import _kernels; "
-        "print(_kernels.BACKEND, _kernels.count_violation is _kernels.count_violation_numpy)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "SPARSITY_EF_BACKEND": "numpy"},
-        check=True,
-    )
-    assert out.stdout.split() == ["numpy", "True"]
-
-
-def test_backend_rejects_unknown_value(monkeypatch):
-    monkeypatch.setenv("SPARSITY_EF_BACKEND", "cuda")
-    with pytest.raises(ValueError):
-        _kernels._resolve_backend()
+    assert hakimi_violation(eu, ev, m, 3) == 0b011

@@ -144,6 +144,7 @@ def test_constructive_matches_enumeration_oracle():
         except InfeasibleOrientationError:
             constructive = False
         assert constructive == by_enum, (g, targets)
+        assert hakimi_feasible(g.n, edges, targets) == by_enum, (g, targets)
         checked += 1
     assert checked == 120
 

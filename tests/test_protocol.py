@@ -8,9 +8,9 @@ from sparsity_ef.graphs import Graph, SparsityParams
 from sparsity_ef.protocol import (
     alice_choice,
     bit_complexity,
-    canonical_orientation,
     exact_expectation,
     monte_carlo,
+    orient_basis,
     resolve_variant,
     run_once,
 )
@@ -60,7 +60,7 @@ def test_run_once_always_zero_cases():
 def test_run_once_uses_documented_stream():
     basis = (1, 2)
     members = {0, 1}
-    o = canonical_orientation(K3, P11, "A", basis, (0,))
+    o = orient_basis(K3, P11, "A", basis, (0,))
     for seed in (0, 1, 7, 2**63 + 11):
         idx = splitmix_draw(seed & ((1 << 64) - 1), 0, 2)
         tail, head = o.directed_edges()[idx]
@@ -72,7 +72,7 @@ def test_exact_expectation_k3_cells():
     assert exact_expectation(K3, P11, "A", {0, 1}, (1, 2)) == 1
     assert exact_expectation(K3, P11, "A", {0, 1}, (0, 2)) == 0
     # the canonical orientation behind the nonzero cell: 0->2 then repaired 2->1
-    o = canonical_orientation(K3, P11, "A", (1, 2), (0,))
+    o = orient_basis(K3, P11, "A", (1, 2), (0,))
     assert o.directed_edges() == ((0, 2), (2, 1))
 
 
@@ -119,7 +119,7 @@ def test_counting_identity_inside_x():
         for size in (2, 3, 4):
             for x in itertools.combinations(range(4), size):
                 alice = alice_choice(x, "B")
-                o = canonical_orientation(K4, P23, "B", basis, alice)
+                o = orient_basis(K4, P23, "B", basis, alice)
                 assert sum(o.rho[v] for v in x) == 2 * len(x) - 3
 
 
@@ -127,7 +127,7 @@ def test_entering_edge_identity():
     for basis in enumerate_bases(K4, P11):
         for size in (1, 2, 3):
             for x in itertools.combinations(range(4), size):
-                o = canonical_orientation(K4, P11, "A", basis, alice_choice(x, "A"))
+                o = orient_basis(K4, P11, "A", basis, alice_choice(x, "A"))
                 entering = sum(
                     1 for tail, head in o.directed_edges() if tail not in x and head in x
                 )

@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparsity_ef.graphs import SparsityParams, make_graph
+from sparsity_ef import sparsity
+from sparsity_ef.graphs import Graph, SparsityParams, make_graph
 from sparsity_ef.sparsity import (
     EnumerationGuardError,
     enumerate_bases,
@@ -109,6 +110,16 @@ def test_bases_sorted_and_equicardinal():
 
 def test_empty_family_is_legal():
     assert enumerate_bases(path_graph(3), P23) == []
+
+
+def test_has_basis_refuses_too_few_edges_without_a_game(monkeypatch):
+    """Fewer edges than k*n - l decide emptiness before any O(n) game state exists."""
+
+    def no_game(*args):
+        raise AssertionError("the pebble game was built")
+
+    monkeypatch.setattr(sparsity, "_PebbleGame", no_game)
+    assert has_basis(Graph(10**6, ()), P11) is False
 
 
 def test_enumeration_guard():
