@@ -18,6 +18,15 @@ Carlo standard error.  The SPARSITY_EF_MAX_ENUM environment variable or
 --max-enum override the basis-enumeration guard.  `emit` enumerates bases
 only under --verify; without it, emptiness is one pebble game, so the
 enumeration guard does not apply and `emit --max-enum 1` exits 0.
+`slack`, `factorize`, `verify` and `emit --verify` refuse a graph with
+more than 16 vertices (exit 3) before they enumerate any basis.
+
+`verify` and `emit --verify` check that T >= 0 and that every basis
+lifts with zero residual: U >= 0, T@U = S on its column (the check
+`factorize` makes) and |F| = kn - l.  That certifies that the lifted
+polytope contains every basis and that its projection satisfies the
+counting inequalities and x >= 0; it does not certify x <= 1.
+`verify --seed` is accepted for old command lines and has no effect.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ import sys
 
 from .factorization import (
     build_factorization,
+    check_row_count,
     factor_csvs,
     render_rational,
     slack_matrix,
@@ -147,9 +157,15 @@ def cmd_protocol(args) -> int:
     return EXIT_OK
 
 
+def _bases_for_rows(g: Graph, p: SparsityParams, args) -> list:
+    """Every basis, for a command that also needs the rows: refuses too many vertices first."""
+    check_row_count(g)
+    return enumerate_bases(g, p, max_enum=args.max_enum)
+
+
 def cmd_slack(args) -> int:
     g, p = _load_instance(args)
-    bases = enumerate_bases(g, p, max_enum=args.max_enum)
+    bases = _bases_for_rows(g, p, args)
     csv = slack_matrix_csv(slack_matrix(g, p, bases=bases))
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -163,7 +179,7 @@ def cmd_slack(args) -> int:
 def cmd_factorize(args) -> int:
     g, p = _load_instance(args)
     variant = resolve_variant(p, args.variant)
-    bases = enumerate_bases(g, p, max_enum=args.max_enum)
+    bases = _bases_for_rows(g, p, args)
     # factor first: build_U's memory guard refuses before S is materialized
     fac = build_factorization(g, p, variant, bases=bases)
     s = slack_matrix(g, p, bases=bases)
@@ -189,12 +205,12 @@ def cmd_emit(args) -> int:
     g, p = _load_instance(args)
     variant = resolve_variant(p, args.variant)
     # enumerated before the .ine is written, so a refused --verify writes nothing
-    bases = enumerate_bases(g, p, max_enum=args.max_enum) if args.verify else None
+    bases = _bases_for_rows(g, p, args) if args.verify else None
     q = build_lifted(g, p, variant)
     emit_ine(q, args.out)
     print(f"wrote {args.out} ({q.equality_count} equalities + {q.inequality_count} inequalities)")
     if args.verify:
-        report = verify_extension(g, p, variant, seed=args.seed, bases=bases)
+        report = verify_extension(g, p, variant, bases=bases)
         print(json.dumps(report, indent=2, sort_keys=True))
         return EXIT_OK if report["pass"] else EXIT_MISMATCH
     return EXIT_OK
@@ -203,8 +219,8 @@ def cmd_emit(args) -> int:
 def cmd_verify(args) -> int:
     g, p = _load_instance(args)
     variant = resolve_variant(p, args.variant)
-    bases = enumerate_bases(g, p, max_enum=args.max_enum)
-    report = verify_extension(g, p, variant, seed=args.seed, bases=bases)
+    bases = _bases_for_rows(g, p, args)
+    report = verify_extension(g, p, variant, bases=bases)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -271,13 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--variant", choices=["auto", "A", "B"], default="auto")
     sp.add_argument("--out", required=True)
     sp.add_argument("--verify", action="store_true", help="also run the full verification report")
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_emit)
 
     sp = sub.add_parser("verify", help="run the extension verification report")
     _add_instance_args(sp)
     sp.add_argument("--variant", choices=["auto", "A", "B"], default="auto")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=0, help="accepted for old command lines; no effect")
     sp.add_argument("--out", default=None, help="write the JSON report here as well")
     sp.set_defaults(func=cmd_verify)
 

@@ -22,9 +22,7 @@ identity T @ B = c * S, which is how it is checked.  T and B are int64
 arrays; the scale 1/c appears only in the U view and at the CSV
 boundary, where entries render as exact 'p' or 'p/q'.
 
-No integer formed by the exact checks here or in ``lifted`` exceeds
-c * (|E| + |W| + k n) times the largest point weight (1 for a basis lift,
-at most ``AUDIT_WEIGHT`` times the basis count for an audit point), and
+No integer formed by the exact check exceeds c * (|E| + |W| + k n), and
 ``check_int64_range`` refuses an instance where that bound leaves int64.
 """
 
@@ -43,7 +41,6 @@ from .sparsity import Basis, EnumerationGuardError, enumerate_bases
 
 MAX_ROW_ENUM_N = 16
 INT64_MAX = int(np.iinfo(np.int64).max)
-AUDIT_WEIGHT = 10  # audit points weigh each basis lift by an integer in 0..AUDIT_WEIGHT
 MAX_U_BYTES = 2**30  # build_U refuses a dense B and hit lists estimated beyond this
 HIT_BYTES = 32  # per hit: a slot in each of two Python lists and two intp index arrays
 
@@ -63,27 +60,28 @@ def render_rational(value) -> str:
     return str(value) if isinstance(value, int) else str(Fraction(value))
 
 
-def check_int64_range(g: Graph, p: SparsityParams, transcripts: int, weight: int = 1) -> None:
-    """Refuse (EnumerationGuardError) an instance whose exact checks could overflow int64.
-
-    ``weight`` bounds the common denominator of the points checked: 1 for
-    basis lifts, AUDIT_WEIGHT times the basis count for audit points.
-    """
+def check_int64_range(g: Graph, p: SparsityParams, transcripts: int) -> None:
+    """Refuse (EnumerationGuardError) an instance whose exact checks could overflow int64."""
     c = p.k * g.n - p.ell
-    bound = c * (g.edge_count + transcripts + p.k * g.n) * weight
+    bound = c * (g.edge_count + transcripts + p.k * g.n)
     if bound > INT64_MAX:
         raise EnumerationGuardError(
             f"exact integer checks could reach {bound}, beyond the int64 limit {INT64_MAX}"
         )
 
 
-def enumerate_rows(g: Graph, p: SparsityParams) -> list[tuple[int, ...]]:
-    """All X with 2 <= |X| <= n-1 as sorted tuples, in lexicographic order."""
-    validate_instance(g, p)
+def check_row_count(g: Graph) -> None:
+    """Refuse (EnumerationGuardError) a graph with too many vertices to enumerate its rows."""
     if g.n > MAX_ROW_ENUM_N:
         raise EnumerationGuardError(
             f"row enumeration refused for n={g.n} > {MAX_ROW_ENUM_N}"
         )
+
+
+def enumerate_rows(g: Graph, p: SparsityParams) -> list[tuple[int, ...]]:
+    """All X with 2 <= |X| <= n-1 as sorted tuples, in lexicographic order."""
+    validate_instance(g, p)
+    check_row_count(g)
     rows = []
     for size in range(2, g.n):
         rows.extend(itertools.combinations(range(g.n), size))
@@ -136,11 +134,11 @@ def sparse_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SlackMatrix:
     rows: tuple[tuple[int, ...], ...]
     cols: tuple[Basis, ...]
-    entries: tuple[tuple[int, ...], ...]
+    entries: np.ndarray  # int64 |rows| x |cols|
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -155,9 +153,7 @@ def slack_matrix(
     cols = enumerate_bases(g, p) if bases is None else list(bases)
     rhs = np.array([p.k * len(x) - p.ell for x in rows], dtype=np.int64)
     entries = rhs[:, None] - row_incidence(g, rows) @ basis_incidence(g, cols)
-    return SlackMatrix(
-        rows=tuple(rows), cols=tuple(cols), entries=tuple(map(tuple, entries.tolist()))
-    )
+    return SlackMatrix(rows=tuple(rows), cols=tuple(cols), entries=entries)
 
 
 def _alice_parts(g: Graph, variant: str) -> list[tuple[int, ...]]:
@@ -315,13 +311,12 @@ def verify_factorization(s: SlackMatrix, fac: Factorization) -> FactorizationChe
         u = render_rational(Fraction(int(fac.B[i, j]), fac.c))
         return FactorizationCheck(False, ("U", i, j), f"U[{i}][{j}] = {u} < 0")
     product = sparse_matmul(fac.T, fac.B)
-    slack = np.array(s.entries, dtype=np.int64).reshape(nrows, ncols)
-    bad = _first(product != fac.c * slack)
+    bad = _first(product != fac.c * s.entries)
     if bad is not None:
         i, j = bad
         acc = render_rational(Fraction(int(product[i, j]), fac.c))
         return FactorizationCheck(
-            False, (i, j), f"(T@U)[{i}][{j}] = {acc} but slack is {s.entries[i][j]}"
+            False, (i, j), f"(T@U)[{i}][{j}] = {acc} but slack is {s.entries[i, j]}"
         )
     return FactorizationCheck(True, None, "T@U = S exactly; T, U >= 0")
 

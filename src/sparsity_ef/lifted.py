@@ -1,4 +1,4 @@
-"""The lifted polytope implied by the factorization, its emission and checks.
+"""The lifted polytope implied by the factorization, its emission and its check.
 
 The lift follows the standard slack-covering construction: one equality
 per counting row X,
@@ -6,22 +6,24 @@ per counting row X,
     sum_{e in E(X)} x_e  +  sum_w T[X][w] * y_w  =  k|X| - l,
 
 plus the global equality sum_e x_e = k n - l, with x >= 0 and y >= 0.
-Since T >= 0, any point with y >= 0 satisfies
-sum_{E(X)} x_e <= k|X| - l row by row, which is the structural half of
-projection correctness; the other half is that every basis lifts
-feasibly with y set to its U-column.  The inequality count |E| + |W| is
-an upper bound on the facet count (the measure the size theorems use);
-reports carry both totals, with and without the |E| edge bounds.
+The inequality count |E| + |W| is an upper bound on the facet count
+(the measure the size theorems use); reports carry both totals, with
+and without the |E| edge bounds.
 
-Verification works on integer arrays (see ``factorization`` for the
-A/B incidences and the int64 bound).  A batch of points is kept as
-numerators over a per-point common denominator: x = xnum / den and
-y = ynum / (c den), where c = k n - l, so a basis lift is its edge
-incidence and its B-column over den = 1.  Scaled by c den, every
-equality residual is the integer c R xnum + T ynum - c rhs den, with R
-the E(X)-incidence of the counting rows.  ``lift_vertex``,
-``equality_residuals``, ``assert_in_lifted`` and ``check_projection``
-are the per-point ``Fraction`` reference path for the same checks.
+``verify_extension`` checks one certificate (Yannakakis 1991; Faenza et
+al. 2012): T >= 0, and every basis F lifts with zero residual, that is
+y = U-column >= 0, the integer identity T @ B = c * S of
+``verify_factorization`` on F's column (c = k n - l) and |F| = c.  The
+lifts put every basis in the projection.  Conversely, for a feasible
+point, T >= 0 and y >= 0 make each row read
+sum_{E(X)} x_e = k|X| - l - (T y)[X] <= k|X| - l, and the global row
+fixes sum_e x_e = c; both are linear, so they hold for every convex
+combination as well.  T >= 0 therefore certifies the counting
+inequalities and x >= 0 of the projection, but not x <= 1, which the
+emitted system does not contain.  ``lift_vertex``,
+``equality_residuals``, ``assert_in_lifted``, ``in_base_polytope`` and
+``check_projection`` are a per-point ``Fraction`` reference for the
+same check, kept for tests.
 
 Emission uses the cdd/lrs ``.ine`` H-representation layout with equality
 rows first and exact integer coefficients, byte-deterministic for a
@@ -31,7 +33,6 @@ fixed instance.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -39,9 +40,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .factorization import (
-    AUDIT_WEIGHT,
+    Factorization,
+    SlackMatrix,
     Transcript,
-    basis_incidence,
     build_T,
     build_U,
     check_int64_range,
@@ -49,7 +50,8 @@ from .factorization import (
     enumerate_transcripts,
     render_rational,
     row_incidence,
-    sparse_matmul,
+    slack_matrix,
+    verify_factorization,
 )
 from .graphs import Graph, SparsityParams, induced_edges, validate_instance
 from .protocol import VARIANT_A, bit_complexity, resolve_variant
@@ -70,7 +72,6 @@ class LiftedPolytope:
     params: SparsityParams
     variant: str
     rows: tuple[tuple[int, ...], ...]
-    row_edges: tuple[tuple[int, ...], ...]  # E(X) indices per row
     row_rhs: tuple[int, ...]
     transcripts: tuple[Transcript, ...]
     T: np.ndarray  # int64 |rows| x |W|
@@ -119,7 +120,6 @@ def build_lifted(g: Graph, p: SparsityParams, variant: str = "auto") -> LiftedPo
         params=p,
         variant=variant,
         rows=tuple(rows),
-        row_edges=tuple(tuple(sorted(induced_edges(g, x))) for x in rows),
         row_rhs=tuple(p.k * len(x) - p.ell for x in rows),
         transcripts=transcripts,
         T=build_T(g, p, variant, rows, transcripts),
@@ -141,8 +141,8 @@ def lift_vertex(q: LiftedPolytope, basis: Basis) -> LiftedPoint:
 def equality_residuals(q: LiftedPolytope, point: LiftedPoint) -> list[Fraction]:
     """Left-hand side minus right-hand side for each row equality, then the global one."""
     residuals = []
-    for edge_idx, t_row, rhs in zip(q.row_edges, q.T.tolist(), q.row_rhs):
-        acc = sum((point.x[i] for i in edge_idx), Fraction(0))
+    for x_set, t_row, rhs in zip(q.rows, q.T.tolist(), q.row_rhs):
+        acc = sum((point.x[i] for i in induced_edges(q.graph, x_set)), Fraction(0))
         acc += sum((t * yw for t, yw in zip(t_row, point.y) if t), Fraction(0))
         residuals.append(acc - rhs)
     residuals.append(sum(point.x, Fraction(0)) - q.global_rhs)
@@ -187,7 +187,7 @@ def in_base_polytope(g: Graph, p: SparsityParams, x: Sequence[Fraction]) -> bool
 
 
 def check_projection(g: Graph, p: SparsityParams, q: LiftedPolytope, point: LiftedPoint) -> bool:
-    """Soundness audit: a feasible lifted point must project into the base polytope.
+    """Reference check: a feasible lifted point must project into the base polytope.
 
     Raises InfeasibleLiftedPointError when the point is not in the lifted
     polytope (that is an input error, not a projection failure); otherwise
@@ -198,77 +198,21 @@ def check_projection(g: Graph, p: SparsityParams, q: LiftedPolytope, point: Lift
     return in_base_polytope(g, p, point.x)
 
 
-def lift_residuals(
-    q: LiftedPolytope, xnum: np.ndarray, ynum: np.ndarray, den: np.ndarray
-) -> np.ndarray:
-    """Equality residuals of the points x = xnum/den, y = ynum/(c den), scaled by c den.
-
-    One column per point; the rows follow ``equality_residuals``: the
-    counting rows, then the global row.
-    """
-    c = q.global_rhs
-    rows = c * (row_incidence(q.graph, q.rows) @ xnum) + sparse_matmul(q.T, ynum)
-    rows -= c * np.outer(np.array(q.row_rhs, dtype=np.int64), den)
-    total = c * (xnum.sum(axis=0) - q.global_rhs * den)
-    return np.vstack([rows, total])
-
-
-def _assert_batch_in_lifted(
-    q: LiftedPolytope, xnum: np.ndarray, ynum: np.ndarray, den: np.ndarray, names: Sequence[str]
-) -> None:
-    """assert_in_lifted for a batch: raises on the first infeasible point, naming it."""
-    residuals = lift_residuals(q, xnum, ynum, den)
-    bad = (xnum < 0).any(axis=0) | (ynum < 0).any(axis=0) | (residuals != 0).any(axis=0)
-    if not bad.any():
-        return
-    j = int(np.argmax(bad))
-    c, d = q.global_rhs, int(den[j])
-    for label, column, scale in (("x", xnum[:, j], d), ("y", ynum[:, j], c * d)):
-        negative = np.flatnonzero(column < 0)
-        if negative.size:
-            i = int(negative[0])
-            value = render_rational(Fraction(int(column[i]), scale))
-            raise InfeasibleLiftedPointError(f"{names[j]}: {label}[{i}] = {value} < 0")
-    idx = int(np.flatnonzero(residuals[:, j])[0])
-    value = render_rational(Fraction(int(residuals[idx, j]), c * d))
-    raise InfeasibleLiftedPointError(
-        f"{names[j]}: equality row {_row_name(q, idx)} has residual {value}"
+def _lift_failure(fac: Factorization, s: SlackMatrix, witness: tuple) -> Exception:
+    """The error for a ``verify_factorization`` witness, named as a lifted constraint."""
+    if witness[0] == "T":
+        _, i, j = witness
+        return AssertionError(f"T[{i}][{j}] = {fac.T[i, j]} < 0 breaks the projection argument")
+    if witness[0] == "U":
+        _, i, j = witness
+        value = render_rational(Fraction(int(fac.B[i, j]), fac.c))
+        return InfeasibleLiftedPointError(f"basis {fac.cols[j]}: y[{i}] = {value} < 0")
+    i, j = witness
+    scaled = int(fac.T[i] @ fac.B[:, j]) - fac.c * int(s.entries[i, j])
+    return InfeasibleLiftedPointError(
+        f"basis {fac.cols[j]}: equality row X={fac.rows[i]} has residual "
+        f"{render_rational(Fraction(scaled, fac.c))}"
     )
-
-
-def base_polytope_verdicts(
-    g: Graph, p: SparsityParams, xnum: np.ndarray, den: np.ndarray
-) -> np.ndarray:
-    """in_base_polytope for every point x = xnum/den at once.
-
-    Sums each point over every vertex mask by looping over edges, adding
-    an edge's column to the masks that hold both its ends, so memory stays
-    O(2^n * points).
-    """
-    masks = np.arange(1 << g.n)
-    sizes = sum((masks >> v) & 1 for v in range(g.n))
-    totals = np.zeros((masks.size, xnum.shape[1]), dtype=np.int64)
-    for e, (u, v) in enumerate(g.edges):
-        totals[((masks >> u) & (masks >> v) & 1).astype(bool)] += xnum[e]
-    limits = np.outer(np.maximum(p.k * sizes - p.ell, 0), den)
-    counted = sizes >= 2
-    return (
-        (xnum >= 0).all(axis=0)
-        & (xnum.sum(axis=0) == max(p.k * g.n - p.ell, 0) * den)
-        & (totals[counted] <= limits[counted]).all(axis=0)
-    )
-
-
-def _audit_weights(bases: int, samples: int, seed: int) -> np.ndarray:
-    """#bases x (1 + samples) integer weights: the first basis alone, then seeded random mixes."""
-    rng = random.Random(seed)
-    columns = [[1] + [0] * (bases - 1)]
-    for _ in range(samples):
-        raw = [rng.randint(0, AUDIT_WEIGHT) for _ in range(bases)]
-        if sum(raw) == 0:
-            raw[rng.randrange(len(raw))] = 1
-        columns.append(raw)
-    return np.array(columns, dtype=np.int64).T
 
 
 def verify_extension(
@@ -276,45 +220,39 @@ def verify_extension(
     p: SparsityParams,
     variant: str = "auto",
     *,
-    audit_samples: int = 5,
-    seed: int = 0,
     bases: Sequence[Basis] | None = None,
 ) -> dict:
     """End-to-end verification report for one instance.
 
-    Asserts that every basis lifts with zero residuals, that T is
-    entrywise nonnegative (the structural certificate that feasible
-    points project into the base polytope), audits the first lift and
-    seeded convex combinations of all lifts through the batched
-    projection check, and reconciles all counts against the protocol's
-    size bounds.  Raises on any failed assertion; returns the report
-    dict on success.  ``bases`` is the instance's basis list when the
-    caller already has it.
+    Checks the certificate of the module docstring: with the lift's T
+    and the bases' B = c * U, ``verify_factorization`` proves T >= 0,
+    B >= 0 and T @ B = c * S over the bases, which is a zero residual on
+    every counting row of every basis lift, and |F| = c is the global
+    row.  Then reconciles all counts against the protocol's size bounds.
+    Raises on the first failure (InfeasibleLiftedPointError naming the
+    basis and the row, or AssertionError); returns the report dict on
+    success.  ``bases`` is the instance's basis list when the caller
+    already has it.
     """
-    validate_instance(g, p)
-    variant = resolve_variant(p, variant)
+    q = build_lifted(g, p, variant)
+    variant = q.variant
     if bases is None:
         bases = enumerate_bases(g, p)
-    q = build_lifted(g, p, variant)
-    check_int64_range(g, p, q.y_count, AUDIT_WEIGHT * len(bases))
-
-    lift_x = basis_incidence(g, bases)
-    lift_y = build_U(g, p, variant, bases, q.transcripts)
-    names = [f"basis {tuple(b)}" for b in bases]
-    _assert_batch_in_lifted(q, lift_x, lift_y, np.ones(len(bases), dtype=np.int64), names)
-
-    negative = np.argwhere(q.T < 0)
-    if negative.size:
-        i, j = negative[0]
-        raise AssertionError(f"T[{i}][{j}] = {q.T[i, j]} < 0 breaks the projection argument")
-
-    weights = _audit_weights(len(bases), audit_samples, seed)
-    den = weights.sum(axis=0)
-    audit_x = lift_x @ weights
-    names = [f"audit point {i}" for i in range(weights.shape[1])]
-    _assert_batch_in_lifted(q, audit_x, lift_y @ weights, den, names)
-    if not base_polytope_verdicts(g, p, audit_x, den).all():
-        raise AssertionError("a feasible lifted point projected outside the base polytope")
+    check_int64_range(g, p, q.y_count)
+    c = q.global_rhs
+    fac = Factorization(
+        variant, q.transcripts, q.rows, tuple(bases), q.T,
+        build_U(g, p, variant, bases, q.transcripts), c,
+    )
+    s = slack_matrix(g, p, bases=bases)
+    check = verify_factorization(s, fac)
+    if not check.ok:
+        raise _lift_failure(fac, s, check.witness)
+    for basis in fac.cols:
+        if len(basis) != c:
+            raise InfeasibleLiftedPointError(
+                f"basis {basis}: equality row global has residual {len(basis) - c}"
+            )
 
     n, m = g.n, g.edge_count
     w = q.y_count
@@ -359,7 +297,6 @@ def verify_extension(
         },
         "checks": {
             "basis_lifts_feasible": len(bases),
-            "projection_audits": weights.shape[1],
             "factor_nonnegative": True,
         },
         "note": (
@@ -379,8 +316,7 @@ def format_ine(q: LiftedPolytope) -> str:
     n_eq = q.equality_count
     equalities = np.zeros((n_eq, 1 + d), dtype=np.int64)
     equalities[:-1, 0] = q.row_rhs
-    for i, edge_idx in enumerate(q.row_edges):
-        equalities[i, [1 + e for e in edge_idx]] = -1
+    equalities[:-1, 1:1 + q.x_count] = -row_incidence(q.graph, q.rows)
     equalities[:-1, 1 + q.x_count:] = -q.T
     equalities[-1, 0] = q.global_rhs
     equalities[-1, 1:1 + q.x_count] = -1

@@ -284,3 +284,23 @@ def test_memory_guard_exits_3(k4_path, monkeypatch, capsys):
         code, _, err = run([command, "--graph", k4_path, "--k", "2", "--l", "3"], capsys)
         assert code == 3, command
         assert "guard" in err
+
+
+def test_verify_seed_has_no_effect(k4_path, capsys):
+    base = ["verify", "--graph", k4_path, "--k", "2", "--l", "3"]
+    assert run([*base, "--seed", "3"], capsys) == run(base, capsys)
+
+
+def test_row_guard_fires_before_enumeration(tmp_path, monkeypatch, capsys):
+    def no_bases(*args, **kwargs):
+        raise AssertionError("bases were enumerated")
+
+    path = tmp_path / "p17.json"
+    path.write_text(dump_graph(path_graph(17)))
+    monkeypatch.setattr(cli, "enumerate_bases", no_bases)
+    base = ["--graph", str(path), "--k", "1", "--l", "1"]
+    for argv in (["slack", *base], ["factorize", *base], ["verify", *base],
+                 ["emit", *base, "--out", str(tmp_path / "x.ine"), "--verify"]):
+        code, _, err = run(argv, capsys)
+        assert code == 3, argv
+        assert "row enumeration refused" in err

@@ -3,6 +3,7 @@ import itertools
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sparsity_ef import factorization
@@ -170,9 +171,8 @@ def test_slack_entries_nonnegative_integers(corpus_cells):
     for name, g, p, bases in corpus_cells:
         s = slack_matrix(g, p)
         assert s.cols == tuple(bases)
-        for row in s.entries:
-            for e in row:
-                assert isinstance(e, int) and e >= 0, (name, p)
+        assert s.entries.dtype == np.int64, (name, p)
+        assert (s.entries >= 0).all(), (name, p)
 
 
 def test_slack_csv_golden():

@@ -6,21 +6,18 @@ import numpy as np
 import pytest
 
 from sparsity_ef import lifted
-from sparsity_ef.factorization import basis_incidence, build_U
+from sparsity_ef.factorization import build_U
 from sparsity_ef.graphs import SparsityParams, make_graph
 from sparsity_ef.lifted import (
     EmptyPolytopeError,
     InfeasibleLiftedPointError,
     LiftedPoint,
     assert_in_lifted,
-    base_polytope_verdicts,
     build_lifted,
     check_projection,
     emit_ine,
     equality_residuals,
     format_ine,
-    in_base_polytope,
-    lift_residuals,
     lift_vertex,
     verify_extension,
 )
@@ -165,55 +162,69 @@ def test_single_edge_ine_vertices_project_correctly():
     assert point.x == (1,)
 
 
-def _differential_points(g, p, q, bases, rng):
-    """Numerators and denominators of lifts, convex mixes and perturbed (often infeasible) points."""
-    lift_x = basis_incidence(g, bases)
-    lift_y = build_U(g, p, q.variant, bases, q.transcripts)
-    weights = np.zeros((len(bases), 10), dtype=np.int64)
-    for col in range(4):  # the first lifts as they are
-        weights[min(col, len(bases) - 1), col] = 1
-    for col in range(4, 10):
-        weights[:, col] = [rng.randint(0, 3) for _ in bases]
-        weights[rng.randrange(len(bases)), col] += 1
-    xnum, ynum, den = lift_x @ weights, lift_y @ weights, weights.sum(axis=0)
-    feasible = xnum.shape[1]
-    for col in range(4, 10):  # perturb copies of the mixes
-        x, y = xnum[:, col].copy(), ynum[:, col].copy()
-        a, b = rng.randrange(g.edge_count), rng.randrange(g.edge_count)
-        x[a] -= rng.randint(1, den[col])
-        x[b] += rng.randint(1, den[col])
-        y[rng.randrange(q.y_count)] += rng.randint(0, 2)
-        xnum = np.column_stack([xnum, x])
-        ynum = np.column_stack([ynum, y])
-        den = np.append(den, den[col])
-    return xnum, ynum, den, feasible
+def _first_failures(monkeypatch, g, p, q, edges, column):
+    """The error messages of verify_extension and of the Fraction reference for one lift.
+
+    Both lift the edge set with the given B-column: ``build_U`` is replaced
+    for the lift check and for ``lift_vertex`` alike.  None means no error.
+    """
+    monkeypatch.setattr(lifted, "build_U", lambda *args: column.reshape(-1, 1))
+    found = []
+    for run in (
+        lambda: verify_extension(g, p, q.variant, bases=[edges]),
+        lambda: assert_in_lifted(q, lift_vertex(q, edges)),
+    ):
+        try:
+            run()
+        except InfeasibleLiftedPointError as exc:
+            found.append(str(exc))
+        else:
+            found.append(None)
+    new, reference = found
+    return new, None if reference is None else f"basis {edges}: {reference}"
 
 
-def test_batched_checks_match_fraction_reference(corpus_cells):
-    """Integer residuals and projection verdicts equal the per-point Fraction path."""
+def _perturbed_inputs(g, q, bases, rng):
+    """Every basis with its own B-column, then a few corrupted (edge set, column) pairs."""
+    columns = build_U(g, q.params, q.variant, bases, q.transcripts)
+    inputs = [(basis, columns[:, j]) for j, basis in enumerate(bases)]
+    for _ in range(3):
+        j = rng.randrange(len(bases))
+        basis, column = bases[j], columns[:, j]
+        flipped, negative = column.copy(), column.copy()
+        w = rng.randrange(q.y_count)
+        flipped[w] = 1 - flipped[w]
+        negative[w] = -1
+        inputs += [(basis, flipped), (basis, negative), (basis[:-1], column)]
+        outside = [e for e in range(g.edge_count) if e not in basis]
+        if outside:
+            swapped = set(basis) - {rng.choice(basis)} | {rng.choice(outside)}
+            inputs += [(tuple(sorted(swapped)), column), (tuple(sorted(basis + (outside[0],))), column)]
+    return inputs
+
+
+def test_lift_check_matches_fraction_reference(corpus_cells, monkeypatch):
+    """verify_extension fails exactly where lift_vertex + assert_in_lifted does, at the same row.
+
+    Covers every basis of the K3/K4/W5/prism cells, bases with a flipped
+    or negative B entry, with one edge swapped and of the wrong size, and
+    the single-edge graph, which has no counting rows, so only |F| = c
+    can reject its empty edge set.
+    """
     rng = random.Random(7)
-    verdicts = set()
-    for name, g, p, bases in corpus_cells:
-        if name not in ("K3", "K4", "W5", "prism"):
-            continue
+    single = make_graph(2, [(0, 1)])
+    cells = [(name, g, p, bases) for name, g, p, bases in corpus_cells
+             if name in ("K3", "K4", "W5", "prism")]
+    cells.append(("K2", single, P11, [(0,)]))
+    outcomes = set()
+    for name, g, p, bases in cells:
         q = build_lifted(g, p, resolve_variant(p, "auto"))
-        c = q.global_rhs
-        xnum, ynum, den, feasible = _differential_points(g, p, q, bases, rng)
-        residuals = lift_residuals(q, xnum, ynum, den)
-        batch_verdicts = base_polytope_verdicts(g, p, xnum, den)
-        for j in range(xnum.shape[1]):
-            d = int(den[j])
-            point = LiftedPoint(
-                x=tuple(Fraction(v, d) for v in xnum[:, j].tolist()),
-                y=tuple(Fraction(v, c * d) for v in ynum[:, j].tolist()),
-            )
-            expected = equality_residuals(q, point)
-            assert [Fraction(v, c * d) for v in residuals[:, j].tolist()] == expected, (name, p, j)
-            assert bool(batch_verdicts[j]) == in_base_polytope(g, p, point.x), (name, p, j)
-            if j < feasible:
-                assert bool(batch_verdicts[j]) == check_projection(g, p, q, point), (name, p, j)
-            verdicts.add(bool(batch_verdicts[j]))
-    assert verdicts == {True, False}
+        for edges, column in _perturbed_inputs(g, q, bases, rng):
+            new, reference = _first_failures(monkeypatch, g, p, q, edges, column)
+            assert new == reference, (name, p, edges)
+            failure = new and re.search(r": (y\[|equality row X=|equality row global)", new)
+            outcomes.add(failure.group(1) if failure else new)
+    assert outcomes == {None, "y[", "equality row X=", "equality row global"}
 
 
 def test_verify_extension_catches_flipped_u_entry(monkeypatch):
@@ -246,4 +257,17 @@ def test_verify_extension_catches_corrupted_t_entry(monkeypatch):
     monkeypatch.setattr(lifted, "build_T", corrupted)
     expected = f"basis {bases[0]}: equality row X={q.rows[3]} has residual"
     with pytest.raises(InfeasibleLiftedPointError, match=re.escape(expected)):
+        verify_extension(K4, P23, "B")
+
+
+def test_verify_extension_catches_negative_t_entry(monkeypatch):
+    real_build_t = lifted.build_T
+
+    def negative(*args):
+        t = real_build_t(*args)
+        t[0, 0] = -t[0].max()
+        return t
+
+    monkeypatch.setattr(lifted, "build_T", negative)
+    with pytest.raises(AssertionError, match=re.escape("T[0][0] = -5 < 0 breaks the projection argument")):
         verify_extension(K4, P23, "B")
