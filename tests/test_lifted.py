@@ -203,7 +203,7 @@ def _perturbed_inputs(g, q, bases, rng):
     return inputs
 
 
-def test_lift_check_matches_fraction_reference(corpus_cells, monkeypatch):
+def test_batched_checks_match_fraction_reference(corpus_cells, monkeypatch):
     """verify_extension fails exactly where lift_vertex + assert_in_lifted does, at the same row.
 
     Covers every basis of the K3/K4/W5/prism cells, bases with a flipped
