@@ -4,120 +4,50 @@ Pipeline: decide sparsity / enumerate bases, orient tight subgraphs to
 prescribed in-degrees, run the one-round randomized protocols, extract
 the exact nonnegative slack factorization they induce, and emit the
 resulting lifted polytope as an ``.ine`` H-representation.
+
+Each public name is imported from its module on first access, so
+``import sparsity_ef`` loads none of its submodules, and numpy only with a
+name that needs it.
 """
 
-from .factorization import (
-    Factorization,
-    FactorizationCheck,
-    SlackMatrix,
-    Transcript,
-    build_factorization,
-    enumerate_rows,
-    enumerate_transcripts,
-    slack_matrix,
-    slack_value,
-    verify_factorization,
-)
-from .graphs import (
-    Graph,
-    GraphError,
-    InstanceError,
-    SparsityParams,
-    dump_graph,
-    induced_edges,
-    load_graph,
-    load_graph_file,
-    make_graph,
-    validate_instance,
-)
-from .lifted import (
-    EmptyPolytopeError,
-    InfeasibleLiftedPointError,
-    LiftedPoint,
-    LiftedPolytope,
-    build_lifted,
-    check_projection,
-    emit_ine,
-    format_ine,
-    lift_vertex,
-    verify_extension,
-)
-from .orientation import (
-    InfeasibleOrientationError,
-    Orientation,
-    hakimi_feasible,
-    orient_with_targets,
-    protocol_targets_A,
-    protocol_targets_B,
-)
-from .protocol import (
-    MCResult,
-    alice_choice,
-    bit_complexity,
-    exact_expectation,
-    monte_carlo,
-    resolve_variant,
-    run_once,
-)
-from .sparsity import (
-    Basis,
-    EnumerationGuardError,
-    enumerate_bases,
-    is_sparse_bruteforce,
-    is_sparse_pebble,
-    is_tight,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Basis",
-    "EmptyPolytopeError",
-    "EnumerationGuardError",
-    "Factorization",
-    "FactorizationCheck",
-    "Graph",
-    "GraphError",
-    "InfeasibleLiftedPointError",
-    "InfeasibleOrientationError",
-    "InstanceError",
-    "LiftedPoint",
-    "LiftedPolytope",
-    "MCResult",
-    "Orientation",
-    "SlackMatrix",
-    "SparsityParams",
-    "Transcript",
-    "alice_choice",
-    "bit_complexity",
-    "build_factorization",
-    "build_lifted",
-    "check_projection",
-    "dump_graph",
-    "emit_ine",
-    "enumerate_bases",
-    "enumerate_rows",
-    "enumerate_transcripts",
-    "exact_expectation",
-    "format_ine",
-    "hakimi_feasible",
-    "induced_edges",
-    "is_sparse_bruteforce",
-    "is_sparse_pebble",
-    "is_tight",
-    "lift_vertex",
-    "load_graph",
-    "load_graph_file",
-    "make_graph",
-    "monte_carlo",
-    "orient_with_targets",
-    "protocol_targets_A",
-    "protocol_targets_B",
-    "resolve_variant",
-    "run_once",
-    "slack_matrix",
-    "slack_value",
-    "validate_instance",
-    "verify_extension",
-    "verify_factorization",
-]
+_MODULES = {
+    "errors": (
+        "EmptyPolytopeError", "EnumerationGuardError", "GraphError", "InfeasibleLiftedPointError",
+        "InfeasibleOrientationError", "InstanceError",
+    ),
+    "factorization": (
+        "Factorization", "FactorizationCheck", "SlackMatrix", "Transcript", "build_factorization",
+        "enumerate_rows", "enumerate_transcripts", "slack_matrix", "slack_value", "verify_factorization",
+    ),
+    "graphs": (
+        "Graph", "SparsityParams", "dump_graph", "induced_edges", "load_graph", "load_graph_file",
+        "make_graph", "validate_instance",
+    ),
+    "lifted": (
+        "LiftedPoint", "LiftedPolytope", "build_lifted", "check_projection", "emit_ine", "format_ine",
+        "lift_vertex", "verify_extension",
+    ),
+    "orientation": (
+        "Orientation", "hakimi_feasible", "orient_with_targets", "protocol_targets_A", "protocol_targets_B",
+    ),
+    "protocol": (
+        "MCResult", "alice_choice", "bit_complexity", "exact_expectation", "monte_carlo", "resolve_variant",
+        "run_once",
+    ),
+    "sparsity": ("Basis", "enumerate_bases", "is_sparse_bruteforce", "is_sparse_pebble", "is_tight"),
+}
+_HOME = {name: module for module, names in _MODULES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value

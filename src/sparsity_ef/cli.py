@@ -27,6 +27,11 @@ lifts with zero residual: U >= 0, T@U = S on its column (the check
 polytope contains every basis and that its projection satisfies the
 counting inequalities and x >= 0; it does not certify x <= 1.
 `verify --seed` is accepted for old command lines and has no effect.
+
+numpy is imported only by `_kernels`, `factorization`, `lifted`,
+`orientation` and `protocol`, and each command imports what it runs, so
+`bases` and `--help` start without numpy (`check` loads it for its
+brute-force half).
 """
 
 from __future__ import annotations
@@ -35,21 +40,16 @@ import argparse
 import json
 import sys
 
-from .factorization import (
-    build_factorization,
-    check_row_count,
-    factor_csvs,
-    render_rational,
-    slack_matrix,
-    slack_matrix_csv,
-    slack_value,
-    verify_factorization,
+from .errors import (
+    EmptyPolytopeError,
+    EnumerationGuardError,
+    GraphError,
+    InfeasibleLiftedPointError,
+    InfeasibleOrientationError,
+    InstanceError,
 )
-from .graphs import Graph, GraphError, InstanceError, SparsityParams, load_graph_file, validate_instance
-from .lifted import EmptyPolytopeError, InfeasibleLiftedPointError, build_lifted, emit_ine, verify_extension
-from .orientation import InfeasibleOrientationError, orient_with_targets, protocol_targets_A, protocol_targets_B
-from .protocol import exact_expectation, monte_carlo, resolve_variant
-from .sparsity import EnumerationGuardError, enumerate_bases, is_sparse_bruteforce, is_sparse_pebble, is_tight
+from .graphs import Graph, SparsityParams, load_graph_file, validate_instance
+from .sparsity import enumerate_bases, is_sparse_bruteforce, is_sparse_pebble, is_tight
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -117,6 +117,8 @@ def cmd_bases(args) -> int:
 
 
 def cmd_orient(args) -> int:
+    from .orientation import orient_with_targets, protocol_targets_A, protocol_targets_B
+
     g, p = _load_instance(args)
     subset = _parse_edge_list(g, args.edges) if args.edges is not None else list(range(g.edge_count))
     if args.targets is not None:
@@ -137,6 +139,9 @@ def cmd_orient(args) -> int:
 
 
 def cmd_protocol(args) -> int:
+    from .factorization import render_rational, slack_value
+    from .protocol import exact_expectation, monte_carlo, resolve_variant
+
     g, p = _load_instance(args)
     variant = resolve_variant(p, args.variant)
     x_set = _parse_int_list(args.X, "vertex")
@@ -159,11 +164,15 @@ def cmd_protocol(args) -> int:
 
 def _bases_for_rows(g: Graph, p: SparsityParams, args) -> list:
     """Every basis, for a command that also needs the rows: refuses too many vertices first."""
+    from .factorization import check_row_count
+
     check_row_count(g)
     return enumerate_bases(g, p, max_enum=args.max_enum)
 
 
 def cmd_slack(args) -> int:
+    from .factorization import slack_matrix, slack_matrix_csv
+
     g, p = _load_instance(args)
     bases = _bases_for_rows(g, p, args)
     csv = slack_matrix_csv(slack_matrix(g, p, bases=bases))
@@ -177,6 +186,11 @@ def cmd_slack(args) -> int:
 
 
 def cmd_factorize(args) -> int:
+    from .factorization import (
+        build_factorization, factor_csvs, slack_matrix, slack_matrix_csv, verify_factorization,
+    )
+    from .protocol import resolve_variant
+
     g, p = _load_instance(args)
     variant = resolve_variant(p, args.variant)
     bases = _bases_for_rows(g, p, args)
@@ -202,6 +216,9 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_emit(args) -> int:
+    from .lifted import build_lifted, emit_ine, verify_extension
+    from .protocol import resolve_variant
+
     g, p = _load_instance(args)
     variant = resolve_variant(p, args.variant)
     # enumerated before the .ine is written, so a refused --verify writes nothing
@@ -217,6 +234,9 @@ def cmd_emit(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .lifted import verify_extension
+    from .protocol import resolve_variant
+
     g, p = _load_instance(args)
     variant = resolve_variant(p, args.variant)
     bases = _bases_for_rows(g, p, args)

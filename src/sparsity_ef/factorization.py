@@ -28,16 +28,18 @@ No integer formed by the exact check exceeds c * (|E| + |W| + k n), and
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .errors import EnumerationGuardError
 from .graphs import Graph, SparsityParams, induced_edges, validate_instance
 from .protocol import VARIANT_A, alice_choice, orient_basis, resolve_variant
-from .sparsity import Basis, EnumerationGuardError, enumerate_bases
+from .sparsity import Basis, enumerate_bases
 
 MAX_ROW_ENUM_N = 16
 INT64_MAX = int(np.iinfo(np.int64).max)
@@ -334,11 +336,18 @@ def format_matrix_csv(
     rationals 'p' or 'p/q'.
     """
     values = np.asarray(entries, dtype=np.int64).reshape(len(row_labels), len(col_labels))
-    text = {v: render_rational(Fraction(v, denominator)) for v in np.unique(values).tolist()}
     lines = ["," + ",".join(col_labels)]
-    for label, row in zip(row_labels, values.tolist()):
-        lines.append(label + "," + ",".join(map(text.__getitem__, row)))
+    lines.extend(label + "," + row for label, row in zip(row_labels, render_rows(values, ",", denominator)))
     return "\n".join(lines) + "\n"
+
+
+def render_rows(values: np.ndarray, sep: str, denominator: int = 1) -> Iterator[str]:
+    """Each row of an integer matrix as its entries over ``denominator``, joined by ``sep``.
+
+    Each distinct value is rendered once (render_rational), then looked up.
+    """
+    text = functools.cache(lambda value: render_rational(Fraction(value, denominator)))
+    return (sep.join(map(text, row)) for row in values.tolist())
 
 
 def slack_matrix_csv(s: SlackMatrix) -> str:

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
-
-class GraphError(ValueError):
-    """Malformed graph input (self-loop, duplicate edge, bad index, bad JSON)."""
-
-
-class InstanceError(ValueError):
-    """Instance outside the supported parameter window."""
+from .errors import GraphError, InstanceError
 
 
 class SparsityParams(NamedTuple):
@@ -75,7 +69,10 @@ def make_graph(n: int, edges: Iterable[Iterable[int]]) -> Graph:
     """Build a Graph from arbitrary-order endpoint pairs, canonicalizing."""
     normalized = []
     for e in edges:
-        pair = tuple(e)
+        try:
+            pair = tuple(e)
+        except TypeError:
+            raise GraphError(f"edge {e!r} is not a 2-element pair") from None
         if len(pair) != 2:
             raise GraphError(f"edge {pair!r} is not a 2-element pair")
         u, v = pair

@@ -39,6 +39,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .errors import EmptyPolytopeError, InfeasibleLiftedPointError
 from .factorization import (
     Factorization,
     SlackMatrix,
@@ -49,6 +50,7 @@ from .factorization import (
     enumerate_rows,
     enumerate_transcripts,
     render_rational,
+    render_rows,
     row_incidence,
     slack_matrix,
     verify_factorization,
@@ -56,14 +58,6 @@ from .factorization import (
 from .graphs import Graph, SparsityParams, induced_edges, validate_instance
 from .protocol import VARIANT_A, bit_complexity, resolve_variant
 from .sparsity import Basis, enumerate_bases, has_basis
-
-
-class EmptyPolytopeError(ValueError):
-    """The instance has no basis at all, so there is nothing to lift."""
-
-
-class InfeasibleLiftedPointError(ValueError):
-    """A point claimed to lie in the lifted polytope violates one of its constraints."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,8 +319,7 @@ def format_ine(q: LiftedPolytope) -> str:
     lines.append("linearity " + " ".join([str(n_eq), *[str(i + 1) for i in range(n_eq)]]))
     lines.append("begin")
     lines.append(f"{n_eq + d} {d + 1} rational")
-    for row in equalities.tolist():
-        lines.append(" ".join(map(render_rational, row)))
+    lines.extend(render_rows(equalities, " "))
     bound = ["0"] * (d + 1)
     for i in range(1, d + 1):
         bound[i] = "1"

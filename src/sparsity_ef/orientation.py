@@ -21,21 +21,10 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
+from .errors import InfeasibleOrientationError
 from .graphs import SparsityParams
 
 MAX_FEASIBILITY_ENUM_N = 16
-
-
-class InfeasibleOrientationError(ValueError):
-    """No orientation attains the requested in-degree vector.
-
-    ``witness`` is a vertex set X with |F(X)| > sum_{v in X} m(v) when the
-    failure is a subset violation, None when only the total count fails.
-    """
-
-    def __init__(self, message: str, witness: frozenset[int] | None = None):
-        super().__init__(message)
-        self.witness = witness
 
 
 @dataclass(frozen=True)

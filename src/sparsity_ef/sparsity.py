@@ -29,7 +29,7 @@ import math
 import os
 from typing import Iterable
 
-from . import _kernels
+from .errors import EnumerationGuardError
 from .graphs import Graph, SparsityParams, validate_instance
 
 Basis = tuple[int, ...]
@@ -37,10 +37,6 @@ Basis = tuple[int, ...]
 DEFAULT_MAX_ENUM = 10**7
 MAX_VERTEX_ENUM = 16  # 2^n subset scans beyond this are refused
 MAX_EDGE_ENUM = 20  # 2^|F| subset scans beyond this are refused
-
-
-class EnumerationGuardError(RuntimeError):
-    """An enumeration would exceed its configured guard."""
 
 
 def default_max_enum() -> int:
@@ -96,6 +92,7 @@ def is_sparse_bruteforce(
 
 
 def _bruteforce_vertex_form(g: Graph, p: SparsityParams, subset: Basis) -> bool:
+    from . import _kernels  # numpy, loaded only by this 2^n oracle
     eu, ev = _kernels.as_edge_arrays([g.edges[i] for i in subset])
     return _kernels.count_violation(eu, ev, g.n, p.k, p.ell) < 0
 

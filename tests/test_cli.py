@@ -241,7 +241,7 @@ def test_failed_verification_exits_2(k4_path, monkeypatch, capsys, exc):
     def failing(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(cli, "verify_extension", failing)
+    monkeypatch.setattr(lifted, "verify_extension", failing)
     code, _, err = run(["verify", "--graph", k4_path, "--k", "2", "--l", "3"], capsys)
     assert code == 2
     assert err == f"error: {exc}\n"
@@ -272,7 +272,7 @@ def test_factorize_guard_fires_before_the_slack_matrix(k4_path, monkeypatch, cap
         raise AssertionError("slack_matrix was built")
 
     monkeypatch.setattr(factorization, "MAX_U_BYTES", 1000)
-    monkeypatch.setattr(cli, "slack_matrix", no_slack)
+    monkeypatch.setattr(factorization, "slack_matrix", no_slack)
     code, _, err = run(["factorize", "--graph", k4_path, "--k", "2", "--l", "3"], capsys)
     assert code == 3
     assert "guard" in err

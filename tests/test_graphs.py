@@ -37,6 +37,8 @@ def test_load_edgeless():
         ('{"n":3,"edges":[[0,1],[1,0]]}', "duplicate"),
         ('{"n":3,"edges":[[0,3]]}', "outside"),
         ('{"n":3,"edges":[[0]]}', "pair"),
+        ('{"n":3,"edges":[5]}', "edge 5 is not a 2-element pair"),
+        ('{"n":3,"edges":[null]}', "edge None is not a 2-element pair"),
         ('{"n":"3","edges":[]}', "integer"),
         ("{not json", "malformed JSON"),
         ("[1,2]", "object"),
