@@ -22,8 +22,10 @@ identity T @ B = c * S, which is how it is checked.  T and B are int64
 arrays; the scale 1/c appears only in the U view and at the CSV
 boundary, where entries render as exact 'p' or 'p/q'.
 
-No integer formed by the exact check exceeds c * (|E| + |W| + k n), and
-``check_int64_range`` refuses an instance where that bound leaves int64.
+``graphs.validate_instance`` refuses k n beyond int64, and that is the
+only range guard needed: once a basis exists, c = k n - l <= |E| <= 120
+(rows are enumerated only for n <= 16), so every entry of T, B, S and
+T @ B is small; otherwise S and B have no columns and T <= c <= k n.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .protocol import VARIANT_A, alice_choice, orient_basis, resolve_variant
 from .sparsity import Basis, enumerate_bases
 
 MAX_ROW_ENUM_N = 16
-INT64_MAX = int(np.iinfo(np.int64).max)
 MAX_U_BYTES = 2**30  # build_U refuses a dense B and hit lists estimated beyond this
 HIT_BYTES = 32  # per hit: a slot in each of two Python lists and two intp index arrays
 
@@ -60,16 +61,6 @@ class Transcript(NamedTuple):
 def render_rational(value) -> str:
     """The text of an exact number: 'p' for an integer, 'p/q' in lowest terms otherwise."""
     return str(value) if isinstance(value, int) else str(Fraction(value))
-
-
-def check_int64_range(g: Graph, p: SparsityParams, transcripts: int) -> None:
-    """Refuse (EnumerationGuardError) an instance whose exact checks could overflow int64."""
-    c = p.k * g.n - p.ell
-    bound = c * (g.edge_count + transcripts + p.k * g.n)
-    if bound > INT64_MAX:
-        raise EnumerationGuardError(
-            f"exact integer checks could reach {bound}, beyond the int64 limit {INT64_MAX}"
-        )
 
 
 def check_row_count(g: Graph) -> None:
@@ -262,7 +253,6 @@ def build_factorization(
     rows = enumerate_rows(g, p)
     cols = enumerate_bases(g, p) if bases is None else list(bases)
     transcripts = enumerate_transcripts(g, variant)
-    check_int64_range(g, p, len(transcripts))
     return Factorization(
         variant=variant,
         transcripts=transcripts,
@@ -294,8 +284,10 @@ def verify_factorization(s: SlackMatrix, fac: Factorization) -> FactorizationChe
 
     Checked as the integer identity T @ B = c * S.  The witness names the
     first offending entry in row-major order: ("T", i, j) / ("U", i, j)
-    for a negative factor entry, (i, j) for a product mismatch.
-    Dimension incompatibilities raise instead.
+    for a negative factor entry, (i, j) for a product mismatch; the
+    reason names it as a constraint of the lifted polytope, where column
+    j of U is the y-part of basis j's lift and (T@U - S)[i][j] is that
+    lift's residual on row i.  Dimension incompatibilities raise instead.
     """
     nrows, ncols = s.shape
     w = len(fac.transcripts)
@@ -306,19 +298,22 @@ def verify_factorization(s: SlackMatrix, fac: Factorization) -> FactorizationChe
     bad = _first(fac.T < 0)
     if bad is not None:
         i, j = bad
-        return FactorizationCheck(False, ("T", i, j), f"T[{i}][{j}] = {fac.T[i, j]} < 0")
+        return FactorizationCheck(
+            False, ("T", i, j), f"T[{i}][{j}] = {fac.T[i, j]} < 0 breaks the projection argument"
+        )
     bad = _first(fac.B < 0)
     if bad is not None:
         i, j = bad
-        u = render_rational(Fraction(int(fac.B[i, j]), fac.c))
-        return FactorizationCheck(False, ("U", i, j), f"U[{i}][{j}] = {u} < 0")
-    product = sparse_matmul(fac.T, fac.B)
-    bad = _first(product != fac.c * s.entries)
+        y = render_rational(Fraction(int(fac.B[i, j]), fac.c))
+        return FactorizationCheck(False, ("U", i, j), f"basis {fac.cols[j]}: y[{i}] = {y} < 0")
+    residual = sparse_matmul(fac.T, fac.B)
+    residual -= fac.c * s.entries
+    bad = _first(residual != 0)
     if bad is not None:
         i, j = bad
-        acc = render_rational(Fraction(int(product[i, j]), fac.c))
+        r = render_rational(Fraction(int(residual[i, j]), fac.c))
         return FactorizationCheck(
-            False, (i, j), f"(T@U)[{i}][{j}] = {acc} but slack is {s.entries[i, j]}"
+            False, (i, j), f"basis {fac.cols[j]}: equality row X={fac.rows[i]} has residual {r}"
         )
     return FactorizationCheck(True, None, "T@U = S exactly; T, U >= 0")
 

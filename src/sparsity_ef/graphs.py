@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
-from .errors import GraphError, InstanceError
+from .errors import EnumerationGuardError, GraphError, InstanceError
 
 
 class SparsityParams(NamedTuple):
@@ -130,10 +130,15 @@ def induced_edges(g: Graph, x: Iterable[int]) -> frozenset[int]:
 
 
 def validate_instance(g: Graph, p: SparsityParams) -> None:
-    """Guard shared by every entry point: n >= 2 and 0 <= ell <= 2k-1."""
+    """Guard shared by every entry point: n >= 2, 0 <= ell <= 2k-1, k n within int64.
+
+    k n beyond int64 is an EnumerationGuardError; ``factorization`` says why it suffices.
+    """
     if g.n < 2:
         raise InstanceError(f"n < 2 unsupported (got n={g.n})")
     if p.k < 1 or p.ell < 0 or p.ell > 2 * p.k - 1:
         raise InstanceError(
             f"parameters (k={p.k}, ell={p.ell}) outside 0 <= ell <= 2k-1, k >= 1"
         )
+    if p.k * g.n >= 2**63:
+        raise EnumerationGuardError(f"k*n = {p.k * g.n} is beyond the int64 range of the exact checks")

@@ -11,14 +11,14 @@ The inequality count |E| + |W| is an upper bound on the facet count
 and without the |E| edge bounds.
 
 ``verify_extension`` checks one certificate (Yannakakis 1991; Faenza et
-al. 2012): T >= 0, and every basis F lifts with zero residual, that is
-y = U-column >= 0, the integer identity T @ B = c * S of
-``verify_factorization`` on F's column (c = k n - l) and |F| = c.  The
-lifts put every basis in the projection.  Conversely, for a feasible
-point, T >= 0 and y >= 0 make each row read
-sum_{E(X)} x_e = k|X| - l - (T y)[X] <= k|X| - l, and the global row
-fixes sum_e x_e = c; both are linear, so they hold for every convex
-combination as well.  T >= 0 therefore certifies the counting
+al. 2012) on the factorization ``factorize`` builds and checks: T >= 0,
+and every basis F lifts with zero residual, that is y = U-column >= 0,
+the integer identity T @ B = c * S of ``verify_factorization`` on F's
+column (c = k n - l) and |F| = c.  The lifts put every basis in the
+projection.  Conversely, for a feasible point, T >= 0 and y >= 0 make
+each row read sum_{E(X)} x_e = k|X| - l - (T y)[X] <= k|X| - l, and the
+global row fixes sum_e x_e = c; both are linear, so they hold for every
+convex combination as well.  T >= 0 therefore certifies the counting
 inequalities and x >= 0 of the projection, but not x <= 1, which the
 emitted system does not contain.  ``lift_vertex``,
 ``equality_residuals``, ``assert_in_lifted``, ``in_base_polytope`` and
@@ -41,15 +41,12 @@ import numpy as np
 
 from .errors import EmptyPolytopeError, InfeasibleLiftedPointError
 from .factorization import (
-    Factorization,
-    SlackMatrix,
     Transcript,
+    build_factorization,
     build_T,
     build_U,
-    check_int64_range,
     enumerate_rows,
     enumerate_transcripts,
-    render_rational,
     render_rows,
     row_incidence,
     slack_matrix,
@@ -57,7 +54,7 @@ from .factorization import (
 )
 from .graphs import Graph, SparsityParams, induced_edges, validate_instance
 from .protocol import VARIANT_A, bit_complexity, resolve_variant
-from .sparsity import Basis, enumerate_bases, has_basis
+from .sparsity import Basis, has_basis
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,8 +91,8 @@ class LiftedPoint(NamedTuple):
     y: tuple[Fraction, ...]
 
 
-def build_lifted(g: Graph, p: SparsityParams, variant: str = "auto") -> LiftedPolytope:
-    """Assemble the equality system; refuses instances with an empty basis family.
+def _nonempty_variant(g: Graph, p: SparsityParams, variant: str) -> str:
+    """The resolved variant; refuses (EmptyPolytopeError) an instance without a basis.
 
     Emptiness is decided by ``has_basis``, one greedy pebble game that
     finds the matroid rank, so no basis is enumerated and no enumeration
@@ -107,6 +104,12 @@ def build_lifted(g: Graph, p: SparsityParams, variant: str = "auto") -> LiftedPo
         raise EmptyPolytopeError(
             f"no (k={p.k},l={p.ell})-tight spanning subgraph exists: the polytope is empty"
         )
+    return variant
+
+
+def build_lifted(g: Graph, p: SparsityParams, variant: str = "auto") -> LiftedPolytope:
+    """Assemble the equality system; refuses instances with an empty basis family."""
+    variant = _nonempty_variant(g, p, variant)
     rows = enumerate_rows(g, p)
     transcripts = enumerate_transcripts(g, variant)
     return LiftedPolytope(
@@ -192,23 +195,6 @@ def check_projection(g: Graph, p: SparsityParams, q: LiftedPolytope, point: Lift
     return in_base_polytope(g, p, point.x)
 
 
-def _lift_failure(fac: Factorization, s: SlackMatrix, witness: tuple) -> Exception:
-    """The error for a ``verify_factorization`` witness, named as a lifted constraint."""
-    if witness[0] == "T":
-        _, i, j = witness
-        return AssertionError(f"T[{i}][{j}] = {fac.T[i, j]} < 0 breaks the projection argument")
-    if witness[0] == "U":
-        _, i, j = witness
-        value = render_rational(Fraction(int(fac.B[i, j]), fac.c))
-        return InfeasibleLiftedPointError(f"basis {fac.cols[j]}: y[{i}] = {value} < 0")
-    i, j = witness
-    scaled = int(fac.T[i] @ fac.B[:, j]) - fac.c * int(s.entries[i, j])
-    return InfeasibleLiftedPointError(
-        f"basis {fac.cols[j]}: equality row X={fac.rows[i]} has residual "
-        f"{render_rational(Fraction(scaled, fac.c))}"
-    )
-
-
 def verify_extension(
     g: Graph,
     p: SparsityParams,
@@ -218,79 +204,54 @@ def verify_extension(
 ) -> dict:
     """End-to-end verification report for one instance.
 
-    Checks the certificate of the module docstring: with the lift's T
-    and the bases' B = c * U, ``verify_factorization`` proves T >= 0,
-    B >= 0 and T @ B = c * S over the bases, which is a zero residual on
-    every counting row of every basis lift, and |F| = c is the global
-    row.  Then reconciles all counts against the protocol's size bounds.
-    Raises on the first failure (InfeasibleLiftedPointError naming the
-    basis and the row, or AssertionError); returns the report dict on
-    success.  ``bases`` is the instance's basis list when the caller
-    already has it.
+    Checks the certificate of the module docstring on ``factorize``'s
+    factorization: ``verify_factorization`` proves T >= 0, B >= 0 and
+    T @ B = c * S over the bases, which is a zero residual on every
+    counting row of every basis lift, and |F| = c is the global row.
+    Raises on the first failure with ``verify_factorization``'s reason
+    (AssertionError for a negative T entry, InfeasibleLiftedPointError
+    naming the basis otherwise); returns the report dict on success.
+    ``bases`` is the instance's basis list when the caller already has it.
     """
-    q = build_lifted(g, p, variant)
-    variant = q.variant
-    if bases is None:
-        bases = enumerate_bases(g, p)
-    check_int64_range(g, p, q.y_count)
-    c = q.global_rhs
-    fac = Factorization(
-        variant, q.transcripts, q.rows, tuple(bases), q.T,
-        build_U(g, p, variant, bases, q.transcripts), c,
-    )
-    s = slack_matrix(g, p, bases=bases)
-    check = verify_factorization(s, fac)
+    variant = _nonempty_variant(g, p, variant)
+    fac = build_factorization(g, p, variant, bases=bases)
+    check = verify_factorization(slack_matrix(g, p, bases=fac.cols), fac)
     if not check.ok:
-        raise _lift_failure(fac, s, check.witness)
+        error = AssertionError if check.witness[0] == "T" else InfeasibleLiftedPointError
+        raise error(check.reason)
     for basis in fac.cols:
-        if len(basis) != c:
+        if len(basis) != fac.c:
             raise InfeasibleLiftedPointError(
-                f"basis {basis}: equality row global has residual {len(basis) - c}"
+                f"basis {basis}: equality row global has residual {len(basis) - fac.c}"
             )
 
     n, m = g.n, g.edge_count
-    w = q.y_count
-    expected_w = 2 * n * m if variant == VARIANT_A else 2 * n * (n - 1) * m
+    w = len(fac.transcripts)
+    equality_count = len(fac.rows) + 1
+    inequality_count = m + w
     bits = bit_complexity(g, variant)
     size_bound = 3 * n * m if variant == VARIANT_A else 3 * n * n * m
-    counts_ok = (
-        w == expected_w
-        and q.inequality_count == m + expected_w
-        and q.equality_count == len(q.rows) + 1
-    )
-    if not counts_ok:
-        raise AssertionError(
-            f"count mismatch: |W|={w} (expected {expected_w}), "
-            f"inequalities={q.inequality_count}"
-        )
-    if w > 2**bits:
-        raise AssertionError(f"|W|={w} exceeds the protocol bound 2^{bits}")
-    if q.inequality_count > size_bound:
-        raise AssertionError(
-            f"inequality count {q.inequality_count} exceeds the size bound {size_bound}"
-        )
-
     return {
         "instance": {"n": n, "edge_count": m, "k": p.k, "ell": p.ell},
         "variant": variant,
         "counts": {
-            "bases": len(bases),
-            "x_vars": q.x_count,
+            "bases": len(fac.cols),
+            "x_vars": m,
             "y_vars": w,
-            "equality_rows": q.equality_count,
-            "inequality_count": q.inequality_count,
+            "equality_rows": equality_count,
+            "inequality_count": inequality_count,
             "inequality_count_excluding_edge_bounds": w,
-            "ine_rows": q.equality_count + q.inequality_count,
+            "ine_rows": equality_count + inequality_count,
         },
         "bounds": {
             "bit_complexity": bits,
             "protocol_size_bound": 2**bits,
             "transcripts_within_protocol_bound": w <= 2**bits,
             "size_bound": size_bound,
-            "within_size_bound": q.inequality_count <= size_bound,
+            "within_size_bound": inequality_count <= size_bound,
         },
         "checks": {
-            "basis_lifts_feasible": len(bases),
+            "basis_lifts_feasible": len(fac.cols),
             "factor_nonnegative": True,
         },
         "note": (

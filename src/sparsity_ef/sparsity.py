@@ -26,7 +26,6 @@ basis exists iff that rank is k*n - l.
 from __future__ import annotations
 
 import math
-import os
 from typing import Iterable
 
 from .errors import EnumerationGuardError
@@ -37,20 +36,6 @@ Basis = tuple[int, ...]
 DEFAULT_MAX_ENUM = 10**7
 MAX_VERTEX_ENUM = 16  # 2^n subset scans beyond this are refused
 MAX_EDGE_ENUM = 20  # 2^|F| subset scans beyond this are refused
-
-
-def default_max_enum() -> int:
-    """Basis-enumeration guard; SPARSITY_EF_MAX_ENUM overrides the default."""
-    raw = os.environ.get("SPARSITY_EF_MAX_ENUM")
-    if raw is None:
-        return DEFAULT_MAX_ENUM
-    try:
-        value = int(raw)
-    except ValueError:
-        raise EnumerationGuardError(f"SPARSITY_EF_MAX_ENUM={raw!r} is not an integer") from None
-    if value < 1:
-        raise EnumerationGuardError("SPARSITY_EF_MAX_ENUM must be >= 1")
-    return value
 
 
 def _normalize_subset(g: Graph, edge_set: Iterable[int]) -> Basis:
@@ -232,14 +217,15 @@ def enumerate_bases(
     backtracking takes the last edge out again.  The search is a loop, so
     its depth, the basis size, is not bounded by Python's recursion limit.
 
-    Refuses (EnumerationGuardError) when C(|E|, k*n-l) exceeds the guard.
+    Refuses (EnumerationGuardError) when C(|E|, k*n-l) exceeds the guard,
+    ``max_enum`` or else ``DEFAULT_MAX_ENUM``.
     That count bounds the work rather than measuring it:
     each test at the last depth is a distinct subset of that size, and
     the ones with a dependent prefix are never reached.  An empty result
     is a legal outcome meaning the base polytope is empty.
     """
     validate_instance(g, p)
-    guard = default_max_enum() if max_enum is None else max_enum
+    guard = DEFAULT_MAX_ENUM if max_enum is None else max_enum
     m = tight_cardinality(g, p)
     if m > g.edge_count:
         return []

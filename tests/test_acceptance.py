@@ -193,6 +193,11 @@ def test_c07_extension_verification(corpus_cells):
         bits = bit_complexity(g, variant)
         assert report["bounds"]["bit_complexity"] == bits
         assert report["counts"]["y_vars"] <= 2**bits, (name, p)
+        counts, bounds = report["counts"], report["bounds"]
+        assert counts["equality_rows"] == 2**n - n - 1, (name, p)
+        assert counts["ine_rows"] == counts["equality_rows"] + counts["inequality_count"], (name, p)
+        assert bounds["within_size_bound"] is True, (name, p)
+        assert bounds["transcripts_within_protocol_bound"] is True, (name, p)
         verified += 1
     _ok(7, "extension verification", f"{verified} instances, all lifts exact")
 

@@ -212,15 +212,20 @@ def test_verify_command(k4_path, tmp_path, capsys):
     assert saved["counts"]["inequality_count"] == 150
 
 
-def test_injected_residual_exits_2(k4_path, tmp_path, monkeypatch, capsys):
-    build_t = lifted.build_T
+@pytest.fixture
+def corrupted_t(monkeypatch):
+    """Every factorization built gets 1 added to the first row of T."""
+    build_t = factorization.build_T
 
     def corrupted(*args):
         t = build_t(*args)
         t[0] += 1
         return t
 
-    monkeypatch.setattr(lifted, "build_T", corrupted)
+    monkeypatch.setattr(factorization, "build_T", corrupted)
+
+
+def test_injected_residual_exits_2(k4_path, tmp_path, corrupted_t, capsys):
     base = ["--graph", k4_path, "--k", "2", "--l", "3"]
     for argv in (["verify", *base], ["emit", *base, "--out", str(tmp_path / "x.ine"), "--verify"]):
         code, _, err = run(argv, capsys)
@@ -247,12 +252,34 @@ def test_failed_verification_exits_2(k4_path, monkeypatch, capsys, exc):
     assert err == f"error: {exc}\n"
 
 
-def test_int64_range_guard_exits_3(k4_path, monkeypatch, capsys):
-    monkeypatch.setattr(factorization, "INT64_MAX", 100)
-    for command in ("verify", "factorize"):
-        code, _, err = run([command, "--graph", k4_path, "--k", "2", "--l", "3"], capsys)
-        assert code == 3, command
-        assert "int64" in err
+def test_factorize_mismatch_exits_2(k4_path, tmp_path, corrupted_t, capsys):
+    prefix = tmp_path / "dump"
+    argv = ["factorize", "--graph", k4_path, "--k", "2", "--l", "3", "--out", str(prefix)]
+    code, out, _ = run(argv, capsys)
+    assert code == 2
+    lines = out.splitlines()
+    assert "verified: no" in lines
+    witness = [line for line in lines if line.startswith("witness: ")]
+    assert len(witness) == 1
+    assert "basis (" in witness[0] and "equality row X=" in witness[0]
+    assert list(tmp_path.glob("dump*")) == []
+
+
+def test_int64_range_guard_exits_3(k3_path, tmp_path, capsys):
+    """k = 2^62 on K3 puts k*n past int64: every command refuses it as it reads the instance."""
+    base = ["--graph", k3_path, "--k", str(2**62), "--l", "0"]
+    for argv in (
+        ["check", *base],
+        ["bases", *base],
+        ["slack", *base],
+        ["factorize", *base],
+        ["verify", *base],
+        ["emit", *base, "--out", str(tmp_path / "x.ine")],
+    ):
+        code, _, err = run(argv, capsys)
+        assert code == 3, argv
+        assert any(line.startswith("error: ") and "int64" in line for line in err.splitlines()), argv
+        assert "Traceback" not in err
 
 
 def test_emit_needs_no_enumeration(k4_path, tmp_path, capsys):

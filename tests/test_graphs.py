@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from sparsity_ef.errors import EnumerationGuardError
 from sparsity_ef.graphs import (
     Graph,
     GraphError,
@@ -81,6 +82,10 @@ def test_validate_instance():
         validate_instance(complete_graph(3), SparsityParams(0, 0))
     with pytest.raises(InstanceError, match="outside"):
         validate_instance(complete_graph(3), SparsityParams(2, -1))
+    # k n = 2^63 - 1 is the largest product accepted
+    validate_instance(Graph(7, ()), SparsityParams((2**63 - 1) // 7, 0))
+    with pytest.raises(EnumerationGuardError, match="int64"):
+        validate_instance(Graph(2, ()), SparsityParams(2**62, 0))
 
 
 @st.composite

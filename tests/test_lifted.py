@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sparsity_ef import lifted
+from sparsity_ef import factorization, lifted
 from sparsity_ef.factorization import build_U
 from sparsity_ef.graphs import SparsityParams, make_graph
 from sparsity_ef.lifted import (
@@ -166,9 +166,10 @@ def _first_failures(monkeypatch, g, p, q, edges, column):
     """The error messages of verify_extension and of the Fraction reference for one lift.
 
     Both lift the edge set with the given B-column: ``build_U`` is replaced
-    for the lift check and for ``lift_vertex`` alike.  None means no error.
+    for the factorization and for ``lift_vertex`` alike.  None means no error.
     """
-    monkeypatch.setattr(lifted, "build_U", lambda *args: column.reshape(-1, 1))
+    for module in (factorization, lifted):
+        monkeypatch.setattr(module, "build_U", lambda *args: column.reshape(-1, 1))
     found = []
     for run in (
         lambda: verify_extension(g, p, q.variant, bases=[edges]),
@@ -230,14 +231,14 @@ def test_batched_checks_match_fraction_reference(corpus_cells, monkeypatch):
 def test_verify_extension_catches_flipped_u_entry(monkeypatch):
     q = build_lifted(K4, P23, "B")
     w = int(np.flatnonzero((q.T != 0).any(axis=0))[0])  # a transcript some row charges
-    real_build_u = lifted.build_U
+    real_build_u = factorization.build_U
 
     def flipped(*args):
         b = real_build_u(*args)
         b[w, 0] = 1 - b[w, 0]
         return b
 
-    monkeypatch.setattr(lifted, "build_U", flipped)
+    monkeypatch.setattr(factorization, "build_U", flipped)
     basis = enumerate_bases(K4, P23)[0]
     with pytest.raises(InfeasibleLiftedPointError, match=re.escape(f"basis {basis}: equality row X=")):
         verify_extension(K4, P23, "B")
@@ -247,27 +248,27 @@ def test_verify_extension_catches_corrupted_t_entry(monkeypatch):
     bases = enumerate_bases(K4, P23)
     q = build_lifted(K4, P23, "B")
     w = int(np.flatnonzero(build_U(K4, P23, "B", bases[:1], q.transcripts)[:, 0])[0])
-    real_build_t = lifted.build_T
+    real_build_t = factorization.build_T
 
     def corrupted(*args):
         t = real_build_t(*args)
         t[3, w] += 1
         return t
 
-    monkeypatch.setattr(lifted, "build_T", corrupted)
+    monkeypatch.setattr(factorization, "build_T", corrupted)
     expected = f"basis {bases[0]}: equality row X={q.rows[3]} has residual"
     with pytest.raises(InfeasibleLiftedPointError, match=re.escape(expected)):
         verify_extension(K4, P23, "B")
 
 
 def test_verify_extension_catches_negative_t_entry(monkeypatch):
-    real_build_t = lifted.build_T
+    real_build_t = factorization.build_T
 
     def negative(*args):
         t = real_build_t(*args)
         t[0, 0] = -t[0].max()
         return t
 
-    monkeypatch.setattr(lifted, "build_T", negative)
+    monkeypatch.setattr(factorization, "build_T", negative)
     with pytest.raises(AssertionError, match=re.escape("T[0][0] = -5 < 0 breaks the projection argument")):
         verify_extension(K4, P23, "B")

@@ -127,15 +127,6 @@ def test_enumeration_guard():
         enumerate_bases(K4, P11, max_enum=1)
 
 
-def test_guard_env_override(monkeypatch):
-    monkeypatch.setenv("SPARSITY_EF_MAX_ENUM", "1")
-    with pytest.raises(EnumerationGuardError):
-        enumerate_bases(K4, P11)
-    monkeypatch.setenv("SPARSITY_EF_MAX_ENUM", "notanumber")
-    with pytest.raises(EnumerationGuardError):
-        enumerate_bases(K4, P11)
-
-
 def test_bruteforce_guard_refusal():
     big = complete_graph(17)
     with pytest.raises(EnumerationGuardError):
