@@ -6,8 +6,10 @@ the exact nonnegative slack factorization they induce, and emit the
 resulting lifted polytope as an ``.ine`` H-representation.
 
 Each public name is imported from its module on first access, so
-``import sparsity_ef`` loads none of its submodules, and numpy only with a
-name that needs it.
+``import sparsity_ef`` loads none of its submodules.  numpy is loaded
+only by ``_kernels``, when ``is_sparse_bruteforce``, ``run_once`` or
+``monte_carlo`` (or the test oracle ``orientation.hakimi_violation``) is
+called; the factor, lift and emission code runs on Python ints.
 """
 
 import importlib

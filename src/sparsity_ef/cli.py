@@ -20,19 +20,23 @@ basis-enumeration guard.  `emit` enumerates bases only under --verify;
 without it, emptiness is one pebble game, so the enumeration guard does
 not apply and `emit --max-enum 1` exits 0.
 `slack`, `factorize`, `verify` and `emit --verify` refuse a graph with
-more than 16 vertices (exit 3) before they enumerate any basis.
+more than 16 vertices (exit 3), then an instance without a basis (exit 4,
+decided by one pebble game), before they enumerate any basis; so
+`slack` and `factorize` exit 4 on an empty polytope, as `verify` and
+`emit` do, and an empty instance exits 4 whatever --max-enum says.
 
 `verify` and `emit --verify` make `factorize`'s check on the same
 factorization, T >= 0, U >= 0 and T@U = S, and check |F| = kn - l: every
 basis then lifts with zero residual.  That certifies that the lifted
 polytope contains every basis and that its projection satisfies the
-counting inequalities and x >= 0; it does not certify x <= 1.
+counting inequalities and x >= 0; x <= 1 is an emitted bound row where
+2k - l >= 2 and follows from the rows |X| = 2 elsewhere.  `emit --verify`
+writes the lift of the factorization it checks, so T is built once.
 `verify --seed` is accepted for old command lines and has no effect.
 
-numpy is imported only by `_kernels`, `factorization`, `lifted`,
-`orientation` and `protocol`, and each command imports what it runs, so
-`bases` and `--help` start without numpy (`check` loads it for its
-brute-force half).
+numpy is loaded only by `_kernels`, which `check` (for its brute-force
+half) and `protocol --mode mc` import; every other command starts
+without it.  Each command imports what it runs.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .errors import (
     InstanceError,
 )
 from .graphs import Graph, SparsityParams, load_graph_file, validate_instance
-from .sparsity import enumerate_bases, is_sparse_bruteforce, is_sparse_pebble, is_tight
+from .sparsity import enumerate_bases, is_sparse_bruteforce, is_sparse_pebble, is_tight, require_basis
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -164,10 +168,14 @@ def cmd_protocol(args) -> int:
 
 
 def _bases_for_rows(g: Graph, p: SparsityParams, args) -> list:
-    """Every basis, for a command that also needs the rows: refuses too many vertices first."""
+    """Every basis, for a command that also needs the rows.
+
+    Refuses too many vertices (exit 3), then an empty polytope (exit 4), before enumerating.
+    """
     from .factorization import check_row_count
 
     check_row_count(g)
+    require_basis(g, p)
     return enumerate_bases(g, p, max_enum=args.max_enum)
 
 
@@ -217,18 +225,19 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_emit(args) -> int:
+    from .factorization import build_factorization
     from .lifted import build_lifted, emit_ine, verify_extension
     from .protocol import resolve_variant
 
     g, p = _load_instance(args)
     variant = resolve_variant(p, args.variant)
-    # enumerated before the .ine is written, so a refused --verify writes nothing
-    bases = _bases_for_rows(g, p, args) if args.verify else None
-    q = build_lifted(g, p, variant)
+    # factored before the .ine is written, so a refused --verify writes nothing
+    fac = build_factorization(g, p, variant, bases=_bases_for_rows(g, p, args)) if args.verify else None
+    q = build_lifted(g, p, variant, fac=fac)
     emit_ine(q, args.out)
     print(f"wrote {args.out} ({q.equality_count} equalities + {q.inequality_count} inequalities)")
     if args.verify:
-        report = verify_extension(g, p, variant, bases=bases)
+        report = verify_extension(g, p, variant, fac=fac)
         print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
 

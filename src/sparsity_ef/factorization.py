@@ -18,25 +18,36 @@ for variant A and 2n(n-1)|E| for variant B.  Every basis has
                             orientation of F for alice(w)]
 
 with A and B 0/1 incidence matrices.  T @ U = S is therefore the integer
-identity T @ B = c * S, which is how it is checked.  T and B are int64
-arrays; the scale 1/c appears only in the U view and at the CSV
-boundary, where entries render as exact 'p' or 'p/q'.
+identity T @ B = c * S, which is how it is checked.  T, B and the slack
+matrix are lists of rows of Python ints; the scale 1/c appears only in
+the U view and at the CSV boundary, where entries render as exact 'p' or
+'p/q'.  Nothing here imports numpy.
 
-``graphs.validate_instance`` refuses k n beyond int64, and that is the
-only range guard needed: once a basis exists, c = k n - l <= |E| <= 120
-(rows are enumerated only for n <= 16), so every entry of T, B, S and
-T @ B is small; otherwise S and B have no columns and T <= c <= k n.
+``verify_factorization`` compares whole rows.  A row of nonnegative
+entries packs into one int whose little-endian fields of f bytes hold
+the entries, built from a strided ``bytearray``.  Row i of T @ B packs
+to sum_w T[i][w] * packed(B[w]), one big-int multiply-add per nonzero
+entry of T, and is compared with c * packed(S[i]).  f is wide enough for
+the largest possible entry of T @ B, the largest row sum of T times the
+largest entry of B, so no field carries into the next and two packed
+rows are equal exactly when their entries are.  Entries are scanned only
+to name a failure.
+
+Python ints do not overflow; ``graphs.validate_instance`` still refuses
+k n beyond int64 on every command.  Once a basis exists,
+c = k n - l <= |E| <= 120 (rows are enumerated only for n <= 16), so the
+entries of T, B, S and T @ B are small and f is one or two bytes;
+otherwise S and B have no columns and T <= c <= k n.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
-
-import numpy as np
 
 from .errors import EnumerationGuardError
 from .graphs import Graph, SparsityParams, induced_edges, validate_instance
@@ -44,18 +55,19 @@ from .protocol import VARIANT_A, alice_choice, orient_basis, resolve_variant
 from .sparsity import Basis, enumerate_bases
 
 MAX_ROW_ENUM_N = 16
-MAX_U_BYTES = 2**30  # build_U refuses a dense B and hit lists estimated beyond this
-HIT_BYTES = 32  # per hit: a slot in each of two Python lists and two intp index arrays
+_BYTES = bytes(range(256))
+MAX_U_BYTES = 2**30  # build_U refuses B, its packed copies and S estimated beyond this
+# per entry of B: an 8-byte list slot (0 and 1 are shared int objects), then
+# the byte of its bytes copy and the byte of its field when verify_factorization
+# packs it (fields are one byte wide while c * n^2 / 4 < 256); per entry of S: a slot
+B_ENTRY_BYTES = 10
+S_ENTRY_BYTES = 8
 
 
 class Transcript(NamedTuple):
     alice: tuple[int, ...]
     edge: int
     head: int
-
-    def directed(self, g: Graph) -> tuple[int, int]:
-        u, v = g.edges[self.edge]
-        return (u, v) if self.head == v else (v, u)
 
 
 def render_rational(value) -> str:
@@ -90,48 +102,16 @@ def slack_value(g: Graph, p: SparsityParams, x_set: Iterable[int], basis: Iterab
     return p.k * len(members) - p.ell - overlap
 
 
-def _membership(g: Graph, rows: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """Boolean |rows| x n matrix: vertex v lies in X."""
-    inside = np.zeros((len(rows), g.n), dtype=bool)
-    for i, x in enumerate(rows):
-        inside[i, list(x)] = True
-    return inside
-
-
-def row_incidence(g: Graph, rows: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """int64 |rows| x |E| matrix R: R[X][e] = 1 when e lies in E(X)."""
-    inside = _membership(g, rows)
-    ends = np.array(g.edges, dtype=np.intp).reshape(g.edge_count, 2)
-    return (inside[:, ends[:, 0]] & inside[:, ends[:, 1]]).astype(np.int64)
-
-
-def basis_incidence(g: Graph, bases: Sequence[Basis]) -> np.ndarray:
-    """int64 |E| x #bases matrix: column j is the 0/1 incidence vector of basis j."""
-    x = np.zeros((g.edge_count, len(bases)), dtype=np.int64)
-    for j, basis in enumerate(bases):
-        x[list(basis), j] = 1
-    return x
-
-
-def sparse_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact a @ b for int64 matrices, summing each row over its nonzero entries only.
-
-    T has at most |E| nonzeros per row of |W|, so this does a small
-    fraction of the work of a dense integer product.
-    """
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for i, row in enumerate(a):
-        nz = np.flatnonzero(row)
-        if nz.size:
-            out[i] = row[nz] @ b[nz]
-    return out
+def row_incidence(g: Graph, rows: Sequence[tuple[int, ...]]) -> list[list[int]]:
+    """|rows| x |E| 0/1 rows R: R[X][e] = 1 when e lies in E(X)."""
+    return [[int(u in x and v in x) for u, v in g.edges] for x in map(frozenset, rows)]
 
 
 @dataclass(frozen=True, eq=False)
 class SlackMatrix:
     rows: tuple[tuple[int, ...], ...]
     cols: tuple[Basis, ...]
-    entries: np.ndarray  # int64 |rows| x |cols|
+    entries: list[list[int]]  # |rows| x |cols|
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -141,11 +121,24 @@ class SlackMatrix:
 def slack_matrix(
     g: Graph, p: SparsityParams, *, bases: Sequence[Basis] | None = None
 ) -> SlackMatrix:
-    """S = (k|X| - l) - R @ X over the given bases, or over all of them when ``bases`` is None."""
+    """S = (k|X| - l) - |F ∩ E(X)| over the given bases, or over all of them when ``bases`` is None.
+
+    Each edge's incidence over the bases is packed one byte per basis, so
+    the overlaps of row X are the bytes of one sum over E(X); it never
+    carries, since |F ∩ E(X)| <= |E| <= 120 for the n <= 16 rows allow.
+    """
     rows = enumerate_rows(g, p)
     cols = enumerate_bases(g, p) if bases is None else list(bases)
-    rhs = np.array([p.k * len(x) - p.ell for x in rows], dtype=np.int64)
-    entries = rhs[:, None] - row_incidence(g, rows) @ basis_incidence(g, cols)
+    incidence = [bytearray(len(cols)) for _ in g.edges]
+    for j, basis in enumerate(cols):
+        for e in basis:
+            incidence[e][j] = 1
+    packed = [int.from_bytes(column, "little") for column in incidence]
+    entries = []
+    for x, inside in zip(rows, row_incidence(g, rows)):
+        overlaps = sum(b for b, flag in zip(packed, inside) if flag).to_bytes(len(cols), "little")
+        rhs = p.k * len(x) - p.ell
+        entries.append([rhs - overlap for overlap in overlaps])
     return SlackMatrix(rows=tuple(rows), cols=tuple(cols), entries=entries)
 
 
@@ -171,20 +164,21 @@ def build_T(
     variant: str,
     rows: Sequence[tuple[int, ...]],
     transcripts: Sequence[Transcript],
-) -> np.ndarray:
-    """T = c * A as an int64 |rows| x |W| array."""
+) -> list[list[int]]:
+    """T = c * A as |rows| x |W| rows of ints."""
     c = p.k * g.n - p.ell
-    alice_ids: dict[tuple[int, ...], int] = {}
-    w_alice = np.array(
-        [alice_ids.setdefault(w.alice, len(alice_ids)) for w in transcripts], dtype=np.intp
-    )
-    announced = np.array(
-        [alice_ids.get(alice_choice(x, variant), -1) for x in rows], dtype=np.intp
-    )
-    ends = np.array([w.directed(g) for w in transcripts], dtype=np.intp).reshape(len(transcripts), 2)
-    inside = _membership(g, rows)
-    enters = ~inside[:, ends[:, 0]] & inside[:, ends[:, 1]]
-    return c * ((announced[:, None] == w_alice[None, :]) & enters).astype(np.int64)
+    index = {w: i for i, w in enumerate(transcripts)}
+    t = []
+    for x in rows:
+        row = [0] * len(transcripts)
+        alice, members = alice_choice(x, variant), frozenset(x)
+        for e, (u, v) in enumerate(g.edges):
+            if (u in members) != (v in members):  # e enters X at whichever end lies inside
+                w = index.get((alice, e, v if v in members else u))
+                if w is not None:
+                    row[w] = c
+        t.append(row)
+    return t
 
 
 def build_U(
@@ -193,52 +187,48 @@ def build_U(
     variant: str,
     cols: Sequence[Basis],
     transcripts: Sequence[Transcript],
-) -> np.ndarray:
-    """B = c * U as an int64 0/1 |W| x |cols| array.
+) -> list[list[int]]:
+    """B = c * U as |W| x |cols| 0/1 rows of ints.
 
     Orients each (basis, Alice announcement) pair exactly once.  Before
-    any orientation, refuses (EnumerationGuardError) an instance whose
-    dense B and hit lists, c hits per basis and announcement, are
-    estimated at more than ``MAX_U_BYTES``.
+    any orientation, refuses (EnumerationGuardError) an instance whose B,
+    the copy of it that ``verify_factorization`` packs and the slack
+    matrix over the same bases are estimated at more than ``MAX_U_BYTES``.
     """
     index = {w: i for i, w in enumerate(transcripts)}
     alice_parts = _alice_parts(g, variant)
-    c = p.k * g.n - p.ell
-    estimate = len(cols) * (8 * len(transcripts) + HIT_BYTES * c * len(alice_parts))
+    row_count = max(2**g.n - g.n - 2, 0)
+    estimate = len(cols) * (B_ENTRY_BYTES * len(transcripts) + S_ENTRY_BYTES * row_count)
     if estimate > MAX_U_BYTES:
         raise EnumerationGuardError(
-            f"B and its hit lists for {len(cols)} bases would take about {estimate} bytes, "
+            f"B and the slack matrix for {len(cols)} bases would take about {estimate} bytes, "
             f"beyond the memory guard of {MAX_U_BYTES}"
         )
-    hits: list[int] = []
-    hit_cols: list[int] = []
+    b = [[0] * len(cols) for _ in transcripts]
     for j, basis in enumerate(cols):
         for alice in alice_parts:
             heads = orient_basis(g, p, variant, basis, alice).heads
             for e, h in zip(basis, heads):
-                hits.append(index[alice, e, h])
-                hit_cols.append(j)
-    b = np.zeros((len(transcripts), len(cols)), dtype=np.int64)
-    b[hits, hit_cols] = 1
+                b[index[alice, e, h]][j] = 1
     return b
 
 
 @dataclass(frozen=True, eq=False)
 class Factorization:
-    """S = T @ U with T = c * A and U = B / c; T and B are int64 arrays."""
+    """S = T @ U with T = c * A and U = B / c; T and B are lists of rows of ints."""
 
     variant: str
     transcripts: tuple[Transcript, ...]
     rows: tuple[tuple[int, ...], ...]
     cols: tuple[Basis, ...]
-    T: np.ndarray
-    B: np.ndarray
+    T: list[list[int]]
+    B: list[list[int]]
     c: int
 
     @property
     def U(self) -> tuple[tuple[Fraction, ...], ...]:
         """B / c as exact rationals, row by row."""
-        return tuple(tuple(Fraction(b, self.c) for b in row) for row in self.B.tolist())
+        return tuple(tuple(Fraction(b, self.c) for b in row) for row in self.B)
 
 
 def build_factorization(
@@ -273,48 +263,97 @@ class FactorizationCheck(NamedTuple):
         return self.ok
 
 
-def _first(mask: np.ndarray) -> tuple[int, int] | None:
-    """Row-major first True entry of a 2-D mask."""
-    hits = np.argwhere(mask)
-    return (int(hits[0][0]), int(hits[0][1])) if len(hits) else None
+def _byte_row(row: Sequence[int]) -> bytes | None:
+    """The row as bytes when every entry lies in 0..255, else None; a C-speed scan."""
+    try:
+        return bytes(row)
+    except ValueError:
+        return None
+
+
+def _pack(row: Sequence[int], data: bytes | None, width: int) -> int:
+    """sum_j row[j] * 256**(width*j) for a nonnegative row, built from strided byte planes.
+
+    ``data`` is ``_byte_row(row)``; a row with larger entries is split into
+    byte planes, so the sum is exact even where a field is too narrow.
+    """
+    if data is not None:
+        planes = [data]
+    else:
+        planes = [bytes((v >> shift) & 255 for v in row) for shift in range(0, max(row).bit_length(), 8)]
+    packed = 0
+    for k, plane in enumerate(planes):
+        buf = bytearray(len(plane) * width)
+        buf[::width] = plane
+        packed += int.from_bytes(buf, "little") << (8 * k)
+    return packed
+
+
+def _entry_bound(row: Sequence[int], data: bytes | None) -> int:
+    """An upper bound on a nonnegative row's entries: 1 for a 0/1 row, 255 for another byte row."""
+    if data is None:
+        return max(row)
+    return 255 if data.translate(None, b"\x00\x01") else 1
+
+
+def _first_negative(rows: Sequence[Sequence[int]], data: Sequence[bytes | None]) -> tuple[int, int] | None:
+    """Row-major first negative entry; rows whose ``data`` is bytes have none."""
+    for i, (row, row_data) in enumerate(zip(rows, data)):
+        if row_data is None and min(row, default=0) < 0:
+            return i, next(j for j, v in enumerate(row) if v < 0)
+    return None
 
 
 def verify_factorization(s: SlackMatrix, fac: Factorization) -> FactorizationCheck:
     """Exact check that T and U are nonnegative and T @ U equals the slack matrix.
 
-    Checked as the integer identity T @ B = c * S.  The witness names the
-    first offending entry in row-major order: ("T", i, j) / ("U", i, j)
-    for a negative factor entry, (i, j) for a product mismatch; the
-    reason names it as a constraint of the lifted polytope, where column
-    j of U is the y-part of basis j's lift and (T@U - S)[i][j] is that
-    lift's residual on row i.  Dimension incompatibilities raise instead.
+    Checked as the integer identity T @ B = c * S on packed rows (module
+    docstring).  The witness names the first offending entry in row-major
+    order: ("T", i, j) / ("U", i, j) for a negative factor entry, (i, j)
+    for a product mismatch; the reason names it as a constraint of the
+    lifted polytope, where column j of U is the y-part of basis j's lift
+    and (T@U - S)[i][j] is that lift's residual on row i.  Dimension
+    incompatibilities raise instead.
     """
     nrows, ncols = s.shape
     w = len(fac.transcripts)
-    if fac.T.shape != (nrows, w):
+    if len(fac.T) != nrows or any(len(row) != w for row in fac.T):
         raise ValueError(f"T must be {nrows}x{w}")
-    if fac.B.shape != (w, ncols):
+    if len(fac.B) != w or any(len(row) != ncols for row in fac.B):
         raise ValueError(f"U must be {w}x{ncols}")
-    bad = _first(fac.T < 0)
+    bad = _first_negative(fac.T, [None] * nrows)
     if bad is not None:
         i, j = bad
         return FactorizationCheck(
-            False, ("T", i, j), f"T[{i}][{j}] = {fac.T[i, j]} < 0 breaks the projection argument"
+            False, ("T", i, j), f"T[{i}][{j}] = {fac.T[i][j]} < 0 breaks the projection argument"
         )
-    bad = _first(fac.B < 0)
+    b_data = [_byte_row(row) for row in fac.B]
+    bad = _first_negative(fac.B, b_data)
     if bad is not None:
         i, j = bad
-        y = render_rational(Fraction(int(fac.B[i, j]), fac.c))
+        y = render_rational(Fraction(fac.B[i][j], fac.c))
         return FactorizationCheck(False, ("U", i, j), f"basis {fac.cols[j]}: y[{i}] = {y} < 0")
-    residual = sparse_matmul(fac.T, fac.B)
-    residual -= fac.c * s.entries
-    bad = _first(residual != 0)
-    if bad is not None:
-        i, j = bad
-        r = render_rational(Fraction(int(residual[i, j]), fac.c))
-        return FactorizationCheck(
-            False, (i, j), f"basis {fac.cols[j]}: equality row X={fac.rows[i]} has residual {r}"
-        )
+
+    # fields hold the largest possible entry of T @ B
+    top_b = max(map(_entry_bound, fac.B, b_data), default=0)
+    width = max(1, (max(map(sum, fac.T), default=0) * top_b).bit_length() + 7 >> 3)
+    packed_b = [_pack(row, data, width) for row, data in zip(fac.B, b_data)]
+    s_limit = (256**width - 1) // fac.c  # the largest slack whose c-multiple fits a field
+    for i, (t_row, s_row) in enumerate(zip(fac.T, s.entries)):
+        product = sum(map(operator.mul, itertools.compress(t_row, t_row), itertools.compress(packed_b, t_row)))
+        s_data = _byte_row(s_row)
+        fits = s_data is not None and not s_data.translate(None, _BYTES[:s_limit + 1])
+        if fits and product == fac.c * _pack(s_row, s_data, width):
+            continue
+        # a row that does not fit differs somewhere, since every field of the product does fit
+        fields = product.to_bytes(ncols * width, "little")
+        for j, slack in enumerate(s_row):
+            residual = int.from_bytes(fields[j * width:(j + 1) * width], "little") - fac.c * slack
+            if residual:
+                r = render_rational(Fraction(residual, fac.c))
+                return FactorizationCheck(
+                    False, (i, j), f"basis {fac.cols[j]}: equality row X={fac.rows[i]} has residual {r}"
+                )
     return FactorizationCheck(True, None, "T@U = S exactly; T, U >= 0")
 
 
@@ -330,19 +369,18 @@ def format_matrix_csv(
     Entries are integers over the common ``denominator``, rendered as exact
     rationals 'p' or 'p/q'.
     """
-    values = np.asarray(entries, dtype=np.int64).reshape(len(row_labels), len(col_labels))
     lines = ["," + ",".join(col_labels)]
-    lines.extend(label + "," + row for label, row in zip(row_labels, render_rows(values, ",", denominator)))
+    lines.extend(label + "," + row for label, row in zip(row_labels, render_rows(entries, ",", denominator)))
     return "\n".join(lines) + "\n"
 
 
-def render_rows(values: np.ndarray, sep: str, denominator: int = 1) -> Iterator[str]:
+def render_rows(values: Iterable[Sequence[int]], sep: str, denominator: int = 1) -> Iterator[str]:
     """Each row of an integer matrix as its entries over ``denominator``, joined by ``sep``.
 
     Each distinct value is rendered once (render_rational), then looked up.
     """
     text = functools.cache(lambda value: render_rational(Fraction(value, denominator)))
-    return (sep.join(map(text, row)) for row in values.tolist())
+    return (sep.join(map(text, row)) for row in values)
 
 
 def slack_matrix_csv(s: SlackMatrix) -> str:

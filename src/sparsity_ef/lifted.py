@@ -5,10 +5,13 @@ per counting row X,
 
     sum_{e in E(X)} x_e  +  sum_w T[X][w] * y_w  =  k|X| - l,
 
-plus the global equality sum_e x_e = k n - l, with x >= 0 and y >= 0.
-The inequality count |E| + |W| is an upper bound on the facet count
-(the measure the size theorems use); reports carry both totals, with
-and without the |E| edge bounds.
+plus the global equality sum_e x_e = k n - l, with x >= 0 and y >= 0,
+and x <= 1 where 2k - l >= 2.  Elsewhere the row X = {u, v} of each
+edge (for n = 2, the global row) already gives x_e <= 2k - l <= 1.
+The inequality count |E| + |W|
+(plus |E| upper bounds where they are emitted) is an upper bound on the
+facet count (the measure the size theorems use); reports carry both
+totals, with and without the edge bounds.
 
 ``verify_extension`` checks one certificate (Yannakakis 1991; Faenza et
 al. 2012) on the factorization ``factorize`` builds and checks: T >= 0,
@@ -19,15 +22,15 @@ projection.  Conversely, for a feasible point, T >= 0 and y >= 0 make
 each row read sum_{E(X)} x_e = k|X| - l - (T y)[X] <= k|X| - l, and the
 global row fixes sum_e x_e = c; both are linear, so they hold for every
 convex combination as well.  T >= 0 therefore certifies the counting
-inequalities and x >= 0 of the projection, but not x <= 1, which the
-emitted system does not contain.  ``lift_vertex``,
+inequalities and x >= 0 of the projection, and x <= 1 holds there by the
+emitted bound rows or by the rows |X| = 2.  ``lift_vertex``,
 ``equality_residuals``, ``assert_in_lifted``, ``in_base_polytope`` and
 ``check_projection`` are a per-point ``Fraction`` reference for the
 same check, kept for tests.
 
 Emission uses the cdd/lrs ``.ine`` H-representation layout with equality
 rows first and exact integer coefficients, byte-deterministic for a
-fixed instance.
+fixed instance.  T is a list of rows of ints; nothing here imports numpy.
 """
 
 from __future__ import annotations
@@ -37,10 +40,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
-from .errors import EmptyPolytopeError, InfeasibleLiftedPointError
+from .errors import EmptyPolytopeError, InfeasibleLiftedPointError  # EmptyPolytopeError is re-exported
 from .factorization import (
+    Factorization,
     Transcript,
     build_factorization,
     build_T,
@@ -54,7 +56,7 @@ from .factorization import (
 )
 from .graphs import Graph, SparsityParams, induced_edges, validate_instance
 from .protocol import VARIANT_A, bit_complexity, resolve_variant
-from .sparsity import Basis, has_basis
+from .sparsity import Basis, require_basis
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +67,7 @@ class LiftedPolytope:
     rows: tuple[tuple[int, ...], ...]
     row_rhs: tuple[int, ...]
     transcripts: tuple[Transcript, ...]
-    T: np.ndarray  # int64 |rows| x |W|
+    T: list[list[int]]  # |rows| x |W|
     global_rhs: int
 
     @property
@@ -82,8 +84,13 @@ class LiftedPolytope:
 
     @property
     def inequality_count(self) -> int:
-        """Nonnegativity bounds on x and y; the formulation's size measure."""
-        return self.x_count + self.y_count
+        """Bounds on x and y: the formulation's size measure."""
+        return self.x_count + self.y_count + upper_bound_count(self.graph, self.params)
+
+
+def upper_bound_count(g: Graph, p: SparsityParams) -> int:
+    """The x_e <= 1 rows emitted: one per edge where 2k - l >= 2, none where the rows imply them."""
+    return g.edge_count if 2 * p.k - p.ell >= 2 else 0
 
 
 class LiftedPoint(NamedTuple):
@@ -100,18 +107,25 @@ def _nonempty_variant(g: Graph, p: SparsityParams, variant: str) -> str:
     """
     validate_instance(g, p)
     variant = resolve_variant(p, variant)
-    if not has_basis(g, p):
-        raise EmptyPolytopeError(
-            f"no (k={p.k},l={p.ell})-tight spanning subgraph exists: the polytope is empty"
-        )
+    require_basis(g, p)
     return variant
 
 
-def build_lifted(g: Graph, p: SparsityParams, variant: str = "auto") -> LiftedPolytope:
-    """Assemble the equality system; refuses instances with an empty basis family."""
+def build_lifted(
+    g: Graph, p: SparsityParams, variant: str = "auto", *, fac: Factorization | None = None
+) -> LiftedPolytope:
+    """Assemble the equality system; refuses instances with an empty basis family.
+
+    ``fac`` is the instance's factorization when the caller has built it:
+    the lift then takes its T, rows and transcripts instead of building T again.
+    """
     variant = _nonempty_variant(g, p, variant)
-    rows = enumerate_rows(g, p)
-    transcripts = enumerate_transcripts(g, variant)
+    if fac is None:
+        rows = enumerate_rows(g, p)
+        transcripts = enumerate_transcripts(g, variant)
+        t = build_T(g, p, variant, rows, transcripts)
+    else:
+        rows, transcripts, t = fac.rows, fac.transcripts, fac.T
     return LiftedPolytope(
         graph=g,
         params=p,
@@ -119,7 +133,7 @@ def build_lifted(g: Graph, p: SparsityParams, variant: str = "auto") -> LiftedPo
         rows=tuple(rows),
         row_rhs=tuple(p.k * len(x) - p.ell for x in rows),
         transcripts=transcripts,
-        T=build_T(g, p, variant, rows, transcripts),
+        T=t,
         global_rhs=p.k * g.n - p.ell,
     )
 
@@ -130,15 +144,14 @@ def lift_vertex(q: LiftedPolytope, basis: Basis) -> LiftedPoint:
     basis = tuple(sorted(basis))
     in_basis = set(basis)
     x = tuple(Fraction(1 if i in in_basis else 0) for i in range(g.edge_count))
-    column = build_U(g, p, q.variant, [basis], q.transcripts)[:, 0].tolist()
-    y = tuple(Fraction(b, q.global_rhs) for b in column)
+    y = tuple(Fraction(row[0], q.global_rhs) for row in build_U(g, p, q.variant, [basis], q.transcripts))
     return LiftedPoint(x=x, y=y)
 
 
 def equality_residuals(q: LiftedPolytope, point: LiftedPoint) -> list[Fraction]:
     """Left-hand side minus right-hand side for each row equality, then the global one."""
     residuals = []
-    for x_set, t_row, rhs in zip(q.rows, q.T.tolist(), q.row_rhs):
+    for x_set, t_row, rhs in zip(q.rows, q.T, q.row_rhs):
         acc = sum((point.x[i] for i in induced_edges(q.graph, x_set)), Fraction(0))
         acc += sum((t * yw for t, yw in zip(t_row, point.y) if t), Fraction(0))
         residuals.append(acc - rhs)
@@ -201,6 +214,7 @@ def verify_extension(
     variant: str = "auto",
     *,
     bases: Sequence[Basis] | None = None,
+    fac: Factorization | None = None,
 ) -> dict:
     """End-to-end verification report for one instance.
 
@@ -211,10 +225,12 @@ def verify_extension(
     Raises on the first failure with ``verify_factorization``'s reason
     (AssertionError for a negative T entry, InfeasibleLiftedPointError
     naming the basis otherwise); returns the report dict on success.
-    ``bases`` is the instance's basis list when the caller already has it.
+    ``bases`` is the instance's basis list, or ``fac`` its factorization,
+    when the caller already has it.
     """
     variant = _nonempty_variant(g, p, variant)
-    fac = build_factorization(g, p, variant, bases=bases)
+    if fac is None:
+        fac = build_factorization(g, p, variant, bases=bases)
     check = verify_factorization(slack_matrix(g, p, bases=fac.cols), fac)
     if not check.ok:
         error = AssertionError if check.witness[0] == "T" else InfeasibleLiftedPointError
@@ -228,7 +244,7 @@ def verify_extension(
     n, m = g.n, g.edge_count
     w = len(fac.transcripts)
     equality_count = len(fac.rows) + 1
-    inequality_count = m + w
+    inequality_count = m + w + upper_bound_count(g, p)
     bits = bit_complexity(g, variant)
     size_bound = 3 * n * m if variant == VARIANT_A else 3 * n * n * m
     return {
@@ -264,26 +280,32 @@ def verify_extension(
 def format_ine(q: LiftedPolytope) -> str:
     """H-representation text: equalities first (listed in `linearity`), then bounds.
 
-    Each row is ``b  -a`` for a constraint a.z <= b (cdd convention
+    The bounds are z >= 0 for every variable, then x_e <= 1 for every
+    edge where 2k - l >= 2 (``upper_bound_count``).  Each row is
+    ``b  -a`` for a constraint a.z <= b (cdd convention
     ``b + a'.z >= 0``); columns are 1 + |E| + |W|.
     """
     d = q.x_count + q.y_count
     n_eq = q.equality_count
-    equalities = np.zeros((n_eq, 1 + d), dtype=np.int64)
-    equalities[:-1, 0] = q.row_rhs
-    equalities[:-1, 1:1 + q.x_count] = -row_incidence(q.graph, q.rows)
-    equalities[:-1, 1 + q.x_count:] = -q.T
-    equalities[-1, 0] = q.global_rhs
-    equalities[-1, 1:1 + q.x_count] = -1
+    equalities = [
+        [rhs, *(-v for v in inside), *(-t for t in t_row)]
+        for rhs, inside, t_row in zip(q.row_rhs, row_incidence(q.graph, q.rows), q.T)
+    ]
+    equalities.append([q.global_rhs, *[-1] * q.x_count, *[0] * q.y_count])
 
     lines = ["H-representation"]
     lines.append("linearity " + " ".join([str(n_eq), *[str(i + 1) for i in range(n_eq)]]))
     lines.append("begin")
-    lines.append(f"{n_eq + d} {d + 1} rational")
+    lines.append(f"{n_eq + q.inequality_count} {d + 1} rational")
     lines.extend(render_rows(equalities, " "))
     bound = ["0"] * (d + 1)
     for i in range(1, d + 1):
         bound[i] = "1"
+        lines.append(" ".join(bound))
+        bound[i] = "0"
+    bound[0] = "1"
+    for i in range(1, upper_bound_count(q.graph, q.params) + 1):  # x_e <= 1 for edge e = i - 1
+        bound[i] = "-1"
         lines.append(" ".join(bound))
         bound[i] = "0"
     lines.append("end")

@@ -18,9 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from . import _kernels
 from .errors import InfeasibleOrientationError
 from .graphs import SparsityParams
 
@@ -62,7 +59,11 @@ def _check_inputs(n: int, edges: Sequence[tuple[int, int]], targets: Sequence[in
 
 
 def hakimi_violation(n: int, edges: Sequence[tuple[int, int]], targets: Sequence[int]) -> frozenset[int] | None:
-    """Smallest-mask X with |F(X)| > sum m(v), by full subset scan (n <= 16)."""
+    """Smallest-mask X with |F(X)| > sum m(v), by full subset scan (n <= 16); loads numpy."""
+    import numpy as np
+
+    from . import _kernels
+
     if n > MAX_FEASIBILITY_ENUM_N:
         raise ValueError(f"subset scan refused for n={n} > {MAX_FEASIBILITY_ENUM_N}")
     eu, ev = _kernels.as_edge_arrays(edges)

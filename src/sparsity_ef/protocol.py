@@ -17,7 +17,8 @@ between calls.  At l = k both variants are legal; callers default to A.
 The random edge pick uses the documented splitmix64 counter stream from
 ``_kernels``: ``run_once`` consumes draw 0 of its seed, ``monte_carlo``
 draws 0..samples-1, so a Monte Carlo run is exactly the average of
-``run_once`` over that stream.
+``run_once`` over that stream.  Those two functions import ``_kernels``,
+and with it numpy, when called; the rest of the module runs without numpy.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ from fractions import Fraction
 from math import sqrt
 from typing import Iterable, NamedTuple
 
-import numpy as np
-
-from . import _kernels
 from .graphs import Graph, SparsityParams, validate_instance
 from .orientation import (
     Orientation,
@@ -128,12 +126,8 @@ def _oriented_round(
     return members, b, orientation
 
 
-def _entering_flags(orientation: Orientation, members: frozenset[int]) -> np.ndarray:
-    flags = np.zeros(len(orientation.edges), dtype=np.uint8)
-    for i, (tail, head) in enumerate(orientation.directed_edges()):
-        if tail not in members and head in members:
-            flags[i] = 1
-    return flags
+def _entering_flags(orientation: Orientation, members: frozenset[int]) -> list[int]:
+    return [int(tail not in members and head in members) for tail, head in orientation.directed_edges()]
 
 
 def run_once(
@@ -145,6 +139,8 @@ def run_once(
     seed: int,
 ) -> Fraction:
     """Execute one seeded round; the output is 0 or k*n - l."""
+    from . import _kernels
+
     members, b, orientation = _oriented_round(g, p, variant, x_set, basis)
     idx = _kernels.splitmix_draw(seed & ((1 << 64) - 1), 0, len(b))
     tail, head = orientation.directed_edges()[idx]
@@ -162,7 +158,7 @@ def exact_expectation(
 ) -> Fraction:
     """Average the round output over all |F| equally likely edge picks."""
     members, b, orientation = _oriented_round(g, p, variant, x_set, basis)
-    entering = int(_entering_flags(orientation, members).sum())
+    entering = sum(_entering_flags(orientation, members))
     return Fraction((p.k * g.n - p.ell) * entering, len(b))
 
 
@@ -187,10 +183,14 @@ def monte_carlo(
     Deterministic for a fixed seed; stderr is the only floating-point
     quantity in the package (0.0 when samples=1).
     """
+    import numpy as np
+
+    from . import _kernels
+
     if samples < 1:
         raise ValueError("samples must be >= 1")
     members, b, orientation = _oriented_round(g, p, variant, x_set, basis)
-    entering = _entering_flags(orientation, members)
+    entering = np.array(_entering_flags(orientation, members), dtype=np.uint8)
     hits = int(_kernels.mc_hits(entering, samples, seed & ((1 << 64) - 1)))
     c = p.k * g.n - p.ell
     mean = Fraction(c * hits, samples)

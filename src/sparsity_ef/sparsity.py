@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .errors import EnumerationGuardError
+from .errors import EmptyPolytopeError, EnumerationGuardError
 from .graphs import Graph, SparsityParams, validate_instance
 
 Basis = tuple[int, ...]
@@ -268,3 +268,11 @@ def has_basis(g: Graph, p: SparsityParams) -> bool:
     game = _PebbleGame(g.n, p)
     rank = sum(game.add(u, v) for u, v in g.edges)
     return rank == m
+
+
+def require_basis(g: Graph, p: SparsityParams) -> None:
+    """Refuse (EmptyPolytopeError) an instance without a basis, decided by ``has_basis``."""
+    if not has_basis(g, p):
+        raise EmptyPolytopeError(
+            f"no (k={p.k},l={p.ell})-tight spanning subgraph exists: the polytope is empty"
+        )

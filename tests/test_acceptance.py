@@ -188,7 +188,8 @@ def test_c07_extension_verification(corpus_cells):
         report = verify_extension(g, p, variant)
         assert report["pass"], (name, p)
         n, m = g.n, g.edge_count
-        expected_ineq = m + (2 * n * m if variant == "A" else 2 * n * (n - 1) * m)
+        upper = m if 2 * p.k - p.ell >= 2 else 0  # the x_e <= 1 rows
+        expected_ineq = m + upper + (2 * n * m if variant == "A" else 2 * n * (n - 1) * m)
         assert report["counts"]["inequality_count"] == expected_ineq, (name, p)
         bits = bit_complexity(g, variant)
         assert report["bounds"]["bit_complexity"] == bits

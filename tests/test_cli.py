@@ -219,7 +219,7 @@ def corrupted_t(monkeypatch):
 
     def corrupted(*args):
         t = build_t(*args)
-        t[0] += 1
+        t[0] = [v + 1 for v in t[0]]
         return t
 
     monkeypatch.setattr(factorization, "build_T", corrupted)
@@ -331,3 +331,38 @@ def test_row_guard_fires_before_enumeration(tmp_path, monkeypatch, capsys):
         code, _, err = run(argv, capsys)
         assert code == 3, argv
         assert "row enumeration refused" in err
+
+
+def test_empty_polytope_exits_4_before_enumeration(tmp_path, monkeypatch, capsys):
+    """K5 at (3,3) has no basis: every command that needs bases exits 4 without enumerating."""
+    def no_bases(*args, **kwargs):
+        raise AssertionError("bases were enumerated")
+
+    path = tmp_path / "k5.json"
+    path.write_text(dump_graph(complete_graph(5)))
+    monkeypatch.setattr(cli, "enumerate_bases", no_bases)
+    base = ["--graph", str(path), "--k", "3", "--l", "3"]
+    for argv in (["slack", *base], ["factorize", *base], ["verify", *base],
+                 ["emit", *base, "--out", str(tmp_path / "x.ine"), "--verify"]):
+        code, out, err = run(argv, capsys)
+        assert code == 4, argv
+        assert out == "" and "the polytope is empty" in err, argv
+    assert list(tmp_path.glob("*.ine")) == []
+
+
+def test_emit_verify_builds_t_once(k4_path, tmp_path, monkeypatch, capsys):
+    calls = []
+    build_t = factorization.build_T
+
+    def counted(*args):
+        calls.append(args)
+        return build_t(*args)
+
+    monkeypatch.setattr(factorization, "build_T", counted)
+    monkeypatch.setattr(lifted, "build_T", counted)
+    base = ["emit", "--graph", k4_path, "--k", "2", "--l", "3"]
+    verified, plain = tmp_path / "verified.ine", tmp_path / "plain.ine"
+    assert run([*base, "--out", str(verified), "--verify"], capsys)[0] == 0
+    assert len(calls) == 1
+    assert run([*base, "--out", str(plain)], capsys)[0] == 0
+    assert verified.read_bytes() == plain.read_bytes()

@@ -3,7 +3,6 @@ import itertools
 from dataclasses import replace
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from sparsity_ef import factorization
@@ -127,13 +126,31 @@ def test_negative_entry_detected():
     assert not check.ok and check.witness == ("U", 2, 0)
 
 
+def test_packed_fields_hold_corrupted_entries():
+    """B[w][j] += 256 with B[w][j+1] -= 1 must fail, although one-byte fields would hide it.
+
+    In fields one byte wide, +256 in field j of a packed row is one carry
+    into field j+1, which the -1 cancels, so every packed row of T@B would
+    be unchanged.  The fields are sized for the corrupted entry instead,
+    and the first row that charges w mismatches at column j.
+    """
+    s = slack_matrix(K3, P11)
+    fac = build_factorization(K3, P11, "A")
+    w, j = next((w, j) for w, row in enumerate(fac.B) for j in range(len(row) - 1)
+                if row[j + 1] == 1 and any(t_row[w] for t_row in fac.T))
+    b = [row.copy() for row in fac.B]
+    b[w][j] += 256
+    b[w][j + 1] -= 1
+    check = verify_factorization(s, replace(fac, B=b))
+    first_row = next(i for i, t_row in enumerate(fac.T) if t_row[w])
+    assert not check.ok and check.witness == (first_row, j)
+
+
 def test_memory_guard_threshold(monkeypatch):
     # the guard reads only the basis count, so placeholder bases suffice
     k7 = complete_graph(7)
-    with pytest.raises(EnumerationGuardError, match="memory guard"):
+    with pytest.raises(EnumerationGuardError, match="memory guard"):  # K7 (2,3): about 3.5 GB
         build_U(k7, P23, "B", [None] * 190491, enumerate_transcripts(k7, "B"))
-    with pytest.raises(EnumerationGuardError, match="memory guard"):  # K7 (2,2): about 1.15 GB
-        build_U(k7, SparsityParams(2, 2), "A", [None] * 228690, enumerate_transcripts(k7, "A"))
 
     class Oriented(Exception):
         pass
@@ -142,8 +159,10 @@ def test_memory_guard_threshold(monkeypatch):
         raise Oriented
 
     monkeypatch.setattr(factorization, "orient_basis", reached)
-    with pytest.raises(Oriented):  # K7 (1,1) passes the guard and reaches orientation
-        build_U(k7, P11, "A", [None] * 7**5, enumerate_transcripts(k7, "A"))
+    # K7 (2,2) is estimated at 890 MB, K7 (1,1) at 65 MB
+    for p, bases in ((SparsityParams(2, 2), 228690), (P11, 7**5)):
+        with pytest.raises(Oriented):  # passes the guard and reaches orientation
+            build_U(k7, p, "A", [None] * bases, enumerate_transcripts(k7, "A"))
 
 
 def test_dimension_mismatch_raises():
@@ -171,8 +190,8 @@ def test_slack_entries_nonnegative_integers(corpus_cells):
     for name, g, p, bases in corpus_cells:
         s = slack_matrix(g, p)
         assert s.cols == tuple(bases)
-        assert s.entries.dtype == np.int64, (name, p)
-        assert (s.entries >= 0).all(), (name, p)
+        assert all(type(e) is int for row in s.entries for e in row), (name, p)
+        assert all(e >= 0 for row in s.entries for e in row), (name, p)
 
 
 def test_slack_csv_golden():

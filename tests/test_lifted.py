@@ -2,7 +2,6 @@ import random
 import re
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from sparsity_ef import factorization, lifted
@@ -169,7 +168,7 @@ def _first_failures(monkeypatch, g, p, q, edges, column):
     for the factorization and for ``lift_vertex`` alike.  None means no error.
     """
     for module in (factorization, lifted):
-        monkeypatch.setattr(module, "build_U", lambda *args: column.reshape(-1, 1))
+        monkeypatch.setattr(module, "build_U", lambda *args: [[v] for v in column])
     found = []
     for run in (
         lambda: verify_extension(g, p, q.variant, bases=[edges]),
@@ -188,10 +187,10 @@ def _first_failures(monkeypatch, g, p, q, edges, column):
 def _perturbed_inputs(g, q, bases, rng):
     """Every basis with its own B-column, then a few corrupted (edge set, column) pairs."""
     columns = build_U(g, q.params, q.variant, bases, q.transcripts)
-    inputs = [(basis, columns[:, j]) for j, basis in enumerate(bases)]
+    inputs = [(basis, [row[j] for row in columns]) for j, basis in enumerate(bases)]
     for _ in range(3):
         j = rng.randrange(len(bases))
-        basis, column = bases[j], columns[:, j]
+        basis, column = bases[j], [row[j] for row in columns]
         flipped, negative = column.copy(), column.copy()
         w = rng.randrange(q.y_count)
         flipped[w] = 1 - flipped[w]
@@ -230,12 +229,12 @@ def test_batched_checks_match_fraction_reference(corpus_cells, monkeypatch):
 
 def test_verify_extension_catches_flipped_u_entry(monkeypatch):
     q = build_lifted(K4, P23, "B")
-    w = int(np.flatnonzero((q.T != 0).any(axis=0))[0])  # a transcript some row charges
+    w = next(w for w in range(q.y_count) if any(row[w] for row in q.T))  # a transcript some row charges
     real_build_u = factorization.build_U
 
     def flipped(*args):
         b = real_build_u(*args)
-        b[w, 0] = 1 - b[w, 0]
+        b[w][0] = 1 - b[w][0]
         return b
 
     monkeypatch.setattr(factorization, "build_U", flipped)
@@ -247,12 +246,12 @@ def test_verify_extension_catches_flipped_u_entry(monkeypatch):
 def test_verify_extension_catches_corrupted_t_entry(monkeypatch):
     bases = enumerate_bases(K4, P23)
     q = build_lifted(K4, P23, "B")
-    w = int(np.flatnonzero(build_U(K4, P23, "B", bases[:1], q.transcripts)[:, 0])[0])
+    w = next(i for i, row in enumerate(build_U(K4, P23, "B", bases[:1], q.transcripts)) if row[0])
     real_build_t = factorization.build_T
 
     def corrupted(*args):
         t = real_build_t(*args)
-        t[3, w] += 1
+        t[3][w] += 1
         return t
 
     monkeypatch.setattr(factorization, "build_T", corrupted)
@@ -266,7 +265,7 @@ def test_verify_extension_catches_negative_t_entry(monkeypatch):
 
     def negative(*args):
         t = real_build_t(*args)
-        t[0, 0] = -t[0].max()
+        t[0][0] = -max(t[0])
         return t
 
     monkeypatch.setattr(factorization, "build_T", negative)

@@ -93,16 +93,24 @@ except SystemExit:
     pass"""
 
 
+K4_23 = "from sparsity_ef import cli\ncli.main([{}, '--graph', GRAPH, '--k', '2', '--l', '3'])"
+
+
 @pytest.mark.parametrize(
     "body,loaded",
     [
         ("import sparsity_ef", False),
         ("import sparsity_ef.cli", False),
         (HELP, False),
-        ("from sparsity_ef import cli\ncli.main(['bases', '--graph', GRAPH, '--k', '2', '--l', '3'])", False),
-        ("from sparsity_ef import cli\ncli.main(['verify', '--graph', GRAPH, '--k', '2', '--l', '3'])", True),
+        (K4_23.format("'bases'"), False),
+        (K4_23.format("'verify'"), False),
+        (K4_23.format("'factorize'"), False),
+        (K4_23.format("'slack'"), False),
+        (K4_23.format("'emit', '--verify', '--out', GRAPH + '.ine'"), False),
+        (K4_23.format("'check'"), True),
+        (K4_23.format("'protocol', '--X', '0,1', '--F', '0,1,2,3,4', '--mode', 'mc', '--samples', '10'"), True),
     ],
-    ids=["import", "import-cli", "help", "bases", "verify"],
+    ids=["import", "import-cli", "help", "bases", "verify", "factorize", "slack", "emit", "check", "protocol-mc"],
 )
 def test_numpy_is_loaded_only_by_array_commands(tmp_path, body, loaded):
     assert _numpy_loaded(tmp_path, body) is loaded
