@@ -6,7 +6,8 @@ verify.  Exit codes form the CI contract:
     0  success (for `check`: oracles agree and the set is sparse; for
        `protocol --mode exact`: expectation matches the slack; for
        `emit --verify` / `verify`: full PASS)
-    1  parse/validation errors, inadmissible inputs, negative verdicts
+    1  usage errors (argparse's, which would otherwise exit 2),
+       parse/validation errors, inadmissible inputs, negative verdicts
     2  internal cross-check failure (sparsity oracle disagreement,
        expectation/slack mismatch, factorization or extension
        verification failure) — a bug trap, not a user error
@@ -34,9 +35,10 @@ counting inequalities and x >= 0; x <= 1 is an emitted bound row where
 writes the lift of the factorization it checks, so T is built once.
 `verify --seed` is accepted for old command lines and has no effect.
 
-numpy is loaded only by `_kernels`, which `check` (for its brute-force
-half) and `protocol --mode mc` import; every other command starts
-without it.  Each command imports what it runs.
+No command imports numpy; the package has no runtime dependency.  Each
+command imports what it runs: loading `factorization`, `lifted` and
+`protocol` up front would add 20–30 ms to every start, `--help`
+included.
 """
 
 from __future__ import annotations
@@ -79,11 +81,14 @@ def _parse_edge_list(g: Graph, text: str) -> list[int]:
         return out
     for tok in text.split(","):
         tok = tok.strip()
-        if "-" in tok:
-            u_str, v_str = tok.split("-", 1)
-            out.append(g.index_of(int(u_str), int(v_str)))
+        try:
+            ends = [int(end) for end in tok.split("-", 1)]
+        except ValueError:
+            raise ValueError(f"could not parse edge {tok!r}: expected an index or u-v pair") from None
+        if len(ends) == 2:
+            out.append(g.index_of(*ends))
         else:
-            idx = int(tok)
+            (idx,) = ends
             if not (0 <= idx < g.edge_count):
                 raise ValueError(f"edge index {idx} outside 0..{g.edge_count - 1}")
             out.append(idx)
@@ -330,7 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 2:  # argparse's usage error, already reported on stderr
+            return EXIT_INVALID
+        raise
     try:
         return args.func(args)
     except EnumerationGuardError as exc:

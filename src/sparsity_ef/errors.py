@@ -1,9 +1,10 @@
 """The exception types that ``cli.main`` maps to exit codes.
 
-Kept free of numpy, so that a command can report an input error without
-loading the array layer.  Each module that raises one of them imports it
-from here, so ``from sparsity_ef.lifted import InfeasibleLiftedPointError``
-keeps working.
+Kept apart from the modules that raise them, so that ``cli`` can catch
+them without importing those modules up front.  Each module that raises
+one of them imports it from here, so
+``from sparsity_ef.lifted import InfeasibleLiftedPointError`` keeps
+working.
 """
 
 from __future__ import annotations

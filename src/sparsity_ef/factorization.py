@@ -21,7 +21,7 @@ with A and B 0/1 incidence matrices.  T @ U = S is therefore the integer
 identity T @ B = c * S, which is how it is checked.  T, B and the slack
 matrix are lists of rows of Python ints; the scale 1/c appears only in
 the U view and at the CSV boundary, where entries render as exact 'p' or
-'p/q'.  Nothing here imports numpy.
+'p/q'.
 
 ``verify_factorization`` compares whole rows.  A row of nonnegative
 entries packs into one int whose little-endian fields of f bytes hold

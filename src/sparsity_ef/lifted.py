@@ -30,7 +30,7 @@ same check, kept for tests.
 
 Emission uses the cdd/lrs ``.ine`` H-representation layout with equality
 rows first and exact integer coefficients, byte-deterministic for a
-fixed instance.  T is a list of rows of ints; nothing here imports numpy.
+fixed instance.  T is a list of rows of ints.
 """
 
 from __future__ import annotations

@@ -21,8 +21,6 @@ from typing import Sequence
 from .errors import InfeasibleOrientationError
 from .graphs import SparsityParams
 
-MAX_FEASIBILITY_ENUM_N = 16
-
 
 @dataclass(frozen=True)
 class Orientation:
@@ -58,28 +56,12 @@ def _check_inputs(n: int, edges: Sequence[tuple[int, int]], targets: Sequence[in
             raise ValueError(f"bad edge ({u},{v}) for n={n}")
 
 
-def hakimi_violation(n: int, edges: Sequence[tuple[int, int]], targets: Sequence[int]) -> frozenset[int] | None:
-    """Smallest-mask X with |F(X)| > sum m(v), by full subset scan (n <= 16); loads numpy."""
-    import numpy as np
-
-    from . import _kernels
-
-    if n > MAX_FEASIBILITY_ENUM_N:
-        raise ValueError(f"subset scan refused for n={n} > {MAX_FEASIBILITY_ENUM_N}")
-    eu, ev = _kernels.as_edge_arrays(edges)
-    m = np.array(list(targets), dtype=np.int64)
-    mask = _kernels.hakimi_violation(eu, ev, m, n)
-    if mask < 0:
-        return None
-    return frozenset(v for v in range(n) if (mask >> v) & 1)
-
-
 def hakimi_feasible(n: int, edges: Sequence[tuple[int, int]], targets: Sequence[int]) -> bool:
     """Whether some orientation of the edges has in-degree vector = targets.
 
     Decided by attempting the construction, which is exact: it fails only
     on a count mismatch or with a violating vertex set as witness.
-    ``hakimi_violation`` is the subset-scan oracle it is tested against.
+    The tests check it against a full subset scan of that condition.
     """
     try:
         orient_with_targets(n, edges, targets)

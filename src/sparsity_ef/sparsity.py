@@ -68,7 +68,7 @@ def is_sparse_bruteforce(
     vertex_ok = g.n <= max_vertex_enum
     edge_ok = len(subset) <= max_edge_enum
     if vertex_ok and (not edge_ok or g.n <= len(subset)):
-        return _bruteforce_vertex_form(g, p, subset)
+        return vertex_violation(g.n, [g.edges[i] for i in subset], p) is None
     if edge_ok:
         return _bruteforce_edge_form(g, p, subset)
     raise EnumerationGuardError(
@@ -76,10 +76,30 @@ def is_sparse_bruteforce(
     )
 
 
-def _bruteforce_vertex_form(g: Graph, p: SparsityParams, subset: Basis) -> bool:
-    from . import _kernels  # numpy, loaded only by this 2^n oracle
-    eu, ev = _kernels.as_edge_arrays([g.edges[i] for i in subset])
-    return _kernels.count_violation(eu, ev, g.n, p.k, p.ell) < 0
+def edge_counts(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """For every vertex mask X in 0..2^n-1, the number of edges with both ends in X.
+
+    A DP over masks in ascending order: X's count is that of X minus its
+    lowest vertex, plus the edges from that vertex into the rest.
+    """
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    cnt = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        rest = mask & (mask - 1)
+        cnt[mask] = cnt[rest] + (adj[(mask ^ rest).bit_length() - 1] & rest).bit_count()
+    return cnt
+
+
+def vertex_violation(n: int, edges: list[tuple[int, int]], p: SparsityParams) -> int | None:
+    """Smallest mask X with |X| >= 2 and more than max(k|X| - l, 0) edges inside, or None."""
+    for mask, inside in enumerate(edge_counts(n, edges)):
+        size = mask.bit_count()
+        if size >= 2 and inside > max(p.k * size - p.ell, 0):
+            return mask
+    return None
 
 
 def _bruteforce_edge_form(g: Graph, p: SparsityParams, subset: Basis) -> bool:

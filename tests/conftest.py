@@ -8,9 +8,28 @@ import random
 import pytest
 
 from sparsity_ef.graphs import Graph, SparsityParams, make_graph
-from sparsity_ef.sparsity import enumerate_bases
+from sparsity_ef.sparsity import edge_counts, enumerate_bases
 
 PARAM_GRID = [(1, 0), (1, 1), (2, 1), (2, 2), (2, 3), (3, 3), (3, 5)]
+MAX_FEASIBILITY_ENUM_N = 16
+
+
+def hakimi_violation(n: int, edges, targets) -> frozenset[int] | None:
+    """Smallest-mask X with |F(X)| > sum of the targets over X, by full subset scan (n <= 16).
+
+    Hakimi's condition: an orientation with these in-degrees exists iff
+    |F| = sum(targets) and no such X exists.
+    """
+    if n > MAX_FEASIBILITY_ENUM_N:
+        raise ValueError(f"subset scan refused for n={n} > {MAX_FEASIBILITY_ENUM_N}")
+    inside = edge_counts(n, edges)
+    target_sum = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        rest = mask & (mask - 1)
+        target_sum[mask] = target_sum[rest] + targets[(mask ^ rest).bit_length() - 1]
+        if inside[mask] > target_sum[mask]:
+            return frozenset(v for v in range(n) if (mask >> v) & 1)
+    return None
 
 
 def complete_graph(n: int) -> Graph:

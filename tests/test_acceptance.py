@@ -23,7 +23,6 @@ from sparsity_ef.factorization import (
 )
 from sparsity_ef.orientation import (
     InfeasibleOrientationError,
-    hakimi_violation,
     orient_with_targets,
     protocol_targets_A,
     protocol_targets_B,
@@ -44,6 +43,7 @@ from sparsity_ef.sparsity import (
 from conftest import (
     PARAM_GRID,
     complete_graph,
+    hakimi_violation,
     random_graph,
     spanning_tree_count,
 )

@@ -72,6 +72,29 @@ def test_malformed_graph(tmp_path, capsys):
 def test_bad_params(k3_path, capsys):
     code, _, err = run(["check", "--graph", k3_path, "--k", "1", "--l", "2"], capsys)
     assert code == 1 and "outside" in err
+    code, _, err = run(["check", "--graph", k3_path, "--k", "1", "--l", "1", "--edges", "-1"], capsys)
+    assert code == 1 and "could not parse edge '-1': expected an index or u-v pair" in err
+    code, _, err = run(
+        ["protocol", "--graph", k3_path, "--k", "1", "--l", "1", "--X", "0,1", "--F", "0-a"], capsys
+    )
+    assert code == 1 and "could not parse edge '0-a': expected an index or u-v pair" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--graph", "g.json", "--k", "x", "--l", "3"],
+        ["verify", "--k", "2", "--l", "3"],
+        ["no-such-command"],
+        [],
+        ["verify", "--graph", "g.json", "--k", "2", "--l", "3", "--variant", "C"],
+    ],
+    ids=["bad-int", "missing-graph", "unknown-command", "no-arguments", "bad-choice"],
+)
+def test_usage_errors_exit_1(argv, capsys):
+    # argparse would exit 2, which the contract keeps for failed cross-checks
+    code, _, err = run(argv, capsys)
+    assert code == 1 and "usage: sparsity-ef" in err
 
 
 def test_bases_output(k3_path, k4_path, capsys):

@@ -6,14 +6,13 @@ from sparsity_ef.graphs import SparsityParams
 from sparsity_ef.orientation import (
     InfeasibleOrientationError,
     hakimi_feasible,
-    hakimi_violation,
     orient_with_targets,
     protocol_targets_A,
     protocol_targets_B,
 )
 from sparsity_ef.sparsity import enumerate_bases
 
-from conftest import complete_graph, random_graph
+from conftest import complete_graph, hakimi_violation, random_graph
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
@@ -64,6 +63,11 @@ def test_hakimi_examples():
     k4_minus = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
     assert hakimi_feasible(4, k4_minus, (0, 1, 2, 2))
     assert orient_with_targets(4, k4_minus, (0, 1, 2, 2)).rho == (0, 1, 2, 2)
+
+
+def test_hakimi_violation_example():
+    # path 0-1-2 with targets (0,0,2): X={0,1} holds one edge but zero target mass
+    assert hakimi_violation(3, [(0, 1), (1, 2)], (0, 0, 2)) == {0, 1}
 
 
 def test_targets_A():

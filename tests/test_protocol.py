@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from sparsity_ef._kernels import splitmix_draw
-from sparsity_ef.graphs import Graph, SparsityParams
+from sparsity_ef import cli
+from sparsity_ef.graphs import Graph, SparsityParams, dump_graph
 from sparsity_ef.protocol import (
     alice_choice,
     bit_complexity,
@@ -13,6 +13,7 @@ from sparsity_ef.protocol import (
     orient_basis,
     resolve_variant,
     run_once,
+    splitmix_draw,
 )
 from sparsity_ef.factorization import slack_value
 from sparsity_ef.sparsity import enumerate_bases
@@ -142,6 +143,51 @@ def test_monte_carlo_reproducible_and_consistent():
     hits = sum(1 for t in range(5000) if splitmix_draw(123, t, 2) == 1)
     assert a.hits == hits
     assert a.mean == Fraction(2 * hits, 5000)
+
+
+# Hit counts of the splitmix stream, recorded from the earlier numpy sampler
+# (2^20 + 17 crossed its chunk boundary); any change to the stream moves them.
+MC_CELLS = {
+    "K3-A": (K3, P11, "A", {0, 1}, (1, 2)),
+    "K4-B": (K4, P23, "B", {2, 3}, (0, 1, 2, 3, 4)),
+}
+
+
+@pytest.mark.parametrize(
+    "cell,samples,seed,hits",
+    [
+        ("K3-A", 1, 3, 1),
+        ("K3-A", 997, 42, 486),
+        ("K3-A", 997, -7, 492),
+        ("K3-A", 10**5, 7, 49913),
+        ("K3-A", 2**20 + 17, 5, 524244),
+        ("K4-B", 1, -5, 1),
+        ("K4-B", 997, 42, 210),
+        ("K4-B", 10**5, -1, 20049),
+    ],
+)
+def test_monte_carlo_golden_hits(cell, samples, seed, hits):
+    g, p, variant, x_set, basis = MC_CELLS[cell]
+    r = monte_carlo(g, p, variant, x_set, basis, samples=samples, seed=seed)
+    assert r.hits == hits
+    assert r.mean == Fraction((p.k * g.n - p.ell) * hits, samples)
+
+
+@pytest.mark.parametrize(
+    "graph,argv,stdout",
+    [
+        (K3, ["--k", "1", "--l", "1", "--X", "0,1", "--F", "1,2", "--seed", "7"],
+         "mean: 49913/50000\nstderr: 0.0031622886845917857\nsamples: 100000\nseed: 7\n"),
+        (K4, ["--k", "2", "--l", "3", "--variant", "B", "--X", "2,3", "--F", "0,1,2,3,4", "--seed", "-1"],
+         "mean: 20049/20000\nstderr: 0.006330390249692915\nsamples: 100000\nseed: -1\n"),
+    ],
+    ids=["K3-A", "K4-B"],
+)
+def test_protocol_mc_golden_stdout(graph, argv, stdout, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(dump_graph(graph))
+    assert cli.main(["protocol", "--graph", str(path), "--mode", "mc", *argv]) == 0
+    assert capsys.readouterr().out == stdout
 
 
 def test_monte_carlo_zero_slack_exact():

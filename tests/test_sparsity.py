@@ -15,6 +15,7 @@ from sparsity_ef.sparsity import (
     is_sparse_pebble,
     is_tight,
     tight_cardinality,
+    vertex_violation,
 )
 
 from conftest import (
@@ -131,6 +132,13 @@ def test_bruteforce_guard_refusal():
     big = complete_graph(17)
     with pytest.raises(EnumerationGuardError):
         is_sparse_bruteforce(big, SparsityParams(3, 2), range(21))
+
+
+def test_vertex_scan_returns_smallest_mask():
+    # the triangle is not (1,1)-sparse; the full vertex set 0b111 is the only violator
+    triangle = [(0, 1), (0, 2), (1, 2)]
+    assert vertex_violation(3, triangle, P11) == 0b111
+    assert vertex_violation(3, triangle, SparsityParams(1, 0)) is None
 
 
 def test_bruteforce_forms_agree():
