@@ -10,7 +10,8 @@ verify.  Exit codes form the CI contract:
        parse/validation errors, inadmissible inputs, negative verdicts
     2  internal cross-check failure (sparsity oracle disagreement,
        expectation/slack mismatch, factorization or extension
-       verification failure) — a bug trap, not a user error
+       verification failure) — a bug trap, not a user error; also any
+       exception outside this list ("error: internal failure: ...")
     3  enumeration guard or int64 range guard exceeded
     4  empty polytope (no basis exists)
 
@@ -361,6 +362,10 @@ def main(argv=None) -> int:
     except (GraphError, InstanceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except Exception as exc:
+        # any other exception is a bug in the package, never bad input
+        print(f"error: internal failure: {exc!r}", file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

@@ -1,16 +1,25 @@
 """Orientations with prescribed in-degrees, plus the protocol target vectors.
 
 An in-degree vector m is realizable on (V, F) iff |F| = sum(m) and
-|F(X)| <= sum_{v in X} m(v) for every X ⊆ V.  The constructive routine
-starts from the canonical orientation (every edge headed at its higher
-endpoint) and repairs it by flipping chains between over- and
-under-subscribed vertices; the repair doubles as an exact feasibility
-decider, and when it gets stuck the set of vertices it searched is a
-certificate violating the subset condition.
+|F(X)| <= sum_{v in X} m(v) for every X ⊆ V (Hakimi's theorem).
+``orient_with_targets`` decides it and builds the orientation with the
+pebble game of ``sparsity.PebbleGame``, the package's one path-reversal
+routine: every vertex v gets a budget of m(v) pebbles, l = 0, and the
+edges of F are inserted in the order given.  A pebble game leaves every
+vertex with as many out-edges as pebbles it spent, so once the |F| =
+sum(m) edges are in, no pebble is free and v has exactly m(v) out-edges.
+Bob's orientation is the reverse: each edge is headed at its pebble
+tail, so the in-degree of v is m(v).  Targets above k are as good as any
+others.  An edge that cannot get a pebble proves the vector infeasible,
+and the vertices that the failed search reached are the witness.
 
-Everything is deterministic: repairs always start at the lowest-index
-vertex above target, searches expand neighbors in ascending index order.
-Downstream code treats the result as a pure function of (F, targets).
+Bob's orientation is therefore a pure function of (F in its given
+order, m).  It is deterministic: the search walks sets of ints, and
+those iterate in the same order whatever ``PYTHONHASHSEED`` is.  Where m
+does not force the orientation, this rule is what fixes U.csv, the
+``orient`` output and Monte Carlo hit counts; no slack, T or ``.ine``
+value depends on it, because how many edges of F enter a set X does
+not depend on the orientation.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from typing import Sequence
 
 from .errors import InfeasibleOrientationError
 from .graphs import SparsityParams
+from .sparsity import PebbleGame
 
 
 @dataclass(frozen=True)
@@ -54,13 +64,17 @@ def _check_inputs(n: int, edges: Sequence[tuple[int, int]], targets: Sequence[in
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise ValueError(f"bad edge ({u},{v}) for n={n}")
+    # the pebble game keeps out-edges as sets, so parallel edges would merge
+    if len({(u, v) if u < v else (v, u) for u, v in edges}) < len(edges):
+        raise ValueError("repeated edge pair: parallel edges are not supported")
 
 
 def hakimi_feasible(n: int, edges: Sequence[tuple[int, int]], targets: Sequence[int]) -> bool:
     """Whether some orientation of the edges has in-degree vector = targets.
 
-    Decided by attempting the construction, which is exact: it fails only
-    on a count mismatch or with a violating vertex set as witness.
+    Decided by ``orient_with_targets``, whose budgeted pebble game is
+    exact: it fails only on a count mismatch, or on an edge that no path
+    reversal can pay for, with a violating vertex set as witness.
     The tests check it against a full subset scan of that condition.
     """
     try:
@@ -73,80 +87,36 @@ def hakimi_feasible(n: int, edges: Sequence[tuple[int, int]], targets: Sequence[
 def orient_with_targets(
     n: int, edges: Sequence[tuple[int, int]], targets: Sequence[int]
 ) -> Orientation:
-    """Deterministically orient the edges so the in-degree vector equals targets.
+    """Orient the edges so that the in-degree vector equals targets, by the pebble game.
 
-    Starts all heads at the higher endpoint, then repeatedly takes the
-    lowest-index vertex s with rho(s) > m(s), BFS-walks tail-ward along
-    oriented edges (ascending index order) to the first vertex d with
-    rho(d) < m(d), and flips the chain, shifting one unit of in-degree
-    from s to d.  If the walk exhausts without finding a deficit vertex,
-    the searched region certifies infeasibility and is raised as the
-    witness.
+    Each vertex v starts with targets[v] pebbles, and the edges are
+    inserted in the order given with l = 0; each edge is headed at the
+    endpoint whose pebble it took.  If an edge uv cannot get a pebble, the
+    vertices that the failed fetch reached form a set X that contains u
+    and v, holds no free pebble and has no game out-edge leaving it.  So
+    the targets(X) edges paid for from X lie in F(X), as does uv, and
+    |F(X)| > targets(X); X is raised as the witness.
     """
     _check_inputs(n, edges, targets)
-    edges = [tuple(e) for e in edges]
+    edges = tuple(map(tuple, edges))
     total = sum(targets)
     if len(edges) != total:
         raise InfeasibleOrientationError(
             f"|F| = {len(edges)} but targets sum to {total}", witness=None
         )
-
-    heads = [max(u, v) for u, v in edges]
-    rho = [0] * n
-    for h in heads:
-        rho[h] += 1
-    # in_edges[v] = edge indices currently headed at v
-    in_edges: list[set[int]] = [set() for _ in range(n)]
-    for i, h in enumerate(heads):
-        in_edges[h].add(i)
-
-    while True:
-        surplus = next((v for v in range(n) if rho[v] > targets[v]), None)
-        if surplus is None:
-            break
-        # BFS from the surplus vertex, stepping head -> tail
-        parent_edge: dict[int, int] = {}
-        visited = {surplus}
-        queue = [surplus]
-        head_ptr = 0
-        deficit = -1
-        while head_ptr < len(queue):
-            w = queue[head_ptr]
-            head_ptr += 1
-            if rho[w] < targets[w]:
-                deficit = w
-                break
-            steps = sorted(
-                (edges[i][0] if edges[i][1] == w else edges[i][1], i)
-                for i in in_edges[w]
-            )
-            for tail, i in steps:
-                if tail not in visited:
-                    visited.add(tail)
-                    parent_edge[tail] = i
-                    queue.append(tail)
-        if deficit < 0:
+    game = PebbleGame(targets, 0)
+    for u, v in edges:
+        if not game.add(u, v):
+            region = frozenset(game.searched)
+            inside = sum(a in region and b in region for a, b in edges)
             raise InfeasibleOrientationError(
-                f"in-degree targets infeasible: region {sorted(visited)} has "
-                f"{sum(len(in_edges[v]) for v in visited)} internal edges but "
-                f"target sum {sum(targets[v] for v in visited)}",
-                witness=frozenset(visited),
+                f"in-degree targets infeasible: region {sorted(region)} has {inside} internal "
+                f"edges but target sum {sum(targets[w] for w in region)}",
+                witness=region,
             )
-        # flip the chain deficit -> surplus; each flipped edge moves its head one step
-        node = deficit
-        while node != surplus:
-            i = parent_edge[node]
-            old_head = heads[i]
-            u, v = edges[i]
-            new_head = u if old_head == v else v
-            in_edges[old_head].discard(i)
-            in_edges[new_head].add(i)
-            heads[i] = new_head
-            rho[old_head] -= 1
-            rho[new_head] += 1
-            node = old_head
-
-    return Orientation(n=n, edges=tuple(edges), heads=tuple(heads))
+    out = game.out
+    heads = tuple(u if v in out[u] else v for u, v in edges)
+    return Orientation(n=n, edges=edges, heads=heads)
 
 
 def protocol_targets_A(n: int, p: SparsityParams, x: int) -> tuple[int, ...]:

@@ -13,20 +13,22 @@ An edge subset F is identified by its sorted tuple of edge indices; a
 basis is such a tuple of cardinality max(k*n - l, 0) whose subgraph is
 sparse (hence tight and spanning).
 
-The same pebble game serves two more uses.  ``enumerate_bases`` is a
+The same pebble game serves three more uses.  ``enumerate_bases`` is a
 depth-first search over edges in index order that keeps one game for
 its current prefix, adding and taking out one edge at a time, and skips
 an edge as soon as the prefix plus that edge is dependent, pruning all
 of its extensions at once (sparsity is hereditary).  ``has_basis`` plays
 the game greedily once over all edges: the sparse edge sets are the
 independent sets of a matroid, so the count inserted is its rank, and a
-basis exists iff that rank is k*n - l.
+basis exists iff that rank is k*n - l.  ``orientation.orient_with_targets``
+plays it with per-vertex budgets, the in-degree targets, and l = 0, so
+``PebbleGame`` is the package's only path-reversal code.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import EmptyPolytopeError, EnumerationGuardError
 from .graphs import Graph, SparsityParams, validate_instance
@@ -118,23 +120,29 @@ def _bruteforce_edge_form(g: Graph, p: SparsityParams, subset: Basis) -> bool:
     return True
 
 
-class _PebbleGame:
-    """The (k,l)-pebble game of Lee & Streinu (Discrete Math. 308, 2008) on n vertices.
+class PebbleGame:
+    """The pebble game of Lee & Streinu (Discrete Math. 308, 2008) with per-vertex budgets.
 
     State: the free pebbles of each vertex and the accepted edges, each
     oriented away from the vertex whose pebble it took, so a vertex's free
-    pebbles and out-edges always add up to k.  For a sparse edge set F in
+    pebbles and out-edges always add up to its budget.  With budget k
+    everywhere this is the (k,l)-pebble game: for a sparse edge set F in
     any such orientation, the free pebbles on a vertex set X plus the edges
     leaving X number k|X| - |F ∩ E(X)|, whatever the orientation.  So
     l+1 pebbles can be gathered on u and v exactly when F + uv is sparse,
     in every state the game can reach, and an edge can be taken out again
     by returning its pebble to its tail.
+
+    The keys of ``searched`` are the vertices that the last failed fetch
+    reached.  None of them holds a free pebble apart from u and v, and
+    every out-edge of one of them ends in another.
     """
 
-    def __init__(self, n: int, p: SparsityParams):
-        self.ell = p.ell
-        self.pebbles = [p.k] * n
-        self.out: list[set[int]] = [set() for _ in range(n)]
+    def __init__(self, budgets: Sequence[int], ell: int):
+        self.ell = ell
+        self.pebbles = list(budgets)
+        self.out: list[set[int]] = [set() for _ in budgets]
+        self.searched: dict[int, int] = {}
 
     def accepts(self, u: int, v: int) -> bool:
         """Gather l+1 pebbles on u and v; whether uv is independent of the accepted edges.
@@ -152,7 +160,8 @@ class _PebbleGame:
         """Move one pebble onto u or v by reversing a directed path; False if none is reachable.
 
         Breadth-first from u and v, stopping at the first vertex found with
-        a free pebble.  Which pebble is fetched changes no answer.
+        a free pebble.  Which pebble is fetched changes no answer, only
+        the orientation that the game reaches.
         """
         out, pebbles = self.out, self.pebbles
         parent = {u: -1, v: -1}
@@ -175,6 +184,7 @@ class _PebbleGame:
                 pebbles[s] -= 1
                 pebbles[node] += 1
                 return True
+        self.searched = parent
         return False
 
     def insert(self, u: int, v: int) -> None:
@@ -208,7 +218,7 @@ def is_sparse_pebble(g: Graph, p: SparsityParams, edge_set: Iterable[int]) -> bo
     """
     validate_instance(g, p)
     subset = _normalize_subset(g, edge_set)
-    game = _PebbleGame(g.n, p)
+    game = PebbleGame([p.k] * g.n, p.ell)
     return all(game.add(*g.edges[i]) for i in subset)
 
 
@@ -255,7 +265,7 @@ def enumerate_bases(
             f"C({g.edge_count},{m}) = {candidates} exceeds enumeration guard {guard}"
         )
     edges = g.edges
-    game = _PebbleGame(g.n, p)
+    game = PebbleGame([p.k] * g.n, p.ell)
     bases: list[Basis] = []
     prefix: list[int] = []
     j = 0
@@ -285,7 +295,7 @@ def has_basis(g: Graph, p: SparsityParams) -> bool:
     m = tight_cardinality(g, p)
     if g.edge_count < m:  # before the game's O(n) state is built
         return False
-    game = _PebbleGame(g.n, p)
+    game = PebbleGame([p.k] * g.n, p.ell)
     rank = sum(game.add(u, v) for u, v in g.edges)
     return rank == m
 

@@ -275,6 +275,19 @@ def test_failed_verification_exits_2(k4_path, monkeypatch, capsys, exc):
     assert err == f"error: {exc}\n"
 
 
+@pytest.mark.parametrize("exc", [KeyError(3), TypeError("unsupported operand"), IndexError("list index out of range")])
+def test_unexpected_exception_exits_2(k4_path, monkeypatch, capsys, exc):
+    """An exception outside main's list is a bug: exit 2 with one line, not a traceback and exit 1."""
+
+    def failing(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_bases", failing)
+    code, _, err = run(["bases", "--graph", k4_path, "--k", "1", "--l", "1"], capsys)
+    assert code == 2
+    assert err == f"error: internal failure: {exc!r}\n"
+
+
 def test_factorize_mismatch_exits_2(k4_path, tmp_path, corrupted_t, capsys):
     prefix = tmp_path / "dump"
     argv = ["factorize", "--graph", k4_path, "--k", "2", "--l", "3", "--out", str(prefix)]

@@ -211,5 +211,5 @@ def test_factor_csv_golden_k4():
         "c368c0608e08c33647e72cdde5400c64b2f8949252b75503d4f6c89aad519428"
     )
     assert hashlib.sha256(u_csv.encode()).hexdigest() == (
-        "e6f40800c1624c3cd49e36ff98cbf699de0c740bc6803e4b8853995efaace070"
+        "74a5c98634ca66b2c32139243ab1fc19ee7f4758b6e9b67c7f811960376b08e4"
     )

@@ -178,3 +178,6 @@ def test_input_validation():
         orient_with_targets(2, [(0, 1)], (2, -1))
     with pytest.raises(ValueError, match="bad edge"):
         orient_with_targets(2, [(0, 2)], (1, 1))
+    for edges in ([(0, 1), (0, 1)], [(0, 1), (1, 0)]):
+        with pytest.raises(ValueError, match="repeated edge"):
+            orient_with_targets(2, edges, (1, 1))
