@@ -29,10 +29,7 @@ _MODULES = {
         "Graph", "SparsityParams", "dump_graph", "induced_edges", "load_graph", "load_graph_file",
         "make_graph", "validate_instance",
     ),
-    "lifted": (
-        "LiftedPoint", "LiftedPolytope", "build_lifted", "check_projection", "emit_ine", "format_ine",
-        "lift_vertex", "verify_extension",
-    ),
+    "lifted": ("format_ine", "verify_extension"),
     "orientation": (
         "Orientation", "hakimi_feasible", "orient_with_targets", "protocol_targets_A", "protocol_targets_B",
     ),

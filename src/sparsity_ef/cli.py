@@ -18,22 +18,25 @@ verify.  Exit codes form the CI contract:
 All numeric output is exact (integers or p/q rationals) except the Monte
 Carlo standard error.  Every command refuses k*n beyond the int64 range
 (exit 3) when it reads its instance.  --max-enum overrides the
-basis-enumeration guard.  `emit` enumerates bases only under --verify;
-without it, emptiness is one pebble game, so the enumeration guard does
-not apply and `emit --max-enum 1` exits 0.
+basis-enumeration guard.
 `slack`, `factorize`, `verify` and `emit --verify` refuse a graph with
 more than 16 vertices (exit 3), then an instance without a basis (exit 4,
 decided by one pebble game), before they enumerate any basis; so
 `slack` and `factorize` exit 4 on an empty polytope, as `verify` and
 `emit` do, and an empty instance exits 4 whatever --max-enum says.
 
-`verify` and `emit --verify` make `factorize`'s check on the same
-factorization, T >= 0, U >= 0 and T@U = S, and check |F| = kn - l: every
-basis then lifts with zero residual.  That certifies that the lifted
-polytope contains every basis and that its projection satisfies the
-counting inequalities and x >= 0; x <= 1 is an emitted bound row where
-2k - l >= 2 and follows from the rows |X| = 2 elsewhere.  `emit --verify`
-writes the lift of the factorization it checks, so T is built once.
+`verify` and `emit --verify` build one factorization over every basis
+and make `factorize`'s check on it, T >= 0, U >= 0 and T@U = S, and
+check |F| = kn - l: every basis then lifts with zero residual.  That
+certifies that the lifted polytope contains every basis and that its
+projection satisfies the counting inequalities and x >= 0; x <= 1 is an
+emitted bound row where 2k - l >= 2 and follows from the rows |X| = 2
+elsewhere.  The `.ine` is the T side of the factorization, so T is built
+once per command.  Plain `emit` needs no certificate: it refuses an
+empty instance (exit 4, one pebble game), then more than 16 vertices
+(exit 3), and writes the factorization over no bases.  It enumerates no
+basis, so the enumeration guard does not apply and `emit --max-enum 1`
+exits 0.
 `verify --seed` is accepted for old command lines and has no effect.
 
 No command imports numpy; the package has no runtime dependency.  Each
@@ -173,6 +176,12 @@ def cmd_protocol(args) -> int:
     return EXIT_OK
 
 
+def _write(path, text: str) -> None:
+    """Write an output file as UTF-8 with LF line ends on every platform."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def _bases_for_rows(g: Graph, p: SparsityParams, args) -> list:
     """Every basis, for a command that also needs the rows.
 
@@ -192,8 +201,7 @@ def cmd_slack(args) -> int:
     bases = _bases_for_rows(g, p, args)
     csv = slack_matrix_csv(slack_matrix(g, p, bases=bases))
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(csv)
+        _write(args.out, csv)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(csv)
@@ -224,42 +232,44 @@ def cmd_factorize(args) -> int:
         t_csv, u_csv = factor_csvs(fac)
         for suffix, text in (("S.csv", slack_matrix_csv(s)), ("T.csv", t_csv), ("U.csv", u_csv)):
             path = f"{args.out}.{suffix}"
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+            _write(path, text)
             print(f"wrote {path}")
     return EXIT_OK
 
 
 def cmd_emit(args) -> int:
     from .factorization import build_factorization
-    from .lifted import build_lifted, emit_ine, verify_extension
+    from .lifted import format_ine, ine_size, verify_extension
     from .protocol import resolve_variant
 
     g, p = _load_instance(args)
     variant = resolve_variant(p, args.variant)
-    # factored before the .ine is written, so a refused --verify writes nothing
-    fac = build_factorization(g, p, variant, bases=_bases_for_rows(g, p, args)) if args.verify else None
-    q = build_lifted(g, p, variant, fac=fac)
-    emit_ine(q, args.out)
-    print(f"wrote {args.out} ({q.equality_count} equalities + {q.inequality_count} inequalities)")
     if args.verify:
-        report = verify_extension(g, p, variant, fac=fac)
-        print(json.dumps(report, indent=2, sort_keys=True))
+        bases = _bases_for_rows(g, p, args)
+    else:  # the .ine is the T side alone: emptiness is one pebble game and no basis is enumerated
+        require_basis(g, p)
+        bases = ()
+    # factored before the .ine is written, so a refused --verify writes nothing
+    fac = build_factorization(g, p, variant, bases=bases)
+    _write(args.out, format_ine(fac))
+    equalities, inequalities = ine_size(fac)
+    print(f"wrote {args.out} ({equalities} equalities + {inequalities} inequalities)")
+    if args.verify:
+        print(json.dumps(verify_extension(fac), indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
+    from .factorization import build_factorization
     from .lifted import verify_extension
     from .protocol import resolve_variant
 
     g, p = _load_instance(args)
     variant = resolve_variant(p, args.variant)
-    bases = _bases_for_rows(g, p, args)
-    report = verify_extension(g, p, variant, bases=bases)
+    report = verify_extension(build_factorization(g, p, variant, bases=_bases_for_rows(g, p, args)))
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
+        _write(args.out, text + "\n")
         print(f"wrote {args.out}")
     print(text)
     return EXIT_OK

@@ -215,15 +215,25 @@ def build_U(
 
 @dataclass(frozen=True, eq=False)
 class Factorization:
-    """S = T @ U with T = c * A and U = B / c; T and B are lists of rows of ints."""
+    """S = T @ U with T = c * A and U = B / c; T and B are lists of rows of ints.
 
+    T and the rows fix the lifted system that ``lifted.format_ine`` emits;
+    the columns of B only certify that each basis in ``cols`` lifts.
+    """
+
+    graph: Graph
+    params: SparsityParams
     variant: str
     transcripts: tuple[Transcript, ...]
     rows: tuple[tuple[int, ...], ...]
     cols: tuple[Basis, ...]
     T: list[list[int]]
     B: list[list[int]]
-    c: int
+
+    @property
+    def c(self) -> int:
+        """k n - l, the size of every basis and the scale of T and B."""
+        return self.params.k * self.graph.n - self.params.ell
 
     @property
     def U(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -238,19 +248,25 @@ def build_factorization(
     *,
     bases: Sequence[Basis] | None = None,
 ) -> Factorization:
-    """Factor the slack matrix over the given bases, or over all of them when ``bases`` is None."""
+    """Factor the slack matrix over the given bases.
+
+    ``bases=None`` enumerates every basis; ``bases=()`` gives the
+    factorization over no bases, which is the lifted system without its
+    certificate: T, rows and transcripts, and no basis is oriented.
+    """
     variant = resolve_variant(p, variant)
     rows = enumerate_rows(g, p)
     cols = enumerate_bases(g, p) if bases is None else list(bases)
     transcripts = enumerate_transcripts(g, variant)
     return Factorization(
+        graph=g,
+        params=p,
         variant=variant,
         transcripts=transcripts,
         rows=tuple(rows),
         cols=tuple(cols),
         T=build_T(g, p, variant, rows, transcripts),
         B=build_U(g, p, variant, cols, transcripts),
-        c=p.k * g.n - p.ell,
     )
 
 

@@ -185,7 +185,7 @@ def test_c07_extension_verification(corpus_cells):
     verified = 0
     for name, g, p, bases in corpus_cells:
         variant = resolve_variant(p, "auto")
-        report = verify_extension(g, p, variant)
+        report = verify_extension(build_factorization(g, p, variant, bases=bases))
         assert report["pass"], (name, p)
         n, m = g.n, g.edge_count
         upper = m if 2 * p.k - p.ell >= 2 else 0  # the x_e <= 1 rows

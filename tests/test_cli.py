@@ -386,7 +386,8 @@ def test_empty_polytope_exits_4_before_enumeration(tmp_path, monkeypatch, capsys
     assert list(tmp_path.glob("*.ine")) == []
 
 
-def test_emit_verify_builds_t_once(k4_path, tmp_path, monkeypatch, capsys):
+def test_emit_verify_builds_t_once(corpus_cells, tmp_path, monkeypatch, capsys):
+    """On every cell, plain emit and emit --verify write the same .ine, each building T once."""
     calls = []
     build_t = factorization.build_T
 
@@ -395,10 +396,15 @@ def test_emit_verify_builds_t_once(k4_path, tmp_path, monkeypatch, capsys):
         return build_t(*args)
 
     monkeypatch.setattr(factorization, "build_T", counted)
-    monkeypatch.setattr(lifted, "build_T", counted)
-    base = ["emit", "--graph", k4_path, "--k", "2", "--l", "3"]
-    verified, plain = tmp_path / "verified.ine", tmp_path / "plain.ine"
-    assert run([*base, "--out", str(verified), "--verify"], capsys)[0] == 0
-    assert len(calls) == 1
-    assert run([*base, "--out", str(plain)], capsys)[0] == 0
-    assert verified.read_bytes() == plain.read_bytes()
+    for name, g, p, _ in corpus_cells:
+        graph = tmp_path / f"{name}.json"
+        graph.write_text(dump_graph(g))
+        base = ["emit", "--graph", str(graph), "--k", str(p.k), "--l", str(p.ell)]
+        written = []
+        for extra in ([], ["--verify"]):
+            out = tmp_path / f"{name}-{p.k}-{p.ell}-{len(extra)}.ine"
+            calls.clear()
+            assert run([*base, "--out", str(out), *extra], capsys)[0] == 0, (name, p, extra)
+            assert len(calls) == 1, (name, p, extra)
+            written.append(out.read_bytes())
+        assert written[0] == written[1], (name, p)

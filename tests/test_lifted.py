@@ -4,26 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from sparsity_ef import factorization, lifted
-from sparsity_ef.factorization import build_U
+from sparsity_ef import factorization
+from sparsity_ef.factorization import build_factorization, build_U
 from sparsity_ef.graphs import SparsityParams, make_graph
 from sparsity_ef.lifted import (
     EmptyPolytopeError,
     InfeasibleLiftedPointError,
-    LiftedPoint,
-    assert_in_lifted,
-    build_lifted,
-    check_projection,
-    emit_ine,
-    equality_residuals,
     format_ine,
-    lift_vertex,
+    ine_size,
     verify_extension,
 )
-from sparsity_ef.protocol import resolve_variant
-from sparsity_ef.sparsity import enumerate_bases
+from sparsity_ef.sparsity import enumerate_bases, require_basis
 
 from conftest import complete_graph, path_graph
+from lift_reference import LiftedPoint, assert_in_lifted, check_projection, equality_residuals, lift_vertex
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
@@ -31,99 +25,113 @@ P11 = SparsityParams(1, 1)
 P23 = SparsityParams(2, 3)
 
 
+def lift(g, p, variant="auto"):
+    """The lifted system alone: the factorization over no bases."""
+    return build_factorization(g, p, variant, bases=())
+
+
 def test_build_counts_k3():
-    q = build_lifted(K3, P11, "A")
-    assert (q.x_count, q.y_count) == (3, 18)
-    assert q.equality_count == 4
-    assert q.inequality_count == 21
+    fac = lift(K3, P11, "A")
+    assert (K3.edge_count, len(fac.transcripts)) == (3, 18)
+    assert ine_size(fac) == (4, 21)
+    assert fac.cols == () and fac.B == [[]] * 18
 
 
 def test_build_counts_k4_variant_b():
-    q = build_lifted(K4, P23, "B")
-    assert (q.x_count, q.y_count) == (6, 144)
-    assert q.equality_count == 11
-    assert q.inequality_count == 150
+    fac = lift(K4, P23, "B")
+    assert (K4.edge_count, len(fac.transcripts)) == (6, 144)
+    assert ine_size(fac) == (11, 150)
 
 
 def test_build_counts_single_edge():
     g = make_graph(2, [(0, 1)])
-    q = build_lifted(g, P11, "A")
-    assert (q.x_count, q.y_count) == (1, 4)
-    assert q.rows == ()
-    assert q.global_rhs == 1
-    point = lift_vertex(q, (0,))
+    fac = lift(g, P11, "A")
+    assert (g.edge_count, len(fac.transcripts)) == (1, 4)
+    assert fac.rows == ()
+    assert fac.c == 1
+    point = lift_vertex(fac, (0,))
     assert point.x == (1,)
-    assert_in_lifted(q, point)
-    assert check_projection(g, P11, q, point)
+    assert_in_lifted(fac, point)
+    assert check_projection(fac, point)
 
 
 def test_empty_polytope_refused():
     with pytest.raises(EmptyPolytopeError):
-        build_lifted(path_graph(3), P23, "B")
+        require_basis(path_graph(3), P23)
     with pytest.raises(EmptyPolytopeError):
-        verify_extension(path_graph(3), P23, "B")
+        verify_extension(build_factorization(path_graph(3), P23, "B"))
+
+
+def test_verify_extension_refuses_no_bases():
+    """A factorization without columns certifies nothing: refused, not passed with 0 bases."""
+    with pytest.raises(ValueError, match="no bases"):
+        verify_extension(lift(K4, P23, "B"))
+
+
+def test_verify_extension_refuses_no_bases_of_empty_instance():
+    with pytest.raises(EmptyPolytopeError):
+        verify_extension(lift(path_graph(3), P23, "B"))
 
 
 def test_lift_vertex_k3_example():
-    q = build_lifted(K3, P11, "A")
-    point = lift_vertex(q, (1, 2))
+    fac = lift(K3, P11, "A")
+    point = lift_vertex(fac, (1, 2))
     assert point.x == (0, 1, 1)
     assert sorted(point.y).count(Fraction(1, 2)) == 6
     assert sum(1 for v in point.y if v == 0) == 12
-    assert_in_lifted(q, point)
+    assert_in_lifted(fac, point)
 
 
 def test_all_lifts_feasible_with_zero_residuals():
     for g, p, variant in [(K3, P11, "A"), (K4, P23, "B"), (K4, P11, "A")]:
-        q = build_lifted(g, p, variant)
+        fac = lift(g, p, variant)
         for basis in enumerate_bases(g, p):
-            point = lift_vertex(q, basis)
-            assert all(r == 0 for r in equality_residuals(q, point))
-            assert check_projection(g, p, q, point)
+            point = lift_vertex(fac, basis)
+            assert all(r == 0 for r in equality_residuals(fac, point))
+            assert check_projection(fac, point)
 
 
 def test_convex_combination_projects_into_polytope():
-    q = build_lifted(K4, P11, "A")
+    fac = lift(K4, P11, "A")
     bases = enumerate_bases(K4, P11)
-    lifts = [lift_vertex(q, b) for b in bases[:4]]
+    lifts = [lift_vertex(fac, b) for b in bases[:4]]
     weights = [Fraction(1, 8), Fraction(3, 8), Fraction(1, 4), Fraction(1, 4)]
-    x = tuple(sum((w * l.x[i] for w, l in zip(weights, lifts)), Fraction(0)) for i in range(q.x_count))
-    y = tuple(sum((w * l.y[i] for w, l in zip(weights, lifts)), Fraction(0)) for i in range(q.y_count))
-    assert check_projection(K4, P11, q, LiftedPoint(x, y))
+    x = tuple(sum((w * l.x[i] for w, l in zip(weights, lifts)), Fraction(0)) for i in range(K4.edge_count))
+    y = tuple(sum((w * l.y[i] for w, l in zip(weights, lifts)), Fraction(0)) for i in range(len(fac.transcripts)))
+    assert check_projection(fac, LiftedPoint(x, y))
 
 
 def test_infeasible_point_is_distinct_diagnostic():
-    q = build_lifted(K3, P11, "A")
-    point = lift_vertex(q, (1, 2))
+    fac = lift(K3, P11, "A")
+    point = lift_vertex(fac, (1, 2))
     bad_y = list(point.y)
     bad_y[0] -= 1
     with pytest.raises(InfeasibleLiftedPointError, match="y\\[0\\]"):
-        check_projection(K3, P11, q, LiftedPoint(point.x, tuple(bad_y)))
+        check_projection(fac, LiftedPoint(point.x, tuple(bad_y)))
     with pytest.raises(InfeasibleLiftedPointError, match="residual"):
-        check_projection(K3, P11, q, LiftedPoint(point.x, tuple(Fraction(0) for _ in point.y)))
+        check_projection(fac, LiftedPoint(point.x, tuple(Fraction(0) for _ in point.y)))
     with pytest.raises(InfeasibleLiftedPointError, match="shape"):
-        assert_in_lifted(q, LiftedPoint((Fraction(0),), point.y))
+        assert_in_lifted(fac, LiftedPoint((Fraction(0),), point.y))
 
 
 def test_verify_extension_reports():
-    rep = verify_extension(K3, P11, "A")
+    rep = verify_extension(build_factorization(K3, P11, "A"))
     assert rep["pass"]
     assert rep["counts"]["inequality_count"] == 21
     assert rep["bounds"]["protocol_size_bound"] == 32
     assert rep["counts"]["ine_rows"] == 25
 
-    rep = verify_extension(K4, P11, "A")
+    rep = verify_extension(build_factorization(K4, P11, "A"))
     assert rep["pass"] and rep["counts"]["bases"] == 16
 
-    rep = verify_extension(K4, P23, "B")
+    rep = verify_extension(build_factorization(K4, P23, "B"))
     assert rep["pass"]
     assert rep["counts"]["inequality_count"] == 150
     assert rep["bounds"]["protocol_size_bound"] == 256
 
 
 def test_format_ine_k3_structure():
-    q = build_lifted(K3, P11, "A")
-    text = format_ine(q)
+    text = format_ine(lift(K3, P11, "A"))
     lines = text.splitlines()
     assert lines[0] == "H-representation"
     assert lines[1] == "linearity 4 1 2 3 4"
@@ -139,40 +147,36 @@ def test_format_ine_k3_structure():
     assert lines[7].split() == ["2", "-1", "-1", "-1"] + ["0"] * 18
 
 
-def test_emit_is_byte_deterministic(tmp_path):
-    q = build_lifted(K4, P23, "B")
-    a, b = tmp_path / "a.ine", tmp_path / "b.ine"
-    emit_ine(q, a)
-    emit_ine(q, b)
-    assert a.read_bytes() == b.read_bytes()
-    assert len(a.read_text().splitlines()) == 5 + 161
+def test_emit_is_byte_deterministic():
+    a, b = format_ine(lift(K4, P23, "B")), format_ine(build_factorization(K4, P23, "B"))
+    assert a == b  # the T side alone: the bases do not change the text
+    assert len(a.splitlines()) == 5 + 161
 
 
 def test_single_edge_ine_vertices_project_correctly():
     """Tiny instance cross-check: the lifted system pins x to the lone basis."""
     g = make_graph(2, [(0, 1)])
-    q = build_lifted(g, P11, "A")
-    text = format_ine(q)
-    lines = text.splitlines()
+    fac = lift(g, P11, "A")
+    lines = format_ine(fac).splitlines()
     assert lines[1] == "linearity 1 1"
     assert lines[3] == "6 6 rational"
     # the global equality forces x0 = 1 for any feasible point
-    point = lift_vertex(q, (0,))
+    point = lift_vertex(fac, (0,))
     assert point.x == (1,)
 
 
-def _first_failures(monkeypatch, g, p, q, edges, column):
+def _first_failures(monkeypatch, fac, edges, column):
     """The error messages of verify_extension and of the Fraction reference for one lift.
 
-    Both lift the edge set with the given B-column: ``build_U`` is replaced
-    for the factorization and for ``lift_vertex`` alike.  None means no error.
+    Both lift the edge set with the given B-column: ``factorization.build_U``
+    is replaced for the factorization and for ``lift_vertex`` alike.  None
+    means no error.
     """
-    for module in (factorization, lifted):
-        monkeypatch.setattr(module, "build_U", lambda *args: [[v] for v in column])
+    monkeypatch.setattr(factorization, "build_U", lambda *args: [[v] for v in column])
     found = []
     for run in (
-        lambda: verify_extension(g, p, q.variant, bases=[edges]),
-        lambda: assert_in_lifted(q, lift_vertex(q, edges)),
+        lambda: verify_extension(build_factorization(fac.graph, fac.params, fac.variant, bases=[edges])),
+        lambda: assert_in_lifted(fac, lift_vertex(fac, edges)),
     ):
         try:
             run()
@@ -184,15 +188,16 @@ def _first_failures(monkeypatch, g, p, q, edges, column):
     return new, None if reference is None else f"basis {edges}: {reference}"
 
 
-def _perturbed_inputs(g, q, bases, rng):
+def _perturbed_inputs(fac, bases, rng):
     """Every basis with its own B-column, then a few corrupted (edge set, column) pairs."""
-    columns = build_U(g, q.params, q.variant, bases, q.transcripts)
+    g = fac.graph
+    columns = build_U(g, fac.params, fac.variant, bases, fac.transcripts)
     inputs = [(basis, [row[j] for row in columns]) for j, basis in enumerate(bases)]
     for _ in range(3):
         j = rng.randrange(len(bases))
         basis, column = bases[j], [row[j] for row in columns]
         flipped, negative = column.copy(), column.copy()
-        w = rng.randrange(q.y_count)
+        w = rng.randrange(len(fac.transcripts))
         flipped[w] = 1 - flipped[w]
         negative[w] = -1
         inputs += [(basis, flipped), (basis, negative), (basis[:-1], column)]
@@ -204,7 +209,7 @@ def _perturbed_inputs(g, q, bases, rng):
 
 
 def test_batched_checks_match_fraction_reference(corpus_cells, monkeypatch):
-    """verify_extension fails exactly where lift_vertex + assert_in_lifted does, at the same row.
+    """verify_extension fails exactly where the reference lift_vertex + assert_in_lifted does, at the same row.
 
     Covers every basis of the K3/K4/W5/prism cells, bases with a flipped
     or negative B entry, with one edge swapped and of the wrong size, and
@@ -218,9 +223,9 @@ def test_batched_checks_match_fraction_reference(corpus_cells, monkeypatch):
     cells.append(("K2", single, P11, [(0,)]))
     outcomes = set()
     for name, g, p, bases in cells:
-        q = build_lifted(g, p, resolve_variant(p, "auto"))
-        for edges, column in _perturbed_inputs(g, q, bases, rng):
-            new, reference = _first_failures(monkeypatch, g, p, q, edges, column)
+        fac = lift(g, p)
+        for edges, column in _perturbed_inputs(fac, bases, rng):
+            new, reference = _first_failures(monkeypatch, fac, edges, column)
             assert new == reference, (name, p, edges)
             failure = new and re.search(r": (y\[|equality row X=|equality row global)", new)
             outcomes.add(failure.group(1) if failure else new)
@@ -228,8 +233,8 @@ def test_batched_checks_match_fraction_reference(corpus_cells, monkeypatch):
 
 
 def test_verify_extension_catches_flipped_u_entry(monkeypatch):
-    q = build_lifted(K4, P23, "B")
-    w = next(w for w in range(q.y_count) if any(row[w] for row in q.T))  # a transcript some row charges
+    t = lift(K4, P23, "B").T
+    w = next(w for w in range(len(t[0])) if any(row[w] for row in t))  # a transcript some row charges
     real_build_u = factorization.build_U
 
     def flipped(*args):
@@ -240,13 +245,13 @@ def test_verify_extension_catches_flipped_u_entry(monkeypatch):
     monkeypatch.setattr(factorization, "build_U", flipped)
     basis = enumerate_bases(K4, P23)[0]
     with pytest.raises(InfeasibleLiftedPointError, match=re.escape(f"basis {basis}: equality row X=")):
-        verify_extension(K4, P23, "B")
+        verify_extension(build_factorization(K4, P23, "B"))
 
 
 def test_verify_extension_catches_corrupted_t_entry(monkeypatch):
     bases = enumerate_bases(K4, P23)
-    q = build_lifted(K4, P23, "B")
-    w = next(i for i, row in enumerate(build_U(K4, P23, "B", bases[:1], q.transcripts)) if row[0])
+    fac = lift(K4, P23, "B")
+    w = next(i for i, row in enumerate(build_U(K4, P23, "B", bases[:1], fac.transcripts)) if row[0])
     real_build_t = factorization.build_T
 
     def corrupted(*args):
@@ -255,9 +260,9 @@ def test_verify_extension_catches_corrupted_t_entry(monkeypatch):
         return t
 
     monkeypatch.setattr(factorization, "build_T", corrupted)
-    expected = f"basis {bases[0]}: equality row X={q.rows[3]} has residual"
+    expected = f"basis {bases[0]}: equality row X={fac.rows[3]} has residual"
     with pytest.raises(InfeasibleLiftedPointError, match=re.escape(expected)):
-        verify_extension(K4, P23, "B")
+        verify_extension(build_factorization(K4, P23, "B"))
 
 
 def test_verify_extension_catches_negative_t_entry(monkeypatch):
@@ -270,4 +275,4 @@ def test_verify_extension_catches_negative_t_entry(monkeypatch):
 
     monkeypatch.setattr(factorization, "build_T", negative)
     with pytest.raises(AssertionError, match=re.escape("T[0][0] = -5 < 0 breaks the projection argument")):
-        verify_extension(K4, P23, "B")
+        verify_extension(build_factorization(K4, P23, "B"))

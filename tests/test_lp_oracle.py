@@ -11,7 +11,8 @@ import random
 
 import pytest
 
-from sparsity_ef.lifted import build_lifted, format_ine, upper_bound_count
+from sparsity_ef.factorization import build_factorization
+from sparsity_ef.lifted import format_ine, upper_bound_count
 from sparsity_ef.sparsity import is_sparse_pebble
 
 linprog = pytest.importorskip("scipy.optimize").linprog
@@ -58,7 +59,7 @@ def test_lp_optimum_over_emitted_system_is_greedy_optimum(corpus_cells):
     cells = _oracle_cells(corpus_cells)
     assert len(cells) == 13
     for name, g, p in cells:
-        equalities, inequalities = _ine_system(format_ine(build_lifted(g, p)))
+        equalities, inequalities = _ine_system(format_ine(build_factorization(g, p, bases=())))
         for _ in range(OBJECTIVES):
             weights = [rng.randint(-10, 10) for _ in range(g.edge_count)]
             assert abs(_lp_max(weights, equalities, inequalities) - _greedy_max(g, p, weights)) <= TOLERANCE, (
@@ -72,8 +73,7 @@ def test_lp_oracle_separates_the_system_without_upper_bounds(corpus_cells):
     cells = [(name, g, p) for name, g, p in _oracle_cells(corpus_cells) if 2 * p.k - p.ell >= 2]
     assert cells
     for name, g, p in cells:
-        q = build_lifted(g, p)
-        equalities, inequalities = _ine_system(format_ine(q))
+        equalities, inequalities = _ine_system(format_ine(build_factorization(g, p, bases=())))
         assert upper_bound_count(g, p) == g.edge_count
         weaker = inequalities[:-g.edge_count]
         gaps = []
