@@ -30,12 +30,10 @@ _MODULES = {
         "make_graph", "validate_instance",
     ),
     "lifted": ("format_ine", "verify_extension"),
-    "orientation": (
-        "Orientation", "hakimi_feasible", "orient_with_targets", "protocol_targets_A", "protocol_targets_B",
-    ),
+    "orientation": ("Orientation", "hakimi_feasible", "orient_with_targets"),
     "protocol": (
-        "MCResult", "alice_choice", "bit_complexity", "exact_expectation", "monte_carlo", "resolve_variant",
-        "run_once",
+        "MCResult", "alice_choice", "bit_complexity", "exact_expectation", "monte_carlo", "protocol_targets",
+        "resolve_variant", "run_once",
     ),
     "sparsity": ("Basis", "enumerate_bases", "is_sparse_bruteforce", "is_sparse_pebble", "is_tight"),
 }

@@ -12,13 +12,14 @@ verify.  Exit codes form the CI contract:
        expectation/slack mismatch, factorization or extension
        verification failure) — a bug trap, not a user error; also any
        exception outside this list ("error: internal failure: ...")
-    3  enumeration guard or int64 range guard exceeded
+    3  enumeration guard, vertex guard or int64 range guard exceeded
     4  empty polytope (no basis exists)
 
 All numeric output is exact (integers or p/q rationals) except the Monte
-Carlo standard error.  Every command refuses k*n beyond the int64 range
-(exit 3) when it reads its instance.  --max-enum overrides the
-basis-enumeration guard.
+Carlo standard error.  Every command refuses more than 2^16 vertices
+(graphs.MAX_VERTICES) and k*n beyond the int64 range (exit 3) when it
+reads its instance, before any per-vertex state is built.  --max-enum
+overrides the basis-enumeration guard.
 `slack`, `factorize`, `verify` and `emit --verify` refuse a graph with
 more than 16 vertices (exit 3), then an instance without a basis (exit 4,
 decided by one pebble game), before they enumerate any basis; so
@@ -131,18 +132,17 @@ def cmd_bases(args) -> int:
 
 
 def cmd_orient(args) -> int:
-    from .orientation import orient_with_targets, protocol_targets_A, protocol_targets_B
+    from .orientation import orient_with_targets
+    from .protocol import protocol_targets
 
     g, p = _load_instance(args)
     subset = _parse_edge_list(g, args.edges) if args.edges is not None else list(range(g.edge_count))
     if args.targets is not None:
         targets = _parse_int_list(args.targets, "targets")
-    elif args.y is not None:
-        if args.x is None:
-            raise ValueError("--y needs --x")
-        targets = protocol_targets_B(g.n, p, args.x, args.y)
     elif args.x is not None:
-        targets = protocol_targets_A(g.n, p, args.x)
+        targets = protocol_targets(g.n, p, (args.x,) if args.y is None else (args.x, args.y))
+    elif args.y is not None:
+        raise ValueError("--y needs --x")
     else:
         raise ValueError("need --targets, or --x (variant A), or --x and --y (variant B)")
     orientation = orient_with_targets(g.n, [g.edges[i] for i in sorted(set(subset))], targets)

@@ -9,8 +9,9 @@ non-negative integer.
 A transcript is one full protocol round: Alice's announced vertices plus
 Bob's announced directed edge.  Transcripts are indexed lexicographically
 by (alice vertices, edge index, head flag), where flag 0 points the edge
-at its higher endpoint and flag 1 at its lower; there are 2n|E| of them
-for variant A and 2n(n-1)|E| for variant B.  Every basis has
+at its higher endpoint and flag 1 at its lower; there are 2|E| of them
+per announcement (``protocol.announcements``), so 2n|E| for variant A
+and 2n(n-1)|E| for variant B.  Every basis has
 |F| = c = k n - l edges, so both factors are integral up to that one scale:
 
     T = c * A,   A[X][w] = [alice(w) = alice_choice(X)] * [w's edge enters X]
@@ -51,7 +52,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import EnumerationGuardError
 from .graphs import Graph, SparsityParams, induced_edges, validate_instance
-from .protocol import VARIANT_A, alice_choice, orient_basis, resolve_variant
+from .protocol import alice_choice, announcements, orient_basis, resolve_variant
 from .sparsity import Basis, enumerate_bases
 
 MAX_ROW_ENUM_N = 16
@@ -142,16 +143,10 @@ def slack_matrix(
     return SlackMatrix(rows=tuple(rows), cols=tuple(cols), entries=entries)
 
 
-def _alice_parts(g: Graph, variant: str) -> list[tuple[int, ...]]:
-    if variant == VARIANT_A:
-        return [(x,) for x in range(g.n)]
-    return [(x, y) for x in range(g.n) for y in range(g.n) if x != y]
-
-
 def enumerate_transcripts(g: Graph, variant: str) -> tuple[Transcript, ...]:
     """Lexicographic over (alice vertices, edge index, head flag)."""
     out = []
-    for alice in _alice_parts(g, variant):
+    for alice in announcements(g.n, variant):
         for i, (u, v) in enumerate(g.edges):
             out.append(Transcript(alice=alice, edge=i, head=v))  # flag 0: head high
             out.append(Transcript(alice=alice, edge=i, head=u))  # flag 1: head low
@@ -174,9 +169,7 @@ def build_T(
         alice, members = alice_choice(x, variant), frozenset(x)
         for e, (u, v) in enumerate(g.edges):
             if (u in members) != (v in members):  # e enters X at whichever end lies inside
-                w = index.get((alice, e, v if v in members else u))
-                if w is not None:
-                    row[w] = c
+                row[index[alice, e, v if v in members else u]] = c
         t.append(row)
     return t
 
@@ -196,7 +189,7 @@ def build_U(
     matrix over the same bases are estimated at more than ``MAX_U_BYTES``.
     """
     index = {w: i for i, w in enumerate(transcripts)}
-    alice_parts = _alice_parts(g, variant)
+    announced = announcements(g.n, variant)
     row_count = max(2**g.n - g.n - 2, 0)
     estimate = len(cols) * (B_ENTRY_BYTES * len(transcripts) + S_ENTRY_BYTES * row_count)
     if estimate > MAX_U_BYTES:
@@ -206,8 +199,8 @@ def build_U(
         )
     b = [[0] * len(cols) for _ in transcripts]
     for j, basis in enumerate(cols):
-        for alice in alice_parts:
-            heads = orient_basis(g, p, variant, basis, alice).heads
+        for alice in announced:
+            heads = orient_basis(g, p, basis, alice).heads
             for e, h in zip(basis, heads):
                 b[index[alice, e, h]][j] = 1
     return b

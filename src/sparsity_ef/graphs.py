@@ -16,6 +16,9 @@ from typing import Iterable, NamedTuple
 
 from .errors import EnumerationGuardError, GraphError, InstanceError
 
+# per-vertex state (a pebble game holds about 230 bytes a vertex) is built only below this
+MAX_VERTICES = 2**16
+
 
 class SparsityParams(NamedTuple):
     """The count-matroid parameter pair; valid iff k >= 1 and 0 <= ell <= 2k-1."""
@@ -130,9 +133,11 @@ def induced_edges(g: Graph, x: Iterable[int]) -> frozenset[int]:
 
 
 def validate_instance(g: Graph, p: SparsityParams) -> None:
-    """Guard shared by every entry point: n >= 2, 0 <= ell <= 2k-1, k n within int64.
+    """Guard shared by every entry point: n >= 2, 0 <= ell <= 2k-1, n <= MAX_VERTICES, k n within int64.
 
-    k n beyond int64 is an EnumerationGuardError; ``factorization`` says why it suffices.
+    More than ``MAX_VERTICES`` vertices and k n beyond int64 are
+    EnumerationGuardErrors, raised before any per-vertex state is built;
+    ``factorization`` says why the int64 guard suffices.
     """
     if g.n < 2:
         raise InstanceError(f"n < 2 unsupported (got n={g.n})")
@@ -140,5 +145,7 @@ def validate_instance(g: Graph, p: SparsityParams) -> None:
         raise InstanceError(
             f"parameters (k={p.k}, ell={p.ell}) outside 0 <= ell <= 2k-1, k >= 1"
         )
+    if g.n > MAX_VERTICES:
+        raise EnumerationGuardError(f"n = {g.n} vertices is beyond the vertex guard of {MAX_VERTICES}")
     if p.k * g.n >= 2**63:
         raise EnumerationGuardError(f"k*n = {p.k * g.n} is beyond the int64 range of the exact checks")

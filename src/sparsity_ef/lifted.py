@@ -41,7 +41,7 @@ from __future__ import annotations
 from .errors import EmptyPolytopeError, InfeasibleLiftedPointError  # EmptyPolytopeError is re-exported
 from .factorization import Factorization, render_rows, row_incidence, slack_matrix, verify_factorization
 from .graphs import Graph, SparsityParams
-from .protocol import VARIANT_A, bit_complexity
+from .protocol import ANNOUNCED, bit_complexity
 from .sparsity import require_basis
 
 
@@ -87,7 +87,7 @@ def verify_extension(fac: Factorization) -> dict:
     w = len(fac.transcripts)
     equality_count, inequality_count = ine_size(fac)
     bits = bit_complexity(g, fac.variant)
-    size_bound = 3 * n * m if fac.variant == VARIANT_A else 3 * n * n * m
+    size_bound = 3 * n ** ANNOUNCED[fac.variant] * m
     return {
         "instance": {"n": n, "edge_count": m, "k": p.k, "ell": p.ell},
         "variant": fac.variant,

@@ -1,4 +1,4 @@
-"""Orientations with prescribed in-degrees, plus the protocol target vectors.
+"""Orientations with prescribed in-degrees (Hakimi's theorem).
 
 An in-degree vector m is realizable on (V, F) iff |F| = sum(m) and
 |F(X)| <= sum_{v in X} m(v) for every X ⊆ V (Hakimi's theorem).
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InfeasibleOrientationError
-from .graphs import SparsityParams
 from .sparsity import PebbleGame
 
 
@@ -118,28 +117,3 @@ def orient_with_targets(
     heads = tuple(u if v in out[u] else v for u, v in edges)
     return Orientation(n=n, edges=edges, heads=heads)
 
-
-def protocol_targets_A(n: int, p: SparsityParams, x: int) -> tuple[int, ...]:
-    """In-degree targets k everywhere except k-l at the announced vertex."""
-    if p.k < p.ell:
-        raise ValueError(f"targets require k >= ell, got (k={p.k}, ell={p.ell})")
-    if not (0 <= x < n):
-        raise ValueError(f"vertex {x} outside 0..{n - 1}")
-    m = [p.k] * n
-    m[x] = p.k - p.ell
-    return tuple(m)
-
-
-def protocol_targets_B(n: int, p: SparsityParams, x: int, y: int) -> tuple[int, ...]:
-    """In-degree targets 0 at x, 2k-l at y, k elsewhere; needs k <= ell and x != y."""
-    if p.k > p.ell:
-        raise ValueError(f"targets require k <= ell, got (k={p.k}, ell={p.ell})")
-    if x == y:
-        raise ValueError("the two announced vertices must differ")
-    for z in (x, y):
-        if not (0 <= z < n):
-            raise ValueError(f"vertex {z} outside 0..{n - 1}")
-    m = [p.k] * n
-    m[x] = 0
-    m[y] = 2 * p.k - p.ell
-    return tuple(m)

@@ -1,18 +1,36 @@
-"""The two one-round randomized protocols and their exact expectations.
+"""The one-round randomized protocol and its exact expectations.
 
-One round: Alice announces one vertex of her set X (variant A, regime
-k >= l) or two (variant B, regime k <= l); Bob orients his tight edge set
-F to the matching in-degree targets, picks one oriented edge (u, v)
-uniformly at random and announces it; Alice outputs k*n - l if the edge
-enters X (u outside, v inside) and 0 otherwise.  The expected output
-equals the slack k|X| - l - |F ∩ E(X)| exactly, which is what the
-factorization module turns into a nonnegative matrix factorization.
+One round: Alice announces vertices of her set X, Bob orients his tight
+edge set F to in-degree targets fixed by that announcement, picks one
+oriented edge (u, v) uniformly at random and announces it; Alice outputs
+k*n - l if the edge enters X (u outside, v inside) and 0 otherwise.  The
+expected output equals the slack k|X| - l - |F ∩ E(X)| exactly, which is
+what the factorization module turns into a nonnegative matrix
+factorization.
 
-Alice's "arbitrary" announcement is pinned to the smallest index (pair of
-smallest indices) in X, and Bob's orientation is the deterministic one
-from the orientation module, so each transcript is a pure function of
-(X, F).  Each public round checks and orients F afresh; nothing is kept
-between calls.  At l = k both variants are legal; callers default to A.
+The two variants differ in one number, ``ANNOUNCED[variant]``, the count
+of vertices Alice announces: one in variant A (regime k >= l), two in
+variant B (regime k <= l).  At l = k both are legal; ``resolve_variant``
+maps 'auto' to A there.  Everything else follows from the count:
+
+* the announcements are the ordered tuples of count distinct vertices,
+  ``announcements(n, variant)``, in lexicographic order;
+* Alice's "arbitrary" announcement is pinned to the count smallest
+  vertices of X, in increasing order (``alice_choice``);
+* Bob's targets (``protocol_targets``) are k at every vertex, less the
+  deficit l, which the announced vertices take in order, up to k each:
+  k - l at x in A, 0 at x and 2k - l at y in B;
+* there are 2|E| transcripts per announcement (an edge and its head),
+  so 2n|E| for A and 2n(n-1)|E| for B;
+* a round exchanges count * bits(n-1) + bits(|E|-1) + 1 bits, where
+  bits(m) is the bit length of m (``bit_complexity``);
+* the size bound that ``lifted.verify_extension`` checks the lifted
+  system's inequality count against is 3 n^count |E|: O(|V||E|) for A
+  and O(|V|^2|E|) for B.
+
+Bob's orientation is the deterministic one from the orientation module,
+so each transcript is a pure function of (X, F).  Each public round
+checks and orients F afresh; nothing is kept between calls.
 
 The random edge pick uses a counter-based splitmix64 stream,
 ``splitmix_draw``: draw ``t`` of ``seed`` is
@@ -25,21 +43,17 @@ below anything observable at desk scale.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import sqrt
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .graphs import Graph, SparsityParams, validate_instance
-from .orientation import (
-    Orientation,
-    orient_with_targets,
-    protocol_targets_A,
-    protocol_targets_B,
-)
+from .orientation import Orientation, orient_with_targets
 from .sparsity import Basis, is_tight
 
-VARIANT_A = "A"
-VARIANT_B = "B"
+VARIANT_A, VARIANT_B = "A", "B"
+ANNOUNCED = {VARIANT_A: 1, VARIANT_B: 2}  # how many vertices of X Alice announces
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -56,22 +70,18 @@ def splitmix_draw(seed: int, t: int, m: int) -> int:
     return z % m
 
 
-def admissible_variants(p: SparsityParams) -> tuple[str, ...]:
-    out = []
-    if p.k >= p.ell:
-        out.append(VARIANT_A)
-    if p.k <= p.ell:
-        out.append(VARIANT_B)
-    return tuple(out)
+def _count(variant: str) -> int:
+    if variant not in ANNOUNCED:
+        raise ValueError(f"unknown protocol variant {variant!r}")
+    return ANNOUNCED[variant]
 
 
 def resolve_variant(p: SparsityParams, requested: str = "auto") -> str:
     """Map 'auto' to the regime-appropriate variant (A preferred at k = l)."""
     if requested == "auto":
         return VARIANT_A if p.k >= p.ell else VARIANT_B
-    if requested not in (VARIANT_A, VARIANT_B):
-        raise ValueError(f"unknown protocol variant {requested!r}")
-    if requested not in admissible_variants(p):
+    count = _count(requested)
+    if not (count - 1) * p.k <= p.ell <= count * p.k:
         raise ValueError(
             f"variant {requested} invalid for (k={p.k}, ell={p.ell}): "
             f"A needs k >= ell, B needs k <= ell"
@@ -79,62 +89,67 @@ def resolve_variant(p: SparsityParams, requested: str = "auto") -> str:
     return requested
 
 
+def announcements(n: int, variant: str) -> list[tuple[int, ...]]:
+    """Every announcement Alice can make on n vertices, in lexicographic order."""
+    return list(itertools.permutations(range(n), _count(variant)))
+
+
 def alice_choice(x_set: Iterable[int], variant: str) -> tuple[int, ...]:
-    """The announced vertex (A) or ordered vertex pair (B): smallest indices of X."""
+    """Alice's announcement for X: its ``ANNOUNCED[variant]`` smallest vertices, in increasing order."""
+    count = _count(variant)
     members = sorted(set(x_set))
-    if variant == VARIANT_A:
-        if len(members) < 1:
-            raise ValueError("variant A needs |X| >= 1")
-        return (members[0],)
-    if variant == VARIANT_B:
-        if len(members) < 2:
-            raise ValueError("variant B needs |X| >= 2")
-        return (members[0], members[1])
-    raise ValueError(f"unknown protocol variant {variant!r}")
+    if len(members) < count:
+        raise ValueError(f"variant {variant} needs |X| >= {count}, got {len(members)}")
+    return tuple(members[:count])
 
 
-def targets_for(g: Graph, p: SparsityParams, variant: str, alice: tuple[int, ...]) -> tuple[int, ...]:
-    if variant == VARIANT_A:
-        (x,) = alice
-        return protocol_targets_A(g.n, p, x)
-    (x, y) = alice
-    return protocol_targets_B(g.n, p, x, y)
+def protocol_targets(n: int, p: SparsityParams, announced: Sequence[int]) -> tuple[int, ...]:
+    """Bob's in-degree targets: k everywhere, less the deficit l taken by the announced vertices.
+
+    The announced vertices, in order, each take up to k of l, and all of
+    l must be taken with every vertex but the last taking a full k: so
+    one vertex needs k >= l and two need k <= l.
+    """
+    count = len(announced)
+    if count not in ANNOUNCED.values():
+        raise ValueError(f"Alice announces one or two vertices, got {count}")
+    if p.ell > count * p.k:
+        raise ValueError(f"targets require k >= ell, got (k={p.k}, ell={p.ell})")
+    if p.ell < (count - 1) * p.k:
+        raise ValueError(f"targets require k <= ell, got (k={p.k}, ell={p.ell})")
+    if len(set(announced)) < count:
+        raise ValueError("the two announced vertices must differ")
+    m, deficit = [p.k] * n, p.ell
+    for v in announced:
+        if not (0 <= v < n):
+            raise ValueError(f"vertex {v} outside 0..{n - 1}")
+        take = min(p.k, deficit)
+        m[v] -= take
+        deficit -= take
+    return tuple(m)
 
 
-def orient_basis(
-    g: Graph, p: SparsityParams, variant: str, basis: Basis, alice: tuple[int, ...]
-) -> Orientation:
+def orient_basis(g: Graph, p: SparsityParams, basis: Basis, alice: tuple[int, ...]) -> Orientation:
     """Bob's deterministic orientation of the basis for the announced vertices."""
-    targets = targets_for(g, p, variant, alice)
     edges = tuple(g.edges[i] for i in basis)
-    return orient_with_targets(g.n, edges, targets)
+    return orient_with_targets(g.n, edges, protocol_targets(g.n, p, alice))
 
 
-def _check_round_inputs(
+def _oriented_round(
     g: Graph, p: SparsityParams, variant: str, x_set: Iterable[int], basis: Iterable[int]
-) -> tuple[frozenset[int], Basis]:
+) -> tuple[frozenset[int], Basis, Orientation]:
     validate_instance(g, p)
     resolve_variant(p, variant)
     members = frozenset(x_set)
     for v in members:
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
-    need = 1 if variant == VARIANT_A else 2
-    if len(members) < need:
-        raise ValueError(f"variant {variant} needs |X| >= {need}, got {len(members)}")
+    alice = alice_choice(members, variant)
     b = tuple(sorted(set(basis)))
     if not is_tight(g, p, b):
         raise ValueError("the edge set is not a basis (not tight for these parameters)")
-    return members, b
-
-
-def _oriented_round(
-    g: Graph, p: SparsityParams, variant: str, x_set: Iterable[int], basis: Iterable[int]
-) -> tuple[frozenset[int], Basis, Orientation]:
-    members, b = _check_round_inputs(g, p, variant, x_set, basis)
-    alice = alice_choice(members, variant)
     try:
-        orientation = orient_basis(g, p, variant, b, alice)
+        orientation = orient_basis(g, p, b, alice)
     except Exception as exc:  # Lemma guarantees feasibility for tight F
         raise RuntimeError(
             f"internal consistency failure: orientation of a basis was refused ({exc})"
@@ -214,13 +229,7 @@ def monte_carlo(
 
 
 def bit_complexity(g: Graph, variant: str) -> int:
-    """Bits exchanged per round: the vertex announcements plus an edge index and a head bit."""
+    """Bits exchanged per round: the announced vertices, then an edge index and a head bit."""
     if g.edge_count < 1:
         raise ValueError("bit complexity undefined for an empty edge set")
-    vertex_bits = (g.n - 1).bit_length()
-    edge_bits = (g.edge_count - 1).bit_length()
-    if variant == VARIANT_A:
-        return vertex_bits + edge_bits + 1
-    if variant == VARIANT_B:
-        return 2 * vertex_bits + edge_bits + 1
-    raise ValueError(f"unknown protocol variant {variant!r}")
+    return _count(variant) * (g.n - 1).bit_length() + (g.edge_count - 1).bit_length() + 1

@@ -21,16 +21,13 @@ from sparsity_ef.factorization import (
     slack_value,
     verify_factorization,
 )
-from sparsity_ef.orientation import (
-    InfeasibleOrientationError,
-    orient_with_targets,
-    protocol_targets_A,
-    protocol_targets_B,
-)
+from sparsity_ef.orientation import InfeasibleOrientationError, orient_with_targets
 from sparsity_ef.protocol import (
+    announcements,
     bit_complexity,
     exact_expectation,
     monte_carlo,
+    protocol_targets,
     resolve_variant,
 )
 from sparsity_ef.lifted import verify_extension
@@ -88,23 +85,15 @@ def test_c02_factorization_exactness(corpus_cells):
 def test_c03_orientation_lemmas(corpus_cells):
     constructed = 0
     for name, g, p, bases in corpus_cells:
+        variants = [v for v, legal in (("A", p.k >= p.ell), ("B", p.k <= p.ell)) if legal]
         for basis in bases:
             edges = [g.edges[i] for i in basis]
-            if p.k >= p.ell:
-                for x in range(g.n):
-                    targets = protocol_targets_A(g.n, p, x)
+            for variant in variants:
+                for alice in announcements(g.n, variant):
+                    targets = protocol_targets(g.n, p, alice)
                     o = orient_with_targets(g.n, edges, targets)
-                    assert o.rho == targets, (name, p, basis, x)
+                    assert o.rho == targets, (name, p, basis, alice)
                     constructed += 1
-            if p.k <= p.ell:
-                for x in range(g.n):
-                    for y in range(g.n):
-                        if x == y:
-                            continue
-                        targets = protocol_targets_B(g.n, p, x, y)
-                        o = orient_with_targets(g.n, edges, targets)
-                        assert o.rho == targets, (name, p, basis, x, y)
-                        constructed += 1
     _ok(3, "orientation lemmas", f"{constructed} prescribed orientations, zero failures")
 
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from sparsity_ef import cli, factorization, lifted
-from sparsity_ef.graphs import dump_graph
+from sparsity_ef.graphs import MAX_VERTICES, dump_graph
 from sparsity_ef.lifted import InfeasibleLiftedPointError
 
 from conftest import complete_graph, path_graph
@@ -316,6 +316,16 @@ def test_int64_range_guard_exits_3(k3_path, tmp_path, capsys):
         assert code == 3, argv
         assert any(line.startswith("error: ") and "int64" in line for line in err.splitlines()), argv
         assert "Traceback" not in err
+
+
+def test_vertex_guard_exits_3(tmp_path, capsys):
+    """One vertex past the guard is refused as the instance is read, before any game is built."""
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"n": MAX_VERTICES + 1, "edges": [[0, 1]]}))
+    for command in ("check", "bases"):
+        code, out, err = run([command, "--graph", str(path), "--k", "1", "--l", "1"], capsys)
+        assert code == 3, command
+        assert out == "" and err.startswith("error: ") and "vertex guard" in err, command
 
 
 def test_emit_needs_no_enumeration(k4_path, tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from sparsity_ef import factorization
 from sparsity_ef.graphs import SparsityParams
 from sparsity_ef.factorization import (
+    build_T,
     build_U,
     build_factorization,
     enumerate_rows,
@@ -163,6 +164,14 @@ def test_memory_guard_threshold(monkeypatch):
     for p, bases in ((SparsityParams(2, 2), 228690), (P11, 7**5)):
         with pytest.raises(Oriented):  # passes the guard and reaches orientation
             build_U(k7, p, "A", [None] * bases, enumerate_transcripts(k7, "A"))
+
+
+def test_build_t_needs_every_announced_transcript():
+    """A row whose announcement has no transcripts is refused, not left as a zero row of T."""
+    transcripts = enumerate_transcripts(K4, "A")
+    rows = enumerate_rows(K4, P11)
+    with pytest.raises(KeyError):  # X = {2, 3} announces vertex 2, dropped with the second half
+        build_T(K4, P11, "A", rows, transcripts[: len(transcripts) // 2])
 
 
 def test_dimension_mismatch_raises():

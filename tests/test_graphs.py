@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from sparsity_ef.errors import EnumerationGuardError
 from sparsity_ef.graphs import (
+    MAX_VERTICES,
     Graph,
     GraphError,
     InstanceError,
@@ -86,6 +87,12 @@ def test_validate_instance():
     validate_instance(Graph(7, ()), SparsityParams((2**63 - 1) // 7, 0))
     with pytest.raises(EnumerationGuardError, match="int64"):
         validate_instance(Graph(2, ()), SparsityParams(2**62, 0))
+
+
+def test_vertex_guard_fires_above_max_vertices():
+    validate_instance(Graph(MAX_VERTICES, ()), SparsityParams(1, 1))
+    with pytest.raises(EnumerationGuardError, match="vertex guard"):
+        validate_instance(Graph(MAX_VERTICES + 1, ()), SparsityParams(1, 1))
 
 
 @st.composite

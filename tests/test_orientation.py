@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,9 +8,8 @@ from sparsity_ef.orientation import (
     InfeasibleOrientationError,
     hakimi_feasible,
     orient_with_targets,
-    protocol_targets_A,
-    protocol_targets_B,
 )
+from sparsity_ef.protocol import protocol_targets
 from sparsity_ef.sparsity import enumerate_bases
 
 from conftest import complete_graph, hakimi_violation, random_graph
@@ -71,52 +71,43 @@ def test_hakimi_violation_example():
 
 
 def test_targets_A():
-    assert protocol_targets_A(3, SparsityParams(1, 1), 0) == (0, 1, 1)
-    assert protocol_targets_A(4, SparsityParams(2, 2), 3) == (2, 2, 2, 0)
+    assert protocol_targets(3, SparsityParams(1, 1), (0,)) == (0, 1, 1)
+    assert protocol_targets(4, SparsityParams(2, 2), (3,)) == (2, 2, 2, 0)
     with pytest.raises(ValueError, match="k >= ell"):
-        protocol_targets_A(3, SparsityParams(2, 3), 0)
+        protocol_targets(3, SparsityParams(2, 3), (0,))
     with pytest.raises(ValueError, match="outside"):
-        protocol_targets_A(3, SparsityParams(1, 1), 3)
+        protocol_targets(3, SparsityParams(1, 1), (3,))
 
 
 def test_targets_B():
-    assert protocol_targets_B(4, SparsityParams(2, 3), 0, 1) == (0, 1, 2, 2)
-    assert protocol_targets_B(3, SparsityParams(1, 1), 0, 1) == (0, 1, 1)
+    assert protocol_targets(4, SparsityParams(2, 3), (0, 1)) == (0, 1, 2, 2)
+    assert protocol_targets(3, SparsityParams(1, 1), (0, 1)) == (0, 1, 1)
     with pytest.raises(ValueError, match="differ"):
-        protocol_targets_B(4, SparsityParams(2, 3), 1, 1)
+        protocol_targets(4, SparsityParams(2, 3), (1, 1))
     with pytest.raises(ValueError, match="k <= ell"):
-        protocol_targets_B(4, SparsityParams(2, 1), 0, 1)
+        protocol_targets(4, SparsityParams(2, 1), (0, 1))
 
 
 def test_target_sums():
     for n in range(2, 7):
         p = SparsityParams(2, 2)
         for x in range(n):
-            assert sum(protocol_targets_A(n, p, x)) == 2 * n - 2
+            assert sum(protocol_targets(n, p, (x,))) == 2 * n - 2
         p = SparsityParams(2, 3)
         for x in range(n):
             for y in range(n):
                 if x != y:
-                    assert sum(protocol_targets_B(n, p, x, y)) == 2 * n - 3
+                    assert sum(protocol_targets(n, p, (x, y))) == 2 * n - 3
 
 
 def test_orientation_lemmas_on_k4():
     """Prescribed-in-degree orientations exist for every basis and announcement."""
-    p = SparsityParams(1, 1)
-    for basis in enumerate_bases(K4, p):
-        edges = [K4.edges[i] for i in basis]
-        for x in range(4):
-            o = orient_with_targets(4, edges, protocol_targets_A(4, p, x))
-            assert o.rho == protocol_targets_A(4, p, x)
-    p = SparsityParams(2, 3)
-    for basis in enumerate_bases(K4, p):
-        edges = [K4.edges[i] for i in basis]
-        for x in range(4):
-            for y in range(4):
-                if x == y:
-                    continue
-                o = orient_with_targets(4, edges, protocol_targets_B(4, p, x, y))
-                assert o.rho == protocol_targets_B(4, p, x, y)
+    for p, count in ((SparsityParams(1, 1), 1), (SparsityParams(2, 3), 2)):
+        for basis in enumerate_bases(K4, p):
+            edges = [K4.edges[i] for i in basis]
+            for alice in itertools.permutations(range(4), count):
+                targets = protocol_targets(4, p, alice)
+                assert orient_with_targets(4, edges, targets).rho == targets
 
 
 def test_rho_consistency():

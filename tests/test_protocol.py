@@ -7,15 +7,17 @@ from sparsity_ef import cli
 from sparsity_ef.graphs import Graph, SparsityParams, dump_graph
 from sparsity_ef.protocol import (
     alice_choice,
+    announcements,
     bit_complexity,
     exact_expectation,
     monte_carlo,
     orient_basis,
+    protocol_targets,
     resolve_variant,
     run_once,
     splitmix_draw,
 )
-from sparsity_ef.factorization import slack_value
+from sparsity_ef.factorization import enumerate_rows, enumerate_transcripts, slack_value
 from sparsity_ef.sparsity import enumerate_bases
 
 from conftest import complete_graph
@@ -33,6 +35,60 @@ def test_alice_choice():
         alice_choice({1}, "B")
     with pytest.raises(ValueError):
         alice_choice(set(), "A")
+
+
+def _closed_form_targets(n, p, announced):
+    """Bob's targets as first stated: k - l at x (A); 0 at x and 2k - l at y (B); k elsewhere."""
+    m = [p.k] * n
+    if len(announced) == 1:
+        m[announced[0]] = p.k - p.ell
+    else:
+        x, y = announced
+        m[x], m[y] = 0, 2 * p.k - p.ell
+    return tuple(m)
+
+
+def test_protocol_targets_match_closed_forms():
+    cells = 0
+    for n in range(2, 7):
+        for k in range(1, 4):
+            for ell in range(2 * k):
+                p = SparsityParams(k, ell)
+                for count in [c for c, legal in ((1, k >= ell), (2, k <= ell)) if legal]:
+                    for announced in itertools.permutations(range(n), count):
+                        assert protocol_targets(n, p, announced) == _closed_form_targets(n, p, announced)
+                        cells += 1
+    assert cells == 600  # sum over n = 2..6 of 9n announcements of one vertex and 6n(n-1) of two
+
+
+def test_protocol_targets_refusals():
+    with pytest.raises(ValueError, match="k >= ell"):
+        protocol_targets(4, P23, (0,))  # one vertex at k < l
+    with pytest.raises(ValueError, match="k <= ell"):
+        protocol_targets(4, SparsityParams(2, 1), (0, 1))  # two vertices at k > l
+    with pytest.raises(ValueError, match="differ"):
+        protocol_targets(4, P11, (2, 2))
+    for announced in ((4,), (-1,), (0, 4), (-1, 0)):
+        with pytest.raises(ValueError, match="outside"):
+            protocol_targets(4, P11, announced)
+    for announced in ((), (0, 1, 2)):
+        with pytest.raises(ValueError, match="one or two"):
+            protocol_targets(4, P11, announced)
+
+
+@pytest.mark.parametrize("g", [K3, K4, complete_graph(5)], ids=["K3", "K4", "K5"])
+def test_announcements_are_the_transcript_order(g):
+    first_stated = {
+        "A": [(x,) for x in range(g.n)],
+        "B": [(x, y) for x in range(g.n) for y in range(g.n) if x != y],
+    }
+    for variant, expected in first_stated.items():
+        assert announcements(g.n, variant) == expected
+        transcripts = enumerate_transcripts(g, variant)
+        assert [w.alice for w in transcripts[:: 2 * g.edge_count]] == expected
+        assert len(transcripts) == 2 * g.edge_count * len(expected)
+        for x in enumerate_rows(g, P11):
+            assert alice_choice(x, variant) in expected
 
 
 def test_resolve_variant():
@@ -61,7 +117,7 @@ def test_run_once_always_zero_cases():
 def test_run_once_uses_documented_stream():
     basis = (1, 2)
     members = {0, 1}
-    o = orient_basis(K3, P11, "A", basis, (0,))
+    o = orient_basis(K3, P11, basis, (0,))
     for seed in (0, 1, 7, 2**63 + 11):
         idx = splitmix_draw(seed & ((1 << 64) - 1), 0, 2)
         tail, head = o.directed_edges()[idx]
@@ -73,7 +129,7 @@ def test_exact_expectation_k3_cells():
     assert exact_expectation(K3, P11, "A", {0, 1}, (1, 2)) == 1
     assert exact_expectation(K3, P11, "A", {0, 1}, (0, 2)) == 0
     # the canonical orientation behind the nonzero cell: 0->2 then repaired 2->1
-    o = orient_basis(K3, P11, "A", (1, 2), (0,))
+    o = orient_basis(K3, P11, (1, 2), (0,))
     assert o.directed_edges() == ((0, 2), (2, 1))
 
 
@@ -120,7 +176,7 @@ def test_counting_identity_inside_x():
         for size in (2, 3, 4):
             for x in itertools.combinations(range(4), size):
                 alice = alice_choice(x, "B")
-                o = orient_basis(K4, P23, "B", basis, alice)
+                o = orient_basis(K4, P23, basis, alice)
                 assert sum(o.rho[v] for v in x) == 2 * len(x) - 3
 
 
@@ -128,7 +184,7 @@ def test_entering_edge_identity():
     for basis in enumerate_bases(K4, P11):
         for size in (1, 2, 3):
             for x in itertools.combinations(range(4), size):
-                o = orient_basis(K4, P11, "A", basis, alice_choice(x, "A"))
+                o = orient_basis(K4, P11, basis, alice_choice(x, "A"))
                 entering = sum(
                     1 for tail, head in o.directed_edges() if tail not in x and head in x
                 )

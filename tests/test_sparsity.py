@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparsity_ef import sparsity
-from sparsity_ef.graphs import Graph, SparsityParams, make_graph
+from sparsity_ef.graphs import MAX_VERTICES, Graph, SparsityParams, make_graph
 from sparsity_ef.sparsity import (
     EnumerationGuardError,
     enumerate_bases,
@@ -120,7 +120,7 @@ def test_has_basis_refuses_too_few_edges_without_a_game(monkeypatch):
         raise AssertionError("the pebble game was built")
 
     monkeypatch.setattr(sparsity, "PebbleGame", no_game)
-    assert has_basis(Graph(10**6, ()), P11) is False
+    assert has_basis(Graph(MAX_VERTICES, ()), P11) is False
 
 
 def test_enumeration_guard():
