@@ -26,14 +26,14 @@ _MODULES = {
         "enumerate_rows", "enumerate_transcripts", "slack_matrix", "slack_value", "verify_factorization",
     ),
     "graphs": (
-        "Graph", "SparsityParams", "dump_graph", "induced_edges", "load_graph", "load_graph_file",
+        "Graph", "SparsityParams", "induced_edges", "load_graph", "load_graph_file",
         "make_graph", "validate_instance",
     ),
     "lifted": ("format_ine", "verify_extension"),
-    "orientation": ("Orientation", "hakimi_feasible", "orient_with_targets"),
+    "orientation": ("Orientation", "orient_with_targets"),
     "protocol": (
         "MCResult", "alice_choice", "bit_complexity", "exact_expectation", "monte_carlo", "protocol_targets",
-        "resolve_variant", "run_once",
+        "resolve_variant",
     ),
     "sparsity": ("Basis", "enumerate_bases", "is_sparse_bruteforce", "is_sparse_pebble", "is_tight"),
 }

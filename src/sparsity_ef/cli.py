@@ -12,13 +12,13 @@ verify.  Exit codes form the CI contract:
        expectation/slack mismatch, factorization or extension
        verification failure) — a bug trap, not a user error; also any
        exception outside this list ("error: internal failure: ...")
-    3  enumeration guard, vertex guard or int64 range guard exceeded
+    3  enumeration, vertex or memory guard exceeded
     4  empty polytope (no basis exists)
 
 All numeric output is exact (integers or p/q rationals) except the Monte
 Carlo standard error.  Every command refuses more than 2^16 vertices
-(graphs.MAX_VERTICES) and k*n beyond the int64 range (exit 3) when it
-reads its instance, before any per-vertex state is built.  --max-enum
+(graphs.MAX_VERTICES, exit 3) when it reads its instance, before any
+per-vertex state is built.  --max-enum
 overrides the basis-enumeration guard.
 `slack`, `factorize`, `verify` and `emit --verify` refuse a graph with
 more than 16 vertices (exit 3), then an instance without a basis (exit 4,
@@ -27,8 +27,9 @@ decided by one pebble game), before they enumerate any basis; so
 `emit` do, and an empty instance exits 4 whatever --max-enum says.
 
 `verify` and `emit --verify` build one factorization over every basis
-and make `factorize`'s check on it, T >= 0, U >= 0 and T@U = S, and
-check |F| = kn - l: every basis then lifts with zero residual.  That
+and make `factorize`'s check on it, S = A@B with 0/1 factors A = T/c
+and B = cU, so T@U = S with T, U >= 0, and check |F| = c = kn - l:
+every basis then lifts with zero residual.  That
 certifies that the lifted polytope contains every basis and that its
 projection satisfies the counting inequalities and x >= 0; x <= 1 is an
 emitted bound row where 2k - l >= 2 and follows from the rows |X| = 2

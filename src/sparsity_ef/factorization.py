@@ -11,34 +11,31 @@ Bob's announced directed edge.  Transcripts are indexed lexicographically
 by (alice vertices, edge index, head flag), where flag 0 points the edge
 at its higher endpoint and flag 1 at its lower; there are 2|E| of them
 per announcement (``protocol.announcements``), so 2n|E| for variant A
-and 2n(n-1)|E| for variant B.  Every basis has
-|F| = c = k n - l edges, so both factors are integral up to that one scale:
+and 2n(n-1)|E| for variant B.  The protocol's factors are two 0/1
+incidence matrices,
 
-    T = c * A,   A[X][w] = [alice(w) = alice_choice(X)] * [w's edge enters X]
-    U = B / c,   B[w][F] = [w's directed edge appears in Bob's
-                            orientation of F for alice(w)]
+    A[X][w] = [alice(w) = alice_choice(X)] * [w's edge enters X]
+    B[w][F] = [w's directed edge appears in Bob's orientation of F for alice(w)]
 
-with A and B 0/1 incidence matrices.  T @ U = S is therefore the integer
-identity T @ B = c * S, which is how it is checked.  T, B and the slack
-matrix are lists of rows of Python ints; the scale 1/c appears only in
-the U view and at the CSV boundary, where entries render as exact 'p' or
-'p/q'.
+and S = A @ B exactly: (A @ B)[X][F] counts the edges of F's orientation
+that enter X.  Every basis has |F| = c = k n - l >= 1 edges, and the
+nonnegative factorization of the lift is T = c * A and U = B / c.  A and
+B are stored as lists of ``bytearray`` rows, so their entries are
+nonnegative by type; T and U exist only where they are written, as the
+exact 'p' or 'p/q' entries of T.csv and U.csv and as ``.ine``
+coefficients.  The slack matrix is a list of rows of Python ints.
 
-``verify_factorization`` compares whole rows.  A row of nonnegative
-entries packs into one int whose little-endian fields of f bytes hold
-the entries, built from a strided ``bytearray``.  Row i of T @ B packs
-to sum_w T[i][w] * packed(B[w]), one big-int multiply-add per nonzero
-entry of T, and is compared with c * packed(S[i]).  f is wide enough for
-the largest possible entry of T @ B, the largest row sum of T times the
+``verify_factorization`` compares whole rows.  A byte row packs into one
+int whose little-endian fields of f bytes hold the entries, built from a
+strided ``bytearray``.  Row i of A @ B packs to
+sum_w A[i][w] * packed(B[w]), one big-int multiply-add per nonzero entry
+of A, and is compared with packed(S[i]).  f is wide enough for the
+largest possible entry of A @ B, the largest row sum of A times the
 largest entry of B, so no field carries into the next and two packed
-rows are equal exactly when their entries are.  Entries are scanned only
-to name a failure.
-
-Python ints do not overflow; ``graphs.validate_instance`` still refuses
-k n beyond int64 on every command.  Once a basis exists,
-c = k n - l <= |E| <= 120 (rows are enumerated only for n <= 16), so the
-entries of T, B, S and T @ B are small and f is one or two bytes;
-otherwise S and B have no columns and T <= c <= k n.
+rows are equal exactly when their entries are.  A row sum of A counts
+the edges that enter X, at most n^2/4 <= 64 for the n <= 16 that rows
+allow, so f is one byte while B is 0/1.  Entries are scanned only to
+name a failure.
 """
 
 from __future__ import annotations
@@ -56,13 +53,12 @@ from .protocol import alice_choice, announcements, orient_basis, resolve_variant
 from .sparsity import Basis, enumerate_bases
 
 MAX_ROW_ENUM_N = 16
-_BYTES = bytes(range(256))
-MAX_U_BYTES = 2**30  # build_U refuses B, its packed copies and S estimated beyond this
-# per entry of B: an 8-byte list slot (0 and 1 are shared int objects), then
-# the byte of its bytes copy and the byte of its field when verify_factorization
-# packs it (fields are one byte wide while c * n^2 / 4 < 256); per entry of S: a slot
-B_ENTRY_BYTES = 10
-S_ENTRY_BYTES = 8
+MAX_U_BYTES = 2**30  # build_U refuses B, its packed rows and S estimated beyond this
+# per entry of B: its byte, then the byte of its field when verify_factorization
+# packs it (fields are one byte wide, module docstring); per entry of S: a list
+# slot, and up to an eighth of one more that a list keeps free as it grows
+B_ENTRY_BYTES = 2
+S_ENTRY_BYTES = 9
 
 
 class Transcript(NamedTuple):
@@ -155,23 +151,21 @@ def enumerate_transcripts(g: Graph, variant: str) -> tuple[Transcript, ...]:
 
 def build_T(
     g: Graph,
-    p: SparsityParams,
     variant: str,
     rows: Sequence[tuple[int, ...]],
     transcripts: Sequence[Transcript],
-) -> list[list[int]]:
-    """T = c * A as |rows| x |W| rows of ints."""
-    c = p.k * g.n - p.ell
+) -> list[bytearray]:
+    """A = T / c as |rows| x |W| 0/1 rows of bytes."""
     index = {w: i for i, w in enumerate(transcripts)}
-    t = []
+    a = []
     for x in rows:
-        row = [0] * len(transcripts)
+        row = bytearray(len(transcripts))
         alice, members = alice_choice(x, variant), frozenset(x)
         for e, (u, v) in enumerate(g.edges):
             if (u in members) != (v in members):  # e enters X at whichever end lies inside
-                row[index[alice, e, v if v in members else u]] = c
-        t.append(row)
-    return t
+                row[index[alice, e, v if v in members else u]] = 1
+        a.append(row)
+    return a
 
 
 def build_U(
@@ -180,13 +174,13 @@ def build_U(
     variant: str,
     cols: Sequence[Basis],
     transcripts: Sequence[Transcript],
-) -> list[list[int]]:
-    """B = c * U as |W| x |cols| 0/1 rows of ints.
+) -> list[bytearray]:
+    """B = c * U as |W| x |cols| 0/1 rows of bytes.
 
     Orients each (basis, Alice announcement) pair exactly once.  Before
     any orientation, refuses (EnumerationGuardError) an instance whose B,
-    the copy of it that ``verify_factorization`` packs and the slack
-    matrix over the same bases are estimated at more than ``MAX_U_BYTES``.
+    its rows as ``verify_factorization`` packs them and the slack matrix
+    over the same bases are estimated at more than ``MAX_U_BYTES``.
     """
     index = {w: i for i, w in enumerate(transcripts)}
     announced = announcements(g.n, variant)
@@ -197,7 +191,7 @@ def build_U(
             f"B and the slack matrix for {len(cols)} bases would take about {estimate} bytes, "
             f"beyond the memory guard of {MAX_U_BYTES}"
         )
-    b = [[0] * len(cols) for _ in transcripts]
+    b = [bytearray(len(cols)) for _ in transcripts]
     for j, basis in enumerate(cols):
         for alice in announced:
             heads = orient_basis(g, p, basis, alice).heads
@@ -208,9 +202,9 @@ def build_U(
 
 @dataclass(frozen=True, eq=False)
 class Factorization:
-    """S = T @ U with T = c * A and U = B / c; T and B are lists of rows of ints.
+    """S = A @ B, that is S = T @ U with T = c * A and U = B / c; A and B are lists of byte rows.
 
-    T and the rows fix the lifted system that ``lifted.format_ine`` emits;
+    A and the rows fix the lifted system that ``lifted.format_ine`` emits;
     the columns of B only certify that each basis in ``cols`` lifts.
     """
 
@@ -220,18 +214,13 @@ class Factorization:
     transcripts: tuple[Transcript, ...]
     rows: tuple[tuple[int, ...], ...]
     cols: tuple[Basis, ...]
-    T: list[list[int]]
-    B: list[list[int]]
+    A: list[bytearray]
+    B: list[bytearray]
 
     @property
     def c(self) -> int:
-        """k n - l, the size of every basis and the scale of T and B."""
+        """k n - l, the size of every basis and the scale of T = c * A and U = B / c."""
         return self.params.k * self.graph.n - self.params.ell
-
-    @property
-    def U(self) -> tuple[tuple[Fraction, ...], ...]:
-        """B / c as exact rationals, row by row."""
-        return tuple(tuple(Fraction(b, self.c) for b in row) for row in self.B)
 
 
 def build_factorization(
@@ -245,7 +234,7 @@ def build_factorization(
 
     ``bases=None`` enumerates every basis; ``bases=()`` gives the
     factorization over no bases, which is the lifted system without its
-    certificate: T, rows and transcripts, and no basis is oriented.
+    certificate: A, rows and transcripts, and no basis is oriented.
     """
     variant = resolve_variant(p, variant)
     rows = enumerate_rows(g, p)
@@ -258,7 +247,7 @@ def build_factorization(
         transcripts=transcripts,
         rows=tuple(rows),
         cols=tuple(cols),
-        T=build_T(g, p, variant, rows, transcripts),
+        A=build_T(g, variant, rows, transcripts),
         B=build_U(g, p, variant, cols, transcripts),
     )
 
@@ -280,90 +269,51 @@ def _byte_row(row: Sequence[int]) -> bytes | None:
         return None
 
 
-def _pack(row: Sequence[int], data: bytes | None, width: int) -> int:
-    """sum_j row[j] * 256**(width*j) for a nonnegative row, built from strided byte planes.
-
-    ``data`` is ``_byte_row(row)``; a row with larger entries is split into
-    byte planes, so the sum is exact even where a field is too narrow.
-    """
-    if data is not None:
-        planes = [data]
-    else:
-        planes = [bytes((v >> shift) & 255 for v in row) for shift in range(0, max(row).bit_length(), 8)]
-    packed = 0
-    for k, plane in enumerate(planes):
-        buf = bytearray(len(plane) * width)
-        buf[::width] = plane
-        packed += int.from_bytes(buf, "little") << (8 * k)
-    return packed
+def _pack(row: bytes, width: int) -> int:
+    """sum_j row[j] * 256**(width*j), from a strided copy of the row's bytes."""
+    buf = bytearray(len(row) * width)
+    buf[::width] = row
+    return int.from_bytes(buf, "little")
 
 
-def _entry_bound(row: Sequence[int], data: bytes | None) -> int:
-    """An upper bound on a nonnegative row's entries: 1 for a 0/1 row, 255 for another byte row."""
-    if data is None:
-        return max(row)
-    return 255 if data.translate(None, b"\x00\x01") else 1
-
-
-def _first_negative(rows: Sequence[Sequence[int]], data: Sequence[bytes | None]) -> tuple[int, int] | None:
-    """Row-major first negative entry; rows whose ``data`` is bytes have none."""
-    for i, (row, row_data) in enumerate(zip(rows, data)):
-        if row_data is None and min(row, default=0) < 0:
-            return i, next(j for j, v in enumerate(row) if v < 0)
-    return None
+def _check_shape(name: str, rows: Sequence[bytes], length: int, width: int) -> None:
+    if len(rows) != length or not all(isinstance(row, (bytes, bytearray)) and len(row) == width for row in rows):
+        raise ValueError(f"{name} must be {length}x{width} rows of bytes")
 
 
 def verify_factorization(s: SlackMatrix, fac: Factorization) -> FactorizationCheck:
-    """Exact check that T and U are nonnegative and T @ U equals the slack matrix.
+    """Exact check that A @ B equals the slack matrix, so T @ U = S with T, U >= 0.
 
-    Checked as the integer identity T @ B = c * S on packed rows (module
-    docstring).  The witness names the first offending entry in row-major
-    order: ("T", i, j) / ("U", i, j) for a negative factor entry, (i, j)
-    for a product mismatch; the reason names it as a constraint of the
-    lifted polytope, where column j of U is the y-part of basis j's lift
-    and (T@U - S)[i][j] is that lift's residual on row i.  Dimension
-    incompatibilities raise instead.
+    Checked on packed rows (module docstring).  The witness (i, j) names
+    the first mismatch in row-major order; the reason names it as a
+    constraint of the lifted polytope, where column j of U is the y-part
+    of basis j's lift and (A@B - S)[i][j] is that lift's residual on
+    row i.  Dimension incompatibilities, and factor rows that are not
+    bytes, raise ValueError instead.
     """
     nrows, ncols = s.shape
     w = len(fac.transcripts)
-    if len(fac.T) != nrows or any(len(row) != w for row in fac.T):
-        raise ValueError(f"T must be {nrows}x{w}")
-    if len(fac.B) != w or any(len(row) != ncols for row in fac.B):
-        raise ValueError(f"U must be {w}x{ncols}")
-    bad = _first_negative(fac.T, [None] * nrows)
-    if bad is not None:
-        i, j = bad
-        return FactorizationCheck(
-            False, ("T", i, j), f"T[{i}][{j}] = {fac.T[i][j]} < 0 breaks the projection argument"
-        )
-    b_data = [_byte_row(row) for row in fac.B]
-    bad = _first_negative(fac.B, b_data)
-    if bad is not None:
-        i, j = bad
-        y = render_rational(Fraction(fac.B[i][j], fac.c))
-        return FactorizationCheck(False, ("U", i, j), f"basis {fac.cols[j]}: y[{i}] = {y} < 0")
+    _check_shape("A", fac.A, nrows, w)
+    _check_shape("B", fac.B, w, ncols)
 
-    # fields hold the largest possible entry of T @ B
-    top_b = max(map(_entry_bound, fac.B, b_data), default=0)
-    width = max(1, (max(map(sum, fac.T), default=0) * top_b).bit_length() + 7 >> 3)
-    packed_b = [_pack(row, data, width) for row, data in zip(fac.B, b_data)]
-    s_limit = (256**width - 1) // fac.c  # the largest slack whose c-multiple fits a field
-    for i, (t_row, s_row) in enumerate(zip(fac.T, s.entries)):
-        product = sum(map(operator.mul, itertools.compress(t_row, t_row), itertools.compress(packed_b, t_row)))
+    # fields hold the largest possible entry of A @ B
+    top_b = 255 if any(row.translate(None, b"\x00\x01") for row in fac.B) else 1
+    width = max(1, (max(map(sum, fac.A), default=0) * top_b).bit_length() + 7 >> 3)
+    packed_b = [_pack(row, width) for row in fac.B]
+    for i, (a_row, s_row) in enumerate(zip(fac.A, s.entries)):
+        product = sum(map(operator.mul, itertools.compress(a_row, a_row), itertools.compress(packed_b, a_row)))
         s_data = _byte_row(s_row)
-        fits = s_data is not None and not s_data.translate(None, _BYTES[:s_limit + 1])
-        if fits and product == fac.c * _pack(s_row, s_data, width):
+        if s_data is not None and product == _pack(s_data, width):
             continue
-        # a row that does not fit differs somewhere, since every field of the product does fit
+        # name the first differing entry; an S row outside 0..255 is compared entry by entry
         fields = product.to_bytes(ncols * width, "little")
         for j, slack in enumerate(s_row):
-            residual = int.from_bytes(fields[j * width:(j + 1) * width], "little") - fac.c * slack
+            residual = int.from_bytes(fields[j * width:(j + 1) * width], "little") - slack
             if residual:
-                r = render_rational(Fraction(residual, fac.c))
                 return FactorizationCheck(
-                    False, (i, j), f"basis {fac.cols[j]}: equality row X={fac.rows[i]} has residual {r}"
+                    False, (i, j), f"basis {fac.cols[j]}: equality row X={fac.rows[i]} has residual {residual}"
                 )
-    return FactorizationCheck(True, None, "T@U = S exactly; T, U >= 0")
+    return FactorizationCheck(True, None, "A@B = S exactly")
 
 
 def _label(prefix: str, indices: Iterable[int]) -> str:
@@ -371,24 +321,24 @@ def _label(prefix: str, indices: Iterable[int]) -> str:
 
 
 def format_matrix_csv(
-    row_labels: Sequence[str], col_labels: Sequence[str], entries, denominator: int = 1
+    row_labels: Sequence[str], col_labels: Sequence[str], entries, scale: int | Fraction = 1
 ) -> str:
     """Matrix dump: header line of column labels, then one labelled row per line.
 
-    Entries are integers over the common ``denominator``, rendered as exact
+    Entries are integers times the common ``scale``, rendered as exact
     rationals 'p' or 'p/q'.
     """
     lines = ["," + ",".join(col_labels)]
-    lines.extend(label + "," + row for label, row in zip(row_labels, render_rows(entries, ",", denominator)))
+    lines.extend(label + "," + row for label, row in zip(row_labels, render_rows(entries, ",", scale)))
     return "\n".join(lines) + "\n"
 
 
-def render_rows(values: Iterable[Sequence[int]], sep: str, denominator: int = 1) -> Iterator[str]:
-    """Each row of an integer matrix as its entries over ``denominator``, joined by ``sep``.
+def render_rows(values: Iterable[Sequence[int]], sep: str, scale: int | Fraction = 1) -> Iterator[str]:
+    """Each row of an integer matrix as its entries times ``scale``, joined by ``sep``.
 
     Each distinct value is rendered once (render_rational), then looked up.
     """
-    text = functools.cache(lambda value: render_rational(Fraction(value, denominator)))
+    text = functools.cache(lambda value: render_rational(value * scale))
     return (sep.join(map(text, row)) for row in values)
 
 
@@ -401,14 +351,14 @@ def slack_matrix_csv(s: SlackMatrix) -> str:
 
 
 def factor_csvs(fac: Factorization) -> tuple[str, str]:
-    """CSV dumps of (T, U) with transcript labels 'a0[+a1]/e<idx>h<head>'."""
+    """CSV dumps of (T, U) = (c * A, B / c) with transcript labels 'a0[+a1]/e<idx>h<head>'."""
     w_labels = [
         _label("", w.alice) + f"/e{w.edge}h{w.head}" for w in fac.transcripts
     ]
     t_csv = format_matrix_csv(
-        [_label("X:", x) for x in fac.rows], w_labels, fac.T
+        [_label("X:", x) for x in fac.rows], w_labels, fac.A, fac.c
     )
     u_csv = format_matrix_csv(
-        w_labels, [_label("F:", f) for f in fac.cols], fac.B, fac.c
+        w_labels, [_label("F:", f) for f in fac.cols], fac.B, Fraction(1, fac.c)
     )
     return t_csv, u_csv

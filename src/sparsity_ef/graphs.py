@@ -115,12 +115,6 @@ def load_graph_file(path) -> Graph:
         return load_graph(fh.read())
 
 
-def dump_graph(g: Graph) -> str:
-    """Inverse of load_graph on canonical graphs (byte-stable)."""
-    edges = ", ".join(f"[{u}, {v}]" for u, v in g.edges)
-    return f'{{"n": {g.n}, "edges": [{edges}]}}'
-
-
 def induced_edges(g: Graph, x: Iterable[int]) -> frozenset[int]:
     """Indices of edges of g with both endpoints in the vertex set x."""
     members = frozenset(x)
@@ -133,11 +127,10 @@ def induced_edges(g: Graph, x: Iterable[int]) -> frozenset[int]:
 
 
 def validate_instance(g: Graph, p: SparsityParams) -> None:
-    """Guard shared by every entry point: n >= 2, 0 <= ell <= 2k-1, n <= MAX_VERTICES, k n within int64.
+    """Guard shared by every entry point: n >= 2, 0 <= ell <= 2k-1, n <= MAX_VERTICES.
 
-    More than ``MAX_VERTICES`` vertices and k n beyond int64 are
-    EnumerationGuardErrors, raised before any per-vertex state is built;
-    ``factorization`` says why the int64 guard suffices.
+    More than ``MAX_VERTICES`` vertices is an EnumerationGuardError,
+    raised before any per-vertex state is built.
     """
     if g.n < 2:
         raise InstanceError(f"n < 2 unsupported (got n={g.n})")
@@ -147,5 +140,3 @@ def validate_instance(g: Graph, p: SparsityParams) -> None:
         )
     if g.n > MAX_VERTICES:
         raise EnumerationGuardError(f"n = {g.n} vertices is beyond the vertex guard of {MAX_VERTICES}")
-    if p.k * g.n >= 2**63:
-        raise EnumerationGuardError(f"k*n = {p.k * g.n} is beyond the int64 range of the exact checks")

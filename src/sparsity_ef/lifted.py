@@ -1,12 +1,12 @@
 """The lifted polytope of a factorization: its emission and its check.
 
 The lift follows the standard slack-covering construction (Faenza et
-al. 2012), fixed by the left factor T alone: one equality per counting
-row X,
+al. 2012), fixed by the left factor T = c * A alone (c = k n - l): one
+equality per counting row X,
 
-    sum_{e in E(X)} x_e  +  sum_w T[X][w] * y_w  =  k|X| - l,
+    sum_{e in E(X)} x_e  +  sum_w c * A[X][w] * y_w  =  k|X| - l,
 
-plus the global equality sum_e x_e = k n - l, with x >= 0 and y >= 0,
+plus the global equality sum_e x_e = c, with x >= 0 and y >= 0,
 and x <= 1 where 2k - l >= 2.  Elsewhere the row X = {u, v} of each
 edge (for n = 2, the global row) already gives x_e <= 2k - l <= 1.
 So the emitted ``.ine`` is the T side of a ``Factorization``; a
@@ -16,16 +16,16 @@ bounds where they are emitted, ``ine_size``) is an upper bound on the
 facet count (the measure the size theorems use); reports carry both
 totals, with and without the edge bounds.
 
-The columns of U certify that each basis lifts.  ``verify_extension``
-checks one certificate (Yannakakis 1991) on a factorization over the
-bases: T >= 0, and every basis F lifts with zero residual, that is
-y = U-column >= 0, the integer identity T @ B = c * S of
-``verify_factorization`` on F's column (c = k n - l) and |F| = c.  The
-lifts put every basis in the projection.  Conversely, for a feasible
-point, T >= 0 and y >= 0 make each row read
-sum_{E(X)} x_e = k|X| - l - (T y)[X] <= k|X| - l, and the global row
-fixes sum_e x_e = c; both are linear, so they hold for every convex
-combination as well.  T >= 0 therefore certifies the counting
+The columns of U = B / c certify that each basis lifts.
+``verify_extension`` checks one certificate (Yannakakis 1991) on a
+factorization over the bases: every basis F lifts with zero residual,
+that is y = U-column, the identity A @ B = S of ``verify_factorization``
+on F's column and |F| = c.  T >= 0 and y >= 0 hold by type, since A and
+B are byte rows and c >= 1.  The lifts put every basis in the
+projection.  Conversely, for a feasible point, T >= 0 and y >= 0 make
+each row read sum_{E(X)} x_e = k|X| - l - (T y)[X] <= k|X| - l, and the
+global row fixes sum_e x_e = c; both are linear, so they hold for every
+convex combination as well.  T >= 0 therefore certifies the counting
 inequalities and x >= 0 of the projection, and x <= 1 holds there by the
 emitted bound rows or by the rows |X| = 2.  A per-point ``Fraction``
 reference for the same check lives with the tests
@@ -60,12 +60,11 @@ def verify_extension(fac: Factorization) -> dict:
     """End-to-end verification report for a factorization over the instance's bases.
 
     Checks the certificate of the module docstring:
-    ``verify_factorization`` proves T >= 0, B >= 0 and T @ B = c * S
-    over the bases, which is a zero residual on every counting row of
-    every basis lift, and |F| = c is the global row.  Raises on the first
-    failure with ``verify_factorization``'s reason (AssertionError for a
-    negative T entry, InfeasibleLiftedPointError naming the basis
-    otherwise); returns the report dict on success.  A factorization
+    ``verify_factorization`` proves A @ B = S over the bases, which is a
+    zero residual on every counting row of every basis lift, and |F| = c
+    is the global row.  Raises InfeasibleLiftedPointError naming the
+    basis on the first failure, with ``verify_factorization``'s reason;
+    returns the report dict on success.  A factorization
     without columns certifies nothing: it is refused with
     EmptyPolytopeError when the instance has no basis, ValueError otherwise.
     """
@@ -75,8 +74,7 @@ def verify_extension(fac: Factorization) -> dict:
         raise ValueError("the factorization has no bases, so it certifies no lift")
     check = verify_factorization(slack_matrix(g, p, bases=fac.cols), fac)
     if not check.ok:
-        error = AssertionError if check.witness[0] == "T" else InfeasibleLiftedPointError
-        raise error(check.reason)
+        raise InfeasibleLiftedPointError(check.reason)
     for basis in fac.cols:
         if len(basis) != fac.c:
             raise InfeasibleLiftedPointError(
@@ -126,15 +124,16 @@ def format_ine(fac: Factorization) -> str:
     ``b  -a`` for a constraint a.z <= b (cdd convention
     ``b + a'.z >= 0``); columns are 1 + |E| + |W|.
     """
-    g, p = fac.graph, fac.params
+    g, p, c = fac.graph, fac.params, fac.c
     m, w = g.edge_count, len(fac.transcripts)
     d = m + w
     n_eq, n_ineq = ine_size(fac)
+    minus_t = [-c * a for a in range(256)].__getitem__  # the coefficient of y_w is -T[X][w] = -c * A[X][w]
     equalities = [
-        [p.k * len(x) - p.ell, *(-v for v in inside), *(-t for t in t_row)]
-        for x, inside, t_row in zip(fac.rows, row_incidence(g, fac.rows), fac.T)
+        [p.k * len(x) - p.ell, *(-v for v in inside), *map(minus_t, a_row)]
+        for x, inside, a_row in zip(fac.rows, row_incidence(g, fac.rows), fac.A)
     ]
-    equalities.append([fac.c, *[-1] * m, *[0] * w])
+    equalities.append([c, *[-1] * m, *[0] * w])
 
     lines = ["H-representation"]
     lines.append("linearity " + " ".join([str(n_eq), *[str(i + 1) for i in range(n_eq)]]))

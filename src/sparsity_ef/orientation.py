@@ -68,21 +68,6 @@ def _check_inputs(n: int, edges: Sequence[tuple[int, int]], targets: Sequence[in
         raise ValueError("repeated edge pair: parallel edges are not supported")
 
 
-def hakimi_feasible(n: int, edges: Sequence[tuple[int, int]], targets: Sequence[int]) -> bool:
-    """Whether some orientation of the edges has in-degree vector = targets.
-
-    Decided by ``orient_with_targets``, whose budgeted pebble game is
-    exact: it fails only on a count mismatch, or on an edge that no path
-    reversal can pay for, with a violating vertex set as witness.
-    The tests check it against a full subset scan of that condition.
-    """
-    try:
-        orient_with_targets(n, edges, targets)
-    except InfeasibleOrientationError:
-        return False
-    return True
-
-
 def orient_with_targets(
     n: int, edges: Sequence[tuple[int, int]], targets: Sequence[int]
 ) -> Orientation:

@@ -35,9 +35,8 @@ checks and orients F afresh; nothing is kept between calls.
 The random edge pick uses a counter-based splitmix64 stream,
 ``splitmix_draw``: draw ``t`` of ``seed`` is
 ``mix64(seed + (t+1)*GOLDEN) mod m``, with the seed taken mod 2^64.
-``run_once`` consumes draw 0 of its seed and ``monte_carlo`` draws
-0..samples-1, so a Monte Carlo run is exactly the average of ``run_once``
-over that stream.  The modulo introduces a bias of order m * 2^-64, far
+``monte_carlo`` draws 0..samples-1, so a run of one sample is the round
+that draw 0 of its seed picks.  The modulo introduces a bias of order m * 2^-64, far
 below anything observable at desk scale.
 """
 
@@ -159,23 +158,6 @@ def _oriented_round(
 
 def _entering_flags(orientation: Orientation, members: frozenset[int]) -> list[int]:
     return [int(tail not in members and head in members) for tail, head in orientation.directed_edges()]
-
-
-def run_once(
-    g: Graph,
-    p: SparsityParams,
-    variant: str,
-    x_set: Iterable[int],
-    basis: Iterable[int],
-    seed: int,
-) -> Fraction:
-    """Execute one seeded round; the output is 0 or k*n - l."""
-    members, b, orientation = _oriented_round(g, p, variant, x_set, basis)
-    idx = splitmix_draw(seed, 0, len(b))
-    tail, head = orientation.directed_edges()[idx]
-    if tail not in members and head in members:
-        return Fraction(p.k * g.n - p.ell)
-    return Fraction(0)
 
 
 def exact_expectation(

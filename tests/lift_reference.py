@@ -40,9 +40,9 @@ def equality_residuals(fac: Factorization, point: LiftedPoint) -> list[Fraction]
     """Left-hand side minus right-hand side for each row equality, then the global one."""
     p = fac.params
     residuals = []
-    for x_set, t_row in zip(fac.rows, fac.T):
+    for x_set, a_row in zip(fac.rows, fac.A):  # T = c * A
         acc = sum((point.x[i] for i in induced_edges(fac.graph, x_set)), Fraction(0))
-        acc += sum((t * yw for t, yw in zip(t_row, point.y) if t), Fraction(0))
+        acc += sum((fac.c * a * yw for a, yw in zip(a_row, point.y) if a), Fraction(0))
         residuals.append(acc - (p.k * len(x_set) - p.ell))
     residuals.append(sum(point.x, Fraction(0)) - fac.c)
     return residuals

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from sparsity_ef import cli, factorization, lifted
-from sparsity_ef.graphs import MAX_VERTICES, dump_graph
+from sparsity_ef.graphs import MAX_VERTICES
 from sparsity_ef.lifted import InfeasibleLiftedPointError
 
 from conftest import complete_graph, path_graph
@@ -12,14 +12,16 @@ from conftest import complete_graph, path_graph
 @pytest.fixture
 def k3_path(tmp_path):
     path = tmp_path / "k3.json"
-    path.write_text(dump_graph(complete_graph(3)))
+    g = complete_graph(3)
+    path.write_text(json.dumps({"n": g.n, "edges": g.edges}))
     return str(path)
 
 
 @pytest.fixture
 def k4_path(tmp_path):
     path = tmp_path / "k4.json"
-    path.write_text(dump_graph(complete_graph(4)))
+    g = complete_graph(4)
+    path.write_text(json.dumps({"n": g.n, "edges": g.edges}))
     return str(path)
 
 
@@ -125,7 +127,8 @@ def test_orient_with_announced_vertex(k3_path, capsys):
 
 def test_orient_infeasible(tmp_path, capsys):
     path = tmp_path / "p3.json"
-    path.write_text(dump_graph(path_graph(3)))
+    g = path_graph(3)
+    path.write_text(json.dumps({"n": g.n, "edges": g.edges}))
     code, _, err = run(
         ["orient", "--graph", str(path), "--k", "1", "--l", "1", "--targets", "0,0,2"],
         capsys,
@@ -204,7 +207,8 @@ def test_emit_and_verify(k3_path, tmp_path, capsys):
 
 def test_emit_empty_polytope_exit4(tmp_path, capsys):
     path = tmp_path / "p3.json"
-    path.write_text(dump_graph(path_graph(3)))
+    g = path_graph(3)
+    path.write_text(json.dumps({"n": g.n, "edges": g.edges}))
     code, _, err = run(
         ["emit", "--graph", str(path), "--k", "2", "--l", "3", "--out", str(tmp_path / "x.ine")],
         capsys,
@@ -237,13 +241,13 @@ def test_verify_command(k4_path, tmp_path, capsys):
 
 @pytest.fixture
 def corrupted_t(monkeypatch):
-    """Every factorization built gets 1 added to the first row of T."""
+    """Every factorization built gets 1 added to the first row of A, so c to that of T."""
     build_t = factorization.build_T
 
     def corrupted(*args):
-        t = build_t(*args)
-        t[0] = [v + 1 for v in t[0]]
-        return t
+        a = build_t(*args)
+        a[0] = bytearray(v + 1 for v in a[0])
+        return a
 
     monkeypatch.setattr(factorization, "build_T", corrupted)
 
@@ -301,21 +305,22 @@ def test_factorize_mismatch_exits_2(k4_path, tmp_path, corrupted_t, capsys):
     assert list(tmp_path.glob("dump*")) == []
 
 
-def test_int64_range_guard_exits_3(k3_path, tmp_path, capsys):
-    """k = 2^62 on K3 puts k*n past int64: every command refuses it as it reads the instance."""
-    base = ["--graph", k3_path, "--k", str(2**62), "--l", "0"]
-    for argv in (
-        ["check", *base],
-        ["bases", *base],
-        ["slack", *base],
-        ["factorize", *base],
-        ["verify", *base],
-        ["emit", *base, "--out", str(tmp_path / "x.ine")],
-    ):
-        code, _, err = run(argv, capsys)
-        assert code == 3, argv
-        assert any(line.startswith("error: ") and "int64" in line for line in err.splitlines()), argv
-        assert "Traceback" not in err
+@pytest.mark.parametrize("graph", ["k3_path", "k4_path"])
+def test_huge_k_is_answered_exactly(graph, tmp_path, capsys, request):
+    """k = 2^62 is answered with exact integers: every edge set is sparse, and no basis exists."""
+    base = ["--graph", request.getfixturevalue(graph), "--k", str(2**62), "--l", "0"]
+    assert run(["check", *base], capsys) == (0, "sparse[pebble]: yes\nsparse[bruteforce]: yes\ntight: no\n", "")
+    assert run(["bases", *base], capsys) == (0, "0\n", "")
+    for argv in (["slack", *base], ["factorize", *base], ["verify", *base],
+                 ["emit", *base, "--out", str(tmp_path / "x.ine")]):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (4, ""), argv
+        assert err.startswith("error: ") and "the polytope is empty" in err, argv
+    assert not (tmp_path / "x.ine").exists()
+    code, out, err = run(["orient", *base, "--x", "0"], capsys)
+    assert (code, out) == (1, "") and "but targets sum to" in err
+    code, out, err = run(["protocol", *base, "--X", "0,1", "--F", "0,1"], capsys)
+    assert (code, out, err) == (1, "", "error: the edge set is not a basis (not tight for these parameters)\n")
 
 
 def test_vertex_guard_exits_3(tmp_path, capsys):
@@ -369,7 +374,8 @@ def test_row_guard_fires_before_enumeration(tmp_path, monkeypatch, capsys):
         raise AssertionError("bases were enumerated")
 
     path = tmp_path / "p17.json"
-    path.write_text(dump_graph(path_graph(17)))
+    g = path_graph(17)
+    path.write_text(json.dumps({"n": g.n, "edges": g.edges}))
     monkeypatch.setattr(cli, "enumerate_bases", no_bases)
     base = ["--graph", str(path), "--k", "1", "--l", "1"]
     for argv in (["slack", *base], ["factorize", *base], ["verify", *base],
@@ -385,7 +391,8 @@ def test_empty_polytope_exits_4_before_enumeration(tmp_path, monkeypatch, capsys
         raise AssertionError("bases were enumerated")
 
     path = tmp_path / "k5.json"
-    path.write_text(dump_graph(complete_graph(5)))
+    g = complete_graph(5)
+    path.write_text(json.dumps({"n": g.n, "edges": g.edges}))
     monkeypatch.setattr(cli, "enumerate_bases", no_bases)
     base = ["--graph", str(path), "--k", "3", "--l", "3"]
     for argv in (["slack", *base], ["factorize", *base], ["verify", *base],
@@ -408,7 +415,7 @@ def test_emit_verify_builds_t_once(corpus_cells, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(factorization, "build_T", counted)
     for name, g, p, _ in corpus_cells:
         graph = tmp_path / f"{name}.json"
-        graph.write_text(dump_graph(g))
+        graph.write_text(json.dumps({"n": g.n, "edges": g.edges}))
         base = ["emit", "--graph", str(graph), "--k", str(p.k), "--l", str(p.ell)]
         written = []
         for extra in ([], ["--verify"]):

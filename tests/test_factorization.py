@@ -1,5 +1,7 @@
+import functools
+import gc
 import hashlib
-import itertools
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -79,18 +81,20 @@ def test_transcript_counts_and_order():
 
 
 def test_factorization_dimensions_and_entry_domains():
+    """A and B are 0/1 byte rows; T = c * A and U = B / c with c = 2 on K3 (1,1)."""
     fac = build_factorization(K3, P11, "A")
-    assert len(fac.T) == 3 and all(len(r) == 18 for r in fac.T)
-    assert len(fac.U) == 18 and all(len(r) == 3 for r in fac.U)
-    assert {t for row in fac.T for t in row} <= {0, 2}
-    assert {u for row in fac.U for u in row} <= {Fraction(0), Fraction(1, 2)}
+    assert fac.c == 2
+    assert len(fac.A) == 3 and all(type(r) is bytearray and len(r) == 18 for r in fac.A)
+    assert len(fac.B) == 18 and all(type(r) is bytearray and len(r) == 3 for r in fac.B)
+    assert {a for row in fac.A for a in row} == {0, 1}
+    assert {b for row in fac.B for b in row} == {0, 1}
 
 
 def test_u_column_sums_equal_n_variant_a():
     for g, p in [(K3, P11), (K4, P11)]:
         fac = build_factorization(g, p, "A")
         for j in range(len(fac.cols)):
-            assert sum(fac.U[i][j] for i in range(len(fac.U))) == g.n
+            assert Fraction(sum(row[j] for row in fac.B), fac.c) == g.n  # a column of U = B / c
 
 
 def test_verify_factorization_small_instances():
@@ -111,7 +115,7 @@ def test_verify_factorization_small_instances():
 def test_fault_injection_detected():
     s = slack_matrix(K3, P11)
     fac = build_factorization(K3, P11, "A")
-    b = fac.B.copy()
+    b = [row.copy() for row in fac.B]
     b[4][1] += fac.c  # U[4][1] += 1
     check = verify_factorization(s, replace(fac, B=b))
     assert not check.ok
@@ -119,39 +123,55 @@ def test_fault_injection_detected():
 
 
 def test_negative_entry_detected():
+    """No factor holds a negative entry: a byte row cannot, and a row of ints is refused."""
     s = slack_matrix(K3, P11)
     fac = build_factorization(K3, P11, "A")
-    b = fac.B.copy()
-    b[2][0] -= fac.c  # U[2][0] -= 1
-    check = verify_factorization(s, replace(fac, B=b))
-    assert not check.ok and check.witness == ("U", 2, 0)
+    with pytest.raises(ValueError):
+        fac.B[2][0] = -1
+    b = [row.copy() for row in fac.B]
+    b[2] = [-1, *b[2][1:]]  # U[2][0] = -1/c
+    with pytest.raises(ValueError, match="rows of bytes"):
+        verify_factorization(s, replace(fac, B=b))
+    a = [row.copy() for row in fac.A]
+    a[0] = [-1, *a[0][1:]]
+    with pytest.raises(ValueError, match="rows of bytes"):
+        verify_factorization(s, replace(fac, A=a))
+    # rows of ints are refused even where their entries are right
+    with pytest.raises(ValueError, match="rows of bytes"):
+        verify_factorization(s, replace(fac, B=[list(row) for row in fac.B]))
 
 
 def test_packed_fields_hold_corrupted_entries():
-    """B[w][j] += 256 with B[w][j+1] -= 1 must fail, although one-byte fields would hide it.
+    """B[w][j] = 255 with B[w][j+1] set from 1 to 0 is named with its true residual.
 
-    In fields one byte wide, +256 in field j of a packed row is one carry
-    into field j+1, which the -1 cancels, so every packed row of T@B would
-    be unchanged.  The fields are sized for the corrupted entry instead,
-    and the first row that charges w mismatches at column j.
+    In fields one byte wide, the product's field j would carry into field
+    j+1, which the lowered B[w][j+1] cancels, and field j would read 256
+    less than its entry.  The fields are sized for the corrupted entry
+    instead, and the first row that charges w mismatches at column j by
+    255 - B[w][j].  (w, j) is picked where that carry would happen, which
+    K3 (1,1) has nowhere.
     """
-    s = slack_matrix(K3, P11)
-    fac = build_factorization(K3, P11, "A")
+    s = slack_matrix(K4, P11)
+    fac = build_factorization(K4, P11, "A")
+
+    def first_row(w):
+        return next(i for i, a_row in enumerate(fac.A) if a_row[w])
+
     w, j = next((w, j) for w, row in enumerate(fac.B) for j in range(len(row) - 1)
-                if row[j + 1] == 1 and any(t_row[w] for t_row in fac.T))
+                if row[j + 1] == 1 and any(a_row[w] for a_row in fac.A) and s.entries[first_row(w)][j] > row[j])
     b = [row.copy() for row in fac.B]
-    b[w][j] += 256
-    b[w][j + 1] -= 1
+    b[w][j], b[w][j + 1] = 255, 0
     check = verify_factorization(s, replace(fac, B=b))
-    first_row = next(i for i, t_row in enumerate(fac.T) if t_row[w])
-    assert not check.ok and check.witness == (first_row, j)
+    assert not check.ok and check.witness == (first_row(w), j)
+    assert check.reason.endswith(f" has residual {255 - fac.B[w][j]}")
 
 
 def test_memory_guard_threshold(monkeypatch):
     # the guard reads only the basis count, so placeholder bases suffice
-    k7 = complete_graph(7)
-    with pytest.raises(EnumerationGuardError, match="memory guard"):  # K7 (2,3): about 3.5 GB
-        build_U(k7, P23, "B", [None] * 190491, enumerate_transcripts(k7, "B"))
+    k8 = complete_graph(8)
+    # each Laman graph on 7 vertices, with a new vertex joined to 2 of its 21 pairs, is one on 8
+    with pytest.raises(EnumerationGuardError, match="memory guard"):  # K8 (2,3): about 34 GB
+        build_U(k8, P23, "B", [None] * (21 * 190491), enumerate_transcripts(k8, "B"))
 
     class Oriented(Exception):
         pass
@@ -160,10 +180,38 @@ def test_memory_guard_threshold(monkeypatch):
         raise Oriented
 
     monkeypatch.setattr(factorization, "orient_basis", reached)
-    # K7 (2,2) is estimated at 890 MB, K7 (1,1) at 65 MB
-    for p, bases in ((SparsityParams(2, 2), 228690), (P11, 7**5)):
+    # K8 (1,1) is estimated at 815 MB, K7 (2,3) at 876 MB
+    for g, p, variant, bases in ((k8, P11, "A", 8**6), (complete_graph(7), P23, "B", 190491)):
         with pytest.raises(Oriented):  # passes the guard and reaches orientation
-            build_U(k7, p, "A", [None] * bases, enumerate_transcripts(k7, "A"))
+            build_U(g, p, variant, [None] * bases, enumerate_transcripts(g, variant))
+
+
+@pytest.mark.parametrize("params, variant", [(P23, "B"), (P11, "A")])
+def test_memory_guard_covers_traced_bytes(params, variant, monkeypatch):
+    """On K6, the guard's estimate is at least the traced bytes of B, of B packed and of S.
+
+    The orientations are made before tracing starts, which would slow them tenfold.
+    """
+    g = complete_graph(6)
+    bases, transcripts = enumerate_bases(g, params), enumerate_transcripts(g, variant)
+    monkeypatch.setattr(factorization, "orient_basis", functools.cache(factorization.orient_basis))
+    build_U(g, params, variant, bases, transcripts)
+    tracemalloc.start()
+    try:
+        gc.collect()  # drops free lists, which hold memory that no object uses
+        before = tracemalloc.get_traced_memory()[0]
+        b = build_U(g, params, variant, bases, transcripts)
+        packed = [factorization._pack(row, 1) for row in b]
+        s = slack_matrix(g, params, bases=bases)
+        gc.collect()
+        traced = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(packed) == len(b) and s.shape == (2**6 - 8, len(bases))
+    estimate = len(bases) * (
+        factorization.B_ENTRY_BYTES * len(transcripts) + factorization.S_ENTRY_BYTES * s.shape[0]
+    )
+    assert estimate >= traced, (estimate, traced)
 
 
 def test_build_t_needs_every_announced_transcript():
@@ -171,26 +219,26 @@ def test_build_t_needs_every_announced_transcript():
     transcripts = enumerate_transcripts(K4, "A")
     rows = enumerate_rows(K4, P11)
     with pytest.raises(KeyError):  # X = {2, 3} announces vertex 2, dropped with the second half
-        build_T(K4, P11, "A", rows, transcripts[: len(transcripts) // 2])
+        build_T(K4, "A", rows, transcripts[: len(transcripts) // 2])
 
 
 def test_dimension_mismatch_raises():
     s = slack_matrix(K3, P11)
     fac = build_factorization(K3, P11, "A")
     with pytest.raises(ValueError):
-        verify_factorization(s, replace(fac, T=fac.T[:-1]))
+        verify_factorization(s, replace(fac, A=fac.A[:-1]))
 
 
 def test_product_matches_protocol_expectation():
-    """T @ U recomputes the exact protocol expectation, route by route."""
+    """T @ U recomputes the exact protocol expectation, route by route (T = c * A, U = B / c)."""
     for g, p, variant in [(K4, P11, "A"), (K4, P23, "B")]:
         fac = build_factorization(g, p, variant)
         for i, x in enumerate(fac.rows):
             for j, basis in enumerate(fac.cols):
                 cell = sum(
-                    fac.T[i][w] * fac.U[w][j]
+                    fac.c * fac.A[i][w] * Fraction(fac.B[w][j], fac.c)
                     for w in range(len(fac.transcripts))
-                    if fac.T[i][w]
+                    if fac.A[i][w]
                 )
                 assert cell == exact_expectation(g, p, variant, x, basis)
 

@@ -34,7 +34,7 @@ def test_build_counts_k3():
     fac = lift(K3, P11, "A")
     assert (K3.edge_count, len(fac.transcripts)) == (3, 18)
     assert ine_size(fac) == (4, 21)
-    assert fac.cols == () and fac.B == [[]] * 18
+    assert fac.cols == () and fac.B == [bytearray()] * 18
 
 
 def test_build_counts_k4_variant_b():
@@ -172,7 +172,7 @@ def _first_failures(monkeypatch, fac, edges, column):
     is replaced for the factorization and for ``lift_vertex`` alike.  None
     means no error.
     """
-    monkeypatch.setattr(factorization, "build_U", lambda *args: [[v] for v in column])
+    monkeypatch.setattr(factorization, "build_U", lambda *args: [bytearray([v]) for v in column])
     found = []
     for run in (
         lambda: verify_extension(build_factorization(fac.graph, fac.params, fac.variant, bases=[edges])),
@@ -189,18 +189,21 @@ def _first_failures(monkeypatch, fac, edges, column):
 
 
 def _perturbed_inputs(fac, bases, rng):
-    """Every basis with its own B-column, then a few corrupted (edge set, column) pairs."""
+    """Every basis with its own B-column, then a few corrupted (edge set, column) pairs.
+
+    A corrupted column holds a flipped entry or a 2; B is bytes, so no entry can be negative.
+    """
     g = fac.graph
     columns = build_U(g, fac.params, fac.variant, bases, fac.transcripts)
     inputs = [(basis, [row[j] for row in columns]) for j, basis in enumerate(bases)]
     for _ in range(3):
         j = rng.randrange(len(bases))
         basis, column = bases[j], [row[j] for row in columns]
-        flipped, negative = column.copy(), column.copy()
+        flipped, doubled = column.copy(), column.copy()
         w = rng.randrange(len(fac.transcripts))
         flipped[w] = 1 - flipped[w]
-        negative[w] = -1
-        inputs += [(basis, flipped), (basis, negative), (basis[:-1], column)]
+        doubled[w] = 2
+        inputs += [(basis, flipped), (basis, doubled), (basis[:-1], column)]
         outside = [e for e in range(g.edge_count) if e not in basis]
         if outside:
             swapped = set(basis) - {rng.choice(basis)} | {rng.choice(outside)}
@@ -212,7 +215,7 @@ def test_batched_checks_match_fraction_reference(corpus_cells, monkeypatch):
     """verify_extension fails exactly where the reference lift_vertex + assert_in_lifted does, at the same row.
 
     Covers every basis of the K3/K4/W5/prism cells, bases with a flipped
-    or negative B entry, with one edge swapped and of the wrong size, and
+    B entry or an entry of 2, with one edge swapped and of the wrong size, and
     the single-edge graph, which has no counting rows, so only |F| = c
     can reject its empty edge set.
     """
@@ -227,14 +230,14 @@ def test_batched_checks_match_fraction_reference(corpus_cells, monkeypatch):
         for edges, column in _perturbed_inputs(fac, bases, rng):
             new, reference = _first_failures(monkeypatch, fac, edges, column)
             assert new == reference, (name, p, edges)
-            failure = new and re.search(r": (y\[|equality row X=|equality row global)", new)
+            failure = new and re.search(r": (equality row X=|equality row global)", new)
             outcomes.add(failure.group(1) if failure else new)
-    assert outcomes == {None, "y[", "equality row X=", "equality row global"}
+    assert outcomes == {None, "equality row X=", "equality row global"}
 
 
 def test_verify_extension_catches_flipped_u_entry(monkeypatch):
-    t = lift(K4, P23, "B").T
-    w = next(w for w in range(len(t[0])) if any(row[w] for row in t))  # a transcript some row charges
+    a = lift(K4, P23, "B").A
+    w = next(w for w in range(len(a[0])) if any(row[w] for row in a))  # a transcript some row charges
     real_build_u = factorization.build_U
 
     def flipped(*args):
@@ -255,9 +258,9 @@ def test_verify_extension_catches_corrupted_t_entry(monkeypatch):
     real_build_t = factorization.build_T
 
     def corrupted(*args):
-        t = real_build_t(*args)
-        t[3][w] += 1
-        return t
+        a = real_build_t(*args)
+        a[3][w] += 1
+        return a
 
     monkeypatch.setattr(factorization, "build_T", corrupted)
     expected = f"basis {bases[0]}: equality row X={fac.rows[3]} has residual"
@@ -266,13 +269,16 @@ def test_verify_extension_catches_corrupted_t_entry(monkeypatch):
 
 
 def test_verify_extension_catches_negative_t_entry(monkeypatch):
+    """T = c * A cannot hold a negative entry: a byte row refuses one, and a row of ints is refused."""
     real_build_t = factorization.build_T
 
     def negative(*args):
-        t = real_build_t(*args)
-        t[0][0] = -max(t[0])
-        return t
+        a = real_build_t(*args)
+        with pytest.raises(ValueError):
+            a[0][0] = -1
+        a[0] = [-1, *a[0][1:]]
+        return a
 
     monkeypatch.setattr(factorization, "build_T", negative)
-    with pytest.raises(AssertionError, match=re.escape("T[0][0] = -5 < 0 breaks the projection argument")):
+    with pytest.raises(ValueError, match="rows of bytes"):
         verify_extension(build_factorization(K4, P23, "B"))

@@ -6,7 +6,6 @@ import pytest
 from sparsity_ef.graphs import SparsityParams
 from sparsity_ef.orientation import (
     InfeasibleOrientationError,
-    hakimi_feasible,
     orient_with_targets,
 )
 from sparsity_ef.protocol import protocol_targets
@@ -54,14 +53,13 @@ def test_path_infeasible_with_witness():
 def test_total_mismatch_infeasible():
     with pytest.raises(InfeasibleOrientationError, match="sum"):
         orient_with_targets(3, [(0, 1)], (1, 1, 1))
-    assert not hakimi_feasible(3, [(0, 1)], (1, 1, 1))
 
 
 def test_hakimi_examples():
-    assert hakimi_feasible(3, [(0, 1), (0, 2), (1, 2)], (1, 1, 1))
-    assert not hakimi_feasible(3, [(0, 1), (1, 2)], (0, 0, 2))
+    assert orient_with_targets(3, [(0, 1), (0, 2), (1, 2)], (1, 1, 1)).rho == (1, 1, 1)
+    with pytest.raises(InfeasibleOrientationError):
+        orient_with_targets(3, [(0, 1), (1, 2)], (0, 0, 2))
     k4_minus = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
-    assert hakimi_feasible(4, k4_minus, (0, 1, 2, 2))
     assert orient_with_targets(4, k4_minus, (0, 1, 2, 2)).rho == (0, 1, 2, 2)
 
 
@@ -139,7 +137,6 @@ def test_constructive_matches_enumeration_oracle():
         except InfeasibleOrientationError:
             constructive = False
         assert constructive == by_enum, (g, targets)
-        assert hakimi_feasible(g.n, edges, targets) == by_enum, (g, targets)
         checked += 1
     assert checked == 120
 

@@ -1,10 +1,11 @@
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
 from sparsity_ef import cli
-from sparsity_ef.graphs import Graph, SparsityParams, dump_graph
+from sparsity_ef.graphs import Graph, SparsityParams
 from sparsity_ef.protocol import (
     alice_choice,
     announcements,
@@ -14,7 +15,6 @@ from sparsity_ef.protocol import (
     orient_basis,
     protocol_targets,
     resolve_variant,
-    run_once,
     splitmix_draw,
 )
 from sparsity_ef.factorization import enumerate_rows, enumerate_transcripts, slack_value
@@ -103,15 +103,17 @@ def test_resolve_variant():
 
 
 def test_run_once_support_and_frequencies():
-    outputs = [run_once(K3, P11, "A", {0, 1}, (1, 2), seed) for seed in range(400)]
+    """One round is a Monte Carlo run of one sample, on draw 0 of its seed."""
+    outputs = [monte_carlo(K3, P11, "A", {0, 1}, (1, 2), samples=1, seed=seed).mean for seed in range(400)]
     assert set(outputs) == {0, 2}
     # uniform pick between the two oriented edges: roughly half and half
     assert 120 < sum(1 for o in outputs if o == 2) < 280
 
 
 def test_run_once_always_zero_cases():
-    assert run_once(K3, P11, "A", {0, 1}, (0, 2), seed=5) == 0
-    assert all(run_once(K3, P11, "A", {0, 1, 2}, b, s) == 0 for b in enumerate_bases(K3, P11) for s in range(10))
+    assert monte_carlo(K3, P11, "A", {0, 1}, (0, 2), samples=1, seed=5).mean == 0
+    assert all(monte_carlo(K3, P11, "A", {0, 1, 2}, b, samples=1, seed=s).mean == 0
+               for b in enumerate_bases(K3, P11) for s in range(10))
 
 
 def test_run_once_uses_documented_stream():
@@ -122,7 +124,7 @@ def test_run_once_uses_documented_stream():
         idx = splitmix_draw(seed & ((1 << 64) - 1), 0, 2)
         tail, head = o.directed_edges()[idx]
         expected = Fraction(2) if tail not in members and head in members else Fraction(0)
-        assert run_once(K3, P11, "A", members, basis, seed) == expected
+        assert monte_carlo(K3, P11, "A", members, basis, samples=1, seed=seed).mean == expected
 
 
 def test_exact_expectation_k3_cells():
@@ -241,7 +243,7 @@ def test_monte_carlo_golden_hits(cell, samples, seed, hits):
 )
 def test_protocol_mc_golden_stdout(graph, argv, stdout, tmp_path, capsys):
     path = tmp_path / "g.json"
-    path.write_text(dump_graph(graph))
+    path.write_text(json.dumps({"n": graph.n, "edges": graph.edges}))
     assert cli.main(["protocol", "--graph", str(path), "--mode", "mc", *argv]) == 0
     assert capsys.readouterr().out == stdout
 
@@ -279,7 +281,7 @@ def test_bit_complexity():
 
 def test_round_input_validation():
     with pytest.raises(ValueError, match="not a basis"):
-        run_once(K3, P11, "A", {0, 1}, (0,), seed=0)
+        monte_carlo(K3, P11, "A", {0, 1}, (0,), samples=1, seed=0)
     with pytest.raises(ValueError, match="invalid"):
         exact_expectation(K4, SparsityParams(2, 1), "B", {0, 1}, (0, 1, 2))
     with pytest.raises(ValueError, match=r"\|X\| >= 2"):

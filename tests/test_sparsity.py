@@ -1,12 +1,11 @@
 import itertools
-import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparsity_ef import sparsity
-from sparsity_ef.graphs import MAX_VERTICES, Graph, SparsityParams, make_graph
+from sparsity_ef.graphs import MAX_VERTICES, Graph, SparsityParams
 from sparsity_ef.sparsity import (
     EnumerationGuardError,
     enumerate_bases,
