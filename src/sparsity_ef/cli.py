@@ -9,8 +9,9 @@ verify.  Exit codes form the CI contract:
     1  usage errors (argparse's, which would otherwise exit 2),
        parse/validation errors, inadmissible inputs, negative verdicts
     2  internal cross-check failure (sparsity oracle disagreement,
-       expectation/slack mismatch, factorization or extension
-       verification failure) — a bug trap, not a user error; also any
+       expectation/slack mismatch, a failed lift check in `factorize`,
+       `verify` or `emit --verify`, reported in the same `error:` line
+       by all three) — a bug trap, not a user error; also any
        exception outside this list ("error: internal failure: ...")
     3  enumeration, vertex or memory guard exceeded
     4  empty polytope (no basis exists)
@@ -26,19 +27,21 @@ decided by one pebble game), before they enumerate any basis; so
 `slack` and `factorize` exit 4 on an empty polytope, as `verify` and
 `emit` do, and an empty instance exits 4 whatever --max-enum says.
 
-`verify` and `emit --verify` build one factorization over every basis
-and make `factorize`'s check on it, S = A@B with 0/1 factors A = T/c
-and B = cU, so T@U = S with T, U >= 0, and check |F| = c = kn - l:
-every basis then lifts with zero residual.  That
-certifies that the lifted polytope contains every basis and that its
-projection satisfies the counting inequalities and x >= 0; x <= 1 is an
-emitted bound row where 2k - l >= 2 and follows from the rows |X| = 2
-elsewhere.  The `.ine` is the T side of the factorization, so T is built
-once per command.  Plain `emit` needs no certificate: it refuses an
-empty instance (exit 4, one pebble game), then more than 16 vertices
-(exit 3), and writes the factorization over no bases.  It enumerates no
-basis, so the enumeration guard does not apply and `emit --max-enum 1`
-exits 0.
+`factorize`, `verify` and `emit --verify` build one factorization over
+every basis and make one check on it, `verify_factorization`: every
+basis F lifts to (1_F, U-column of F) with zero residual on each
+counting row, which is S = A@B with 0/1 factors A = T/c and B = cU, so
+T@U = S with T, U >= 0, and on the global row |F| = c = kn - l.  No
+command builds S to check it; `slack` and `factorize --out` build S
+only to write it.  The lifts certify that the lifted polytope contains
+every basis and that its projection satisfies the counting inequalities
+and x >= 0; x <= 1 is an emitted bound row where 2k - l >= 2 and
+follows from the rows |X| = 2 elsewhere.  The `.ine` is the T side of
+the factorization, so T is built once per command.  Plain `emit` needs
+no certificate: it refuses an empty instance (exit 4, one pebble game),
+then more than 16 vertices (exit 3), and writes the factorization over
+no bases.  It enumerates no basis, so the enumeration guard does not
+apply and `emit --max-enum 1` exits 0.
 `verify --seed` is accepted for old command lines and has no effect.
 
 No command imports numpy; the package has no runtime dependency.  Each
@@ -218,17 +221,14 @@ def cmd_factorize(args) -> int:
     g, p = _load_instance(args)
     variant = resolve_variant(p, args.variant)
     bases = _bases_for_rows(g, p, args)
-    # factor first: build_U's memory guard refuses before S is materialized
+    # S first: its guard and build_U's then both refuse before any orientation or output
+    s = slack_matrix(g, p, bases=bases) if args.out else None
     fac = build_factorization(g, p, variant, bases=bases)
-    s = slack_matrix(g, p, bases=bases)
-    check = verify_factorization(s, fac)
     print(f"variant: {variant}")
-    print(f"slack matrix: {s.shape[0]}x{s.shape[1]}")
+    print(f"slack matrix: {len(fac.rows)}x{len(fac.cols)}")
     print(f"transcripts: {len(fac.transcripts)}")
-    print(f"verified: {'yes' if check.ok else 'no'}")
-    if not check.ok:
-        print(f"witness: {check.witness} ({check.reason})")
-        return EXIT_MISMATCH
+    verify_factorization(fac)
+    print("verified: yes")
     if args.out:
         t_csv, u_csv = factor_csvs(fac)
         for suffix, text in (("S.csv", slack_matrix_csv(s)), ("T.csv", t_csv), ("U.csv", u_csv)):

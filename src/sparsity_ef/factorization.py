@@ -23,19 +23,22 @@ nonnegative factorization of the lift is T = c * A and U = B / c.  A and
 B are stored as lists of ``bytearray`` rows, so their entries are
 nonnegative by type; T and U exist only where they are written, as the
 exact 'p' or 'p/q' entries of T.csv and U.csv and as ``.ine``
-coefficients.  The slack matrix is a list of rows of Python ints.
+coefficients.  The slack matrix is built only where it is written, as a
+list of rows of Python ints.
 
-``verify_factorization`` compares whole rows.  A byte row packs into one
-int whose little-endian fields of f bytes hold the entries, built from a
-strided ``bytearray``.  Row i of A @ B packs to
-sum_w A[i][w] * packed(B[w]), one big-int multiply-add per nonzero entry
-of A, and is compared with packed(S[i]).  f is wide enough for the
-largest possible entry of A @ B, the largest row sum of A times the
-largest entry of B, so no field carries into the next and two packed
-rows are equal exactly when their entries are.  A row sum of A counts
-the edges that enter X, at most n^2/4 <= 64 for the n <= 16 that rows
-allow, so f is one byte while B is 0/1.  Entries are scanned only to
-name a failure.
+``verify_factorization`` checks every basis lift on each equality row
+of the lifted system and never builds S.  A row over the bases packs
+into one int whose little-endian fields of f bytes hold its entries,
+built from a strided ``bytearray``.  Row X's left side packs to
+packed(|F ∩ E(X)|) + sum_w A[X][w] * packed(B[w]), one big-int
+multiply-add per nonzero entry of A, and is compared with
+(k|X| - l) * packed(1, ..., 1).  f holds k n and the largest possible
+left side, |E| plus the largest row sum of A times the largest entry of
+B, so no field carries and two packed rows are equal exactly when their
+entries are.  A row sum of A counts the edges that enter X, at most
+n^2/4 <= 64 for the n <= 16 that rows allow, and |E| <= 120, so f is one
+byte while B is 0/1 and k n < 256.  Entries are unpacked only to name a
+failure.
 """
 
 from __future__ import annotations
@@ -47,13 +50,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import EnumerationGuardError
+from .errors import EnumerationGuardError, InfeasibleLiftedPointError
 from .graphs import Graph, SparsityParams, induced_edges, validate_instance
 from .protocol import alice_choice, announcements, orient_basis, resolve_variant
 from .sparsity import Basis, enumerate_bases
 
 MAX_ROW_ENUM_N = 16
-MAX_U_BYTES = 2**30  # build_U refuses B, its packed rows and S estimated beyond this
+MAX_MATRIX_BYTES = 2**30  # build_U refuses B, and slack_matrix S, estimated beyond this
 # per entry of B: its byte, then the byte of its field when verify_factorization
 # packs it (fields are one byte wide, module docstring); per entry of S: a list
 # slot, and up to an eighth of one more that a list keeps free as it grows
@@ -77,6 +80,15 @@ def check_row_count(g: Graph) -> None:
     if g.n > MAX_ROW_ENUM_N:
         raise EnumerationGuardError(
             f"row enumeration refused for n={g.n} > {MAX_ROW_ENUM_N}"
+        )
+
+
+def _memory_guard(matrix: str, bases: int, estimate: int) -> None:
+    """Refuse (EnumerationGuardError) a matrix estimated beyond ``MAX_MATRIX_BYTES``, before it is built."""
+    if estimate > MAX_MATRIX_BYTES:
+        raise EnumerationGuardError(
+            f"{matrix} for {bases} bases would take about {estimate} bytes, "
+            f"beyond the memory guard of {MAX_MATRIX_BYTES}"
         )
 
 
@@ -115,27 +127,37 @@ class SlackMatrix:
         return (len(self.rows), len(self.cols))
 
 
+def _overlaps(g: Graph, rows: Sequence[tuple[int, ...]], cols: Sequence[Basis], width: int) -> Iterator[int]:
+    """Each row's |F ∩ E(X)| over the bases F, packed in fields of ``width`` bytes.
+
+    Each edge's incidence over the bases is packed once, so a row is one
+    sum over E(X); no field carries while |E| < 256**width.
+    """
+    incidence = [bytearray(len(cols) * width) for _ in g.edges]
+    for j, basis in enumerate(cols):
+        for e in basis:
+            incidence[e][j * width] = 1
+    packed = [int.from_bytes(column, "little") for column in incidence]
+    for inside in row_incidence(g, rows):
+        yield sum(itertools.compress(packed, inside))
+
+
 def slack_matrix(
     g: Graph, p: SparsityParams, *, bases: Sequence[Basis] | None = None
 ) -> SlackMatrix:
     """S = (k|X| - l) - |F ∩ E(X)| over the given bases, or over all of them when ``bases`` is None.
 
-    Each edge's incidence over the bases is packed one byte per basis, so
-    the overlaps of row X are the bytes of one sum over E(X); it never
-    carries, since |F ∩ E(X)| <= |E| <= 120 for the n <= 16 rows allow.
+    The overlaps are one byte per basis, since |E| <= 120 for the n <= 16
+    rows allow.  Refuses (EnumerationGuardError) an S estimated at more
+    than ``MAX_MATRIX_BYTES`` before it builds any row.
     """
     rows = enumerate_rows(g, p)
     cols = enumerate_bases(g, p) if bases is None else list(bases)
-    incidence = [bytearray(len(cols)) for _ in g.edges]
-    for j, basis in enumerate(cols):
-        for e in basis:
-            incidence[e][j] = 1
-    packed = [int.from_bytes(column, "little") for column in incidence]
+    _memory_guard("the slack matrix", len(cols), S_ENTRY_BYTES * len(rows) * len(cols))
     entries = []
-    for x, inside in zip(rows, row_incidence(g, rows)):
-        overlaps = sum(b for b, flag in zip(packed, inside) if flag).to_bytes(len(cols), "little")
+    for x, overlaps in zip(rows, _overlaps(g, rows, cols, 1)):
         rhs = p.k * len(x) - p.ell
-        entries.append([rhs - overlap for overlap in overlaps])
+        entries.append([rhs - overlap for overlap in overlaps.to_bytes(len(cols), "little")])
     return SlackMatrix(rows=tuple(rows), cols=tuple(cols), entries=entries)
 
 
@@ -178,19 +200,13 @@ def build_U(
     """B = c * U as |W| x |cols| 0/1 rows of bytes.
 
     Orients each (basis, Alice announcement) pair exactly once.  Before
-    any orientation, refuses (EnumerationGuardError) an instance whose B,
-    its rows as ``verify_factorization`` packs them and the slack matrix
-    over the same bases are estimated at more than ``MAX_U_BYTES``.
+    any orientation, refuses (EnumerationGuardError) an instance whose B
+    and its rows as ``verify_factorization`` packs them are estimated at
+    more than ``MAX_MATRIX_BYTES``.
     """
     index = {w: i for i, w in enumerate(transcripts)}
     announced = announcements(g.n, variant)
-    row_count = max(2**g.n - g.n - 2, 0)
-    estimate = len(cols) * (B_ENTRY_BYTES * len(transcripts) + S_ENTRY_BYTES * row_count)
-    if estimate > MAX_U_BYTES:
-        raise EnumerationGuardError(
-            f"B and the slack matrix for {len(cols)} bases would take about {estimate} bytes, "
-            f"beyond the memory guard of {MAX_U_BYTES}"
-        )
+    _memory_guard("B", len(cols), B_ENTRY_BYTES * len(cols) * len(transcripts))
     b = [bytearray(len(cols)) for _ in transcripts]
     for j, basis in enumerate(cols):
         for alice in announced:
@@ -252,23 +268,6 @@ def build_factorization(
     )
 
 
-class FactorizationCheck(NamedTuple):
-    ok: bool
-    witness: tuple | None
-    reason: str
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def _byte_row(row: Sequence[int]) -> bytes | None:
-    """The row as bytes when every entry lies in 0..255, else None; a C-speed scan."""
-    try:
-        return bytes(row)
-    except ValueError:
-        return None
-
-
 def _pack(row: bytes, width: int) -> int:
     """sum_j row[j] * 256**(width*j), from a strided copy of the row's bytes."""
     buf = bytearray(len(row) * width)
@@ -278,42 +277,42 @@ def _pack(row: bytes, width: int) -> int:
 
 def _check_shape(name: str, rows: Sequence[bytes], length: int, width: int) -> None:
     if len(rows) != length or not all(isinstance(row, (bytes, bytearray)) and len(row) == width for row in rows):
-        raise ValueError(f"{name} must be {length}x{width} rows of bytes")
+        raise TypeError(f"{name} must be {length}x{width} rows of bytes")
 
 
-def verify_factorization(s: SlackMatrix, fac: Factorization) -> FactorizationCheck:
-    """Exact check that A @ B equals the slack matrix, so T @ U = S with T, U >= 0.
+def verify_factorization(fac: Factorization) -> None:
+    """Exact check that every basis lifts to (1_F, U-column) on every equality row, so T @ U = S.
 
-    Checked on packed rows (module docstring).  The witness (i, j) names
-    the first mismatch in row-major order; the reason names it as a
-    constraint of the lifted polytope, where column j of U is the y-part
-    of basis j's lift and (A@B - S)[i][j] is that lift's residual on
-    row i.  Dimension incompatibilities, and factor rows that are not
-    bytes, raise ValueError instead.
+    Row X reads |F ∩ E(X)| + (A @ B)[X][F] = k|X| - l for every basis F,
+    checked on packed rows (module docstring); then the global row reads
+    |F| = c.  Raises InfeasibleLiftedPointError on the first failure,
+    rows in row-major order before the global row, naming the basis and
+    the row with its residual, which on row X is (A @ B - S)[X][F].
+    Factors of the wrong shape, or with rows that are not bytes, are a
+    bug and raise TypeError.
     """
-    nrows, ncols = s.shape
-    w = len(fac.transcripts)
-    _check_shape("A", fac.A, nrows, w)
+    g, p = fac.graph, fac.params
+    ncols, w = len(fac.cols), len(fac.transcripts)
+    _check_shape("A", fac.A, len(fac.rows), w)
     _check_shape("B", fac.B, w, ncols)
 
-    # fields hold the largest possible entry of A @ B
+    # fields hold the largest possible left side and right side
     top_b = 255 if any(row.translate(None, b"\x00\x01") for row in fac.B) else 1
-    width = max(1, (max(map(sum, fac.A), default=0) * top_b).bit_length() + 7 >> 3)
+    top = max(max(map(sum, fac.A), default=0) * top_b + g.edge_count, p.k * g.n)
+    width = max(1, top.bit_length() + 7 >> 3)
     packed_b = [_pack(row, width) for row in fac.B]
-    for i, (a_row, s_row) in enumerate(zip(fac.A, s.entries)):
-        product = sum(map(operator.mul, itertools.compress(a_row, a_row), itertools.compress(packed_b, a_row)))
-        s_data = _byte_row(s_row)
-        if s_data is not None and product == _pack(s_data, width):
-            continue
-        # name the first differing entry; an S row outside 0..255 is compared entry by entry
-        fields = product.to_bytes(ncols * width, "little")
-        for j, slack in enumerate(s_row):
-            residual = int.from_bytes(fields[j * width:(j + 1) * width], "little") - slack
-            if residual:
-                return FactorizationCheck(
-                    False, (i, j), f"basis {fac.cols[j]}: equality row X={fac.rows[i]} has residual {residual}"
-                )
-    return FactorizationCheck(True, None, "A@B = S exactly")
+    ones = _pack(b"\x01" * ncols, width)
+    for x, a_row, overlaps in zip(fac.rows, fac.A, _overlaps(g, fac.rows, fac.cols, width)):
+        lhs = overlaps + sum(map(operator.mul, itertools.compress(a_row, a_row), itertools.compress(packed_b, a_row)))
+        rhs = p.k * len(x) - p.ell
+        if lhs != rhs * ones:
+            fields = lhs.to_bytes(ncols * width, "little")
+            entries = [int.from_bytes(fields[i:i + width], "little") for i in range(0, len(fields), width)]
+            j, entry = next((j, entry) for j, entry in enumerate(entries) if entry != rhs)
+            raise InfeasibleLiftedPointError(f"basis {fac.cols[j]}: equality row X={x} has residual {entry - rhs}")
+    for basis in fac.cols:
+        if len(basis) != fac.c:
+            raise InfeasibleLiftedPointError(f"basis {basis}: equality row global has residual {len(basis) - fac.c}")
 
 
 def _label(prefix: str, indices: Iterable[int]) -> str:

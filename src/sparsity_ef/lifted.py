@@ -18,17 +18,19 @@ totals, with and without the edge bounds.
 
 The columns of U = B / c certify that each basis lifts.
 ``verify_extension`` checks one certificate (Yannakakis 1991) on a
-factorization over the bases: every basis F lifts with zero residual,
-that is y = U-column, the identity A @ B = S of ``verify_factorization``
-on F's column and |F| = c.  T >= 0 and y >= 0 hold by type, since A and
-B are byte rows and c >= 1.  The lifts put every basis in the
-projection.  Conversely, for a feasible point, T >= 0 and y >= 0 make
-each row read sum_{E(X)} x_e = k|X| - l - (T y)[X] <= k|X| - l, and the
-global row fixes sum_e x_e = c; both are linear, so they hold for every
-convex combination as well.  T >= 0 therefore certifies the counting
-inequalities and x >= 0 of the projection, and x <= 1 holds there by the
-emitted bound rows or by the rows |X| = 2.  A per-point ``Fraction``
-reference for the same check lives with the tests
+factorization over the bases: every basis F lifts with zero residual.
+That is, (1_F, U-column of F) satisfies each counting row, which is the
+identity A @ B = S on F's column, and the global row |F| = c.
+``verify_factorization`` checks both, each counting row over all the
+bases at once, then the global row.  T >= 0 and y >= 0 hold by type,
+since A and B are byte rows and c >= 1.  The lifts put every basis in
+the projection.  Conversely, for a feasible point, T >= 0 and y >= 0
+make each row read sum_{E(X)} x_e = k|X| - l - (T y)[X] <= k|X| - l,
+and the global row fixes sum_e x_e = c; both are linear, so they hold
+for every convex combination as well.  T >= 0 therefore certifies the
+counting inequalities and x >= 0 of the projection, and x <= 1 holds
+there by the emitted bound rows or by the rows |X| = 2.  A per-point
+``Fraction`` reference for the same check lives with the tests
 (``tests/lift_reference.py``).
 
 Emission uses the cdd/lrs ``.ine`` H-representation layout with equality
@@ -38,8 +40,8 @@ fixed instance.
 
 from __future__ import annotations
 
-from .errors import EmptyPolytopeError, InfeasibleLiftedPointError  # EmptyPolytopeError is re-exported
-from .factorization import Factorization, render_rows, row_incidence, slack_matrix, verify_factorization
+from .errors import EmptyPolytopeError, InfeasibleLiftedPointError  # both are re-exported
+from .factorization import Factorization, render_rows, row_incidence, verify_factorization
 from .graphs import Graph, SparsityParams
 from .protocol import ANNOUNCED, bit_complexity
 from .sparsity import require_basis
@@ -59,27 +61,18 @@ def ine_size(fac: Factorization) -> tuple[int, int]:
 def verify_extension(fac: Factorization) -> dict:
     """End-to-end verification report for a factorization over the instance's bases.
 
-    Checks the certificate of the module docstring:
-    ``verify_factorization`` proves A @ B = S over the bases, which is a
-    zero residual on every counting row of every basis lift, and |F| = c
-    is the global row.  Raises InfeasibleLiftedPointError naming the
-    basis on the first failure, with ``verify_factorization``'s reason;
-    returns the report dict on success.  A factorization
-    without columns certifies nothing: it is refused with
-    EmptyPolytopeError when the instance has no basis, ValueError otherwise.
+    Checks the certificate of the module docstring with
+    ``verify_factorization``, which raises InfeasibleLiftedPointError
+    naming the basis and the row on the first failure; returns the report
+    dict on success.  A factorization without columns certifies nothing:
+    it is refused with EmptyPolytopeError when the instance has no basis,
+    ValueError otherwise.
     """
     g, p = fac.graph, fac.params
     if not fac.cols:
         require_basis(g, p)
         raise ValueError("the factorization has no bases, so it certifies no lift")
-    check = verify_factorization(slack_matrix(g, p, bases=fac.cols), fac)
-    if not check.ok:
-        raise InfeasibleLiftedPointError(check.reason)
-    for basis in fac.cols:
-        if len(basis) != fac.c:
-            raise InfeasibleLiftedPointError(
-                f"basis {basis}: equality row global has residual {len(basis) - fac.c}"
-            )
+    verify_factorization(fac)
 
     n, m = g.n, g.edge_count
     w = len(fac.transcripts)

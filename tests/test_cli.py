@@ -293,16 +293,37 @@ def test_unexpected_exception_exits_2(k4_path, monkeypatch, capsys, exc):
 
 
 def test_factorize_mismatch_exits_2(k4_path, tmp_path, corrupted_t, capsys):
+    """A failed check is verify's error line, with no verdict line and no dump written."""
     prefix = tmp_path / "dump"
-    argv = ["factorize", "--graph", k4_path, "--k", "2", "--l", "3", "--out", str(prefix)]
-    code, out, _ = run(argv, capsys)
+    base = ["--graph", k4_path, "--k", "2", "--l", "3"]
+    code, out, err = run(["factorize", *base, "--out", str(prefix)], capsys)
     assert code == 2
-    lines = out.splitlines()
-    assert "verified: no" in lines
-    witness = [line for line in lines if line.startswith("witness: ")]
-    assert len(witness) == 1
-    assert "basis (" in witness[0] and "equality row X=" in witness[0]
+    assert out == "variant: B\nslack matrix: 10x6\ntranscripts: 144\n"
+    assert err.startswith("error: basis (") and "equality row X=" in err
+    assert (code, err) == run(["verify", *base], capsys)[::2]
     assert list(tmp_path.glob("dump*")) == []
+
+
+def test_malformed_factorization_exits_2(k4_path, monkeypatch, capsys):
+    """Factor rows that are not bytes can only come from a bug: exit 2, not exit 1."""
+    build_t = factorization.build_T
+    monkeypatch.setattr(factorization, "build_T", lambda *args: [list(row) for row in build_t(*args)])
+    base = ["--graph", k4_path, "--k", "2", "--l", "3"]
+    for argv in (["verify", *base], ["factorize", *base]):
+        code, _, err = run(argv, capsys)
+        assert (code, err) == (2, "error: internal failure: TypeError('A must be 10x144 rows of bytes')\n"), argv
+
+
+def test_verify_never_builds_the_slack_matrix(k4_path, tmp_path, monkeypatch, capsys):
+    def no_slack(*args, **kwargs):
+        raise AssertionError("slack_matrix was built")
+
+    monkeypatch.setattr(factorization, "slack_matrix", no_slack)
+    base = ["--graph", k4_path, "--k", "2", "--l", "3"]
+    for argv in (["verify", *base], ["emit", *base, "--out", str(tmp_path / "x.ine"), "--verify"],
+                 ["factorize", *base]):
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and ('"pass": true' in out or "verified: yes" in out), argv
 
 
 @pytest.mark.parametrize("graph", ["k3_path", "k4_path"])
@@ -349,7 +370,7 @@ def test_factorize_guard_fires_before_the_slack_matrix(k4_path, monkeypatch, cap
     def no_slack(*args, **kwargs):
         raise AssertionError("slack_matrix was built")
 
-    monkeypatch.setattr(factorization, "MAX_U_BYTES", 1000)
+    monkeypatch.setattr(factorization, "MAX_MATRIX_BYTES", 1000)
     monkeypatch.setattr(factorization, "slack_matrix", no_slack)
     code, _, err = run(["factorize", "--graph", k4_path, "--k", "2", "--l", "3"], capsys)
     assert code == 3
@@ -357,11 +378,39 @@ def test_factorize_guard_fires_before_the_slack_matrix(k4_path, monkeypatch, cap
 
 
 def test_memory_guard_exits_3(k4_path, monkeypatch, capsys):
-    monkeypatch.setattr(factorization, "MAX_U_BYTES", 1000)
+    monkeypatch.setattr(factorization, "MAX_MATRIX_BYTES", 1000)
     for command in ("verify", "factorize"):
         code, _, err = run([command, "--graph", k4_path, "--k", "2", "--l", "3"], capsys)
         assert code == 3, command
         assert "guard" in err
+
+
+def test_slack_guard_exits_3_and_prints_nothing(k4_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(factorization, "MAX_MATRIX_BYTES", 100)  # K4 (2,3): S is estimated at 540 bytes
+    base = ["slack", "--graph", k4_path, "--k", "2", "--l", "3"]
+    for argv in (base, [*base, "--out", str(tmp_path / "s.csv")]):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("error: the slack matrix for 6 bases would take about 540 bytes"), argv
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("limit, refused", [(100, "the slack matrix for 6 bases"), (1000, "B for 6 bases")])
+def test_factorize_out_guards_refuse_before_orientation(k4_path, tmp_path, monkeypatch, capsys, limit, refused):
+    """factorize --out builds S first; under either guard it exits 3 before any orientation or output.
+
+    On K4 (2,3), S is estimated at 540 bytes and B at 1,728.
+    """
+    def no_orientation(*args):
+        raise AssertionError("a basis was oriented")
+
+    monkeypatch.setattr(factorization, "MAX_MATRIX_BYTES", limit)
+    monkeypatch.setattr(factorization, "orient_basis", no_orientation)
+    argv = ["factorize", "--graph", k4_path, "--k", "2", "--l", "3", "--out", str(tmp_path / "dump")]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {refused} would take about")
+    assert list(tmp_path.glob("dump*")) == []
 
 
 def test_verify_seed_has_no_effect(k4_path, capsys):

@@ -1,6 +1,7 @@
 import functools
 import gc
 import hashlib
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -8,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from sparsity_ef import factorization
-from sparsity_ef.graphs import SparsityParams
+from sparsity_ef.errors import InfeasibleLiftedPointError
+from sparsity_ef.graphs import SparsityParams, make_graph
 from sparsity_ef.factorization import (
     build_T,
     build_U,
@@ -24,7 +26,7 @@ from sparsity_ef.factorization import (
 from sparsity_ef.protocol import exact_expectation
 from sparsity_ef.sparsity import EnumerationGuardError, enumerate_bases
 
-from conftest import complete_graph, path_graph
+from conftest import complete_graph, path_graph, wheel_graph
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
@@ -67,7 +69,7 @@ def test_empty_family_gives_zero_columns():
     s = slack_matrix(path_graph(3), P23)
     assert s.shape == (3, 0)
     fac = build_factorization(path_graph(3), P23, "B")
-    assert verify_factorization(s, fac).ok
+    verify_factorization(fac)  # no basis, so nothing to fail
 
 
 def test_transcript_counts_and_order():
@@ -106,71 +108,80 @@ def test_verify_factorization_small_instances():
         (K4, SparsityParams(2, 2), "A"),
         (K4, SparsityParams(1, 0), "A"),
     ]:
-        s = slack_matrix(g, p)
-        fac = build_factorization(g, p, variant)
-        check = verify_factorization(s, fac)
-        assert check.ok, (variant, check)
+        verify_factorization(build_factorization(g, p, variant))
 
 
 def test_fault_injection_detected():
-    s = slack_matrix(K3, P11)
     fac = build_factorization(K3, P11, "A")
     b = [row.copy() for row in fac.B]
     b[4][1] += fac.c  # U[4][1] += 1
-    check = verify_factorization(s, replace(fac, B=b))
-    assert not check.ok
-    assert check.witness is not None
+    i = next(i for i, a_row in enumerate(fac.A) if a_row[4])  # the first row that charges transcript 4
+    expected = f"basis {fac.cols[1]}: equality row X={fac.rows[i]} has residual {fac.c}"
+    with pytest.raises(InfeasibleLiftedPointError, match=f"^{re.escape(expected)}$"):
+        verify_factorization(replace(fac, B=b))
+
+
+def test_global_row_checked_after_the_counting_rows():
+    """|F| = c is checked too: on K2 no counting row exists, so only it can reject the empty edge set."""
+    k2 = make_graph(2, [(0, 1)])
+    fac = build_factorization(k2, P11, bases=[(0,)])
+    verify_factorization(fac)
+    with pytest.raises(InfeasibleLiftedPointError, match=r"^basis \(\): equality row global has residual -1$"):
+        verify_factorization(replace(fac, cols=((),)))
+    # on K3 a basis short of an edge fails a counting row first
+    fac = build_factorization(K3, P11, "A")
+    short = fac.cols[0][:-1]
+    with pytest.raises(InfeasibleLiftedPointError, match=re.escape(f"basis {short}: equality row X=")):
+        verify_factorization(replace(fac, cols=(short, *fac.cols[1:])))
 
 
 def test_negative_entry_detected():
     """No factor holds a negative entry: a byte row cannot, and a row of ints is refused."""
-    s = slack_matrix(K3, P11)
     fac = build_factorization(K3, P11, "A")
     with pytest.raises(ValueError):
         fac.B[2][0] = -1
     b = [row.copy() for row in fac.B]
     b[2] = [-1, *b[2][1:]]  # U[2][0] = -1/c
-    with pytest.raises(ValueError, match="rows of bytes"):
-        verify_factorization(s, replace(fac, B=b))
+    with pytest.raises(TypeError, match="rows of bytes"):
+        verify_factorization(replace(fac, B=b))
     a = [row.copy() for row in fac.A]
     a[0] = [-1, *a[0][1:]]
-    with pytest.raises(ValueError, match="rows of bytes"):
-        verify_factorization(s, replace(fac, A=a))
+    with pytest.raises(TypeError, match="rows of bytes"):
+        verify_factorization(replace(fac, A=a))
     # rows of ints are refused even where their entries are right
-    with pytest.raises(ValueError, match="rows of bytes"):
-        verify_factorization(s, replace(fac, B=[list(row) for row in fac.B]))
+    with pytest.raises(TypeError, match="rows of bytes"):
+        verify_factorization(replace(fac, B=[list(row) for row in fac.B]))
 
 
 def test_packed_fields_hold_corrupted_entries():
     """B[w][j] = 255 with B[w][j+1] set from 1 to 0 is named with its true residual.
 
-    In fields one byte wide, the product's field j would carry into field
-    j+1, which the lowered B[w][j+1] cancels, and field j would read 256
-    less than its entry.  The fields are sized for the corrupted entry
-    instead, and the first row that charges w mismatches at column j by
-    255 - B[w][j].  (w, j) is picked where that carry would happen, which
-    K3 (1,1) has nowhere.
+    In fields one byte wide, the left side's field j would carry into
+    field j+1, which the lowered B[w][j+1] cancels, and field j would
+    read 256 less than its entry.  The fields are sized for the corrupted
+    entry instead, and the first row that charges w mismatches at column j
+    by 255 - B[w][j].  (w, j) is picked where that carry would happen,
+    k|X| - l > B[w][j], which K3 (1,1) has nowhere.
     """
-    s = slack_matrix(K4, P11)
     fac = build_factorization(K4, P11, "A")
 
     def first_row(w):
         return next(i for i, a_row in enumerate(fac.A) if a_row[w])
 
     w, j = next((w, j) for w, row in enumerate(fac.B) for j in range(len(row) - 1)
-                if row[j + 1] == 1 and any(a_row[w] for a_row in fac.A) and s.entries[first_row(w)][j] > row[j])
+                if row[j + 1] == 1 and any(a_row[w] for a_row in fac.A) and len(fac.rows[first_row(w)]) - 1 > row[j])
     b = [row.copy() for row in fac.B]
     b[w][j], b[w][j + 1] = 255, 0
-    check = verify_factorization(s, replace(fac, B=b))
-    assert not check.ok and check.witness == (first_row(w), j)
-    assert check.reason.endswith(f" has residual {255 - fac.B[w][j]}")
+    expected = f"basis {fac.cols[j]}: equality row X={fac.rows[first_row(w)]} has residual {255 - fac.B[w][j]}"
+    with pytest.raises(InfeasibleLiftedPointError, match=f"^{re.escape(expected)}$"):
+        verify_factorization(replace(fac, B=b))
 
 
 def test_memory_guard_threshold(monkeypatch):
     # the guard reads only the basis count, so placeholder bases suffice
     k8 = complete_graph(8)
     # each Laman graph on 7 vertices, with a new vertex joined to 2 of its 21 pairs, is one on 8
-    with pytest.raises(EnumerationGuardError, match="memory guard"):  # K8 (2,3): about 34 GB
+    with pytest.raises(EnumerationGuardError, match="memory guard"):  # K8 (2,3): about 25 GB
         build_U(k8, P23, "B", [None] * (21 * 190491), enumerate_transcripts(k8, "B"))
 
     class Oriented(Exception):
@@ -180,15 +191,29 @@ def test_memory_guard_threshold(monkeypatch):
         raise Oriented
 
     monkeypatch.setattr(factorization, "orient_basis", reached)
-    # K8 (1,1) is estimated at 815 MB, K7 (2,3) at 876 MB
+    # K8 (1,1) is estimated at 235 MB, K7 (2,3) at 672 MB
     for g, p, variant, bases in ((k8, P11, "A", 8**6), (complete_graph(7), P23, "B", 190491)):
         with pytest.raises(Oriented):  # passes the guard and reaches orientation
             build_U(g, p, variant, [None] * bases, enumerate_transcripts(g, variant))
 
 
+def _traced_bytes(build):
+    """Bytes still allocated after ``build()`` runs, with the result kept alive."""
+    tracemalloc.start()
+    try:
+        gc.collect()  # drops free lists, which hold memory that no object uses
+        before = tracemalloc.get_traced_memory()[0]
+        result = build()
+        gc.collect()
+        traced = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return result, traced
+
+
 @pytest.mark.parametrize("params, variant", [(P23, "B"), (P11, "A")])
 def test_memory_guard_covers_traced_bytes(params, variant, monkeypatch):
-    """On K6, the guard's estimate is at least the traced bytes of B, of B packed and of S.
+    """On K6, build_U's estimate is at least the traced bytes of B and of B packed.
 
     The orientations are made before tracing starts, which would slow them tenfold.
     """
@@ -196,22 +221,36 @@ def test_memory_guard_covers_traced_bytes(params, variant, monkeypatch):
     bases, transcripts = enumerate_bases(g, params), enumerate_transcripts(g, variant)
     monkeypatch.setattr(factorization, "orient_basis", functools.cache(factorization.orient_basis))
     build_U(g, params, variant, bases, transcripts)
-    tracemalloc.start()
-    try:
-        gc.collect()  # drops free lists, which hold memory that no object uses
-        before = tracemalloc.get_traced_memory()[0]
+
+    def b_and_packed():
         b = build_U(g, params, variant, bases, transcripts)
-        packed = [factorization._pack(row, 1) for row in b]
-        s = slack_matrix(g, params, bases=bases)
-        gc.collect()
-        traced = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert len(packed) == len(b) and s.shape == (2**6 - 8, len(bases))
-    estimate = len(bases) * (
-        factorization.B_ENTRY_BYTES * len(transcripts) + factorization.S_ENTRY_BYTES * s.shape[0]
-    )
+        return b, [factorization._pack(row, 1) for row in b]
+
+    (b, packed), traced = _traced_bytes(b_and_packed)
+    assert len(packed) == len(b) == len(transcripts)
+    estimate = factorization.B_ENTRY_BYTES * len(bases) * len(transcripts)
     assert estimate >= traced, (estimate, traced)
+
+
+@pytest.mark.parametrize("params", [P23, P11])
+def test_slack_matrix_guard_covers_traced_bytes(params):
+    """On K6, slack_matrix's estimate is at least the traced bytes of S."""
+    g = complete_graph(6)
+    bases = enumerate_bases(g, params)
+    s, traced = _traced_bytes(lambda: slack_matrix(g, params, bases=bases))
+    assert s.shape == (2**6 - 8, len(bases))
+    estimate = factorization.S_ENTRY_BYTES * s.shape[0] * s.shape[1]
+    assert estimate >= traced, (estimate, traced)
+
+
+def test_slack_matrix_guard_refuses_before_any_row(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("a row of S was built")
+
+    monkeypatch.setattr(factorization, "MAX_MATRIX_BYTES", 9 * 10 * 6 - 1)  # K4 (2,3): 10 rows, 6 bases
+    monkeypatch.setattr(factorization, "_overlaps", no_rows)
+    with pytest.raises(EnumerationGuardError, match="the slack matrix for 6 bases would take about 540 bytes"):
+        slack_matrix(K4, P23)
 
 
 def test_build_t_needs_every_announced_transcript():
@@ -223,10 +262,11 @@ def test_build_t_needs_every_announced_transcript():
 
 
 def test_dimension_mismatch_raises():
-    s = slack_matrix(K3, P11)
     fac = build_factorization(K3, P11, "A")
-    with pytest.raises(ValueError):
-        verify_factorization(s, replace(fac, A=fac.A[:-1]))
+    with pytest.raises(TypeError, match="A must be 3x18 rows of bytes"):
+        verify_factorization(replace(fac, A=fac.A[:-1]))
+    with pytest.raises(TypeError, match="B must be 18x2 rows of bytes"):
+        verify_factorization(replace(fac, cols=fac.cols[:-1]))
 
 
 def test_product_matches_protocol_expectation():
@@ -251,6 +291,17 @@ def test_slack_entries_nonnegative_integers(corpus_cells):
         assert all(e >= 0 for row in s.entries for e in row), (name, p)
 
 
+def test_product_equals_slack_matrix(corpus_cells):
+    """A plain product A @ B equals slack_matrix's S on every cell, an S comparison no command makes."""
+    for name, g, p, bases in corpus_cells:
+        fac = build_factorization(g, p, bases=bases)
+        product = [
+            [sum(a_row[w] * fac.B[w][j] for w in range(len(fac.transcripts))) for j in range(len(bases))]
+            for a_row in fac.A
+        ]
+        assert product == slack_matrix(g, p, bases=bases).entries, (name, p)
+
+
 def test_slack_csv_golden():
     expected = (
         ",F:0+1,F:0+2,F:1+2\n"
@@ -270,3 +321,50 @@ def test_factor_csv_golden_k4():
     assert hashlib.sha256(u_csv.encode()).hexdigest() == (
         "74a5c98634ca66b2c32139243ab1fc19ee7f4758b6e9b67c7f811960376b08e4"
     )
+
+
+# sha256 of U.csv, which holds Bob's orientations, per (graph, k, l, variant)
+BOB_U_CSV = {
+    ("K3", 1, 0, "auto"): "33ec86f3c0ad3178a8d00fd4171cd00e47d6735a65995c858302988e40d0f33b",
+    ("K3", 1, 1, "A"): "5050fcb7fa6722514cdd9f63824d8674ac8936611a37d99172fc10d90408e1d9",
+    ("K3", 1, 1, "B"): "289dc25acd67a633377b41c05ebc0f4d03cae421890e4494699245336c69cca4",
+    ("K3", 2, 3, "auto"): "e09269c9f7ec12fa14e56d09a8d2b5f1eb13f69540207cb3fbdbc44c4522004f",
+    ("K4", 1, 0, "auto"): "3c781d18da18b062b554bda862e59a0e59134ecbd0f68657abdaa4feeeb146cf",
+    ("K4", 1, 1, "A"): "ad8e73bf21d7bc74568fa7d25f45e5068e6e96e6ee4fffa1e47bf36129e1b66c",
+    ("K4", 1, 1, "B"): "8bf5bc8f372fa503a440099b88a12a7d3b15e4a73565480d5598efbdccec4993",
+    ("K4", 2, 2, "A"): "0fa489dfc11501f190602feb5a5da7107773139e7cfb2a2f5b573c1984ef428e",
+    ("K4", 2, 2, "B"): "e4833221af39cd1e07c3beedc81de88c388cfe4e2af988fe0b842c849c3193b9",
+    ("K4", 2, 3, "auto"): "74a5c98634ca66b2c32139243ab1fc19ee7f4758b6e9b67c7f811960376b08e4",
+    ("K5", 1, 0, "auto"): "308ff0e40a3edfacb9956b1dd7d73b9c2d013fb5cfcb4b6135286cfeeb681986",
+    ("K5", 1, 1, "A"): "dc821698f249723c59e225dacdd105efdbff8817bf6ac1dda71a0c8ad294d46c",
+    ("K5", 1, 1, "B"): "7d177c040edc94e3445c443b774a1526ff93a7ae4e06193e2812fbe031b2510a",
+    ("K5", 2, 1, "auto"): "8fef5c1e467f4c4503c04c63ddc99649b7a6864367638f12561e9dd7efaf763a",
+    ("K5", 2, 2, "A"): "8c57cf1a04fab1925a977632239ed5bc60217d898c74f0116ecbc0c0f090dc9c",
+    ("K5", 2, 2, "B"): "7606663ba4fdb308af98e88d38bd855747ad485370559575933af6c2f2cd5070",
+    ("K5", 2, 3, "auto"): "647ab32c71c70fcc22f3770767ac5bd96abab1342408980be48408b1b6d95e45",
+    ("K5", 3, 5, "auto"): "3d2fb4c1db0ddf91e7d6cd974868b1974785e48a69edeb61d4e7c5d12811f658",
+    ("W5", 1, 0, "auto"): "e0e0e1fec377c7bfe2ffb8e63a86613d2e742e1c5298b463798704d0cb7c943e",
+    ("W5", 1, 1, "A"): "a705ec3241fded1aef04d0243aaba78d68c8877009fcf3ba2791e8467157d829",
+    ("W5", 1, 1, "B"): "057581bb23b40fef58763bfd4c1c41ae6cb05baf90712ad52c7fbc3db4353f8a",
+    ("W5", 2, 2, "A"): "eb433563dc4106357330b8fa3f464848ac9a5d8e26bfbc07f8425573e4f2e6e3",
+    ("W5", 2, 2, "B"): "236320435357eec62da0cbde46feb492a3fb59badd54a29971951a0b4b155619",
+    ("W5", 2, 3, "auto"): "106ed53c75da814bfb683283035b21fbcb9a39a03d816abca3893ab10902c40b",
+    ("prism", 1, 0, "auto"): "c703d20822fb917514d9870edda41ad7d4cd6e91a3e3aea97fd67ba4659cbdc8",
+    ("prism", 1, 1, "A"): "ab8d298bbc2d45a82894f4f45b1cb1238cd5df55a066eede745ba4a0a95f38f9",
+    ("prism", 1, 1, "B"): "66d11b34abfbe20d7ee37421f69380248ae0a568601301fdde71d5e73a288752",
+    ("prism", 2, 3, "auto"): "04c8e09e16afb4115f77765066184aa53fe13d74a5ab4a28c99d3aa208818c4f",
+    ("W6", 2, 3, "auto"): "5e3ee4edf39fa276e10807285067545b7d30de1c29067191a91e1df588caf05f",
+    ("K6", 3, 5, "auto"): "0c7ebd2e63ae326fe98fe2b8561cd0d01c9a6a494ba9cf9e3e1a2d3a59c42156",
+}
+
+
+def test_bob_orientations_are_pinned(corpus_cells):
+    """U.csv bytes on every non-empty corpus cell, W6 (2,3) and K6 (3,5); both variants at k = l."""
+    cells = [(name, g, p) for name, g, p, _ in corpus_cells]
+    cells += [("W6", wheel_graph(6), P23), ("K6", complete_graph(6), SparsityParams(3, 5))]
+    digests = {}
+    for name, g, p in cells:
+        for variant in ("A", "B") if p.k == p.ell else ("auto",):
+            u_csv = factor_csvs(build_factorization(g, p, variant))[1]
+            digests[name, p.k, p.ell, variant] = hashlib.sha256(u_csv.encode()).hexdigest()
+    assert digests == BOB_U_CSV

@@ -280,5 +280,5 @@ def test_verify_extension_catches_negative_t_entry(monkeypatch):
         return a
 
     monkeypatch.setattr(factorization, "build_T", negative)
-    with pytest.raises(ValueError, match="rows of bytes"):
+    with pytest.raises(TypeError, match="rows of bytes"):
         verify_extension(build_factorization(K4, P23, "B"))
