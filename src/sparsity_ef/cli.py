@@ -11,8 +11,9 @@ verify.  Exit codes form the CI contract:
     2  internal cross-check failure (sparsity oracle disagreement,
        expectation/slack mismatch, a failed lift check in `factorize`,
        `verify` or `emit --verify`, reported in the same `error:` line
-       by all three) — a bug trap, not a user error; also any
-       exception outside this list ("error: internal failure: ...")
+       by all three, a refused orientation of a basis) — a bug trap,
+       not a user error; also any exception outside this list
+       ("error: internal failure: ...")
     3  enumeration, vertex or memory guard exceeded
     4  empty polytope (no basis exists)
 
@@ -37,8 +38,9 @@ only to write it.  The lifts certify that the lifted polytope contains
 every basis and that its projection satisfies the counting inequalities
 and x >= 0; x <= 1 is an emitted bound row where 2k - l >= 2 and
 follows from the rows |X| = 2 elsewhere.  The `.ine` is the T side of
-the factorization, so T is built once per command.  Plain `emit` needs
-no certificate: it refuses an empty instance (exit 4, one pebble game),
+the factorization, so T is built once per command; `emit --verify`
+checks it before writing.  Plain `emit` needs no certificate: it
+refuses an empty instance (exit 4, one pebble game),
 then more than 16 vertices (exit 3), and writes the factorization over
 no bases.  It enumerates no basis, so the enumeration guard does not
 apply and `emit --max-enum 1` exits 0.
@@ -180,10 +182,10 @@ def cmd_protocol(args) -> int:
     return EXIT_OK
 
 
-def _write(path, text: str) -> None:
-    """Write an output file as UTF-8 with LF line ends on every platform."""
+def _write(path, lines) -> None:
+    """Write an iterable of lines, each ending in a newline, as a UTF-8 file with LF line ends."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(lines)
 
 
 def _bases_for_rows(g: Graph, p: SparsityParams, args) -> list:
@@ -203,12 +205,12 @@ def cmd_slack(args) -> int:
 
     g, p = _load_instance(args)
     bases = _bases_for_rows(g, p, args)
-    csv = slack_matrix_csv(slack_matrix(g, p, bases=bases))
+    lines = slack_matrix_csv(slack_matrix(g, p, bases=bases))
     if args.out:
-        _write(args.out, csv)
+        _write(args.out, lines)
         print(f"wrote {args.out}")
     else:
-        sys.stdout.write(csv)
+        sys.stdout.writelines(lines)
     return EXIT_OK
 
 
@@ -231,9 +233,9 @@ def cmd_factorize(args) -> int:
     print("verified: yes")
     if args.out:
         t_csv, u_csv = factor_csvs(fac)
-        for suffix, text in (("S.csv", slack_matrix_csv(s)), ("T.csv", t_csv), ("U.csv", u_csv)):
+        for suffix, lines in (("S.csv", slack_matrix_csv(s)), ("T.csv", t_csv), ("U.csv", u_csv)):
             path = f"{args.out}.{suffix}"
-            _write(path, text)
+            _write(path, lines)
             print(f"wrote {path}")
     return EXIT_OK
 
@@ -250,13 +252,14 @@ def cmd_emit(args) -> int:
     else:  # the .ine is the T side alone: emptiness is one pebble game and no basis is enumerated
         require_basis(g, p)
         bases = ()
-    # factored before the .ine is written, so a refused --verify writes nothing
     fac = build_factorization(g, p, variant, bases=bases)
+    # factored and checked before the .ine is written, so a refused or failed --verify writes nothing
+    report = verify_extension(fac) if args.verify else None
     _write(args.out, format_ine(fac))
     equalities, inequalities = ine_size(fac)
     print(f"wrote {args.out} ({equalities} equalities + {inequalities} inequalities)")
-    if args.verify:
-        print(json.dumps(verify_extension(fac), indent=2, sort_keys=True))
+    if report is not None:
+        print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -270,7 +273,7 @@ def cmd_verify(args) -> int:
     report = verify_extension(build_factorization(g, p, variant, bases=_bases_for_rows(g, p, args)))
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        _write(args.out, text + "\n")
+        _write(args.out, [text + "\n"])
         print(f"wrote {args.out}")
     print(text)
     return EXIT_OK

@@ -52,7 +52,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import EnumerationGuardError, InfeasibleLiftedPointError
 from .graphs import Graph, SparsityParams, induced_edges, validate_instance
-from .protocol import alice_choice, announcements, orient_basis, resolve_variant
+from .protocol import alice_choice, announcements, bob_orientation, protocol_targets, resolve_variant
 from .sparsity import Basis, enumerate_bases
 
 MAX_ROW_ENUM_N = 16
@@ -199,19 +199,20 @@ def build_U(
 ) -> list[bytearray]:
     """B = c * U as |W| x |cols| 0/1 rows of bytes.
 
-    Orients each (basis, Alice announcement) pair exactly once.  Before
-    any orientation, refuses (EnumerationGuardError) an instance whose B
-    and its rows as ``verify_factorization`` packs them are estimated at
-    more than ``MAX_MATRIX_BYTES``.
+    First refuses (EnumerationGuardError) an instance whose B and its rows
+    as ``verify_factorization`` packs them are estimated at more than
+    ``MAX_MATRIX_BYTES``.  Each announcement's targets are computed once;
+    the bases are the outer loop, and each basis's edges go to
+    ``bob_orientation`` once per announcement.
     """
     index = {w: i for i, w in enumerate(transcripts)}
-    announced = announcements(g.n, variant)
     _memory_guard("B", len(cols), B_ENTRY_BYTES * len(cols) * len(transcripts))
+    targets = [(alice, protocol_targets(g.n, p, alice)) for alice in announcements(g.n, variant)]
     b = [bytearray(len(cols)) for _ in transcripts]
     for j, basis in enumerate(cols):
-        for alice in announced:
-            heads = orient_basis(g, p, basis, alice).heads
-            for e, h in zip(basis, heads):
+        edges = tuple(g.edges[e] for e in basis)
+        for alice, m in targets:
+            for e, h in zip(basis, bob_orientation(edges, m).heads):
                 b[index[alice, e, h]][j] = 1
     return b
 
@@ -321,15 +322,15 @@ def _label(prefix: str, indices: Iterable[int]) -> str:
 
 def format_matrix_csv(
     row_labels: Sequence[str], col_labels: Sequence[str], entries, scale: int | Fraction = 1
-) -> str:
-    """Matrix dump: header line of column labels, then one labelled row per line.
+) -> Iterator[str]:
+    """Matrix dump, line by line: header line of column labels, then one labelled row per line.
 
     Entries are integers times the common ``scale``, rendered as exact
-    rationals 'p' or 'p/q'.
+    rationals 'p' or 'p/q'; each line ends in a newline.
     """
-    lines = ["," + ",".join(col_labels)]
-    lines.extend(label + "," + row for label, row in zip(row_labels, render_rows(entries, ",", scale)))
-    return "\n".join(lines) + "\n"
+    yield "," + ",".join(col_labels) + "\n"
+    for label, row in zip(row_labels, render_rows(entries, ",", scale)):
+        yield label + "," + row + "\n"
 
 
 def render_rows(values: Iterable[Sequence[int]], sep: str, scale: int | Fraction = 1) -> Iterator[str]:
@@ -341,7 +342,7 @@ def render_rows(values: Iterable[Sequence[int]], sep: str, scale: int | Fraction
     return (sep.join(map(text, row)) for row in values)
 
 
-def slack_matrix_csv(s: SlackMatrix) -> str:
+def slack_matrix_csv(s: SlackMatrix) -> Iterator[str]:
     return format_matrix_csv(
         [_label("X:", x) for x in s.rows],
         [_label("F:", f) for f in s.cols],
@@ -349,15 +350,10 @@ def slack_matrix_csv(s: SlackMatrix) -> str:
     )
 
 
-def factor_csvs(fac: Factorization) -> tuple[str, str]:
-    """CSV dumps of (T, U) = (c * A, B / c) with transcript labels 'a0[+a1]/e<idx>h<head>'."""
-    w_labels = [
-        _label("", w.alice) + f"/e{w.edge}h{w.head}" for w in fac.transcripts
-    ]
-    t_csv = format_matrix_csv(
-        [_label("X:", x) for x in fac.rows], w_labels, fac.A, fac.c
+def factor_csvs(fac: Factorization) -> tuple[Iterator[str], Iterator[str]]:
+    """CSV dumps of (T, U) = (c * A, B / c), line by line, with transcript labels 'a0[+a1]/e<idx>h<head>'."""
+    w_labels = [_label("", w.alice) + f"/e{w.edge}h{w.head}" for w in fac.transcripts]
+    return (
+        format_matrix_csv([_label("X:", x) for x in fac.rows], w_labels, fac.A, fac.c),
+        format_matrix_csv(w_labels, [_label("F:", f) for f in fac.cols], fac.B, Fraction(1, fac.c)),
     )
-    u_csv = format_matrix_csv(
-        w_labels, [_label("F:", f) for f in fac.cols], fac.B, Fraction(1, fac.c)
-    )
-    return t_csv, u_csv

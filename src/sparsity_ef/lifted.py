@@ -40,6 +40,9 @@ fixed instance.
 
 from __future__ import annotations
 
+import itertools
+from typing import Iterator
+
 from .errors import EmptyPolytopeError, InfeasibleLiftedPointError  # both are re-exported
 from .factorization import Factorization, render_rows, row_incidence, verify_factorization
 from .graphs import Graph, SparsityParams
@@ -109,13 +112,15 @@ def verify_extension(fac: Factorization) -> dict:
     }
 
 
-def format_ine(fac: Factorization) -> str:
-    """H-representation text of the T side: equalities first (listed in `linearity`), then bounds.
+def format_ine(fac: Factorization) -> Iterator[str]:
+    """H-representation of the T side, line by line: equalities first (listed in `linearity`), then bounds.
 
     The bounds are z >= 0 for every variable, then x_e <= 1 for every
     edge where 2k - l >= 2 (``upper_bound_count``).  Each row is
     ``b  -a`` for a constraint a.z <= b (cdd convention
-    ``b + a'.z >= 0``); columns are 1 + |E| + |W|.
+    ``b + a'.z >= 0``); columns are 1 + |E| + |W|.  The equality rows are
+    built by the call and rendered as the lines are taken, so a caller
+    that opens its file after the call leaves none if they cannot be built.
     """
     g, p, c = fac.graph, fac.params, fac.c
     m, w = g.edge_count, len(fac.transcripts)
@@ -128,20 +133,9 @@ def format_ine(fac: Factorization) -> str:
     ]
     equalities.append([c, *[-1] * m, *[0] * w])
 
-    lines = ["H-representation"]
-    lines.append("linearity " + " ".join([str(n_eq), *[str(i + 1) for i in range(n_eq)]]))
-    lines.append("begin")
-    lines.append(f"{n_eq + n_ineq} {d + 1} rational")
-    lines.extend(render_rows(equalities, " "))
-    bound = ["0"] * (d + 1)
-    for i in range(1, d + 1):
-        bound[i] = "1"
-        lines.append(" ".join(bound))
-        bound[i] = "0"
-    bound[0] = "1"
-    for i in range(1, upper_bound_count(g, p) + 1):  # x_e <= 1 for edge e = i - 1
-        bound[i] = "-1"
-        lines.append(" ".join(bound))
-        bound[i] = "0"
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    header = ["H-representation", "linearity " + " ".join([str(n_eq), *[str(i + 1) for i in range(n_eq)]]),
+              "begin", f"{n_eq + n_ineq} {d + 1} rational"]
+    nonnegative = ("0 " * i + "1" + " 0" * (d - i) for i in range(1, d + 1))  # z_i >= 0
+    # x_e <= 1 for edge e = i - 1
+    upper = ("1" + " 0" * (i - 1) + " -1" + " 0" * (d - i) for i in range(1, upper_bound_count(g, p) + 1))
+    return (line + "\n" for line in itertools.chain(header, render_rows(equalities, " "), nonnegative, upper, ["end"]))

@@ -13,13 +13,15 @@ tail, so the in-degree of v is m(v).  Targets above k are as good as any
 others.  An edge that cannot get a pebble proves the vector infeasible,
 and the vertices that the failed search reached are the witness.
 
-Bob's orientation is therefore a pure function of (F in its given
-order, m).  It is deterministic: the search walks sets of ints, and
-those iterate in the same order whatever ``PYTHONHASHSEED`` is.  Where m
-does not force the orientation, this rule is what fixes U.csv, the
-``orient`` output and Monte Carlo hit counts; no slack, T or ``.ine``
-value depends on it, because how many edges of F enter a set X does
-not depend on the orientation.
+The fetch rule: a pebble is fetched breadth-first from the edge's two
+ends, each vertex's out-neighbours walked in ascending order, and the
+first free pebble found is taken.  So each move of the game depends
+only on its current state, and Bob's orientation is a pure function of
+(F in its given order, m), whatever the game's history, the Python
+version or ``PYTHONHASHSEED``.  Where m does not force the orientation,
+this rule is what fixes U.csv, the ``orient`` output and Monte Carlo
+hit counts; no slack, T or ``.ine`` value depends on it, because how
+many edges of F enter a set X does not depend on the orientation.
 """
 
 from __future__ import annotations

@@ -28,9 +28,11 @@ maps 'auto' to A there.  Everything else follows from the count:
   system's inequality count against is 3 n^count |E|: O(|V||E|) for A
   and O(|V|^2|E|) for B.
 
-Bob's orientation is the deterministic one from the orientation module,
-so each transcript is a pure function of (X, F).  Each public round
-checks and orients F afresh; nothing is kept between calls.
+Bob has one entry point, ``bob_orientation(edges, targets)``, the
+orientation module's game on F's edges in index order, called by each
+public round here and by ``factorization.build_U``.  By the paper's
+lemma every basis meets every announcement's targets, so a refusal is a
+bug, raised as RuntimeError ("internal consistency failure: ...").
 
 The random edge pick uses a counter-based splitmix64 stream,
 ``splitmix_draw``: draw ``t`` of ``seed`` is
@@ -47,6 +49,7 @@ from fractions import Fraction
 from math import sqrt
 from typing import Iterable, NamedTuple, Sequence
 
+from .errors import InfeasibleOrientationError
 from .graphs import Graph, SparsityParams, validate_instance
 from .orientation import Orientation, orient_with_targets
 from .sparsity import Basis, is_tight
@@ -128,10 +131,12 @@ def protocol_targets(n: int, p: SparsityParams, announced: Sequence[int]) -> tup
     return tuple(m)
 
 
-def orient_basis(g: Graph, p: SparsityParams, basis: Basis, alice: tuple[int, ...]) -> Orientation:
-    """Bob's deterministic orientation of the basis for the announced vertices."""
-    edges = tuple(g.edges[i] for i in basis)
-    return orient_with_targets(g.n, edges, protocol_targets(g.n, p, alice))
+def bob_orientation(edges: Sequence[tuple[int, int]], targets: Sequence[int]) -> Orientation:
+    """Bob's orientation of a basis, its edges in index order, for an announcement's targets; a refusal is a bug."""
+    try:
+        return orient_with_targets(len(targets), edges, targets)
+    except InfeasibleOrientationError as exc:
+        raise RuntimeError(f"internal consistency failure: orientation of a basis was refused ({exc})") from exc
 
 
 def _oriented_round(
@@ -147,13 +152,7 @@ def _oriented_round(
     b = tuple(sorted(set(basis)))
     if not is_tight(g, p, b):
         raise ValueError("the edge set is not a basis (not tight for these parameters)")
-    try:
-        orientation = orient_basis(g, p, b, alice)
-    except Exception as exc:  # Lemma guarantees feasibility for tight F
-        raise RuntimeError(
-            f"internal consistency failure: orientation of a basis was refused ({exc})"
-        ) from exc
-    return members, b, orientation
+    return members, b, bob_orientation([g.edges[i] for i in b], protocol_targets(g.n, p, alice))
 
 
 def _entering_flags(orientation: Orientation, members: frozenset[int]) -> list[int]:

@@ -159,15 +159,16 @@ class PebbleGame:
     def _fetch(self, u: int, v: int) -> bool:
         """Move one pebble onto u or v by reversing a directed path; False if none is reachable.
 
-        Breadth-first from u and v, stopping at the first vertex found with
-        a free pebble.  Which pebble is fetched changes no answer, only
-        the orientation that the game reaches.
+        Breadth-first from u and v, each out-set in ascending vertex order,
+        stopping at the first vertex found with a free pebble.  Which pebble
+        is fetched changes no answer, only the orientation that the game
+        reaches.
         """
         out, pebbles = self.out, self.pebbles
         parent = {u: -1, v: -1}
         queue = [u, v]
         for w in queue:  # the queue grows while it is walked
-            for s in out[w]:
+            for s in sorted(out[w]):
                 if s in parent:
                     continue
                 parent[s] = w

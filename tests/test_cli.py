@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from sparsity_ef import cli, factorization, lifted
+from sparsity_ef import cli, factorization, lifted, protocol
 from sparsity_ef.graphs import MAX_VERTICES
 from sparsity_ef.lifted import InfeasibleLiftedPointError
 
@@ -259,6 +260,62 @@ def test_injected_residual_exits_2(k4_path, tmp_path, corrupted_t, capsys):
         assert code == 2, argv
         assert err.startswith("error: basis (") and "equality row X=" in err
         assert "Traceback" not in err
+    assert not (tmp_path / "x.ine").exists()  # emit --verify checks before it writes
+
+
+def test_emit_leaves_no_file_when_the_system_cannot_be_built(k4_path, tmp_path, monkeypatch, capsys):
+    """format_ine builds its equality rows when it is called, before emit opens the .ine."""
+    def no_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(lifted, "row_incidence", no_memory)
+    code, _, err = run(["emit", "--graph", k4_path, "--k", "2", "--l", "3", "--out", str(tmp_path / "x.ine")], capsys)
+    assert (code, err) == (2, "error: internal failure: MemoryError()\n")
+    assert not (tmp_path / "x.ine").exists()
+
+
+def test_refused_basis_orientation_exits_2(k4_path, tmp_path, monkeypatch, capsys):
+    """Targets that a basis cannot meet are a bug: every command that orients a basis exits 2 with one line."""
+    targets = protocol.protocol_targets
+
+    def moved(n, p, announced):  # vertex n-1's target moved onto vertex 0
+        m = list(targets(n, p, announced))
+        m[0], m[n - 1] = m[0] + m[n - 1], 0
+        return tuple(m)
+
+    monkeypatch.setattr(protocol, "protocol_targets", moved)
+    monkeypatch.setattr(factorization, "protocol_targets", moved)
+    base = ["--graph", k4_path, "--k", "1", "--l", "1"]
+    for argv in (["verify", *base], ["factorize", *base], ["emit", *base, "--out", str(tmp_path / "x.ine"), "--verify"],
+                 ["protocol", *base, "--mode", "exact", "--X", "1,2", "--F", "2,3,4"]):
+        assert run(argv, capsys) == (2, "", (
+            "error: internal consistency failure: orientation of a basis was refused (in-degree targets "
+            "infeasible: region [1, 3] has 1 internal edges but target sum 0)\n"
+        )), argv
+    assert not (tmp_path / "x.ine").exists()
+
+
+G9_EDGES = [(0, 2), (0, 6), (1, 3), (1, 5), (1, 7), (1, 8), (2, 3), (2, 5), (2, 6), (2, 8), (3, 4), (3, 8), (4, 7),
+            (4, 8), (6, 7), (7, 8)]
+
+# sha256 of the files written for G9_EDGES at (2,3), variant B, 8 bases; only U.csv depends on Bob's fetch order
+G9_SHA256 = {
+    "g9.S.csv": "219b347c37710127e6e53a2d2d21828bf17c28aefdca8ad909e53319a043e391",
+    "g9.T.csv": "b4aa0dac484149e720ac0bfc72298be3524375f09981e4c502dd595d8ddf5289",
+    "g9.U.csv": "de217a1e32794671379dad1732419aa0a323b7a61c062309d1f23b5e6716985e",
+    "g9.ine": "1ae821223fc26af60f5091c59bc652addd43db78db2e4554fd46bb19c8f08c1a",
+}
+
+
+def test_bob_is_pinned_on_nine_vertices(tmp_path, capsys):
+    """At n >= 9 a set can iterate {1, 9} either way; Bob's ascending fetch order fixes U.csv."""
+    path = tmp_path / "g9.json"
+    path.write_text(json.dumps({"n": 9, "edges": G9_EDGES}))
+    base = ["--graph", str(path), "--k", "2", "--l", "3"]
+    assert run(["factorize", *base, "--out", str(tmp_path / "g9")], capsys)[0] == 0
+    assert run(["emit", *base, "--out", str(tmp_path / "g9.ine")], capsys)[0] == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in G9_SHA256}
+    assert digests == G9_SHA256
 
 
 @pytest.mark.parametrize(
@@ -405,7 +462,7 @@ def test_factorize_out_guards_refuse_before_orientation(k4_path, tmp_path, monke
         raise AssertionError("a basis was oriented")
 
     monkeypatch.setattr(factorization, "MAX_MATRIX_BYTES", limit)
-    monkeypatch.setattr(factorization, "orient_basis", no_orientation)
+    monkeypatch.setattr(factorization, "bob_orientation", no_orientation)
     argv = ["factorize", "--graph", k4_path, "--k", "2", "--l", "3", "--out", str(tmp_path / "dump")]
     code, out, err = run(argv, capsys)
     assert (code, out) == (3, "")

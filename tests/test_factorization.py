@@ -184,17 +184,34 @@ def test_memory_guard_threshold(monkeypatch):
     with pytest.raises(EnumerationGuardError, match="memory guard"):  # K8 (2,3): about 25 GB
         build_U(k8, P23, "B", [None] * (21 * 190491), enumerate_transcripts(k8, "B"))
 
-    class Oriented(Exception):
+    class Targeted(Exception):
         pass
 
     def reached(*args):
-        raise Oriented
+        raise Targeted
 
-    monkeypatch.setattr(factorization, "orient_basis", reached)
+    monkeypatch.setattr(factorization, "protocol_targets", reached)
     # K8 (1,1) is estimated at 235 MB, K7 (2,3) at 672 MB
     for g, p, variant, bases in ((k8, P11, "A", 8**6), (complete_graph(7), P23, "B", 190491)):
-        with pytest.raises(Oriented):  # passes the guard and reaches orientation
+        with pytest.raises(Targeted):  # passes the guard and reaches Bob's targets, made before any orientation
             build_U(g, p, variant, [None] * bases, enumerate_transcripts(g, variant))
+
+
+def test_build_u_computes_targets_once_per_announcement(monkeypatch):
+    """Bob's targets depend only on the announcement, so build_U makes one call per announcement."""
+    calls = []
+    targets = factorization.protocol_targets
+
+    def counted(n, p, announced):
+        calls.append(announced)
+        return targets(n, p, announced)
+
+    monkeypatch.setattr(factorization, "protocol_targets", counted)
+    for g, p, variant in ((complete_graph(5), P11, "A"), (complete_graph(5), P23, "B")):
+        calls.clear()
+        fac = build_factorization(g, p, variant)
+        assert calls == factorization.announcements(g.n, variant), (p, variant)
+        verify_factorization(fac)
 
 
 def _traced_bytes(build):
@@ -219,7 +236,7 @@ def test_memory_guard_covers_traced_bytes(params, variant, monkeypatch):
     """
     g = complete_graph(6)
     bases, transcripts = enumerate_bases(g, params), enumerate_transcripts(g, variant)
-    monkeypatch.setattr(factorization, "orient_basis", functools.cache(factorization.orient_basis))
+    monkeypatch.setattr(factorization, "bob_orientation", functools.cache(factorization.bob_orientation))
     build_U(g, params, variant, bases, transcripts)
 
     def b_and_packed():
@@ -309,12 +326,12 @@ def test_slack_csv_golden():
         "X:0+2,0,1,0\n"
         "X:1+2,1,0,0\n"
     )
-    assert slack_matrix_csv(slack_matrix(K3, P11)) == expected
+    assert "".join(slack_matrix_csv(slack_matrix(K3, P11))) == expected
 
 
 def test_factor_csv_golden_k4():
     """T.csv and U.csv bytes of K4 (2,3), pinned from the Fraction-based implementation."""
-    t_csv, u_csv = factor_csvs(build_factorization(K4, P23, "B"))
+    t_csv, u_csv = map("".join, factor_csvs(build_factorization(K4, P23, "B")))
     assert hashlib.sha256(t_csv.encode()).hexdigest() == (
         "c368c0608e08c33647e72cdde5400c64b2f8949252b75503d4f6c89aad519428"
     )
@@ -365,6 +382,6 @@ def test_bob_orientations_are_pinned(corpus_cells):
     digests = {}
     for name, g, p in cells:
         for variant in ("A", "B") if p.k == p.ell else ("auto",):
-            u_csv = factor_csvs(build_factorization(g, p, variant))[1]
+            u_csv = "".join(factor_csvs(build_factorization(g, p, variant))[1])
             digests[name, p.k, p.ell, variant] = hashlib.sha256(u_csv.encode()).hexdigest()
     assert digests == BOB_U_CSV

@@ -131,7 +131,7 @@ def test_verify_extension_reports():
 
 
 def test_format_ine_k3_structure():
-    text = format_ine(lift(K3, P11, "A"))
+    text = "".join(format_ine(lift(K3, P11, "A")))
     lines = text.splitlines()
     assert lines[0] == "H-representation"
     assert lines[1] == "linearity 4 1 2 3 4"
@@ -148,7 +148,7 @@ def test_format_ine_k3_structure():
 
 
 def test_emit_is_byte_deterministic():
-    a, b = format_ine(lift(K4, P23, "B")), format_ine(build_factorization(K4, P23, "B"))
+    a, b = "".join(format_ine(lift(K4, P23, "B"))), "".join(format_ine(build_factorization(K4, P23, "B")))
     assert a == b  # the T side alone: the bases do not change the text
     assert len(a.splitlines()) == 5 + 161
 
@@ -157,7 +157,7 @@ def test_single_edge_ine_vertices_project_correctly():
     """Tiny instance cross-check: the lifted system pins x to the lone basis."""
     g = make_graph(2, [(0, 1)])
     fac = lift(g, P11, "A")
-    lines = format_ine(fac).splitlines()
+    lines = "".join(format_ine(fac)).splitlines()
     assert lines[1] == "linearity 1 1"
     assert lines[3] == "6 6 rational"
     # the global equality forces x0 = 1 for any feasible point

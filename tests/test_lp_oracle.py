@@ -21,9 +21,9 @@ OBJECTIVES = 8
 TOLERANCE = 1e-6  # HiGHS optima of objectives with |weight| <= 10 on these small systems
 
 
-def _ine_system(text: str) -> tuple[list[list[int]], list[list[int]]]:
-    """Equality and inequality rows ``[b, -a...]`` of an H-representation (b - a.z >= 0)."""
-    lines = text.splitlines()
+def _ine_system(ine) -> tuple[list[list[int]], list[list[int]]]:
+    """Equality and inequality rows ``[b, -a...]`` of an H-representation's lines (b - a.z >= 0)."""
+    lines = [line.rstrip("\n") for line in ine]
     n_eq = int(lines[1].split()[1])
     rows = [[int(v) for v in line.split()] for line in lines[4:-1]]
     return rows[:n_eq], rows[n_eq:]

@@ -10,9 +10,9 @@ from sparsity_ef.protocol import (
     alice_choice,
     announcements,
     bit_complexity,
+    bob_orientation,
     exact_expectation,
     monte_carlo,
-    orient_basis,
     protocol_targets,
     resolve_variant,
     splitmix_draw,
@@ -26,6 +26,11 @@ K3 = complete_graph(3)
 K4 = complete_graph(4)
 P11 = SparsityParams(1, 1)
 P23 = SparsityParams(2, 3)
+
+
+def _bob(g, p, basis, alice):
+    """Bob's orientation of a basis, given by edge indices, for an announcement."""
+    return bob_orientation([g.edges[i] for i in basis], protocol_targets(g.n, p, alice))
 
 
 def test_alice_choice():
@@ -119,7 +124,7 @@ def test_run_once_always_zero_cases():
 def test_run_once_uses_documented_stream():
     basis = (1, 2)
     members = {0, 1}
-    o = orient_basis(K3, P11, basis, (0,))
+    o = _bob(K3, P11, basis, (0,))
     for seed in (0, 1, 7, 2**63 + 11):
         idx = splitmix_draw(seed & ((1 << 64) - 1), 0, 2)
         tail, head = o.directed_edges()[idx]
@@ -131,7 +136,7 @@ def test_exact_expectation_k3_cells():
     assert exact_expectation(K3, P11, "A", {0, 1}, (1, 2)) == 1
     assert exact_expectation(K3, P11, "A", {0, 1}, (0, 2)) == 0
     # the canonical orientation behind the nonzero cell: 0->2 then repaired 2->1
-    o = orient_basis(K3, P11, (1, 2), (0,))
+    o = _bob(K3, P11, (1, 2), (0,))
     assert o.directed_edges() == ((0, 2), (2, 1))
 
 
@@ -178,7 +183,7 @@ def test_counting_identity_inside_x():
         for size in (2, 3, 4):
             for x in itertools.combinations(range(4), size):
                 alice = alice_choice(x, "B")
-                o = orient_basis(K4, P23, basis, alice)
+                o = _bob(K4, P23, basis, alice)
                 assert sum(o.rho[v] for v in x) == 2 * len(x) - 3
 
 
@@ -186,7 +191,7 @@ def test_entering_edge_identity():
     for basis in enumerate_bases(K4, P11):
         for size in (1, 2, 3):
             for x in itertools.combinations(range(4), size):
-                o = orient_basis(K4, P11, basis, alice_choice(x, "A"))
+                o = _bob(K4, P11, basis, alice_choice(x, "A"))
                 entering = sum(
                     1 for tail, head in o.directed_edges() if tail not in x and head in x
                 )

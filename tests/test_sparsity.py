@@ -197,3 +197,18 @@ def test_basis_exchange_small():
 def test_subset_validation():
     with pytest.raises(ValueError):
         is_sparse_pebble(K3, P11, [5])
+
+
+def test_fetch_order_does_not_depend_on_fill_order():
+    """Two games in one state, but out-set {1, 9} of vertex 0 filled in opposite orders.
+
+    Both 1 and 9 hold a free pebble, and a set of small ints iterates
+    {1, 9} in the order it was filled; the fetch walks it in ascending
+    order, so both games fetch the pebble of vertex 1.
+    """
+    for first, second in ((9, 1), (1, 9)):
+        game = sparsity.PebbleGame([2, 1, 0, 0, 0, 0, 0, 0, 0, 1], 0)
+        assert game.add(0, first) and game.add(0, second)
+        assert game.add(0, 5)  # vertex 0 has no pebble left, so one is fetched
+        assert game.pebbles == [0, 0, 0, 0, 0, 0, 0, 0, 0, 1], first
+        assert game.out[0] == {5, 9} and game.out[1] == {0}, first
