@@ -46,7 +46,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -116,8 +115,7 @@ def row_incidence(g: Graph, rows: Sequence[tuple[int, ...]]) -> list[list[int]]:
     return [[int(u in x and v in x) for u, v in g.edges] for x in map(frozenset, rows)]
 
 
-@dataclass(frozen=True, eq=False)
-class SlackMatrix:
+class SlackMatrix(NamedTuple):
     rows: tuple[tuple[int, ...], ...]
     cols: tuple[Basis, ...]
     entries: list[list[int]]  # |rows| x |cols|
@@ -217,8 +215,7 @@ def build_U(
     return b
 
 
-@dataclass(frozen=True, eq=False)
-class Factorization:
+class Factorization(NamedTuple):
     """S = A @ B, that is S = T @ U with T = c * A and U = B / c; A and B are lists of byte rows.
 
     A and the rows fix the lifted system that ``lifted.format_ine`` emits;

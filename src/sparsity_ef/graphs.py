@@ -10,7 +10,6 @@ rejected.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -27,21 +26,19 @@ class SparsityParams(NamedTuple):
     ell: int
 
 
-@dataclass(frozen=True)
 class Graph:
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    """n vertices and canonical edges; equal and hashed by (n, edges), with edge_index built on first use."""
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise GraphError(f"vertex count must be >= 0, got {self.n}")
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
+        if n < 0:
+            raise GraphError(f"vertex count must be >= 0, got {n}")
         seen = set()
         prev = None
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise GraphError(f"edge ({u},{v}) has an endpoint outside 0..{self.n - 1}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
             if u > v:
                 raise GraphError(f"edge ({u},{v}) not normalized (expected u < v)")
             if (u, v) in seen:
@@ -50,6 +47,17 @@ class Graph:
                 raise GraphError("edge list not in canonical sorted order")
             seen.add((u, v))
             prev = (u, v)
+        self.n = n
+        self.edges = edges
+
+    def __eq__(self, other):
+        return other.__class__ is Graph and (self.n, self.edges) == (other.n, other.edges)
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
+
+    def __repr__(self):
+        return f"Graph(n={self.n!r}, edges={self.edges!r})"
 
     @property
     def edge_count(self) -> int:

@@ -26,15 +26,13 @@ many edges of F enter a set X does not depend on the orientation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InfeasibleOrientationError
 from .sparsity import PebbleGame
 
 
-@dataclass(frozen=True)
-class Orientation:
+class Orientation(NamedTuple):
     """Heads for each edge of F (aligned with the given edge list) and the in-degree vector."""
 
     n: int
@@ -50,10 +48,7 @@ class Orientation:
 
     def directed_edges(self) -> tuple[tuple[int, int], ...]:
         """(tail, head) per edge, in the order the edge list was given."""
-        out = []
-        for (u, v), h in zip(self.edges, self.heads):
-            out.append((u, v) if h == v else (v, u))
-        return tuple(out)
+        return tuple((u, v) if h == v else (v, u) for (u, v), h in zip(self.edges, self.heads))
 
 
 def _check_inputs(n: int, edges: Sequence[tuple[int, int]], targets: Sequence[int]) -> None:
@@ -65,7 +60,7 @@ def _check_inputs(n: int, edges: Sequence[tuple[int, int]], targets: Sequence[in
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise ValueError(f"bad edge ({u},{v}) for n={n}")
-    # the pebble game keeps out-edges as sets, so parallel edges would merge
+    # heads are read back from the game's out-lists by endpoint pair, which cannot tell parallel edges apart
     if len({(u, v) if u < v else (v, u) for u, v in edges}) < len(edges):
         raise ValueError("repeated edge pair: parallel edges are not supported")
 

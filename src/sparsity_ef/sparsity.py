@@ -28,6 +28,7 @@ plays it with per-vertex budgets, the in-degree targets, and l = 0, so
 from __future__ import annotations
 
 import math
+from bisect import insort
 from typing import Iterable, Sequence
 
 from .errors import EmptyPolytopeError, EnumerationGuardError
@@ -133,15 +134,17 @@ class PebbleGame:
     in every state the game can reach, and an edge can be taken out again
     by returning its pebble to its tail.
 
-    The keys of ``searched`` are the vertices that the last failed fetch
-    reached.  None of them holds a free pebble apart from u and v, and
-    every out-edge of one of them ends in another.
+    Each ``out[w]``, the heads of w's out-edges, is a list kept in
+    ascending order, so a fetch walks it as it stands.  The keys of
+    ``searched`` are the vertices that the last failed fetch reached.
+    None of them holds a free pebble apart from u and v, and every
+    out-edge of one of them ends in another.
     """
 
     def __init__(self, budgets: Sequence[int], ell: int):
         self.ell = ell
         self.pebbles = list(budgets)
-        self.out: list[set[int]] = [set() for _ in budgets]
+        self.out: list[list[int]] = [[] for _ in budgets]
         self.searched: dict[int, int] = {}
 
     def accepts(self, u: int, v: int) -> bool:
@@ -159,7 +162,7 @@ class PebbleGame:
     def _fetch(self, u: int, v: int) -> bool:
         """Move one pebble onto u or v by reversing a directed path; False if none is reachable.
 
-        Breadth-first from u and v, each out-set in ascending vertex order,
+        Breadth-first from u and v, each out-list in its ascending order,
         stopping at the first vertex found with a free pebble.  Which pebble
         is fetched changes no answer, only the orientation that the game
         reaches.
@@ -168,7 +171,7 @@ class PebbleGame:
         parent = {u: -1, v: -1}
         queue = [u, v]
         for w in queue:  # the queue grows while it is walked
-            for s in sorted(out[w]):
+            for s in out[w]:
                 if s in parent:
                     continue
                 parent[s] = w
@@ -179,8 +182,8 @@ class PebbleGame:
                 node = s
                 while parent[node] >= 0:
                     prev = parent[node]
-                    out[prev].discard(node)
-                    out[node].add(prev)
+                    out[prev].remove(node)
+                    insort(out[node], prev)
                     node = prev
                 pebbles[s] -= 1
                 pebbles[node] += 1
@@ -192,7 +195,7 @@ class PebbleGame:
         """Accept uv, after ``accepts(u, v)``, paying with a pebble of u if it has one."""
         tail, head = (u, v) if self.pebbles[u] > 0 else (v, u)
         self.pebbles[tail] -= 1
-        self.out[tail].add(head)
+        insort(self.out[tail], head)
 
     def remove(self, u: int, v: int) -> None:
         """Take out the accepted edge uv and return its pebble to its tail."""

@@ -7,7 +7,7 @@ from sparsity_ef import cli, factorization, lifted, protocol
 from sparsity_ef.graphs import MAX_VERTICES
 from sparsity_ef.lifted import InfeasibleLiftedPointError
 
-from conftest import complete_graph, path_graph
+from conftest import complete_graph, path_graph, wheel_graph
 
 
 @pytest.fixture
@@ -108,6 +108,23 @@ def test_bases_output(k3_path, k4_path, capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[-1] == "6" and len(lines) == 7
+
+
+# sha256 of `bases` stdout: K7 (1,1), K6 (2,3), and W6 (2,3) with hub 0 on the rim 1..6
+BASES_SHA256 = [
+    (complete_graph(7), 1, 1, "9287919345bc3c7ef482c908f0ff0d1c04dcd3c98b1b52962b889f6da68c873b"),
+    (complete_graph(6), 2, 3, "fd7e476c8e41259a9a384a61afd5d820086b6ad3176735564f894dbda99a4b1f"),
+    (wheel_graph(6), 2, 3, "c1d8419e8e955785049ec88fb8971a560b6fe7627517674458215e5b4704ccd9"),
+]
+
+
+@pytest.mark.parametrize("g,k,ell,digest", BASES_SHA256, ids=["K7-11", "K6-23", "W6-23"])
+def test_bases_output_is_pinned(g, k, ell, digest, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": g.n, "edges": g.edges}))
+    code, out, _ = run(["bases", "--graph", str(path), "--k", str(k), "--l", str(ell)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_bases_guard_exit(k4_path, capsys):

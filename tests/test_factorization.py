@@ -3,7 +3,6 @@ import gc
 import hashlib
 import re
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -118,7 +117,7 @@ def test_fault_injection_detected():
     i = next(i for i, a_row in enumerate(fac.A) if a_row[4])  # the first row that charges transcript 4
     expected = f"basis {fac.cols[1]}: equality row X={fac.rows[i]} has residual {fac.c}"
     with pytest.raises(InfeasibleLiftedPointError, match=f"^{re.escape(expected)}$"):
-        verify_factorization(replace(fac, B=b))
+        verify_factorization(fac._replace(B=b))
 
 
 def test_global_row_checked_after_the_counting_rows():
@@ -127,12 +126,12 @@ def test_global_row_checked_after_the_counting_rows():
     fac = build_factorization(k2, P11, bases=[(0,)])
     verify_factorization(fac)
     with pytest.raises(InfeasibleLiftedPointError, match=r"^basis \(\): equality row global has residual -1$"):
-        verify_factorization(replace(fac, cols=((),)))
+        verify_factorization(fac._replace(cols=((),)))
     # on K3 a basis short of an edge fails a counting row first
     fac = build_factorization(K3, P11, "A")
     short = fac.cols[0][:-1]
     with pytest.raises(InfeasibleLiftedPointError, match=re.escape(f"basis {short}: equality row X=")):
-        verify_factorization(replace(fac, cols=(short, *fac.cols[1:])))
+        verify_factorization(fac._replace(cols=(short, *fac.cols[1:])))
 
 
 def test_negative_entry_detected():
@@ -143,14 +142,14 @@ def test_negative_entry_detected():
     b = [row.copy() for row in fac.B]
     b[2] = [-1, *b[2][1:]]  # U[2][0] = -1/c
     with pytest.raises(TypeError, match="rows of bytes"):
-        verify_factorization(replace(fac, B=b))
+        verify_factorization(fac._replace(B=b))
     a = [row.copy() for row in fac.A]
     a[0] = [-1, *a[0][1:]]
     with pytest.raises(TypeError, match="rows of bytes"):
-        verify_factorization(replace(fac, A=a))
+        verify_factorization(fac._replace(A=a))
     # rows of ints are refused even where their entries are right
     with pytest.raises(TypeError, match="rows of bytes"):
-        verify_factorization(replace(fac, B=[list(row) for row in fac.B]))
+        verify_factorization(fac._replace(B=[list(row) for row in fac.B]))
 
 
 def test_packed_fields_hold_corrupted_entries():
@@ -174,7 +173,7 @@ def test_packed_fields_hold_corrupted_entries():
     b[w][j], b[w][j + 1] = 255, 0
     expected = f"basis {fac.cols[j]}: equality row X={fac.rows[first_row(w)]} has residual {255 - fac.B[w][j]}"
     with pytest.raises(InfeasibleLiftedPointError, match=f"^{re.escape(expected)}$"):
-        verify_factorization(replace(fac, B=b))
+        verify_factorization(fac._replace(B=b))
 
 
 def test_memory_guard_threshold(monkeypatch):
@@ -281,9 +280,9 @@ def test_build_t_needs_every_announced_transcript():
 def test_dimension_mismatch_raises():
     fac = build_factorization(K3, P11, "A")
     with pytest.raises(TypeError, match="A must be 3x18 rows of bytes"):
-        verify_factorization(replace(fac, A=fac.A[:-1]))
+        verify_factorization(fac._replace(A=fac.A[:-1]))
     with pytest.raises(TypeError, match="B must be 18x2 rows of bytes"):
-        verify_factorization(replace(fac, cols=fac.cols[:-1]))
+        verify_factorization(fac._replace(cols=fac.cols[:-1]))
 
 
 def test_product_matches_protocol_expectation():

@@ -70,10 +70,14 @@ def test_unknown_name_raises_attribute_error():
 
 
 def _run_without_numpy(tmp_path, body: str) -> subprocess.CompletedProcess:
-    """Run ``body`` in a fresh interpreter on the source tree, beside k4.json, with numpy blocked."""
+    """Run ``body`` in a fresh interpreter on the source tree, beside k4.json, with numpy, dataclasses and inspect blocked.
+
+    ``dataclasses`` would pull ``inspect`` in, and with it ``ast``, ``dis`` and ``tokenize``, at every start.
+    """
     k4 = complete_graph(4)
     (tmp_path / "k4.json").write_text(json.dumps({"n": k4.n, "edges": k4.edges}))
-    script = f"import sys\nsys.modules['numpy'] = None  # any import of numpy now raises\n{body}\n"
+    blocked = "".join(f"sys.modules[{name!r}] = None\n" for name in ("numpy", "dataclasses", "inspect"))
+    script = f"import sys\n{blocked}# any import of a blocked module now raises\n{body}\n"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120
@@ -117,7 +121,7 @@ def _cli(*args: str, k: int = 2, ell: int = 3) -> str:
     ],
 )
 def test_numpy_is_loaded_only_by_array_commands(tmp_path, body, exit_code):
-    """Each probe runs, and exits as the contract says, with numpy blocked: nothing needs it."""
+    """Each probe runs, and exits as the contract says, with numpy, dataclasses and inspect blocked: nothing needs them."""
     proc = _run_without_numpy(tmp_path, body)
     assert proc.returncode == 0, proc.stderr
     if exit_code is not None:

@@ -25,6 +25,7 @@ from conftest import (
     random_graph,
     spanning_tree_count,
 )
+from pebble_reference import SetPebbleGame
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
@@ -200,15 +201,50 @@ def test_subset_validation():
 
 
 def test_fetch_order_does_not_depend_on_fill_order():
-    """Two games in one state, but out-set {1, 9} of vertex 0 filled in opposite orders.
+    """Two games in one state, but the out-list [1, 9] of vertex 0 filled in opposite orders.
 
-    Both 1 and 9 hold a free pebble, and a set of small ints iterates
-    {1, 9} in the order it was filled; the fetch walks it in ascending
-    order, so both games fetch the pebble of vertex 1.
+    Both 1 and 9 hold a free pebble; each out-list is kept in ascending
+    order whatever order it was filled in, and the fetch walks it as it
+    stands, so both games fetch the pebble of vertex 1.
     """
     for first, second in ((9, 1), (1, 9)):
         game = sparsity.PebbleGame([2, 1, 0, 0, 0, 0, 0, 0, 0, 1], 0)
         assert game.add(0, first) and game.add(0, second)
         assert game.add(0, 5)  # vertex 0 has no pebble left, so one is fetched
         assert game.pebbles == [0, 0, 0, 0, 0, 0, 0, 0, 0, 1], first
-        assert game.out[0] == {5, 9} and game.out[1] == {0}, first
+        assert game.out[0] == [5, 9] and game.out[1] == [0], first
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_pebble_game_matches_the_set_reference(data):
+    """Random add/accepts/remove sequences play the same game on ascending out-lists as on sorted sets.
+
+    After every step the return values, free pebbles, out-neighbourhoods
+    and failed-fetch regions agree, and every out-list is strictly ascending.
+    """
+    n = data.draw(st.integers(2, 9), label="n")
+    budgets = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n), label="budgets")
+    ell = data.draw(st.integers(0, 5), label="ell")
+    game, ref = sparsity.PebbleGame(budgets, ell), SetPebbleGame(budgets, ell)
+    accepted: set[tuple[int, int]] = set()
+    pairs = list(itertools.combinations(range(n), 2))
+    for _ in range(data.draw(st.integers(0, 40), label="steps")):
+        free = [e for e in pairs if e not in accepted]
+        op = data.draw(st.sampled_from(["add", "accepts"] * bool(free) + ["remove"] * bool(accepted)))
+        u, v = data.draw(st.sampled_from(sorted(accepted) if op == "remove" else free))
+        if data.draw(st.booleans()):
+            u, v = v, u
+        if op == "remove":
+            game.remove(u, v)
+            ref.remove(u, v)
+            accepted.discard((min(u, v), max(u, v)))
+        else:
+            answer = getattr(game, op)(u, v)
+            assert answer == getattr(ref, op)(u, v)
+            if op == "add" and answer:
+                accepted.add((min(u, v), max(u, v)))
+        assert game.pebbles == ref.pebbles
+        assert [set(heads) for heads in game.out] == ref.out
+        assert all(a < b for heads in game.out for a, b in zip(heads, heads[1:]))
+        assert game.searched == ref.searched
