@@ -22,7 +22,7 @@ _MODULES = {
         "InfeasibleOrientationError", "InstanceError",
     ),
     "factorization": (
-        "Factorization", "SlackMatrix", "Transcript", "build_factorization",
+        "Factorization", "Transcript", "build_factorization",
         "enumerate_rows", "enumerate_transcripts", "slack_matrix", "slack_value", "verify_factorization",
     ),
     "graphs": (

@@ -33,11 +33,12 @@ every basis and make one check on it, `verify_factorization`: every
 basis F lifts to (1_F, U-column of F) with zero residual on each
 counting row, which is S = A@B with 0/1 factors A = T/c and B = cU, so
 T@U = S with T, U >= 0, and on the global row |F| = c = kn - l.  No
-command builds S to check it; `slack` and `factorize --out` build S
-only to write it.  The lifts certify that the lifted polytope contains
-every basis and that its projection satisfies the counting inequalities
-and x >= 0; x <= 1 is an emitted bound row where 2k - l >= 2 and
-follows from the rows |X| = 2 elsewhere.  The `.ine` is the T side of
+command holds S: `slack` and `factorize --out` write it row by row as
+each row is computed, as `emit` writes the `.ine`.  The lifts certify
+that the lifted polytope contains every basis and that its projection
+satisfies the counting inequalities and x >= 0; x <= 1 is an emitted
+bound row where 2k - l >= 2 and follows from the rows |X| = 2
+elsewhere.  The `.ine` is the T side of
 the factorization, so T is built once per command; `emit --verify`
 checks it before writing.  Plain `emit` needs no certificate: it
 refuses an empty instance (exit 4, one pebble game),
@@ -202,11 +203,10 @@ def _bases_for_rows(g: Graph, p: SparsityParams, args) -> list:
 
 
 def cmd_slack(args) -> int:
-    from .factorization import slack_matrix, slack_matrix_csv
+    from .factorization import slack_matrix_csv
 
     g, p = _load_instance(args)
-    bases = _bases_for_rows(g, p, args)
-    lines = slack_matrix_csv(slack_matrix(g, p, bases=bases))
+    lines = slack_matrix_csv(g, p, _bases_for_rows(g, p, args))
     if args.out:
         _write(args.out, lines)
         print(f"wrote {args.out}")
@@ -216,16 +216,12 @@ def cmd_slack(args) -> int:
 
 
 def cmd_factorize(args) -> int:
-    from .factorization import (
-        build_factorization, factor_csvs, slack_matrix, slack_matrix_csv, verify_factorization,
-    )
+    from .factorization import build_factorization, factor_csvs, slack_matrix_csv, verify_factorization
     from .protocol import resolve_variant
 
     g, p = _load_instance(args)
     variant = resolve_variant(p, args.variant)
     bases = _bases_for_rows(g, p, args)
-    # S first: its guard and build_U's then both refuse before any orientation or output
-    s = slack_matrix(g, p, bases=bases) if args.out else None
     fac = build_factorization(g, p, variant, bases=bases)
     print(f"variant: {variant}")
     print(f"slack matrix: {len(fac.rows)}x{len(fac.cols)}")
@@ -234,7 +230,7 @@ def cmd_factorize(args) -> int:
     print("verified: yes")
     if args.out:
         t_csv, u_csv = factor_csvs(fac)
-        for suffix, lines in (("S.csv", slack_matrix_csv(s)), ("T.csv", t_csv), ("U.csv", u_csv)):
+        for suffix, lines in (("S.csv", slack_matrix_csv(g, p, bases)), ("T.csv", t_csv), ("U.csv", u_csv)):
             path = f"{args.out}.{suffix}"
             _write(path, lines)
             print(f"wrote {path}")

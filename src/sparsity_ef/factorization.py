@@ -23,8 +23,12 @@ nonnegative factorization of the lift is T = c * A and U = B / c.  A and
 B are stored as lists of ``bytearray`` rows, so their entries are
 nonnegative by type; T and U exist only where they are written, as the
 exact 'p' or 'p/q' entries of T.csv and U.csv and as ``.ine``
-coefficients.  The slack matrix is built only where it is written, as a
-list of rows of Python ints.
+coefficients.  Nothing holds the slack matrix: ``slack_matrix`` yields
+it one row at a time, and S.csv is written as the rows are computed.
+What its rows are computed from, the bases and their incidence packed
+by ``_overlaps`` (2|E| bytes per basis at one-byte fields), is bounded
+only by the basis-enumeration guard, as in every command that
+enumerates bases.
 
 ``verify_factorization`` checks every basis lift on each equality row
 of the lifted system and never builds S.  A row over the bases packs
@@ -55,12 +59,10 @@ from .protocol import alice_choice, announcements, bob_orientation, protocol_tar
 from .sparsity import Basis, enumerate_bases
 
 MAX_ROW_ENUM_N = 16
-MAX_MATRIX_BYTES = 2**30  # build_U refuses B, and slack_matrix S, estimated beyond this
+MAX_MATRIX_BYTES = 2**30  # build_U refuses B estimated beyond this; no code holds S
 # per entry of B: its byte, then the byte of its field when verify_factorization
-# packs it (fields are one byte wide, module docstring); per entry of S: a list
-# slot, and up to an eighth of one more that a list keeps free as it grows
+# packs it (fields are one byte wide, module docstring)
 B_ENTRY_BYTES = 2
-S_ENTRY_BYTES = 9
 
 
 class Transcript(NamedTuple):
@@ -79,15 +81,6 @@ def check_row_count(g: Graph) -> None:
     if g.n > MAX_ROW_ENUM_N:
         raise EnumerationGuardError(
             f"row enumeration refused for n={g.n} > {MAX_ROW_ENUM_N}"
-        )
-
-
-def _memory_guard(matrix: str, bases: int, estimate: int) -> None:
-    """Refuse (EnumerationGuardError) a matrix estimated beyond ``MAX_MATRIX_BYTES``, before it is built."""
-    if estimate > MAX_MATRIX_BYTES:
-        raise EnumerationGuardError(
-            f"{matrix} for {bases} bases would take about {estimate} bytes, "
-            f"beyond the memory guard of {MAX_MATRIX_BYTES}"
         )
 
 
@@ -115,16 +108,6 @@ def row_incidence(g: Graph, rows: Sequence[tuple[int, ...]]) -> list[list[int]]:
     return [[int(u in x and v in x) for u, v in g.edges] for x in map(frozenset, rows)]
 
 
-class SlackMatrix(NamedTuple):
-    rows: tuple[tuple[int, ...], ...]
-    cols: tuple[Basis, ...]
-    entries: list[list[int]]  # |rows| x |cols|
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.cols))
-
-
 def _overlaps(g: Graph, rows: Sequence[tuple[int, ...]], cols: Sequence[Basis], width: int) -> Iterator[int]:
     """Each row's |F ∩ E(X)| over the bases F, packed in fields of ``width`` bytes.
 
@@ -142,21 +125,23 @@ def _overlaps(g: Graph, rows: Sequence[tuple[int, ...]], cols: Sequence[Basis], 
 
 def slack_matrix(
     g: Graph, p: SparsityParams, *, bases: Sequence[Basis] | None = None
-) -> SlackMatrix:
-    """S = (k|X| - l) - |F ∩ E(X)| over the given bases, or over all of them when ``bases`` is None.
+) -> Iterator[list[int]]:
+    """The rows of S = (k|X| - l) - |F ∩ E(X)| over the given bases, or over all of them when ``bases`` is None.
 
-    The overlaps are one byte per basis, since |E| <= 120 for the n <= 16
-    rows allow.  Refuses (EnumerationGuardError) an S estimated at more
-    than ``MAX_MATRIX_BYTES`` before it builds any row.
+    Rows and bases are enumerated by the call; each row X is a list of
+    ints, built as it is taken, in ``enumerate_rows`` order.  The
+    overlaps are one byte per basis, since |E| <= 120 for the n <= 16
+    rows allow.
     """
     rows = enumerate_rows(g, p)
     cols = enumerate_bases(g, p) if bases is None else list(bases)
-    _memory_guard("the slack matrix", len(cols), S_ENTRY_BYTES * len(rows) * len(cols))
-    entries = []
-    for x, overlaps in zip(rows, _overlaps(g, rows, cols, 1)):
-        rhs = p.k * len(x) - p.ell
-        entries.append([rhs - overlap for overlap in overlaps.to_bytes(len(cols), "little")])
-    return SlackMatrix(rows=tuple(rows), cols=tuple(cols), entries=entries)
+
+    def entries():
+        for x, overlaps in zip(rows, _overlaps(g, rows, cols, 1)):
+            rhs = p.k * len(x) - p.ell
+            yield [rhs - overlap for overlap in overlaps.to_bytes(len(cols), "little")]
+
+    return entries()
 
 
 def enumerate_transcripts(g: Graph, variant: str) -> tuple[Transcript, ...]:
@@ -204,7 +189,11 @@ def build_U(
     ``bob_orientation`` once per announcement.
     """
     index = {w: i for i, w in enumerate(transcripts)}
-    _memory_guard("B", len(cols), B_ENTRY_BYTES * len(cols) * len(transcripts))
+    estimate = B_ENTRY_BYTES * len(cols) * len(transcripts)
+    if estimate > MAX_MATRIX_BYTES:
+        raise EnumerationGuardError(
+            f"B for {len(cols)} bases would take about {estimate} bytes, beyond the memory guard of {MAX_MATRIX_BYTES}"
+        )
     targets = [(alice, protocol_targets(g.n, p, alice)) for alice in announcements(g.n, variant)]
     b = [bytearray(len(cols)) for _ in transcripts]
     for j, basis in enumerate(cols):
@@ -318,14 +307,17 @@ def _label(prefix: str, indices: Iterable[int]) -> str:
 
 
 def format_matrix_csv(
-    row_labels: Sequence[str], col_labels: Sequence[str], entries, scale: int | Fraction = 1
+    row_labels: Iterable[str], col_labels: Iterable[str], entries, scale: int | Fraction = 1
 ) -> Iterator[str]:
     """Matrix dump, line by line: header line of column labels, then one labelled row per line.
 
     Entries are integers times the common ``scale``, rendered as exact
-    rationals 'p' or 'p/q'; each line ends in a newline.
+    rationals 'p' or 'p/q'; each line ends in a newline.  Column labels
+    are joined 1,024 at a time, so an iterator of them is never held whole.
     """
-    yield "," + ",".join(col_labels) + "\n"
+    labels = iter(col_labels)
+    runs = iter(lambda: ",".join(itertools.islice(labels, 1024)), "")  # no label is empty
+    yield "," + ",".join(runs) + "\n"
     for label, row in zip(row_labels, render_rows(entries, ",", scale)):
         yield label + "," + row + "\n"
 
@@ -339,11 +331,12 @@ def render_rows(values: Iterable[Sequence[int]], sep: str, scale: int | Fraction
     return (sep.join(map(text, row)) for row in values)
 
 
-def slack_matrix_csv(s: SlackMatrix) -> Iterator[str]:
+def slack_matrix_csv(g: Graph, p: SparsityParams, bases: Sequence[Basis]) -> Iterator[str]:
+    """CSV dump of S over the bases, line by line, each row rendered as ``slack_matrix`` yields it."""
     return format_matrix_csv(
-        [_label("X:", x) for x in s.rows],
-        [_label("F:", f) for f in s.cols],
-        s.entries,
+        (_label("X:", x) for x in enumerate_rows(g, p)),
+        (_label("F:", f) for f in bases),
+        slack_matrix(g, p, bases=bases),
     )
 
 
@@ -351,6 +344,6 @@ def factor_csvs(fac: Factorization) -> tuple[Iterator[str], Iterator[str]]:
     """CSV dumps of (T, U) = (c * A, B / c), line by line, with transcript labels 'a0[+a1]/e<idx>h<head>'."""
     w_labels = [_label("", w.alice) + f"/e{w.edge}h{w.head}" for w in fac.transcripts]
     return (
-        format_matrix_csv([_label("X:", x) for x in fac.rows], w_labels, fac.A, fac.c),
-        format_matrix_csv(w_labels, [_label("F:", f) for f in fac.cols], fac.B, Fraction(1, fac.c)),
+        format_matrix_csv((_label("X:", x) for x in fac.rows), w_labels, fac.A, fac.c),
+        format_matrix_csv(w_labels, (_label("F:", f) for f in fac.cols), fac.B, Fraction(1, fac.c)),
     )

@@ -77,7 +77,11 @@ class Graph:
 
 
 def make_graph(n: int, edges: Iterable[Iterable[int]]) -> Graph:
-    """Build a Graph from arbitrary-order endpoint pairs, canonicalizing."""
+    """Build a Graph from arbitrary-order endpoint pairs, canonicalizing.
+
+    Pairs and integer endpoints are checked here, before the sort; the
+    Graph then refuses self-loops, duplicates and out-of-range endpoints.
+    """
     normalized = []
     for e in edges:
         try:
@@ -89,13 +93,8 @@ def make_graph(n: int, edges: Iterable[Iterable[int]]) -> Graph:
         u, v = pair
         if not isinstance(u, int) or not isinstance(v, int) or isinstance(u, bool) or isinstance(v, bool):
             raise GraphError(f"edge {pair!r} has non-integer endpoints")
-        if u == v:
-            raise GraphError(f"self-loop at vertex {u}")
         normalized.append((u, v) if u < v else (v, u))
     normalized.sort()
-    for a, b in zip(normalized, normalized[1:]):
-        if a == b:
-            raise GraphError(f"duplicate edge ({a[0]},{a[1]})")
     return Graph(n, tuple(normalized))
 
 

@@ -81,7 +81,6 @@ def verify_extension(fac: Factorization) -> dict:
     w = len(fac.transcripts)
     equality_count, inequality_count = ine_size(fac)
     bits = bit_complexity(g, fac.variant)
-    size_bound = 3 * n ** ANNOUNCED[fac.variant] * m
     return {
         "instance": {"n": n, "edge_count": m, "k": p.k, "ell": p.ell},
         "variant": fac.variant,
@@ -97,13 +96,7 @@ def verify_extension(fac: Factorization) -> dict:
         "bounds": {
             "bit_complexity": bits,
             "protocol_size_bound": 2**bits,
-            "transcripts_within_protocol_bound": w <= 2**bits,
-            "size_bound": size_bound,
-            "within_size_bound": inequality_count <= size_bound,
-        },
-        "checks": {
-            "basis_lifts_feasible": len(fac.cols),
-            "factor_nonnegative": True,
+            "size_bound": 3 * n ** ANNOUNCED[fac.variant] * m,
         },
         "note": (
             "size counts inequality constraints, an upper bound on the facet count"
@@ -118,20 +111,22 @@ def format_ine(fac: Factorization) -> Iterator[str]:
     The bounds are z >= 0 for every variable, then x_e <= 1 for every
     edge where 2k - l >= 2 (``upper_bound_count``).  Each row is
     ``b  -a`` for a constraint a.z <= b (cdd convention
-    ``b + a'.z >= 0``); columns are 1 + |E| + |W|.  The equality rows are
-    built by the call and rendered as the lines are taken, so a caller
-    that opens its file after the call leaves none if they cannot be built.
+    ``b + a'.z >= 0``); columns are 1 + |E| + |W|.  Each equality row is
+    built and rendered as its line is taken, and dropped after it.  What
+    they are built from, A and the rows' edge incidence, is evaluated by
+    the call, so a caller that opens its file after the call leaves none
+    if that cannot be built.
     """
     g, p, c = fac.graph, fac.params, fac.c
     m, w = g.edge_count, len(fac.transcripts)
     d = m + w
     n_eq, n_ineq = ine_size(fac)
     minus_t = [-c * a for a in range(256)].__getitem__  # the coefficient of y_w is -T[X][w] = -c * A[X][w]
-    equalities = [
+    counting = (
         [p.k * len(x) - p.ell, *(-v for v in inside), *map(minus_t, a_row)]
         for x, inside, a_row in zip(fac.rows, row_incidence(g, fac.rows), fac.A)
-    ]
-    equalities.append([c, *[-1] * m, *[0] * w])
+    )
+    equalities = itertools.chain(counting, [[c, *[-1] * m, *[0] * w]])
 
     header = ["H-representation", "linearity " + " ".join([str(n_eq), *[str(i + 1) for i in range(n_eq)]]),
               "begin", f"{n_eq + n_ineq} {d + 1} rational"]

@@ -24,8 +24,8 @@ maps 'auto' to A there.  Everything else follows from the count:
   so 2n|E| for A and 2n(n-1)|E| for B;
 * a round exchanges count * bits(n-1) + bits(|E|-1) + 1 bits, where
   bits(m) is the bit length of m (``bit_complexity``);
-* the size bound that ``lifted.verify_extension`` checks the lifted
-  system's inequality count against is 3 n^count |E|: O(|V||E|) for A
+* the size bound that ``lifted.verify_extension`` reports for the
+  lifted system's inequality count is 3 n^count |E|: O(|V||E|) for A
   and O(|V|^2|E|) for B.
 
 Bob has one entry point, ``bob_orientation(edges, targets)``, the

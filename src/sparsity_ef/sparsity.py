@@ -49,14 +49,7 @@ def _normalize_subset(g: Graph, edge_set: Iterable[int]) -> Basis:
     return subset
 
 
-def is_sparse_bruteforce(
-    g: Graph,
-    p: SparsityParams,
-    edge_set: Iterable[int],
-    *,
-    max_vertex_enum: int = MAX_VERTEX_ENUM,
-    max_edge_enum: int = MAX_EDGE_ENUM,
-) -> bool:
+def is_sparse_bruteforce(g: Graph, p: SparsityParams, edge_set: Iterable[int]) -> bool:
     """Test oracle: decide sparsity by literal subset enumeration.
 
     Enumeration choice: whichever of the two equivalent forms has the
@@ -64,18 +57,19 @@ def is_sparse_bruteforce(
     |X| >= 2 and checks |F ∩ E(X)| <= max(k|X|-l, 0) (cost 2^n), the
     edge-subset form scans every F' ⊆ F and checks
     |F'| <= max(k|V(F')|-l, 0) (cost 2^|F|).  Ties go to the vertex form.
-    Raises EnumerationGuardError when both exceed their guards.
+    Raises EnumerationGuardError when both exceed their guards,
+    ``MAX_VERTEX_ENUM`` and ``MAX_EDGE_ENUM``, read at each call.
     """
     validate_instance(g, p)
     subset = _normalize_subset(g, edge_set)
-    vertex_ok = g.n <= max_vertex_enum
-    edge_ok = len(subset) <= max_edge_enum
+    vertex_ok = g.n <= MAX_VERTEX_ENUM
+    edge_ok = len(subset) <= MAX_EDGE_ENUM
     if vertex_ok and (not edge_ok or g.n <= len(subset)):
         return vertex_violation(g.n, [g.edges[i] for i in subset], p) is None
     if edge_ok:
         return _bruteforce_edge_form(g, p, subset)
     raise EnumerationGuardError(
-        f"brute force refused: n={g.n} > {max_vertex_enum} and |F|={len(subset)} > {max_edge_enum}"
+        f"brute force refused: n={g.n} > {MAX_VERTEX_ENUM} and |F|={len(subset)} > {MAX_EDGE_ENUM}"
     )
 
 

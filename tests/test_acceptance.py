@@ -182,8 +182,7 @@ def test_c07_extension_verification(corpus_cells):
         counts, bounds = report["counts"], report["bounds"]
         assert counts["equality_rows"] == 2**n - n - 1, (name, p)
         assert counts["ine_rows"] == counts["equality_rows"] + counts["inequality_count"], (name, p)
-        assert bounds["within_size_bound"] is True, (name, p)
-        assert bounds["transcripts_within_protocol_bound"] is True, (name, p)
+        assert counts["inequality_count"] <= bounds["size_bound"], (name, p)
         verified += 1
     _ok(7, "extension verification", f"{verified} instances, all lifts exact")
 

@@ -459,22 +459,9 @@ def test_memory_guard_exits_3(k4_path, monkeypatch, capsys):
         assert "guard" in err
 
 
-def test_slack_guard_exits_3_and_prints_nothing(k4_path, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(factorization, "MAX_MATRIX_BYTES", 100)  # K4 (2,3): S is estimated at 540 bytes
-    base = ["slack", "--graph", k4_path, "--k", "2", "--l", "3"]
-    for argv in (base, [*base, "--out", str(tmp_path / "s.csv")]):
-        code, out, err = run(argv, capsys)
-        assert (code, out) == (3, ""), argv
-        assert err.startswith("error: the slack matrix for 6 bases would take about 540 bytes"), argv
-    assert not (tmp_path / "s.csv").exists()
-
-
-@pytest.mark.parametrize("limit, refused", [(100, "the slack matrix for 6 bases"), (1000, "B for 6 bases")])
+@pytest.mark.parametrize("limit, refused", [(1000, "B for 6 bases")])
 def test_factorize_out_guards_refuse_before_orientation(k4_path, tmp_path, monkeypatch, capsys, limit, refused):
-    """factorize --out builds S first; under either guard it exits 3 before any orientation or output.
-
-    On K4 (2,3), S is estimated at 540 bytes and B at 1,728.
-    """
+    """factorize --out exits 3 at the B guard before any orientation or output; on K4 (2,3) B is estimated at 1,728."""
     def no_orientation(*args):
         raise AssertionError("a basis was oriented")
 

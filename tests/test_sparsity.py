@@ -141,8 +141,8 @@ def test_vertex_scan_returns_smallest_mask():
     assert vertex_violation(3, triangle, SparsityParams(1, 0)) is None
 
 
-def test_bruteforce_forms_agree():
-    # force each enumeration form and compare on instances where both apply
+def test_bruteforce_forms_agree(monkeypatch):
+    # force each enumeration form by zeroing the other's guard, and compare on instances where both apply
     rng = random.Random(7)
     for _ in range(50):
         g = random_graph(rng, rng.randint(2, 6))
@@ -151,8 +151,12 @@ def test_bruteforce_forms_agree():
         subset = [i for i in range(g.edge_count) if rng.random() < 0.7]
         k, ell = rng.choice(PARAM_GRID)
         p = SparsityParams(k, ell)
-        vertex_form = is_sparse_bruteforce(g, p, subset, max_edge_enum=0)
-        edge_form = is_sparse_bruteforce(g, p, subset, max_vertex_enum=0)
+        with monkeypatch.context() as m:
+            m.setattr(sparsity, "MAX_EDGE_ENUM", 0)
+            vertex_form = is_sparse_bruteforce(g, p, subset)
+        with monkeypatch.context() as m:
+            m.setattr(sparsity, "MAX_VERTEX_ENUM", 0)
+            edge_form = is_sparse_bruteforce(g, p, subset)
         assert vertex_form == edge_form
 
 
