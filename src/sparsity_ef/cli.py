@@ -38,9 +38,10 @@ each row is computed, as `emit` writes the `.ine`.  The lifts certify
 that the lifted polytope contains every basis and that its projection
 satisfies the counting inequalities and x >= 0; x <= 1 is an emitted
 bound row where 2k - l >= 2 and follows from the rows |X| = 2
-elsewhere.  The `.ine` is the T side of
-the factorization, so T is built once per command; `emit --verify`
-checks it before writing.  Plain `emit` needs no certificate: it
+elsewhere.  The `.ine` is the T side of the factorization.  No command
+holds T: each reader builds its rows as it reaches them, so `emit
+--verify` builds T twice, and checks before it writes.  A regular output
+file that fails mid-write is removed.  Plain `emit` needs no certificate: it
 refuses an empty instance (exit 4, one pebble game),
 then more than 16 vertices (exit 3), and writes the factorization over
 no bases.  It enumerates no basis, so the enumeration guard does not
@@ -58,6 +59,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import (
@@ -185,9 +187,18 @@ def cmd_protocol(args) -> int:
 
 
 def _write(path, lines) -> None:
-    """Write an iterable of lines, each ending in a newline, as a UTF-8 file with LF line ends."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(lines)
+    """Write an iterable of lines, each ending in a newline, as a UTF-8 file with LF line ends.
+
+    If writing or closing raises, a regular file (not a symlink or a device) at ``path`` is removed.
+    """
+    fh = open(path, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.writelines(lines)
+    except BaseException:
+        if os.path.isfile(path) and not os.path.islink(path):
+            os.unlink(path)
+        raise
 
 
 def _bases_for_rows(g: Graph, p: SparsityParams, args) -> list:
@@ -250,7 +261,7 @@ def cmd_emit(args) -> int:
         require_basis(g, p)
         bases = ()
     fac = build_factorization(g, p, variant, bases=bases)
-    # factored and checked before the .ine is written, so a refused or failed --verify writes nothing
+    # checked before the .ine is written, so a refused or failed --verify writes nothing
     report = verify_extension(fac) if args.verify else None
     _write(args.out, format_ine(fac))
     equalities, inequalities = ine_size(fac)

@@ -11,18 +11,20 @@ Bob's announced directed edge.  Transcripts are indexed lexicographically
 by (alice vertices, edge index, head flag), where flag 0 points the edge
 at its higher endpoint and flag 1 at its lower; there are 2|E| of them
 per announcement (``protocol.announcements``), so 2n|E| for variant A
-and 2n(n-1)|E| for variant B.  The protocol's factors are two 0/1
-incidence matrices,
+and 2n(n-1)|E| for variant B.  Transcript (alice, e, flag) has index
+2|E| i + 2e + flag, where i is alice's position in ``announcements``.
+The protocol's factors are two 0/1 incidence matrices,
 
     A[X][w] = [alice(w) = alice_choice(X)] * [w's edge enters X]
     B[w][F] = [w's directed edge appears in Bob's orientation of F for alice(w)]
 
 and S = A @ B exactly: (A @ B)[X][F] counts the edges of F's orientation
 that enter X.  Every basis has |F| = c = k n - l >= 1 edges, and the
-nonnegative factorization of the lift is T = c * A and U = B / c.  A and
-B are stored as lists of ``bytearray`` rows, so their entries are
-nonnegative by type; T and U exist only where they are written, as the
-exact 'p' or 'p/q' entries of T.csv and U.csv and as ``.ine``
+nonnegative factorization of the lift is T = c * A and U = B / c.  Rows
+of A and B are ``bytearray``s, nonnegative by type; B is stored, and
+``Factorization.a_rows`` builds each row of A, from X alone in O(|E|),
+as a reader reaches it.  T and U exist only where they are written, as
+the exact 'p' or 'p/q' entries of T.csv and U.csv and as ``.ine``
 coefficients.  Nothing holds the slack matrix: ``slack_matrix`` yields
 it one row at a time, and S.csv is written as the rows are computed.
 What its rows are computed from, the bases and their incidence packed
@@ -34,22 +36,20 @@ enumerates bases.
 of the lifted system and never builds S.  A row over the bases packs
 into one int whose little-endian fields of f bytes hold its entries,
 built from a strided ``bytearray``.  Row X's left side packs to
-packed(|F ∩ E(X)|) + sum_w A[X][w] * packed(B[w]), one big-int
-multiply-add per nonzero entry of A, and is compared with
-(k|X| - l) * packed(1, ..., 1).  f holds k n and the largest possible
-left side, |E| plus the largest row sum of A times the largest entry of
-B, so no field carries and two packed rows are equal exactly when their
-entries are.  A row sum of A counts the edges that enter X, at most
-n^2/4 <= 64 for the n <= 16 that rows allow, and |E| <= 120, so f is one
-byte while B is 0/1 and k n < 256.  Entries are unpacked only to name a
-failure.
+packed(|F ∩ E(X)|) + sum_w A[X][w] * packed(B[w]), one big-int add per
+nonzero entry of A, and is compared with (k|X| - l) * packed(1, ..., 1).
+Each row of A must be 0/1 with at most |E| ones (one transcript per
+edge), so f holds k n and the largest possible left side, |E| times one
+plus the largest entry of B: no field carries, and two packed rows are
+equal exactly when their entries are.  |E| <= 120 for the n <= 16 that
+rows allow, so f is one byte while B is 0/1 and k n < 256.  Entries are
+unpacked only to name a failure.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -103,9 +103,9 @@ def slack_value(g: Graph, p: SparsityParams, x_set: Iterable[int], basis: Iterab
     return p.k * len(members) - p.ell - overlap
 
 
-def row_incidence(g: Graph, rows: Sequence[tuple[int, ...]]) -> list[list[int]]:
-    """|rows| x |E| 0/1 rows R: R[X][e] = 1 when e lies in E(X)."""
-    return [[int(u in x and v in x) for u, v in g.edges] for x in map(frozenset, rows)]
+def row_incidence(g: Graph, rows: Iterable[tuple[int, ...]]) -> Iterator[list[int]]:
+    """The |E| 0/1 entries R[X][e] = [e lies in E(X)] of each row X, one row at a time."""
+    return ([int(u in x and v in x) for u, v in g.edges] for x in map(frozenset, rows))
 
 
 def _overlaps(g: Graph, rows: Sequence[tuple[int, ...]], cols: Sequence[Basis], width: int) -> Iterator[int]:
@@ -145,32 +145,9 @@ def slack_matrix(
 
 
 def enumerate_transcripts(g: Graph, variant: str) -> tuple[Transcript, ...]:
-    """Lexicographic over (alice vertices, edge index, head flag)."""
-    out = []
-    for alice in announcements(g.n, variant):
-        for i, (u, v) in enumerate(g.edges):
-            out.append(Transcript(alice=alice, edge=i, head=v))  # flag 0: head high
-            out.append(Transcript(alice=alice, edge=i, head=u))  # flag 1: head low
-    return tuple(out)
-
-
-def build_T(
-    g: Graph,
-    variant: str,
-    rows: Sequence[tuple[int, ...]],
-    transcripts: Sequence[Transcript],
-) -> list[bytearray]:
-    """A = T / c as |rows| x |W| 0/1 rows of bytes."""
-    index = {w: i for i, w in enumerate(transcripts)}
-    a = []
-    for x in rows:
-        row = bytearray(len(transcripts))
-        alice, members = alice_choice(x, variant), frozenset(x)
-        for e, (u, v) in enumerate(g.edges):
-            if (u in members) != (v in members):  # e enters X at whichever end lies inside
-                row[index[alice, e, v if v in members else u]] = 1
-        a.append(row)
-    return a
+    """Lexicographic over (alice vertices, edge index, head flag): transcript 2|E| i + 2e + flag (module docstring)."""
+    return tuple(Transcript(alice, e, head) for alice in announcements(g.n, variant)
+                 for e, (u, v) in enumerate(g.edges) for head in (v, u))  # flag 0 heads e high, flag 1 low
 
 
 def build_U(
@@ -188,24 +165,24 @@ def build_U(
     the bases are the outer loop, and each basis's edges go to
     ``bob_orientation`` once per announcement.
     """
-    index = {w: i for i, w in enumerate(transcripts)}
     estimate = B_ENTRY_BYTES * len(cols) * len(transcripts)
     if estimate > MAX_MATRIX_BYTES:
         raise EnumerationGuardError(
             f"B for {len(cols)} bases would take about {estimate} bytes, beyond the memory guard of {MAX_MATRIX_BYTES}"
         )
-    targets = [(alice, protocol_targets(g.n, p, alice)) for alice in announcements(g.n, variant)]
+    # announcement i's transcript (e, flag) is 2|E| i + 2e + flag (module docstring)
+    targets = [(2 * g.edge_count * i, protocol_targets(g.n, p, a)) for i, a in enumerate(announcements(g.n, variant))]
     b = [bytearray(len(cols)) for _ in transcripts]
     for j, basis in enumerate(cols):
         edges = tuple(g.edges[e] for e in basis)
-        for alice, m in targets:
-            for e, h in zip(basis, bob_orientation(edges, m).heads):
-                b[index[alice, e, h]][j] = 1
+        for offset, m in targets:
+            for e, (u, _), h in zip(basis, edges, bob_orientation(edges, m).heads):
+                b[offset + 2 * e + (h == u)][j] = 1
     return b
 
 
 class Factorization(NamedTuple):
-    """S = A @ B, that is S = T @ U with T = c * A and U = B / c; A and B are lists of byte rows.
+    """S = A @ B, that is S = T @ U with T = c * A and U = B / c; B is a list of byte rows, A is built by ``a_rows``.
 
     A and the rows fix the lifted system that ``lifted.format_ine`` emits;
     the columns of B only certify that each basis in ``cols`` lifts.
@@ -217,13 +194,27 @@ class Factorization(NamedTuple):
     transcripts: tuple[Transcript, ...]
     rows: tuple[tuple[int, ...], ...]
     cols: tuple[Basis, ...]
-    A: list[bytearray]
     B: list[bytearray]
 
     @property
     def c(self) -> int:
         """k n - l, the size of every basis and the scale of T = c * A and U = B / c."""
         return self.params.k * self.graph.n - self.params.ell
+
+    def a_rows(self) -> Iterator[bytearray]:
+        """A = T / c, one |W|-byte 0/1 row per counting row, in ``rows`` order, each built as it is taken.
+
+        Row X charges, for each edge that enters X, the transcript of
+        Alice's announcement for X that heads the edge at its end inside X.
+        """
+        g, w = self.graph, len(self.transcripts)
+        offsets = {alice: 2 * g.edge_count * i for i, alice in enumerate(announcements(g.n, self.variant))}
+        for x in map(frozenset, self.rows):
+            row, offset = bytearray(w), offsets[alice_choice(x, self.variant)]
+            for e, (u, v) in enumerate(g.edges):
+                if (u in x) != (v in x):  # e enters X at whichever end lies inside
+                    row[offset + 2 * e + (u in x)] = 1
+            yield row
 
 
 def build_factorization(
@@ -237,7 +228,7 @@ def build_factorization(
 
     ``bases=None`` enumerates every basis; ``bases=()`` gives the
     factorization over no bases, which is the lifted system without its
-    certificate: A, rows and transcripts, and no basis is oriented.
+    certificate: rows and transcripts, and no basis is oriented.
     """
     variant = resolve_variant(p, variant)
     rows = enumerate_rows(g, p)
@@ -250,7 +241,6 @@ def build_factorization(
         transcripts=transcripts,
         rows=tuple(rows),
         cols=tuple(cols),
-        A=build_T(g, variant, rows, transcripts),
         B=build_U(g, p, variant, cols, transcripts),
     )
 
@@ -262,11 +252,6 @@ def _pack(row: bytes, width: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-def _check_shape(name: str, rows: Sequence[bytes], length: int, width: int) -> None:
-    if len(rows) != length or not all(isinstance(row, (bytes, bytearray)) and len(row) == width for row in rows):
-        raise TypeError(f"{name} must be {length}x{width} rows of bytes")
-
-
 def verify_factorization(fac: Factorization) -> None:
     """Exact check that every basis lifts to (1_F, U-column) on every equality row, so T @ U = S.
 
@@ -275,22 +260,25 @@ def verify_factorization(fac: Factorization) -> None:
     |F| = c.  Raises InfeasibleLiftedPointError on the first failure,
     rows in row-major order before the global row, naming the basis and
     the row with its residual, which on row X is (A @ B - S)[X][F].
-    Factors of the wrong shape, or with rows that are not bytes, are a
-    bug and raise TypeError.
+    Factors of the wrong shape, rows that are not bytes, and a row of A
+    that is not 0/1 with at most |E| ones are a bug and raise TypeError.
     """
     g, p = fac.graph, fac.params
-    ncols, w = len(fac.cols), len(fac.transcripts)
-    _check_shape("A", fac.A, len(fac.rows), w)
-    _check_shape("B", fac.B, w, ncols)
+    ncols, w, m = len(fac.cols), len(fac.transcripts), g.edge_count
+    if len(fac.B) != w or not all(isinstance(row, (bytes, bytearray)) and len(row) == ncols for row in fac.B):
+        raise TypeError(f"B must be {w}x{ncols} rows of bytes")
 
     # fields hold the largest possible left side and right side
     top_b = 255 if any(row.translate(None, b"\x00\x01") for row in fac.B) else 1
-    top = max(max(map(sum, fac.A), default=0) * top_b + g.edge_count, p.k * g.n)
-    width = max(1, top.bit_length() + 7 >> 3)
+    width = max(1, max(m * (top_b + 1), p.k * g.n).bit_length() + 7 >> 3)
     packed_b = [_pack(row, width) for row in fac.B]
     ones = _pack(b"\x01" * ncols, width)
-    for x, a_row, overlaps in zip(fac.rows, fac.A, _overlaps(g, fac.rows, fac.cols, width)):
-        lhs = overlaps + sum(map(operator.mul, itertools.compress(a_row, a_row), itertools.compress(packed_b, a_row)))
+    for x, a_row, overlaps in itertools.zip_longest(fac.rows, fac.a_rows(), _overlaps(g, fac.rows, fac.cols, width)):
+        if x is None or not isinstance(a_row, (bytes, bytearray)) or len(a_row) != w:
+            raise TypeError(f"A must be {len(fac.rows)}x{w} rows of bytes")
+        if a_row.translate(None, b"\x00\x01") or a_row.count(1) > m:
+            raise TypeError(f"A row X={x} must be 0/1 with at most {m} ones")
+        lhs = overlaps + sum(itertools.compress(packed_b, a_row))
         rhs = p.k * len(x) - p.ell
         if lhs != rhs * ones:
             fields = lhs.to_bytes(ncols * width, "little")
@@ -344,6 +332,6 @@ def factor_csvs(fac: Factorization) -> tuple[Iterator[str], Iterator[str]]:
     """CSV dumps of (T, U) = (c * A, B / c), line by line, with transcript labels 'a0[+a1]/e<idx>h<head>'."""
     w_labels = [_label("", w.alice) + f"/e{w.edge}h{w.head}" for w in fac.transcripts]
     return (
-        format_matrix_csv((_label("X:", x) for x in fac.rows), w_labels, fac.A, fac.c),
+        format_matrix_csv((_label("X:", x) for x in fac.rows), w_labels, fac.a_rows(), fac.c),
         format_matrix_csv(w_labels, (_label("F:", f) for f in fac.cols), fac.B, Fraction(1, fac.c)),
     )

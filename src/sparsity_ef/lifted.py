@@ -23,8 +23,8 @@ That is, (1_F, U-column of F) satisfies each counting row, which is the
 identity A @ B = S on F's column, and the global row |F| = c.
 ``verify_factorization`` checks both, each counting row over all the
 bases at once, then the global row.  T >= 0 and y >= 0 hold by type,
-since A and B are byte rows and c >= 1.  The lifts put every basis in
-the projection.  Conversely, for a feasible point, T >= 0 and y >= 0
+since rows of A and B are bytes and c >= 1.  The lifts put every basis
+in the projection.  Conversely, for a feasible point, T >= 0 and y >= 0
 make each row read sum_{E(X)} x_e = k|X| - l - (T y)[X] <= k|X| - l,
 and the global row fixes sum_e x_e = c; both are linear, so they hold
 for every convex combination as well.  T >= 0 therefore certifies the
@@ -111,11 +111,9 @@ def format_ine(fac: Factorization) -> Iterator[str]:
     The bounds are z >= 0 for every variable, then x_e <= 1 for every
     edge where 2k - l >= 2 (``upper_bound_count``).  Each row is
     ``b  -a`` for a constraint a.z <= b (cdd convention
-    ``b + a'.z >= 0``); columns are 1 + |E| + |W|.  Each equality row is
-    built and rendered as its line is taken, and dropped after it.  What
-    they are built from, A and the rows' edge incidence, is evaluated by
-    the call, so a caller that opens its file after the call leaves none
-    if that cannot be built.
+    ``b + a'.z >= 0``); columns are 1 + |E| + |W|.  Each equality row,
+    with its row of A and its edge incidence, is built and rendered as
+    its line is taken, and dropped after it.
     """
     g, p, c = fac.graph, fac.params, fac.c
     m, w = g.edge_count, len(fac.transcripts)
@@ -124,7 +122,7 @@ def format_ine(fac: Factorization) -> Iterator[str]:
     minus_t = [-c * a for a in range(256)].__getitem__  # the coefficient of y_w is -T[X][w] = -c * A[X][w]
     counting = (
         [p.k * len(x) - p.ell, *(-v for v in inside), *map(minus_t, a_row)]
-        for x, inside, a_row in zip(fac.rows, row_incidence(g, fac.rows), fac.A)
+        for x, inside, a_row in zip(fac.rows, row_incidence(g, fac.rows), fac.a_rows())
     )
     equalities = itertools.chain(counting, [[c, *[-1] * m, *[0] * w]])
 

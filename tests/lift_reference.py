@@ -5,9 +5,9 @@ the edges, y over the transcripts.  ``lift_vertex`` lifts one basis with
 its U-column, ``assert_in_lifted`` checks a point against the emitted
 system row by row in exact rationals, and ``in_base_polytope`` tests the
 x-part against every counting inequality by full subset scan.
-``build_U`` is called through its module, so a test that replaces
-``factorization.build_U`` changes the lift here and in the factorization
-alike.
+``build_U`` is called through its module and A is read through
+``Factorization.a_rows``, so a test that replaces either changes the
+lift here and in the factorization alike.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ def equality_residuals(fac: Factorization, point: LiftedPoint) -> list[Fraction]
     """Left-hand side minus right-hand side for each row equality, then the global one."""
     p = fac.params
     residuals = []
-    for x_set, a_row in zip(fac.rows, fac.A):  # T = c * A
+    for x_set, a_row in zip(fac.rows, fac.a_rows()):  # T = c * A
         acc = sum((point.x[i] for i in induced_edges(fac.graph, x_set)), Fraction(0))
         acc += sum((fac.c * a * yw for a, yw in zip(a_row, point.y) if a), Fraction(0))
         residuals.append(acc - (p.k * len(x_set) - p.ell))

@@ -259,15 +259,17 @@ def test_verify_command(k4_path, tmp_path, capsys):
 
 @pytest.fixture
 def corrupted_t(monkeypatch):
-    """Every factorization built gets 1 added to the first row of A, so c to that of T."""
-    build_t = factorization.build_T
+    """The first row of A charges one more transcript, the first that a basis's orientation uses, so c more of T."""
+    a_rows = factorization.Factorization.a_rows
 
-    def corrupted(*args):
-        a = build_t(*args)
-        a[0] = bytearray(v + 1 for v in a[0])
-        return a
+    def corrupted(self):
+        rows = a_rows(self)
+        row = next(rows)
+        row[next(w for w, b_row in enumerate(self.B) if any(b_row) and not row[w])] = 1
+        yield row
+        yield from rows
 
-    monkeypatch.setattr(factorization, "build_T", corrupted)
+    monkeypatch.setattr(factorization.Factorization, "a_rows", corrupted)
 
 
 def test_injected_residual_exits_2(k4_path, tmp_path, corrupted_t, capsys):
@@ -280,15 +282,34 @@ def test_injected_residual_exits_2(k4_path, tmp_path, corrupted_t, capsys):
     assert not (tmp_path / "x.ine").exists()  # emit --verify checks before it writes
 
 
-def test_emit_leaves_no_file_when_the_system_cannot_be_built(k4_path, tmp_path, monkeypatch, capsys):
-    """format_ine builds its equality rows when it is called, before emit opens the .ine."""
-    def no_memory(*args):
+@pytest.fixture
+def no_memory_on_third_row(monkeypatch):
+    """Every walk over A raises MemoryError when it reaches its third row, after the .ine has begun."""
+    a_rows = factorization.Factorization.a_rows
+
+    def failing(self):
+        rows = a_rows(self)
+        yield next(rows)
+        yield next(rows)
         raise MemoryError
 
-    monkeypatch.setattr(lifted, "row_incidence", no_memory)
+    monkeypatch.setattr(factorization.Factorization, "a_rows", failing)
+
+
+def test_emit_leaves_no_file_when_the_system_cannot_be_built(k4_path, tmp_path, no_memory_on_third_row, capsys):
+    """A row of A that cannot be built while the .ine is written: exit 2, and the partly written file is removed."""
     code, _, err = run(["emit", "--graph", k4_path, "--k", "2", "--l", "3", "--out", str(tmp_path / "x.ine")], capsys)
     assert (code, err) == (2, "error: internal failure: MemoryError()\n")
-    assert not (tmp_path / "x.ine").exists()
+    assert list(tmp_path.iterdir()) == [tmp_path / "k4.json"]
+
+
+def test_a_failed_write_keeps_a_symlinked_out(k4_path, tmp_path, no_memory_on_third_row, capsys):
+    """Only a regular file is removed: a failed write through a symlink leaves the symlink."""
+    link = tmp_path / "link.ine"
+    link.symlink_to(tmp_path / "target.ine")
+    code, _, err = run(["emit", "--graph", k4_path, "--k", "2", "--l", "3", "--out", str(link)], capsys)
+    assert (code, err) == (2, "error: internal failure: MemoryError()\n")
+    assert link.is_symlink() and (tmp_path / "target.ine").is_file()
 
 
 def test_refused_basis_orientation_exits_2(k4_path, tmp_path, monkeypatch, capsys):
@@ -380,8 +401,8 @@ def test_factorize_mismatch_exits_2(k4_path, tmp_path, corrupted_t, capsys):
 
 def test_malformed_factorization_exits_2(k4_path, monkeypatch, capsys):
     """Factor rows that are not bytes can only come from a bug: exit 2, not exit 1."""
-    build_t = factorization.build_T
-    monkeypatch.setattr(factorization, "build_T", lambda *args: [list(row) for row in build_t(*args)])
+    a_rows = factorization.Factorization.a_rows
+    monkeypatch.setattr(factorization.Factorization, "a_rows", lambda self: map(list, a_rows(self)))
     base = ["--graph", k4_path, "--k", "2", "--l", "3"]
     for argv in (["verify", *base], ["factorize", *base]):
         code, _, err = run(argv, capsys)
@@ -513,16 +534,8 @@ def test_empty_polytope_exits_4_before_enumeration(tmp_path, monkeypatch, capsys
     assert list(tmp_path.glob("*.ine")) == []
 
 
-def test_emit_verify_builds_t_once(corpus_cells, tmp_path, monkeypatch, capsys):
-    """On every cell, plain emit and emit --verify write the same .ine, each building T once."""
-    calls = []
-    build_t = factorization.build_T
-
-    def counted(*args):
-        calls.append(args)
-        return build_t(*args)
-
-    monkeypatch.setattr(factorization, "build_T", counted)
+def test_emit_and_emit_verify_write_the_same_ine(corpus_cells, tmp_path, capsys):
+    """On every cell, plain emit and emit --verify write the same .ine."""
     for name, g, p, _ in corpus_cells:
         graph = tmp_path / f"{name}.json"
         graph.write_text(json.dumps({"n": g.n, "edges": g.edges}))
@@ -530,8 +543,6 @@ def test_emit_verify_builds_t_once(corpus_cells, tmp_path, monkeypatch, capsys):
         written = []
         for extra in ([], ["--verify"]):
             out = tmp_path / f"{name}-{p.k}-{p.ell}-{len(extra)}.ine"
-            calls.clear()
             assert run([*base, "--out", str(out), *extra], capsys)[0] == 0, (name, p, extra)
-            assert len(calls) == 1, (name, p, extra)
             written.append(out.read_bytes())
         assert written[0] == written[1], (name, p)

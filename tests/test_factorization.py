@@ -11,7 +11,7 @@ from sparsity_ef import factorization
 from sparsity_ef.errors import InfeasibleLiftedPointError
 from sparsity_ef.graphs import SparsityParams, make_graph
 from sparsity_ef.factorization import (
-    build_T,
+    Factorization,
     build_U,
     build_factorization,
     enumerate_rows,
@@ -22,7 +22,8 @@ from sparsity_ef.factorization import (
     slack_value,
     verify_factorization,
 )
-from sparsity_ef.protocol import exact_expectation
+from sparsity_ef.lifted import format_ine
+from sparsity_ef.protocol import alice_choice, bob_orientation, exact_expectation, protocol_targets
 from sparsity_ef.sparsity import EnumerationGuardError, enumerate_bases
 
 from conftest import complete_graph, path_graph, wheel_graph
@@ -85,9 +86,10 @@ def test_factorization_dimensions_and_entry_domains():
     """A and B are 0/1 byte rows; T = c * A and U = B / c with c = 2 on K3 (1,1)."""
     fac = build_factorization(K3, P11, "A")
     assert fac.c == 2
-    assert len(fac.A) == 3 and all(type(r) is bytearray and len(r) == 18 for r in fac.A)
+    a = list(fac.a_rows())
+    assert len(a) == 3 and all(type(r) is bytearray and len(r) == 18 for r in a)
     assert len(fac.B) == 18 and all(type(r) is bytearray and len(r) == 3 for r in fac.B)
-    assert {a for row in fac.A for a in row} == {0, 1}
+    assert {v for row in a for v in row} == {0, 1}
     assert {b for row in fac.B for b in row} == {0, 1}
 
 
@@ -114,7 +116,7 @@ def test_fault_injection_detected():
     fac = build_factorization(K3, P11, "A")
     b = [row.copy() for row in fac.B]
     b[4][1] += fac.c  # U[4][1] += 1
-    i = next(i for i, a_row in enumerate(fac.A) if a_row[4])  # the first row that charges transcript 4
+    i = next(i for i, a_row in enumerate(fac.a_rows()) if a_row[4])  # the first row that charges transcript 4
     expected = f"basis {fac.cols[1]}: equality row X={fac.rows[i]} has residual {fac.c}"
     with pytest.raises(InfeasibleLiftedPointError, match=f"^{re.escape(expected)}$"):
         verify_factorization(fac._replace(B=b))
@@ -134,7 +136,7 @@ def test_global_row_checked_after_the_counting_rows():
         verify_factorization(fac._replace(cols=(short, *fac.cols[1:])))
 
 
-def test_negative_entry_detected():
+def test_negative_entry_detected(monkeypatch):
     """No factor holds a negative entry: a byte row cannot, and a row of ints is refused."""
     fac = build_factorization(K3, P11, "A")
     with pytest.raises(ValueError):
@@ -143,13 +145,14 @@ def test_negative_entry_detected():
     b[2] = [-1, *b[2][1:]]  # U[2][0] = -1/c
     with pytest.raises(TypeError, match="rows of bytes"):
         verify_factorization(fac._replace(B=b))
-    a = [row.copy() for row in fac.A]
-    a[0] = [-1, *a[0][1:]]
-    with pytest.raises(TypeError, match="rows of bytes"):
-        verify_factorization(fac._replace(A=a))
     # rows of ints are refused even where their entries are right
     with pytest.raises(TypeError, match="rows of bytes"):
         verify_factorization(fac._replace(B=[list(row) for row in fac.B]))
+    a = list(fac.a_rows())
+    a[0] = [-1, *a[0][1:]]
+    monkeypatch.setattr(Factorization, "a_rows", lambda self: iter(a))
+    with pytest.raises(TypeError, match="rows of bytes"):
+        verify_factorization(fac)
 
 
 def test_packed_fields_hold_corrupted_entries():
@@ -163,12 +166,13 @@ def test_packed_fields_hold_corrupted_entries():
     k|X| - l > B[w][j], which K3 (1,1) has nowhere.
     """
     fac = build_factorization(K4, P11, "A")
+    a = list(fac.a_rows())
 
     def first_row(w):
-        return next(i for i, a_row in enumerate(fac.A) if a_row[w])
+        return next(i for i, a_row in enumerate(a) if a_row[w])
 
     w, j = next((w, j) for w, row in enumerate(fac.B) for j in range(len(row) - 1)
-                if row[j + 1] == 1 and any(a_row[w] for a_row in fac.A) and len(fac.rows[first_row(w)]) - 1 > row[j])
+                if row[j + 1] == 1 and any(a_row[w] for a_row in a) and len(fac.rows[first_row(w)]) - 1 > row[j])
     b = [row.copy() for row in fac.B]
     b[w][j], b[w][j + 1] = 255, 0
     expected = f"basis {fac.cols[j]}: equality row X={fac.rows[first_row(w)]} has residual {255 - fac.B[w][j]}"
@@ -269,32 +273,49 @@ def test_slack_csv_is_written_without_holding_s():
     assert peak < bound, (peak, bound)
 
 
-def test_build_t_needs_every_announced_transcript():
+def test_a_rows_needs_every_announced_transcript():
     """A row whose announcement has no transcripts is refused, not left as a zero row of T."""
-    transcripts = enumerate_transcripts(K4, "A")
-    rows = enumerate_rows(K4, P11)
-    with pytest.raises(KeyError):  # X = {2, 3} announces vertex 2, dropped with the second half
-        build_T(K4, "A", rows, transcripts[: len(transcripts) // 2])
+    fac = build_factorization(K4, P11, "A", bases=())
+    rows = fac._replace(transcripts=fac.transcripts[: len(fac.transcripts) // 2]).a_rows()
+    with pytest.raises(IndexError):  # X = {2, 3} announces vertex 2, dropped with the second half
+        list(rows)
 
 
-def test_dimension_mismatch_raises():
+def test_dimension_mismatch_raises(monkeypatch):
     fac = build_factorization(K3, P11, "A")
-    with pytest.raises(TypeError, match="A must be 3x18 rows of bytes"):
-        verify_factorization(fac._replace(A=fac.A[:-1]))
     with pytest.raises(TypeError, match="B must be 18x2 rows of bytes"):
         verify_factorization(fac._replace(cols=fac.cols[:-1]))
+    a = list(fac.a_rows())
+    for rows in (a[:-1], [*a, a[0]]):  # a wrong row count is a TypeError, never the ValueError of zip(strict=True)
+        monkeypatch.setattr(Factorization, "a_rows", lambda self: iter(rows))
+        with pytest.raises(TypeError, match="^A must be 3x18 rows of bytes$"):
+            verify_factorization(fac)
+
+
+def test_a_rows_must_be_0_1_with_at_most_e_ones(monkeypatch):
+    """Fields are sized for 0/1 rows of A with at most |E| ones; any other row is refused as a bug."""
+    fac = build_factorization(K4, P11, "A")
+    a = list(fac.a_rows())
+    two, full = bytearray(a[0]), bytearray(a[0])
+    two[two.index(1)] = 2
+    full[:7] = b"\x01" * 7  # 7 > |E| = 6 ones
+    for row in (two, full):
+        monkeypatch.setattr(Factorization, "a_rows", lambda self: iter([row, *a[1:]]))
+        with pytest.raises(TypeError, match=re.escape(f"A row X={fac.rows[0]} must be 0/1 with at most 6 ones")):
+            verify_factorization(fac)
 
 
 def test_product_matches_protocol_expectation():
     """T @ U recomputes the exact protocol expectation, route by route (T = c * A, U = B / c)."""
     for g, p, variant in [(K4, P11, "A"), (K4, P23, "B")]:
         fac = build_factorization(g, p, variant)
+        a = list(fac.a_rows())
         for i, x in enumerate(fac.rows):
             for j, basis in enumerate(fac.cols):
                 cell = sum(
-                    fac.c * fac.A[i][w] * Fraction(fac.B[w][j], fac.c)
+                    fac.c * a[i][w] * Fraction(fac.B[w][j], fac.c)
                     for w in range(len(fac.transcripts))
-                    if fac.A[i][w]
+                    if a[i][w]
                 )
                 assert cell == exact_expectation(g, p, variant, x, basis)
 
@@ -313,9 +334,46 @@ def test_product_equals_slack_matrix(corpus_cells):
         fac = build_factorization(g, p, bases=bases)
         product = [
             [sum(a_row[w] * fac.B[w][j] for w in range(len(fac.transcripts))) for j in range(len(bases))]
-            for a_row in fac.A
+            for a_row in fac.a_rows()
         ]
         assert product == list(slack_matrix(g, p, bases=bases)), (name, p)
+
+
+def test_a_and_b_follow_their_definitions(corpus_cells):
+    """a_rows and build_U match the module docstring's A and B entry by entry, read off each Transcript's fields.
+
+    This pins the transcript index 2|E| i + 2e + flag that both compute.
+    """
+    for name, g, p, bases in corpus_cells:
+        fac = build_factorization(g, p, bases=bases)
+        ws = fac.transcripts
+        ends = [(w.head, sum(g.edges[w.edge]) - w.head) for w in ws]  # (head, tail)
+        a = [[int(w.alice == alice_choice(x, fac.variant) and head in x and tail not in x) for w, (head, tail) in zip(ws, ends)]
+             for x in fac.rows]
+        assert [list(row) for row in fac.a_rows()] == a, (name, p)
+        for j, basis in enumerate(bases):
+            edges = [g.edges[e] for e in basis]
+            heads = {alice: dict(zip(basis, bob_orientation(edges, protocol_targets(g.n, p, alice)).heads))
+                     for alice in dict.fromkeys(w.alice for w in ws)}
+            assert [row[j] for row in fac.B] == [int(heads[w.alice].get(w.edge) == w.head) for w in ws], (name, p, basis)
+
+
+def test_ine_is_rendered_without_holding_a():
+    """K10 (1,1): the factorization over no bases, and every .ine line rendered, peak below half of A's bytes."""
+    g = complete_graph(10)
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fac = build_factorization(g, P11, bases=())
+        size = sum(map(len, format_ine(fac)))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    bound = len(fac.rows) * len(fac.transcripts) // 2
+    assert size > 2 * bound  # the text alone would break the bound
+    assert peak < bound, (peak, bound)
 
 
 def test_slack_csv_golden():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from sparsity_ef import factorization
-from sparsity_ef.factorization import build_factorization, build_U
+from sparsity_ef.factorization import Factorization, build_factorization, build_U
 from sparsity_ef.graphs import SparsityParams, make_graph
 from sparsity_ef.lifted import (
     EmptyPolytopeError,
@@ -236,7 +236,7 @@ def test_batched_checks_match_fraction_reference(corpus_cells, monkeypatch):
 
 
 def test_verify_extension_catches_flipped_u_entry(monkeypatch):
-    a = lift(K4, P23, "B").A
+    a = list(lift(K4, P23, "B").a_rows())
     w = next(w for w in range(len(a[0])) if any(row[w] for row in a))  # a transcript some row charges
     real_build_u = factorization.build_U
 
@@ -252,17 +252,20 @@ def test_verify_extension_catches_flipped_u_entry(monkeypatch):
 
 
 def test_verify_extension_catches_corrupted_t_entry(monkeypatch):
+    """Row 3 of A charges one more transcript, one that the first basis's U-column uses."""
     bases = enumerate_bases(K4, P23)
     fac = lift(K4, P23, "B")
-    w = next(i for i, row in enumerate(build_U(K4, P23, "B", bases[:1], fac.transcripts)) if row[0])
-    real_build_t = factorization.build_T
+    a_row = list(fac.a_rows())[3]
+    column = build_U(K4, P23, "B", bases[:1], fac.transcripts)
+    w = next(i for i, row in enumerate(column) if row[0] and not a_row[i])
+    real_a_rows = Factorization.a_rows
 
-    def corrupted(*args):
-        a = real_build_t(*args)
-        a[3][w] += 1
-        return a
+    def corrupted(self):
+        for i, row in enumerate(real_a_rows(self)):
+            row[w] |= i == 3
+            yield row
 
-    monkeypatch.setattr(factorization, "build_T", corrupted)
+    monkeypatch.setattr(Factorization, "a_rows", corrupted)
     expected = f"basis {bases[0]}: equality row X={fac.rows[3]} has residual"
     with pytest.raises(InfeasibleLiftedPointError, match=re.escape(expected)):
         verify_extension(build_factorization(K4, P23, "B"))
@@ -270,15 +273,15 @@ def test_verify_extension_catches_corrupted_t_entry(monkeypatch):
 
 def test_verify_extension_catches_negative_t_entry(monkeypatch):
     """T = c * A cannot hold a negative entry: a byte row refuses one, and a row of ints is refused."""
-    real_build_t = factorization.build_T
+    real_a_rows = Factorization.a_rows
 
-    def negative(*args):
-        a = real_build_t(*args)
+    def negative(self):
+        a = list(real_a_rows(self))
         with pytest.raises(ValueError):
             a[0][0] = -1
         a[0] = [-1, *a[0][1:]]
-        return a
+        return iter(a)
 
-    monkeypatch.setattr(factorization, "build_T", negative)
+    monkeypatch.setattr(Factorization, "a_rows", negative)
     with pytest.raises(TypeError, match="rows of bytes"):
         verify_extension(build_factorization(K4, P23, "B"))
