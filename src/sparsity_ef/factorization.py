@@ -20,14 +20,15 @@ The protocol's factors are two 0/1 incidence matrices,
 
 and S = A @ B exactly: (A @ B)[X][F] counts the edges of F's orientation
 that enter X.  Every basis has |F| = c = k n - l >= 1 edges, and the
-nonnegative factorization of the lift is T = c * A and U = B / c.  Rows
-of A and B are ``bytearray``s, nonnegative by type; B is stored, and
-``Factorization.a_rows`` builds each row of A, from X alone in O(|E|),
-as a reader reaches it.  T and U exist only where they are written, as
-the exact 'p' or 'p/q' entries of T.csv and U.csv and as ``.ine``
-coefficients.  Nothing holds the slack matrix: ``slack_matrix`` yields
-it one row at a time, and S.csv is written as the rows are computed.
-What its rows are computed from, the bases and their incidence packed
+nonnegative factorization of the lift is T = c * A and U = B / c.  B is
+stored as ``bytearray`` rows, nonnegative by type.  A row of A is its
+support, the ascending transcripts it charges, one per edge entering X;
+``Factorization.a_rows`` builds each from X alone in O(|E|) as a reader
+reaches it.  T and U exist only where ``sparse_renderer`` writes them
+from supports, as the exact 'p' or 'p/q' entries of T.csv and U.csv and
+as ``.ine`` coefficients.  Nothing holds the slack matrix:
+``slack_matrix`` yields it one row at a time, and S.csv is written as
+the rows are computed.  What its rows are computed from, the bases and their incidence packed
 by ``_overlaps`` (2|E| bytes per basis at one-byte fields), is bounded
 only by the basis-enumeration guard, as in every command that
 enumerates bases.
@@ -36,22 +37,23 @@ enumerates bases.
 of the lifted system and never builds S.  A row over the bases packs
 into one int whose little-endian fields of f bytes hold its entries,
 built from a strided ``bytearray``.  Row X's left side packs to
-packed(|F ∩ E(X)|) + sum_w A[X][w] * packed(B[w]), one big-int add per
-nonzero entry of A, and is compared with (k|X| - l) * packed(1, ..., 1).
-Each row of A must be 0/1 with at most |E| ones (one transcript per
-edge), so f holds k n and the largest possible left side, |E| times one
-plus the largest entry of B: no field carries, and two packed rows are
-equal exactly when their entries are.  |E| <= 120 for the n <= 16 that
-rows allow, so f is one byte while B is 0/1 and k n < 256.  Entries are
-unpacked only to name a failure.
+packed(|F ∩ E(X)|) plus packed(B[w]) for each w in X's support, and is
+compared with (k|X| - l) * packed(1, ..., 1).  A support must be
+strictly ascending in [0, |W|) with at most |E| indices, so f holds k n
+and the largest possible left side, |E| times one plus the largest
+entry of B: no field carries, and two packed rows are equal exactly
+when their entries are.  |E| <= 120 for the n <= 16 that rows allow, so
+f is one byte while B is 0/1 and k n < 256.  Entries are unpacked only
+to name a failure.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import EnumerationGuardError, InfeasibleLiftedPointError
 from .graphs import Graph, SparsityParams, induced_edges, validate_instance
@@ -103,11 +105,6 @@ def slack_value(g: Graph, p: SparsityParams, x_set: Iterable[int], basis: Iterab
     return p.k * len(members) - p.ell - overlap
 
 
-def row_incidence(g: Graph, rows: Iterable[tuple[int, ...]]) -> Iterator[list[int]]:
-    """The |E| 0/1 entries R[X][e] = [e lies in E(X)] of each row X, one row at a time."""
-    return ([int(u in x and v in x) for u, v in g.edges] for x in map(frozenset, rows))
-
-
 def _overlaps(g: Graph, rows: Sequence[tuple[int, ...]], cols: Sequence[Basis], width: int) -> Iterator[int]:
     """Each row's |F ∩ E(X)| over the bases F, packed in fields of ``width`` bytes.
 
@@ -119,8 +116,8 @@ def _overlaps(g: Graph, rows: Sequence[tuple[int, ...]], cols: Sequence[Basis], 
         for e in basis:
             incidence[e][j * width] = 1
     packed = [int.from_bytes(column, "little") for column in incidence]
-    for inside in row_incidence(g, rows):
-        yield sum(itertools.compress(packed, inside))
+    for x in rows:
+        yield sum([packed[e] for e in induced_edges(g, x)])
 
 
 def slack_matrix(
@@ -201,20 +198,18 @@ class Factorization(NamedTuple):
         """k n - l, the size of every basis and the scale of T = c * A and U = B / c."""
         return self.params.k * self.graph.n - self.params.ell
 
-    def a_rows(self) -> Iterator[bytearray]:
-        """A = T / c, one |W|-byte 0/1 row per counting row, in ``rows`` order, each built as it is taken.
+    def a_rows(self) -> Iterator[list[int]]:
+        """A = T / c as the support of each counting row, in ``rows`` order, each built as it is taken.
 
-        Row X charges, for each edge that enters X, the transcript of
-        Alice's announcement for X that heads the edge at its end inside X.
+        Row X charges, for each edge e = (u, v) that enters X, the transcript
+        offset + 2e + [u in X] of Alice's announcement for X, which heads e
+        at its end inside X.
         """
-        g, w = self.graph, len(self.transcripts)
+        g = self.graph
         offsets = {alice: 2 * g.edge_count * i for i, alice in enumerate(announcements(g.n, self.variant))}
         for x in map(frozenset, self.rows):
-            row, offset = bytearray(w), offsets[alice_choice(x, self.variant)]
-            for e, (u, v) in enumerate(g.edges):
-                if (u in x) != (v in x):  # e enters X at whichever end lies inside
-                    row[offset + 2 * e + (u in x)] = 1
-            yield row
+            offset = offsets[alice_choice(x, self.variant)]
+            yield [offset + 2 * e + (u in x) for e, (u, v) in enumerate(g.edges) if (u in x) != (v in x)]
 
 
 def build_factorization(
@@ -260,8 +255,8 @@ def verify_factorization(fac: Factorization) -> None:
     |F| = c.  Raises InfeasibleLiftedPointError on the first failure,
     rows in row-major order before the global row, naming the basis and
     the row with its residual, which on row X is (A @ B - S)[X][F].
-    Factors of the wrong shape, rows that are not bytes, and a row of A
-    that is not 0/1 with at most |E| ones are a bug and raise TypeError.
+    Factors of the wrong shape, rows of B that are not bytes, and a row
+    of A that is not a support (module docstring) are a bug and raise TypeError.
     """
     g, p = fac.graph, fac.params
     ncols, w, m = len(fac.cols), len(fac.transcripts), g.edge_count
@@ -273,12 +268,13 @@ def verify_factorization(fac: Factorization) -> None:
     width = max(1, max(m * (top_b + 1), p.k * g.n).bit_length() + 7 >> 3)
     packed_b = [_pack(row, width) for row in fac.B]
     ones = _pack(b"\x01" * ncols, width)
-    for x, a_row, overlaps in itertools.zip_longest(fac.rows, fac.a_rows(), _overlaps(g, fac.rows, fac.cols, width)):
-        if x is None or not isinstance(a_row, (bytes, bytearray)) or len(a_row) != w:
-            raise TypeError(f"A must be {len(fac.rows)}x{w} rows of bytes")
-        if a_row.translate(None, b"\x00\x01") or a_row.count(1) > m:
-            raise TypeError(f"A row X={x} must be 0/1 with at most {m} ones")
-        lhs = overlaps + sum(itertools.compress(packed_b, a_row))
+    for x, support, overlaps in itertools.zip_longest(fac.rows, fac.a_rows(), _overlaps(g, fac.rows, fac.cols, width)):
+        if x is None or support is None:
+            raise TypeError(f"A must have {len(fac.rows)} rows")
+        bounded = [-1, *support, w]  # -1 < first < ... < last < |W|
+        if len(bounded) > m + 2 or not all(map(operator.lt, bounded, bounded[1:])):
+            raise TypeError(f"A row X={x} must be ascending transcript indices in [0, {w}), at most {m} of them")
+        lhs = overlaps + sum([packed_b[i] for i in bounded[1:-1]])
         rhs = p.k * len(x) - p.ell
         if lhs != rhs * ones:
             fields = lhs.to_bytes(ncols * width, "little")
@@ -294,44 +290,55 @@ def _label(prefix: str, indices: Iterable[int]) -> str:
     return prefix + "+".join(str(i) for i in indices)
 
 
-def format_matrix_csv(
-    row_labels: Iterable[str], col_labels: Iterable[str], entries, scale: int | Fraction = 1
-) -> Iterator[str]:
-    """Matrix dump, line by line: header line of column labels, then one labelled row per line.
+def sparse_renderer(width: int, sep: str) -> Callable[[Iterable[int], str], str]:
+    """``render(support, text)``: ``width`` entries led by ``sep``, ``text`` at the ascending support, else "0".
 
-    Entries are integers times the common ``scale``, rendered as exact
-    rationals 'p' or 'p/q'; each line ends in a newline.  Column labels
-    are joined 1,024 at a time, so an iterator of them is never held whole.
+    Runs of zeros are slices of one string; an index past the row raises IndexError.
+    """
+    zeros, step = (sep + "0") * width, len(sep) + 1
+
+    def render(support: Iterable[int], text: str) -> str:
+        lead, parts, at = sep + text, [], 0
+        for i in support:
+            parts += zeros[at * step:i * step], lead
+            at = i + 1
+        if at > width:
+            raise IndexError(f"index {at - 1} is past a row of {width} entries")
+        parts.append(zeros[at * step:])
+        return "".join(parts)
+
+    return render
+
+
+def format_matrix_csv(row_labels: Iterable[str], col_labels: Iterable[str], rendered: Iterable[str]) -> Iterator[str]:
+    """Matrix dump, line by line: a header of column labels, then each label and its row's comma-led entries.
+
+    Column labels are joined 1,024 at a time, so an iterator of them is never held whole.
     """
     labels = iter(col_labels)
     runs = iter(lambda: ",".join(itertools.islice(labels, 1024)), "")  # no label is empty
     yield "," + ",".join(runs) + "\n"
-    for label, row in zip(row_labels, render_rows(entries, ",", scale)):
-        yield label + "," + row + "\n"
-
-
-def render_rows(values: Iterable[Sequence[int]], sep: str, scale: int | Fraction = 1) -> Iterator[str]:
-    """Each row of an integer matrix as its entries times ``scale``, joined by ``sep``.
-
-    Each distinct value is rendered once (render_rational), then looked up.
-    """
-    text = functools.cache(lambda value: render_rational(value * scale))
-    return (sep.join(map(text, row)) for row in values)
+    for label, row in zip(row_labels, rendered):
+        yield label + row + "\n"
 
 
 def slack_matrix_csv(g: Graph, p: SparsityParams, bases: Sequence[Basis]) -> Iterator[str]:
     """CSV dump of S over the bases, line by line, each row rendered as ``slack_matrix`` yields it."""
+    text = functools.cache(lambda value: "," + render_rational(value))  # each distinct entry is rendered once
     return format_matrix_csv(
         (_label("X:", x) for x in enumerate_rows(g, p)),
         (_label("F:", f) for f in bases),
-        slack_matrix(g, p, bases=bases),
+        ("".join(map(text, row)) for row in slack_matrix(g, p, bases=bases)),
     )
 
 
 def factor_csvs(fac: Factorization) -> tuple[Iterator[str], Iterator[str]]:
     """CSV dumps of (T, U) = (c * A, B / c), line by line, with transcript labels 'a0[+a1]/e<idx>h<head>'."""
     w_labels = [_label("", w.alice) + f"/e{w.edge}h{w.head}" for w in fac.transcripts]
+    t_row, u_row, cols = sparse_renderer(len(w_labels), ","), sparse_renderer(len(fac.cols), ","), range(len(fac.cols))
+    c, c_inverse = render_rational(fac.c), render_rational(Fraction(1, fac.c))  # B is 0/1: U is 1/c where B is 1
     return (
-        format_matrix_csv((_label("X:", x) for x in fac.rows), w_labels, fac.a_rows(), fac.c),
-        format_matrix_csv(w_labels, (_label("F:", f) for f in fac.cols), fac.B, Fraction(1, fac.c)),
+        format_matrix_csv((_label("X:", x) for x in fac.rows), w_labels, (t_row(s, c) for s in fac.a_rows())),
+        format_matrix_csv(w_labels, (_label("F:", f) for f in fac.cols),
+                          (u_row(itertools.compress(cols, row), c_inverse) for row in fac.B)),
     )

@@ -22,12 +22,13 @@ factorization over the bases: every basis F lifts with zero residual.
 That is, (1_F, U-column of F) satisfies each counting row, which is the
 identity A @ B = S on F's column, and the global row |F| = c.
 ``verify_factorization`` checks both, each counting row over all the
-bases at once, then the global row.  T >= 0 and y >= 0 hold by type,
-since rows of A and B are bytes and c >= 1.  The lifts put every basis
-in the projection.  Conversely, for a feasible point, T >= 0 and y >= 0
-make each row read sum_{E(X)} x_e = k|X| - l - (T y)[X] <= k|X| - l,
-and the global row fixes sum_e x_e = c; both are linear, so they hold
-for every convex combination as well.  T >= 0 therefore certifies the
+bases at once, then the global row.  T >= 0, as a row of T is c >= 1
+on its support and 0 elsewhere; y >= 0 by type, as rows of B are bytes.
+The lifts put every basis in the projection.  Conversely, for a
+feasible point, T >= 0 and y >= 0 make each row read
+sum_{E(X)} x_e = k|X| - l - (T y)[X] <= k|X| - l, and the global row
+fixes sum_e x_e = c; both are linear, so they hold for every convex
+combination as well.  T >= 0 therefore certifies the
 counting inequalities and x >= 0 of the projection, and x <= 1 holds
 there by the emitted bound rows or by the rows |X| = 2.  A per-point
 ``Fraction`` reference for the same check lives with the tests
@@ -44,8 +45,8 @@ import itertools
 from typing import Iterator
 
 from .errors import EmptyPolytopeError, InfeasibleLiftedPointError  # both are re-exported
-from .factorization import Factorization, render_rows, row_incidence, verify_factorization
-from .graphs import Graph, SparsityParams
+from .factorization import Factorization, render_rational, sparse_renderer, verify_factorization
+from .graphs import Graph, SparsityParams, induced_edges
 from .protocol import ANNOUNCED, bit_complexity
 from .sparsity import require_basis
 
@@ -111,24 +112,24 @@ def format_ine(fac: Factorization) -> Iterator[str]:
     The bounds are z >= 0 for every variable, then x_e <= 1 for every
     edge where 2k - l >= 2 (``upper_bound_count``).  Each row is
     ``b  -a`` for a constraint a.z <= b (cdd convention
-    ``b + a'.z >= 0``); columns are 1 + |E| + |W|.  Each equality row,
-    with its row of A and its edge incidence, is built and rendered as
-    its line is taken, and dropped after it.
+    ``b + a'.z >= 0``); columns are 1 + |E| + |W|.  Each line is rendered
+    from supports (``sparse_renderer``): an equality row's, E(X) and its
+    row of A, are built as its line is taken, and dropped after it.
     """
-    g, p, c = fac.graph, fac.params, fac.c
+    g, p = fac.graph, fac.params
     m, w = g.edge_count, len(fac.transcripts)
     d = m + w
     n_eq, n_ineq = ine_size(fac)
-    minus_t = [-c * a for a in range(256)].__getitem__  # the coefficient of y_w is -T[X][w] = -c * A[X][w]
+    on_x, on_y, on_z = sparse_renderer(m, " "), sparse_renderer(w, " "), sparse_renderer(d, " ")
+    minus_c = render_rational(-fac.c)  # the coefficient of y_w is -T[X][w], -c on X's support
     counting = (
-        [p.k * len(x) - p.ell, *(-v for v in inside), *map(minus_t, a_row)]
-        for x, inside, a_row in zip(fac.rows, row_incidence(g, fac.rows), fac.a_rows())
+        render_rational(p.k * len(x) - p.ell) + on_x(sorted(induced_edges(g, x)), "-1") + on_y(support, minus_c)
+        for x, support in zip(fac.rows, fac.a_rows())
     )
-    equalities = itertools.chain(counting, [[c, *[-1] * m, *[0] * w]])
+    global_row = render_rational(fac.c) + on_x(range(m), "-1") + on_y((), "")
 
     header = ["H-representation", "linearity " + " ".join([str(n_eq), *[str(i + 1) for i in range(n_eq)]]),
               "begin", f"{n_eq + n_ineq} {d + 1} rational"]
-    nonnegative = ("0 " * i + "1" + " 0" * (d - i) for i in range(1, d + 1))  # z_i >= 0
-    # x_e <= 1 for edge e = i - 1
-    upper = ("1" + " 0" * (i - 1) + " -1" + " 0" * (d - i) for i in range(1, upper_bound_count(g, p) + 1))
-    return (line + "\n" for line in itertools.chain(header, render_rows(equalities, " "), nonnegative, upper, ["end"]))
+    nonnegative = ("0" + on_z([i], "1") for i in range(d))  # z_i >= 0
+    upper = ("1" + on_z([e], "-1") for e in range(upper_bound_count(g, p)))  # x_e <= 1
+    return (line + "\n" for line in itertools.chain(header, counting, [global_row], nonnegative, upper, ["end"]))

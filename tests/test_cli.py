@@ -265,8 +265,7 @@ def corrupted_t(monkeypatch):
     def corrupted(self):
         rows = a_rows(self)
         row = next(rows)
-        row[next(w for w, b_row in enumerate(self.B) if any(b_row) and not row[w])] = 1
-        yield row
+        yield sorted([*row, next(w for w, b_row in enumerate(self.B) if any(b_row) and w not in row)])
         yield from rows
 
     monkeypatch.setattr(factorization.Factorization, "a_rows", corrupted)
@@ -400,13 +399,14 @@ def test_factorize_mismatch_exits_2(k4_path, tmp_path, corrupted_t, capsys):
 
 
 def test_malformed_factorization_exits_2(k4_path, monkeypatch, capsys):
-    """Factor rows that are not bytes can only come from a bug: exit 2, not exit 1."""
+    """A support out of order can only come from a bug: exit 2, not exit 1."""
     a_rows = factorization.Factorization.a_rows
-    monkeypatch.setattr(factorization.Factorization, "a_rows", lambda self: map(list, a_rows(self)))
+    monkeypatch.setattr(factorization.Factorization, "a_rows", lambda self: (row[::-1] for row in a_rows(self)))
     base = ["--graph", k4_path, "--k", "2", "--l", "3"]
+    message = "A row X=(0, 1) must be ascending transcript indices in [0, 144), at most 6 of them"
     for argv in (["verify", *base], ["factorize", *base]):
         code, _, err = run(argv, capsys)
-        assert (code, err) == (2, "error: internal failure: TypeError('A must be 10x144 rows of bytes')\n"), argv
+        assert (code, err) == (2, f"error: internal failure: TypeError({message!r})\n"), argv
 
 
 def test_verify_never_builds_the_slack_matrix(k4_path, tmp_path, monkeypatch, capsys):

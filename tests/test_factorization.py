@@ -20,6 +20,7 @@ from sparsity_ef.factorization import (
     slack_matrix,
     slack_matrix_csv,
     slack_value,
+    sparse_renderer,
     verify_factorization,
 )
 from sparsity_ef.lifted import format_ine
@@ -83,13 +84,14 @@ def test_transcript_counts_and_order():
 
 
 def test_factorization_dimensions_and_entry_domains():
-    """A and B are 0/1 byte rows; T = c * A and U = B / c with c = 2 on K3 (1,1)."""
+    """A is a support per row, B is 0/1 byte rows; T = c * A and U = B / c with c = 2 on K3 (1,1)."""
     fac = build_factorization(K3, P11, "A")
     assert fac.c == 2
     a = list(fac.a_rows())
-    assert len(a) == 3 and all(type(r) is bytearray and len(r) == 18 for r in a)
+    # each pair X has two entering edges, so two ones among the 18 transcripts
+    assert len(a) == 3 and all(type(r) is list and len(r) == 2 and r == sorted(set(r)) for r in a)
+    assert {w for row in a for w in row} <= set(range(18))
     assert len(fac.B) == 18 and all(type(r) is bytearray and len(r) == 3 for r in fac.B)
-    assert {v for row in a for v in row} == {0, 1}
     assert {b for row in fac.B for b in row} == {0, 1}
 
 
@@ -116,7 +118,7 @@ def test_fault_injection_detected():
     fac = build_factorization(K3, P11, "A")
     b = [row.copy() for row in fac.B]
     b[4][1] += fac.c  # U[4][1] += 1
-    i = next(i for i, a_row in enumerate(fac.a_rows()) if a_row[4])  # the first row that charges transcript 4
+    i = next(i for i, a_row in enumerate(fac.a_rows()) if 4 in a_row)  # the first row that charges transcript 4
     expected = f"basis {fac.cols[1]}: equality row X={fac.rows[i]} has residual {fac.c}"
     with pytest.raises(InfeasibleLiftedPointError, match=f"^{re.escape(expected)}$"):
         verify_factorization(fac._replace(B=b))
@@ -137,7 +139,7 @@ def test_global_row_checked_after_the_counting_rows():
 
 
 def test_negative_entry_detected(monkeypatch):
-    """No factor holds a negative entry: a byte row cannot, and a row of ints is refused."""
+    """No factor holds a negative entry: a byte row of B cannot, a row of ints is refused, and so is a negative index of A."""
     fac = build_factorization(K3, P11, "A")
     with pytest.raises(ValueError):
         fac.B[2][0] = -1
@@ -151,7 +153,7 @@ def test_negative_entry_detected(monkeypatch):
     a = list(fac.a_rows())
     a[0] = [-1, *a[0][1:]]
     monkeypatch.setattr(Factorization, "a_rows", lambda self: iter(a))
-    with pytest.raises(TypeError, match="rows of bytes"):
+    with pytest.raises(TypeError, match=re.escape("A row X=(0, 1) must be ascending transcript indices in [0, 18)")):
         verify_factorization(fac)
 
 
@@ -169,10 +171,10 @@ def test_packed_fields_hold_corrupted_entries():
     a = list(fac.a_rows())
 
     def first_row(w):
-        return next(i for i, a_row in enumerate(a) if a_row[w])
+        return next(i for i, a_row in enumerate(a) if w in a_row)
 
     w, j = next((w, j) for w, row in enumerate(fac.B) for j in range(len(row) - 1)
-                if row[j + 1] == 1 and any(a_row[w] for a_row in a) and len(fac.rows[first_row(w)]) - 1 > row[j])
+                if row[j + 1] == 1 and any(w in a_row for a_row in a) and len(fac.rows[first_row(w)]) - 1 > row[j])
     b = [row.copy() for row in fac.B]
     b[w][j], b[w][j + 1] = 255, 0
     expected = f"basis {fac.cols[j]}: equality row X={fac.rows[first_row(w)]} has residual {255 - fac.B[w][j]}"
@@ -274,11 +276,17 @@ def test_slack_csv_is_written_without_holding_s():
 
 
 def test_a_rows_needs_every_announced_transcript():
-    """A row whose announcement has no transcripts is refused, not left as a zero row of T."""
+    """A row whose announcement has no transcripts is refused by every reader, not left as a zero row of T."""
     fac = build_factorization(K4, P11, "A", bases=())
-    rows = fac._replace(transcripts=fac.transcripts[: len(fac.transcripts) // 2]).a_rows()
-    with pytest.raises(IndexError):  # X = {2, 3} announces vertex 2, dropped with the second half
-        list(rows)
+    half = len(fac.transcripts) // 2
+    cut = fac._replace(transcripts=fac.transcripts[:half], B=fac.B[:half])
+    # X = {2, 3} announces vertex 2, dropped with the second half
+    with pytest.raises(TypeError, match=re.escape(f"A row X=(2, 3) must be ascending transcript indices in [0, {half})")):
+        verify_factorization(cut)
+    with pytest.raises(IndexError):
+        "".join(format_ine(cut))
+    with pytest.raises(IndexError):
+        "".join(factor_csvs(cut)[0])
 
 
 def test_dimension_mismatch_raises(monkeypatch):
@@ -288,21 +296,45 @@ def test_dimension_mismatch_raises(monkeypatch):
     a = list(fac.a_rows())
     for rows in (a[:-1], [*a, a[0]]):  # a wrong row count is a TypeError, never the ValueError of zip(strict=True)
         monkeypatch.setattr(Factorization, "a_rows", lambda self: iter(rows))
-        with pytest.raises(TypeError, match="^A must be 3x18 rows of bytes$"):
+        with pytest.raises(TypeError, match="^A must have 3 rows$"):
             verify_factorization(fac)
 
 
 def test_a_rows_must_be_0_1_with_at_most_e_ones(monkeypatch):
-    """Fields are sized for 0/1 rows of A with at most |E| ones; any other row is refused as a bug."""
+    """Fields are sized for supports of at most |E| distinct transcripts; any other support is refused as a bug.
+
+    An entry of 2 is a repeated index.  Each corrupted support replaces
+    the last row, so every row before it has been checked and summed.
+    """
     fac = build_factorization(K4, P11, "A")
     a = list(fac.a_rows())
-    two, full = bytearray(a[0]), bytearray(a[0])
-    two[two.index(1)] = 2
-    full[:7] = b"\x01" * 7  # 7 > |E| = 6 ones
-    for row in (two, full):
-        monkeypatch.setattr(Factorization, "a_rows", lambda self: iter([row, *a[1:]]))
-        with pytest.raises(TypeError, match=re.escape(f"A row X={fac.rows[0]} must be 0/1 with at most 6 ones")):
+    last, w = a[-1], len(fac.transcripts)
+    assert len(last) == 4 and w == 48  # X = {2, 3}
+    corrupted = (
+        [last[0], *last],  # an entry of 2
+        list(range(7)),  # 7 > |E| = 6 ones
+        last[::-1],  # descending
+        [-1, *last[1:]],  # before the first transcript
+        [*last[:-1], w],  # |W| in place of the last index
+        [*last, w],  # |W| appended
+    )
+    for row in corrupted:
+        monkeypatch.setattr(Factorization, "a_rows", lambda self: iter([*a[:-1], row]))
+        expected = f"A row X={fac.rows[-1]} must be ascending transcript indices in [0, 48), at most 6 of them"
+        with pytest.raises(TypeError, match=f"^{re.escape(expected)}$"):
             verify_factorization(fac)
+
+
+def test_sparse_renderer_places_text_at_the_support():
+    """Each of the ``width`` entries is led by the separator; an index past the row is refused."""
+    render = sparse_renderer(4, " ")
+    assert render([], "x") == " 0 0 0 0"
+    assert render([0, 2], "-12") == " -12 0 -12 0"
+    assert render([3], "1") == " 0 0 0 1"
+    assert sparse_renderer(3, ",")(range(3), "1/2") == ",1/2,1/2,1/2"
+    assert sparse_renderer(0, " ")((), "x") == ""
+    with pytest.raises(IndexError):
+        render([4], "1")
 
 
 def test_product_matches_protocol_expectation():
@@ -312,11 +344,7 @@ def test_product_matches_protocol_expectation():
         a = list(fac.a_rows())
         for i, x in enumerate(fac.rows):
             for j, basis in enumerate(fac.cols):
-                cell = sum(
-                    fac.c * a[i][w] * Fraction(fac.B[w][j], fac.c)
-                    for w in range(len(fac.transcripts))
-                    if a[i][w]
-                )
+                cell = sum(fac.c * Fraction(fac.B[w][j], fac.c) for w in a[i])  # T[X][w] = c on the support
                 assert cell == exact_expectation(g, p, variant, x, basis)
 
 
@@ -332,10 +360,7 @@ def test_product_equals_slack_matrix(corpus_cells):
     """A plain product A @ B equals slack_matrix's S on every cell, an S comparison no command makes."""
     for name, g, p, bases in corpus_cells:
         fac = build_factorization(g, p, bases=bases)
-        product = [
-            [sum(a_row[w] * fac.B[w][j] for w in range(len(fac.transcripts))) for j in range(len(bases))]
-            for a_row in fac.a_rows()
-        ]
+        product = [[sum(fac.B[w][j] for w in support) for j in range(len(bases))] for support in fac.a_rows()]
         assert product == list(slack_matrix(g, p, bases=bases)), (name, p)
 
 
@@ -348,9 +373,10 @@ def test_a_and_b_follow_their_definitions(corpus_cells):
         fac = build_factorization(g, p, bases=bases)
         ws = fac.transcripts
         ends = [(w.head, sum(g.edges[w.edge]) - w.head) for w in ws]  # (head, tail)
-        a = [[int(w.alice == alice_choice(x, fac.variant) and head in x and tail not in x) for w, (head, tail) in zip(ws, ends)]
+        a = [[i for i, (w, (head, tail)) in enumerate(zip(ws, ends))
+              if w.alice == alice_choice(x, fac.variant) and head in x and tail not in x]
              for x in fac.rows]
-        assert [list(row) for row in fac.a_rows()] == a, (name, p)
+        assert list(fac.a_rows()) == a, (name, p)
         for j, basis in enumerate(bases):
             edges = [g.edges[e] for e in basis]
             heads = {alice: dict(zip(basis, bob_orientation(edges, protocol_targets(g.n, p, alice)).heads))
