@@ -22,8 +22,8 @@ _MODULES = {
         "InfeasibleOrientationError", "InstanceError",
     ),
     "factorization": (
-        "Factorization", "Transcript", "build_factorization",
-        "enumerate_rows", "enumerate_transcripts", "slack_matrix", "slack_value", "verify_factorization",
+        "Factorization", "build_factorization", "enumerate_rows", "slack_matrix", "slack_value",
+        "verify_factorization",
     ),
     "graphs": (
         "Graph", "SparsityParams", "induced_edges", "load_graph", "load_graph_file",

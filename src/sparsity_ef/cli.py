@@ -227,16 +227,16 @@ def cmd_slack(args) -> int:
 
 
 def cmd_factorize(args) -> int:
-    from .factorization import build_factorization, factor_csvs, slack_matrix_csv, verify_factorization
-    from .protocol import resolve_variant
+    from .factorization import build_factorization, factor_csvs, row_count, slack_matrix_csv, verify_factorization
+    from .protocol import resolve_variant, transcript_count
 
     g, p = _load_instance(args)
     variant = resolve_variant(p, args.variant)
     bases = _bases_for_rows(g, p, args)
     fac = build_factorization(g, p, variant, bases=bases)
     print(f"variant: {variant}")
-    print(f"slack matrix: {len(fac.rows)}x{len(fac.cols)}")
-    print(f"transcripts: {len(fac.transcripts)}")
+    print(f"slack matrix: {row_count(g.n)}x{len(fac.cols)}")
+    print(f"transcripts: {transcript_count(g, variant)}")
     verify_factorization(fac)
     print("verified: yes")
     if args.out:
@@ -264,7 +264,7 @@ def cmd_emit(args) -> int:
     # checked before the .ine is written, so a refused or failed --verify writes nothing
     report = verify_extension(fac) if args.verify else None
     _write(args.out, format_ine(fac))
-    equalities, inequalities = ine_size(fac)
+    equalities, inequalities = ine_size(g, p, variant)
     print(f"wrote {args.out} ({equalities} equalities + {inequalities} inequalities)")
     if report is not None:
         print(json.dumps(report, indent=2, sort_keys=True))

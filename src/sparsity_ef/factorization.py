@@ -1,50 +1,50 @@
 """Slack matrix of the base polytope and its protocol-induced factorization.
 
 Rows of the slack matrix are the counting inequalities indexed by vertex
-sets X with 2 <= |X| <= n-1 (the full-set row is the global equality and
-singletons are dominated, so neither appears); columns are the bases in
-lexicographic edge-index order.  Entry: k|X| - l - |F ∩ E(X)|, a
-non-negative integer.
+sets X with 2 <= |X| <= n-1, 2^n - n - 2 of them in lexicographic order
+(the full-set row is the global equality and singletons are dominated,
+so neither appears); columns are the bases in lexicographic edge-index
+order.  Entry: k|X| - l - |F ∩ E(X)|, a non-negative integer.
 
 A transcript is one full protocol round: Alice's announced vertices plus
-Bob's announced directed edge.  Transcripts are indexed lexicographically
-by (alice vertices, edge index, head flag), where flag 0 points the edge
-at its higher endpoint and flag 1 at its lower; there are 2|E| of them
-per announcement (``protocol.announcements``), so 2n|E| for variant A
-and 2n(n-1)|E| for variant B.  Transcript (alice, e, flag) has index
-2|E| i + 2e + flag, where i is alice's position in ``announcements``.
-The protocol's factors are two 0/1 incidence matrices,
+Bob's announced directed edge.  Transcript (alice, e, flag), where flag
+0 heads edge e at its higher endpoint and flag 1 at its lower, has index
+2|E| i + 2e + flag, i being alice's position in ``announcements``; its
+T.csv and U.csv label is read off that rule.  ``transcript_count`` gives
+|W|, 2n|E| for variant A and 2n(n-1)|E| for variant B.  The protocol's
+factors are two 0/1 incidence matrices,
 
     A[X][w] = [alice(w) = alice_choice(X)] * [w's edge enters X]
     B[w][F] = [w's directed edge appears in Bob's orientation of F for alice(w)]
 
 and S = A @ B exactly: (A @ B)[X][F] counts the edges of F's orientation
 that enter X.  Every basis has |F| = c = k n - l >= 1 edges, and the
-nonnegative factorization of the lift is T = c * A and U = B / c.  B is
-stored as ``bytearray`` rows, nonnegative by type.  A row of A is its
-support, the ascending transcripts it charges, one per edge entering X;
-``Factorization.a_rows`` builds each from X alone in O(|E|) as a reader
-reaches it.  T and U exist only where ``sparse_renderer`` writes them
-from supports, as the exact 'p' or 'p/q' entries of T.csv and U.csv and
-as ``.ine`` coefficients.  Nothing holds the slack matrix:
-``slack_matrix`` yields it one row at a time, and S.csv is written as
-the rows are computed.  What its rows are computed from, the bases and their incidence packed
-by ``_overlaps`` (2|E| bytes per basis at one-byte fields), is bounded
-only by the basis-enumeration guard, as in every command that
-enumerates bases.
+nonnegative factorization of the lift is T = c * A and U = B / c.  A
+``Factorization`` holds only the bases and B, as ``bytearray`` rows,
+nonnegative by type; rows, transcripts and A are rules.  A row of A is
+its support, the ascending transcripts it charges, one per edge entering
+X; ``Factorization.a_rows`` yields each X with its support, built in
+O(|E|) as a reader reaches it.  T and U exist only where
+``sparse_renderer`` writes them from supports, as the exact 'p' or 'p/q'
+entries of T.csv and U.csv and as ``.ine`` coefficients.  Nothing holds
+S: ``slack_matrix`` yields it one row at a time, and S.csv is written as
+the rows are computed, from the bases and their incidence packed by
+``_incidence`` (2|E| bytes per basis at one-byte fields), which only
+the basis-enumeration guard bounds, as in every command that enumerates.
 
 ``verify_factorization`` checks every basis lift on each equality row
-of the lifted system and never builds S.  A row over the bases packs
-into one int whose little-endian fields of f bytes hold its entries,
-built from a strided ``bytearray``.  Row X's left side packs to
-packed(|F ∩ E(X)|) plus packed(B[w]) for each w in X's support, and is
-compared with (k|X| - l) * packed(1, ..., 1).  A support must be
-strictly ascending in [0, |W|) with at most |E| indices, so f holds k n
-and the largest possible left side, |E| times one plus the largest
-entry of B: no field carries, and two packed rows are equal exactly
-when their entries are.  |E| <= 120 for the n <= 16 that rows allow, so
-f is one byte while B is 0/1 and k n < 256.  Entries are unpacked only
-to name a failure.
+of the lifted system and never builds S.  It walks the row rule beside
+``a_rows``, so a row of A that is missing, extra, repeated, out of order
+or for another X is refused without a list of rows.  A row over the
+bases packs into one int whose little-endian fields of f bytes hold its
+entries.  Row X's left side packs to packed(|F ∩ E(X)|) plus
+packed(B[w]) for each w in X's support, and is compared with
+(k|X| - l) * packed(1, ..., 1).  A support must be strictly ascending in
+[0, |W|) with at most |E| indices, so f holds k n and the largest
+possible left side, |E| times one plus the largest entry of B: no field
+carries, and two packed rows are equal exactly when their entries are.
+|E| <= 120 for the n <= 16 that rows allow, so f is one byte while B is
+0/1 and k n < 256.  Entries are unpacked only to name a failure.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import EnumerationGuardError, InfeasibleLiftedPointError
 from .graphs import Graph, SparsityParams, induced_edges, validate_instance
-from .protocol import alice_choice, announcements, bob_orientation, protocol_targets, resolve_variant
+from .protocol import alice_choice, announcements, bob_orientation, protocol_targets, resolve_variant, transcript_count
 from .sparsity import Basis, enumerate_bases
 
 MAX_ROW_ENUM_N = 16
@@ -65,12 +65,6 @@ MAX_MATRIX_BYTES = 2**30  # build_U refuses B estimated beyond this; no code hol
 # per entry of B: its byte, then the byte of its field when verify_factorization
 # packs it (fields are one byte wide, module docstring)
 B_ENTRY_BYTES = 2
-
-
-class Transcript(NamedTuple):
-    alice: tuple[int, ...]
-    edge: int
-    head: int
 
 
 def render_rational(value) -> str:
@@ -86,15 +80,29 @@ def check_row_count(g: Graph) -> None:
         )
 
 
+def row_count(n: int) -> int:
+    """2^n - n - 2, the number of X with 2 <= |X| <= n-1."""
+    return 2**n - n - 2
+
+
+def _rows(n: int) -> Iterator[tuple[int, ...]]:
+    """Every X with 2 <= |X| <= n-1 as a sorted tuple, in lexicographic order: a preorder walk of the subsets."""
+    x = [0]
+    while len(x) > 1 or x[0] < n - 1:
+        if x[-1] < n - 1:
+            x.append(x[-1] + 1)
+        else:
+            x.pop()
+            x[-1] += 1
+        if 2 <= len(x) < n:
+            yield tuple(x)
+
+
 def enumerate_rows(g: Graph, p: SparsityParams) -> list[tuple[int, ...]]:
     """All X with 2 <= |X| <= n-1 as sorted tuples, in lexicographic order."""
     validate_instance(g, p)
     check_row_count(g)
-    rows = []
-    for size in range(2, g.n):
-        rows.extend(itertools.combinations(range(g.n), size))
-    rows.sort()
-    return rows
+    return list(_rows(g.n))
 
 
 def slack_value(g: Graph, p: SparsityParams, x_set: Iterable[int], basis: Iterable[int]) -> int:
@@ -105,19 +113,13 @@ def slack_value(g: Graph, p: SparsityParams, x_set: Iterable[int], basis: Iterab
     return p.k * len(members) - p.ell - overlap
 
 
-def _overlaps(g: Graph, rows: Sequence[tuple[int, ...]], cols: Sequence[Basis], width: int) -> Iterator[int]:
-    """Each row's |F ∩ E(X)| over the bases F, packed in fields of ``width`` bytes.
-
-    Each edge's incidence over the bases is packed once, so a row is one
-    sum over E(X); no field carries while |E| < 256**width.
-    """
+def _incidence(g: Graph, cols: Sequence[Basis], width: int) -> list[int]:
+    """Each edge's incidence over the bases, in fields of ``width`` bytes: row X's |F ∩ E(X)| is a sum over E(X)."""
     incidence = [bytearray(len(cols) * width) for _ in g.edges]
     for j, basis in enumerate(cols):
         for e in basis:
             incidence[e][j * width] = 1
-    packed = [int.from_bytes(column, "little") for column in incidence]
-    for x in rows:
-        yield sum([packed[e] for e in induced_edges(g, x)])
+    return [int.from_bytes(column, "little") for column in incidence]
 
 
 def slack_matrix(
@@ -132,28 +134,18 @@ def slack_matrix(
     """
     rows = enumerate_rows(g, p)
     cols = enumerate_bases(g, p) if bases is None else list(bases)
+    packed = _incidence(g, cols, 1)
 
     def entries():
-        for x, overlaps in zip(rows, _overlaps(g, rows, cols, 1)):
+        for x in rows:
             rhs = p.k * len(x) - p.ell
+            overlaps = sum([packed[e] for e in induced_edges(g, x)])
             yield [rhs - overlap for overlap in overlaps.to_bytes(len(cols), "little")]
 
     return entries()
 
 
-def enumerate_transcripts(g: Graph, variant: str) -> tuple[Transcript, ...]:
-    """Lexicographic over (alice vertices, edge index, head flag): transcript 2|E| i + 2e + flag (module docstring)."""
-    return tuple(Transcript(alice, e, head) for alice in announcements(g.n, variant)
-                 for e, (u, v) in enumerate(g.edges) for head in (v, u))  # flag 0 heads e high, flag 1 low
-
-
-def build_U(
-    g: Graph,
-    p: SparsityParams,
-    variant: str,
-    cols: Sequence[Basis],
-    transcripts: Sequence[Transcript],
-) -> list[bytearray]:
+def build_U(g: Graph, p: SparsityParams, variant: str, cols: Sequence[Basis]) -> list[bytearray]:
     """B = c * U as |W| x |cols| 0/1 rows of bytes.
 
     First refuses (EnumerationGuardError) an instance whose B and its rows
@@ -162,14 +154,15 @@ def build_U(
     the bases are the outer loop, and each basis's edges go to
     ``bob_orientation`` once per announcement.
     """
-    estimate = B_ENTRY_BYTES * len(cols) * len(transcripts)
+    w = transcript_count(g, variant)
+    estimate = B_ENTRY_BYTES * len(cols) * w
     if estimate > MAX_MATRIX_BYTES:
         raise EnumerationGuardError(
             f"B for {len(cols)} bases would take about {estimate} bytes, beyond the memory guard of {MAX_MATRIX_BYTES}"
         )
     # announcement i's transcript (e, flag) is 2|E| i + 2e + flag (module docstring)
     targets = [(2 * g.edge_count * i, protocol_targets(g.n, p, a)) for i, a in enumerate(announcements(g.n, variant))]
-    b = [bytearray(len(cols)) for _ in transcripts]
+    b = [bytearray(len(cols)) for _ in range(w)]
     for j, basis in enumerate(cols):
         edges = tuple(g.edges[e] for e in basis)
         for offset, m in targets:
@@ -179,17 +172,15 @@ def build_U(
 
 
 class Factorization(NamedTuple):
-    """S = A @ B, that is S = T @ U with T = c * A and U = B / c; B is a list of byte rows, A is built by ``a_rows``.
+    """S = A @ B, that is S = T @ U with T = c * A and U = B / c; B is a list of byte rows over the bases ``cols``.
 
-    A and the rows fix the lifted system that ``lifted.format_ine`` emits;
-    the columns of B only certify that each basis in ``cols`` lifts.
+    Rows, transcripts and A (``a_rows``) are rules of the instance and variant that fix the lifted system
+    ``lifted.format_ine`` emits; the columns of B only certify that each basis in ``cols`` lifts.
     """
 
     graph: Graph
     params: SparsityParams
     variant: str
-    transcripts: tuple[Transcript, ...]
-    rows: tuple[tuple[int, ...], ...]
     cols: tuple[Basis, ...]
     B: list[bytearray]
 
@@ -198,8 +189,8 @@ class Factorization(NamedTuple):
         """k n - l, the size of every basis and the scale of T = c * A and U = B / c."""
         return self.params.k * self.graph.n - self.params.ell
 
-    def a_rows(self) -> Iterator[list[int]]:
-        """A = T / c as the support of each counting row, in ``rows`` order, each built as it is taken.
+    def a_rows(self) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+        """Each counting row X with its support in A = T / c, in ``enumerate_rows`` order, built as it is taken.
 
         Row X charges, for each edge e = (u, v) that enters X, the transcript
         offset + 2e + [u in X] of Alice's announcement for X, which heads e
@@ -207,9 +198,11 @@ class Factorization(NamedTuple):
         """
         g = self.graph
         offsets = {alice: 2 * g.edge_count * i for i, alice in enumerate(announcements(g.n, self.variant))}
-        for x in map(frozenset, self.rows):
+        for x in _rows(g.n):
+            members = frozenset(x)
             offset = offsets[alice_choice(x, self.variant)]
-            yield [offset + 2 * e + (u in x) for e, (u, v) in enumerate(g.edges) if (u in x) != (v in x)]
+            yield x, [offset + 2 * e + (u in members)
+                      for e, (u, v) in enumerate(g.edges) if (u in members) != (v in members)]
 
 
 def build_factorization(
@@ -223,21 +216,13 @@ def build_factorization(
 
     ``bases=None`` enumerates every basis; ``bases=()`` gives the
     factorization over no bases, which is the lifted system without its
-    certificate: rows and transcripts, and no basis is oriented.
+    certificate: no basis is oriented.
     """
     variant = resolve_variant(p, variant)
-    rows = enumerate_rows(g, p)
+    validate_instance(g, p)
+    check_row_count(g)
     cols = enumerate_bases(g, p) if bases is None else list(bases)
-    transcripts = enumerate_transcripts(g, variant)
-    return Factorization(
-        graph=g,
-        params=p,
-        variant=variant,
-        transcripts=transcripts,
-        rows=tuple(rows),
-        cols=tuple(cols),
-        B=build_U(g, p, variant, cols, transcripts),
-    )
+    return Factorization(graph=g, params=p, variant=variant, cols=tuple(cols), B=build_U(g, p, variant, cols))
 
 
 def _pack(row: bytes, width: int) -> int:
@@ -255,11 +240,12 @@ def verify_factorization(fac: Factorization) -> None:
     |F| = c.  Raises InfeasibleLiftedPointError on the first failure,
     rows in row-major order before the global row, naming the basis and
     the row with its residual, which on row X is (A @ B - S)[X][F].
-    Factors of the wrong shape, rows of B that are not bytes, and a row
-    of A that is not a support (module docstring) are a bug and raise TypeError.
+    Factors of the wrong shape, rows of B that are not bytes, rows of A
+    that are not the rows X in ``enumerate_rows`` order, and a row of A
+    that is not a support (module docstring) are a bug and raise TypeError.
     """
     g, p = fac.graph, fac.params
-    ncols, w, m = len(fac.cols), len(fac.transcripts), g.edge_count
+    ncols, w, m = len(fac.cols), transcript_count(g, fac.variant), g.edge_count
     if len(fac.B) != w or not all(isinstance(row, (bytes, bytearray)) and len(row) == ncols for row in fac.B):
         raise TypeError(f"B must be {w}x{ncols} rows of bytes")
 
@@ -267,14 +253,16 @@ def verify_factorization(fac: Factorization) -> None:
     top_b = 255 if any(row.translate(None, b"\x00\x01") for row in fac.B) else 1
     width = max(1, max(m * (top_b + 1), p.k * g.n).bit_length() + 7 >> 3)
     packed_b = [_pack(row, width) for row in fac.B]
+    incidence = _incidence(g, fac.cols, width)
     ones = _pack(b"\x01" * ncols, width)
-    for x, support, overlaps in itertools.zip_longest(fac.rows, fac.a_rows(), _overlaps(g, fac.rows, fac.cols, width)):
-        if x is None or support is None:
-            raise TypeError(f"A must have {len(fac.rows)} rows")
+    for r, (due, row) in enumerate(itertools.zip_longest(_rows(g.n), fac.a_rows())):
+        x, support = row or (None, None)
+        if x != due:
+            raise TypeError(f"A must give the rows X in enumerate_rows order: row {r} is X={x}, not X={due}")
         bounded = [-1, *support, w]  # -1 < first < ... < last < |W|
         if len(bounded) > m + 2 or not all(map(operator.lt, bounded, bounded[1:])):
             raise TypeError(f"A row X={x} must be ascending transcript indices in [0, {w}), at most {m} of them")
-        lhs = overlaps + sum([packed_b[i] for i in bounded[1:-1]])
+        lhs = sum([incidence[e] for e in induced_edges(g, x)]) + sum([packed_b[i] for i in bounded[1:-1]])
         rhs = p.k * len(x) - p.ell
         if lhs != rhs * ones:
             fields = lhs.to_bytes(ncols * width, "little")
@@ -310,15 +298,15 @@ def sparse_renderer(width: int, sep: str) -> Callable[[Iterable[int], str], str]
     return render
 
 
-def format_matrix_csv(row_labels: Iterable[str], col_labels: Iterable[str], rendered: Iterable[str]) -> Iterator[str]:
-    """Matrix dump, line by line: a header of column labels, then each label and its row's comma-led entries.
+def format_matrix_csv(col_labels: Iterable[str], rows: Iterable[tuple[str, str]]) -> Iterator[str]:
+    """Matrix dump, line by line: a header of column labels, then each (label, comma-led entries) row.
 
     Column labels are joined 1,024 at a time, so an iterator of them is never held whole.
     """
     labels = iter(col_labels)
     runs = iter(lambda: ",".join(itertools.islice(labels, 1024)), "")  # no label is empty
     yield "," + ",".join(runs) + "\n"
-    for label, row in zip(row_labels, rendered):
+    for label, row in rows:
         yield label + row + "\n"
 
 
@@ -326,19 +314,26 @@ def slack_matrix_csv(g: Graph, p: SparsityParams, bases: Sequence[Basis]) -> Ite
     """CSV dump of S over the bases, line by line, each row rendered as ``slack_matrix`` yields it."""
     text = functools.cache(lambda value: "," + render_rational(value))  # each distinct entry is rendered once
     return format_matrix_csv(
-        (_label("X:", x) for x in enumerate_rows(g, p)),
         (_label("F:", f) for f in bases),
-        ("".join(map(text, row)) for row in slack_matrix(g, p, bases=bases)),
+        ((_label("X:", x), "".join(map(text, row))) for x, row in zip(_rows(g.n), slack_matrix(g, p, bases=bases))),
     )
+
+
+def _transcript_labels(g: Graph, variant: str) -> Iterator[str]:
+    """'a0[+a1]/e<idx>h<head>' for each transcript, in index order 2|E| i + 2e + flag (module docstring)."""
+    return (_label("", alice) + f"/e{e}h{head}" for alice in announcements(g.n, variant)
+            for e, (u, v) in enumerate(g.edges) for head in (v, u))  # flag 0 heads e high, flag 1 low
 
 
 def factor_csvs(fac: Factorization) -> tuple[Iterator[str], Iterator[str]]:
     """CSV dumps of (T, U) = (c * A, B / c), line by line, with transcript labels 'a0[+a1]/e<idx>h<head>'."""
-    w_labels = [_label("", w.alice) + f"/e{w.edge}h{w.head}" for w in fac.transcripts]
-    t_row, u_row, cols = sparse_renderer(len(w_labels), ","), sparse_renderer(len(fac.cols), ","), range(len(fac.cols))
+    g, cols = fac.graph, range(len(fac.cols))
+    t_row, u_row = sparse_renderer(transcript_count(g, fac.variant), ","), sparse_renderer(len(cols), ",")
     c, c_inverse = render_rational(fac.c), render_rational(Fraction(1, fac.c))  # B is 0/1: U is 1/c where B is 1
     return (
-        format_matrix_csv((_label("X:", x) for x in fac.rows), w_labels, (t_row(s, c) for s in fac.a_rows())),
-        format_matrix_csv(w_labels, (_label("F:", f) for f in fac.cols),
-                          (u_row(itertools.compress(cols, row), c_inverse) for row in fac.B)),
+        format_matrix_csv(_transcript_labels(g, fac.variant),
+                          ((_label("X:", x), t_row(s, c)) for x, s in fac.a_rows())),
+        format_matrix_csv((_label("F:", f) for f in fac.cols),
+                          zip(_transcript_labels(g, fac.variant),
+                              (u_row(itertools.compress(cols, row), c_inverse) for row in fac.B))),
     )

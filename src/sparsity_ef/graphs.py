@@ -102,7 +102,7 @@ def load_graph(text: str) -> Graph:
     """Parse the graph JSON format {"n": int, "edges": [[u,v], ...]}."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses once per nested array or object
         raise GraphError(f"malformed JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise GraphError("graph document must be a JSON object")

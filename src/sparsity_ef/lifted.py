@@ -45,9 +45,9 @@ import itertools
 from typing import Iterator
 
 from .errors import EmptyPolytopeError, InfeasibleLiftedPointError  # both are re-exported
-from .factorization import Factorization, render_rational, sparse_renderer, verify_factorization
+from .factorization import Factorization, render_rational, row_count, sparse_renderer, verify_factorization
 from .graphs import Graph, SparsityParams, induced_edges
-from .protocol import ANNOUNCED, bit_complexity
+from .protocol import ANNOUNCED, bit_complexity, transcript_count
 from .sparsity import require_basis
 
 
@@ -56,10 +56,9 @@ def upper_bound_count(g: Graph, p: SparsityParams) -> int:
     return g.edge_count if 2 * p.k - p.ell >= 2 else 0
 
 
-def ine_size(fac: Factorization) -> tuple[int, int]:
-    """(equalities, inequalities) of the lifted system: rows + global, then bounds on x and y."""
-    g = fac.graph
-    return len(fac.rows) + 1, g.edge_count + len(fac.transcripts) + upper_bound_count(g, fac.params)
+def ine_size(g: Graph, p: SparsityParams, variant: str) -> tuple[int, int]:
+    """(equalities, inequalities) of the lifted system in closed form: rows + global, then bounds on x and y."""
+    return row_count(g.n) + 1, g.edge_count + transcript_count(g, variant) + upper_bound_count(g, p)
 
 
 def verify_extension(fac: Factorization) -> dict:
@@ -78,9 +77,8 @@ def verify_extension(fac: Factorization) -> dict:
         raise ValueError("the factorization has no bases, so it certifies no lift")
     verify_factorization(fac)
 
-    n, m = g.n, g.edge_count
-    w = len(fac.transcripts)
-    equality_count, inequality_count = ine_size(fac)
+    n, m, w = g.n, g.edge_count, transcript_count(g, fac.variant)
+    equality_count, inequality_count = ine_size(g, p, fac.variant)
     bits = bit_complexity(g, fac.variant)
     return {
         "instance": {"n": n, "edge_count": m, "k": p.k, "ell": p.ell},
@@ -117,14 +115,14 @@ def format_ine(fac: Factorization) -> Iterator[str]:
     row of A, are built as its line is taken, and dropped after it.
     """
     g, p = fac.graph, fac.params
-    m, w = g.edge_count, len(fac.transcripts)
+    m, w = g.edge_count, transcript_count(g, fac.variant)
     d = m + w
-    n_eq, n_ineq = ine_size(fac)
+    n_eq, n_ineq = ine_size(g, p, fac.variant)
     on_x, on_y, on_z = sparse_renderer(m, " "), sparse_renderer(w, " "), sparse_renderer(d, " ")
     minus_c = render_rational(-fac.c)  # the coefficient of y_w is -T[X][w], -c on X's support
     counting = (
         render_rational(p.k * len(x) - p.ell) + on_x(sorted(induced_edges(g, x)), "-1") + on_y(support, minus_c)
-        for x, support in zip(fac.rows, fac.a_rows())
+        for x, support in fac.a_rows()
     )
     global_row = render_rational(fac.c) + on_x(range(m), "-1") + on_y((), "")
 

@@ -2,7 +2,7 @@
 
 An in-degree vector m is realizable on (V, F) iff |F| = sum(m) and
 |F(X)| <= sum_{v in X} m(v) for every X ⊆ V (Hakimi's theorem).
-``orient_with_targets`` decides it and builds the orientation with the
+``pebble_orientation`` decides it and builds the orientation with the
 pebble game of ``sparsity.PebbleGame``, the package's one path-reversal
 routine: every vertex v gets a budget of m(v) pebbles, l = 0, and the
 edges of F are inserted in the order given.  A pebble game leaves every
@@ -65,10 +65,14 @@ def _check_inputs(n: int, edges: Sequence[tuple[int, int]], targets: Sequence[in
         raise ValueError("repeated edge pair: parallel edges are not supported")
 
 
-def orient_with_targets(
-    n: int, edges: Sequence[tuple[int, int]], targets: Sequence[int]
-) -> Orientation:
-    """Orient the edges so that the in-degree vector equals targets, by the pebble game.
+def orient_with_targets(n: int, edges: Sequence[tuple[int, int]], targets: Sequence[int]) -> Orientation:
+    """Orient the edges so that the in-degree vector equals targets: ``pebble_orientation`` on checked inputs."""
+    _check_inputs(n, edges, targets)
+    return pebble_orientation(tuple(map(tuple, edges)), targets)
+
+
+def pebble_orientation(edges: tuple[tuple[int, int], ...], targets: Sequence[int]) -> Orientation:
+    """Orient the edges, already checked, so that the in-degree vector equals targets, by the pebble game.
 
     Each vertex v starts with targets[v] pebbles, and the edges are
     inserted in the order given with l = 0; each edge is headed at the
@@ -78,8 +82,6 @@ def orient_with_targets(
     the targets(X) edges paid for from X lie in F(X), as does uv, and
     |F(X)| > targets(X); X is raised as the witness.
     """
-    _check_inputs(n, edges, targets)
-    edges = tuple(map(tuple, edges))
     total = sum(targets)
     if len(edges) != total:
         raise InfeasibleOrientationError(
@@ -97,5 +99,4 @@ def orient_with_targets(
             )
     out = game.out
     heads = tuple(u if v in out[u] else v for u, v in edges)
-    return Orientation(n=n, edges=edges, heads=heads)
-
+    return Orientation(n=len(targets), edges=edges, heads=heads)

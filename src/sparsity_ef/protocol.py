@@ -21,7 +21,7 @@ maps 'auto' to A there.  Everything else follows from the count:
   deficit l, which the announced vertices take in order, up to k each:
   k - l at x in A, 0 at x and 2k - l at y in B;
 * there are 2|E| transcripts per announcement (an edge and its head),
-  so 2n|E| for A and 2n(n-1)|E| for B;
+  so 2n|E| for A and 2n(n-1)|E| for B (``transcript_count``);
 * a round exchanges count * bits(n-1) + bits(|E|-1) + 1 bits, where
   bits(m) is the bit length of m (``bit_complexity``);
 * the size bound that ``lifted.verify_extension`` reports for the
@@ -29,8 +29,8 @@ maps 'auto' to A there.  Everything else follows from the count:
   and O(|V|^2|E|) for B.
 
 Bob has one entry point, ``bob_orientation(edges, targets)``, the
-orientation module's game on F's edges in index order, called by each
-public round here and by ``factorization.build_U``.  By the paper's
+orientation module's game, unchecked, on F's edges in index order, called
+by each public round here and by ``factorization.build_U``.  By the paper's
 lemma every basis meets every announcement's targets, so a refusal is a
 bug, raised as RuntimeError ("internal consistency failure: ...").
 
@@ -46,12 +46,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import sqrt
+from math import perm, sqrt
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InfeasibleOrientationError
 from .graphs import Graph, SparsityParams, validate_instance
-from .orientation import Orientation, orient_with_targets
+from .orientation import Orientation, pebble_orientation
 from .sparsity import Basis, is_tight
 
 VARIANT_A, VARIANT_B = "A", "B"
@@ -96,6 +96,11 @@ def announcements(n: int, variant: str) -> list[tuple[int, ...]]:
     return list(itertools.permutations(range(n), _count(variant)))
 
 
+def transcript_count(g: Graph, variant: str) -> int:
+    """|W| = 2|E| P(n, count): an edge and its head for each announcement."""
+    return 2 * g.edge_count * perm(g.n, _count(variant))
+
+
 def alice_choice(x_set: Iterable[int], variant: str) -> tuple[int, ...]:
     """Alice's announcement for X: its ``ANNOUNCED[variant]`` smallest vertices, in increasing order."""
     count = _count(variant)
@@ -131,10 +136,10 @@ def protocol_targets(n: int, p: SparsityParams, announced: Sequence[int]) -> tup
     return tuple(m)
 
 
-def bob_orientation(edges: Sequence[tuple[int, int]], targets: Sequence[int]) -> Orientation:
-    """Bob's orientation of a basis, its edges in index order, for an announcement's targets; a refusal is a bug."""
+def bob_orientation(edges: tuple[tuple[int, int], ...], targets: Sequence[int]) -> Orientation:
+    """Bob's orientation of a basis (edges in index order) for announced targets: unchecked; a refusal is a bug."""
     try:
-        return orient_with_targets(len(targets), edges, targets)
+        return pebble_orientation(edges, targets)
     except InfeasibleOrientationError as exc:
         raise RuntimeError(f"internal consistency failure: orientation of a basis was refused ({exc})") from exc
 
@@ -152,7 +157,7 @@ def _oriented_round(
     b = tuple(sorted(set(basis)))
     if not is_tight(g, p, b):
         raise ValueError("the edge set is not a basis (not tight for these parameters)")
-    return members, b, bob_orientation([g.edges[i] for i in b], protocol_targets(g.n, p, alice))
+    return members, b, bob_orientation(tuple(g.edges[i] for i in b), protocol_targets(g.n, p, alice))
 
 
 def _entering_flags(orientation: Orientation, members: frozenset[int]) -> list[int]:

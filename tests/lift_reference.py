@@ -21,6 +21,7 @@ from sparsity_ef import factorization
 from sparsity_ef.errors import InfeasibleLiftedPointError
 from sparsity_ef.factorization import Factorization
 from sparsity_ef.graphs import Graph, SparsityParams, induced_edges
+from sparsity_ef.protocol import transcript_count
 
 
 class LiftedPoint(NamedTuple):
@@ -33,34 +34,33 @@ def lift_vertex(fac: Factorization, basis) -> LiftedPoint:
     basis = tuple(sorted(basis))
     in_basis = set(basis)
     x = tuple(Fraction(1 if i in in_basis else 0) for i in range(fac.graph.edge_count))
-    column = factorization.build_U(fac.graph, fac.params, fac.variant, [basis], fac.transcripts)
+    column = factorization.build_U(fac.graph, fac.params, fac.variant, [basis])
     return LiftedPoint(x=x, y=tuple(Fraction(row[0], fac.c) for row in column))
 
 
-def equality_residuals(fac: Factorization, point: LiftedPoint) -> list[Fraction]:
-    """Left-hand side minus right-hand side for each row equality, then the global one."""
+def equality_residuals(fac: Factorization, point: LiftedPoint) -> list[tuple[str, Fraction]]:
+    """Each row equality's name and left-hand side minus right-hand side, then the global one's."""
     p = fac.params
     residuals = []
-    for x_set, support in zip(fac.rows, fac.a_rows()):  # T = c * A
+    for x_set, support in fac.a_rows():  # T = c * A
         a_row = [support.count(w) for w in range(len(point.y))]
         acc = sum((point.x[i] for i in induced_edges(fac.graph, x_set)), Fraction(0))
         acc += sum((fac.c * a * yw for a, yw in zip(a_row, point.y) if a), Fraction(0))
-        residuals.append(acc - (p.k * len(x_set) - p.ell))
-    residuals.append(sum(point.x, Fraction(0)) - fac.c)
+        residuals.append((f"X={x_set}", acc - (p.k * len(x_set) - p.ell)))
+    residuals.append(("global", sum(point.x, Fraction(0)) - fac.c))
     return residuals
 
 
 def assert_in_lifted(fac: Factorization, point: LiftedPoint) -> None:
-    shape = (fac.graph.edge_count, len(fac.transcripts))
+    shape = (fac.graph.edge_count, transcript_count(fac.graph, fac.variant))
     if (len(point.x), len(point.y)) != shape:
         raise InfeasibleLiftedPointError(f"point has shape ({len(point.x)}, {len(point.y)}), expected {shape}")
     for name, values in (("x", point.x), ("y", point.y)):
         for i, v in enumerate(values):
             if v < 0:
                 raise InfeasibleLiftedPointError(f"{name}[{i}] = {v} < 0")
-    for idx, res in enumerate(equality_residuals(fac, point)):
+    for row, res in equality_residuals(fac, point):
         if res != 0:
-            row = "global" if idx == len(fac.rows) else f"X={fac.rows[idx]}"
             raise InfeasibleLiftedPointError(f"equality row {row} has residual {res}")
 
 

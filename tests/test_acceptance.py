@@ -27,6 +27,7 @@ from sparsity_ef.protocol import (
     monte_carlo,
     protocol_targets,
     resolve_variant,
+    transcript_count,
 )
 from sparsity_ef.lifted import verify_extension
 from sparsity_ef.sparsity import (
@@ -72,7 +73,7 @@ def test_c02_factorization_exactness(corpus_cells):
             if variant == "A"
             else 2 * g.n * (g.n - 1) * g.edge_count
         )
-        assert len(fac.transcripts) == expected_w, (name, p)
+        assert transcript_count(g, variant) == len(fac.B) == expected_w, (name, p)
         verify_factorization(fac)  # raises on the first lift that fails a row
         checked += 1
     _ok(2, "factorization exactness", f"{checked} instances, T@U = S exactly")

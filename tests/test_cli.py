@@ -66,10 +66,11 @@ def test_check_edge_pair_syntax(k3_path, capsys):
 
 def test_malformed_graph(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text("{oops")
-    code, _, err = run(["check", "--graph", str(path), "--k", "1", "--l", "1"], capsys)
-    assert code == 1
-    assert "malformed JSON" in err
+    for text in ("{oops", "[" * 100_000):  # the second nests past the decoder's recursion limit
+        path.write_text(text)
+        code, _, err = run(["check", "--graph", str(path), "--k", "1", "--l", "1"], capsys)
+        assert code == 1
+        assert err.startswith("error: malformed JSON")
 
 
 def test_bad_params(k3_path, capsys):
@@ -264,8 +265,8 @@ def corrupted_t(monkeypatch):
 
     def corrupted(self):
         rows = a_rows(self)
-        row = next(rows)
-        yield sorted([*row, next(w for w, b_row in enumerate(self.B) if any(b_row) and w not in row)])
+        x, row = next(rows)
+        yield x, sorted([*row, next(w for w, b_row in enumerate(self.B) if any(b_row) and w not in row)])
         yield from rows
 
     monkeypatch.setattr(factorization.Factorization, "a_rows", corrupted)
@@ -401,12 +402,38 @@ def test_factorize_mismatch_exits_2(k4_path, tmp_path, corrupted_t, capsys):
 def test_malformed_factorization_exits_2(k4_path, monkeypatch, capsys):
     """A support out of order can only come from a bug: exit 2, not exit 1."""
     a_rows = factorization.Factorization.a_rows
-    monkeypatch.setattr(factorization.Factorization, "a_rows", lambda self: (row[::-1] for row in a_rows(self)))
+
+    def reversed_supports(self):
+        return ((x, row[::-1]) for x, row in a_rows(self))
+
+    monkeypatch.setattr(factorization.Factorization, "a_rows", reversed_supports)
     base = ["--graph", k4_path, "--k", "2", "--l", "3"]
     message = "A row X=(0, 1) must be ascending transcript indices in [0, 144), at most 6 of them"
     for argv in (["verify", *base], ["factorize", *base]):
         code, _, err = run(argv, capsys)
         assert (code, err) == (2, f"error: internal failure: TypeError({message!r})\n"), argv
+
+
+# each misplaces row 3 of K4's ten rows X, keeping every support as a_rows gives it
+ROW_MUTATIONS = {
+    "dropped": (lambda rows: [*rows[:3], *rows[4:]], "row 3 is X=(0, 2, 3), not X=(0, 2)"),
+    "repeated": (lambda rows: [*rows[:4], *rows[3:]], "row 4 is X=(0, 2), not X=(0, 2, 3)"),
+    "swapped": (lambda rows: [*rows[:3], rows[4], rows[3], *rows[5:]], "row 3 is X=(0, 2, 3), not X=(0, 2)"),
+    "wrong-x": (lambda rows: [*rows[:3], ((1, 3), rows[3][1]), *rows[4:]], "row 3 is X=(1, 3), not X=(0, 2)"),
+}
+
+
+@pytest.mark.parametrize("mutation", list(ROW_MUTATIONS))
+def test_misplaced_row_of_a_exits_2(mutation, k4_path, tmp_path, monkeypatch, capsys):
+    """A row of A that is missing, repeated, out of order or for the wrong X is a bug: exit 2, and no .ine."""
+    mutate, wrong = ROW_MUTATIONS[mutation]
+    a_rows = factorization.Factorization.a_rows
+    monkeypatch.setattr(factorization.Factorization, "a_rows", lambda self: iter(mutate(list(a_rows(self)))))
+    message = f"A must give the rows X in enumerate_rows order: {wrong}"
+    base = ["--graph", k4_path, "--k", "2", "--l", "3"]
+    for argv in (["verify", *base], ["emit", *base, "--out", str(tmp_path / "x.ine"), "--verify"]):
+        assert run(argv, capsys) == (2, "", f"error: internal failure: TypeError({message!r})\n"), argv
+    assert not (tmp_path / "x.ine").exists()
 
 
 def test_verify_never_builds_the_slack_matrix(k4_path, tmp_path, monkeypatch, capsys):

@@ -7,15 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from sparsity_ef import factorization
+from sparsity_ef import factorization, lifted
 from sparsity_ef.errors import InfeasibleLiftedPointError
 from sparsity_ef.graphs import SparsityParams, make_graph
 from sparsity_ef.factorization import (
     Factorization,
     build_U,
     build_factorization,
+    _transcript_labels,
     enumerate_rows,
-    enumerate_transcripts,
     factor_csvs,
     slack_matrix,
     slack_matrix_csv,
@@ -24,7 +24,14 @@ from sparsity_ef.factorization import (
     verify_factorization,
 )
 from sparsity_ef.lifted import format_ine
-from sparsity_ef.protocol import alice_choice, bob_orientation, exact_expectation, protocol_targets
+from sparsity_ef.protocol import (
+    alice_choice,
+    announcements,
+    bob_orientation,
+    exact_expectation,
+    protocol_targets,
+    transcript_count,
+)
 from sparsity_ef.sparsity import EnumerationGuardError, enumerate_bases
 
 from conftest import complete_graph, path_graph, wheel_graph
@@ -74,20 +81,20 @@ def test_empty_family_gives_zero_columns():
 
 
 def test_transcript_counts_and_order():
-    ws = enumerate_transcripts(K3, "A")
-    assert len(ws) == 2 * 3 * 3
-    assert [w.alice for w in ws[:6]] == [(0,)] * 6
-    assert [(w.edge, w.head) for w in ws[:4]] == [(0, 1), (0, 0), (1, 2), (1, 0)]
-    wb = enumerate_transcripts(K4, "B")
-    assert len(wb) == 4 * 3 * 2 * 6 == 144
-    assert wb[0].alice == (0, 1)
+    ws = list(_transcript_labels(K3, "A"))
+    assert len(ws) == transcript_count(K3, "A") == 2 * 3 * 3
+    assert [w.split("/")[0] for w in ws[:6]] == ["0"] * 6
+    assert ws[:4] == ["0/e0h1", "0/e0h0", "0/e1h2", "0/e1h0"]
+    wb = list(_transcript_labels(K4, "B"))
+    assert len(wb) == transcript_count(K4, "B") == 4 * 3 * 2 * 6 == 144
+    assert wb[0] == "0+1/e0h1"
 
 
 def test_factorization_dimensions_and_entry_domains():
     """A is a support per row, B is 0/1 byte rows; T = c * A and U = B / c with c = 2 on K3 (1,1)."""
     fac = build_factorization(K3, P11, "A")
     assert fac.c == 2
-    a = list(fac.a_rows())
+    a = [support for _, support in fac.a_rows()]
     # each pair X has two entering edges, so two ones among the 18 transcripts
     assert len(a) == 3 and all(type(r) is list and len(r) == 2 and r == sorted(set(r)) for r in a)
     assert {w for row in a for w in row} <= set(range(18))
@@ -118,8 +125,8 @@ def test_fault_injection_detected():
     fac = build_factorization(K3, P11, "A")
     b = [row.copy() for row in fac.B]
     b[4][1] += fac.c  # U[4][1] += 1
-    i = next(i for i, a_row in enumerate(fac.a_rows()) if 4 in a_row)  # the first row that charges transcript 4
-    expected = f"basis {fac.cols[1]}: equality row X={fac.rows[i]} has residual {fac.c}"
+    x = next(x for x, a_row in fac.a_rows() if 4 in a_row)  # the first row that charges transcript 4
+    expected = f"basis {fac.cols[1]}: equality row X={x} has residual {fac.c}"
     with pytest.raises(InfeasibleLiftedPointError, match=f"^{re.escape(expected)}$"):
         verify_factorization(fac._replace(B=b))
 
@@ -151,7 +158,7 @@ def test_negative_entry_detected(monkeypatch):
     with pytest.raises(TypeError, match="rows of bytes"):
         verify_factorization(fac._replace(B=[list(row) for row in fac.B]))
     a = list(fac.a_rows())
-    a[0] = [-1, *a[0][1:]]
+    a[0] = a[0][0], [-1, *a[0][1][1:]]
     monkeypatch.setattr(Factorization, "a_rows", lambda self: iter(a))
     with pytest.raises(TypeError, match=re.escape("A row X=(0, 1) must be ascending transcript indices in [0, 18)")):
         verify_factorization(fac)
@@ -171,13 +178,13 @@ def test_packed_fields_hold_corrupted_entries():
     a = list(fac.a_rows())
 
     def first_row(w):
-        return next(i for i, a_row in enumerate(a) if w in a_row)
+        return next(x for x, a_row in a if w in a_row)
 
     w, j = next((w, j) for w, row in enumerate(fac.B) for j in range(len(row) - 1)
-                if row[j + 1] == 1 and any(w in a_row for a_row in a) and len(fac.rows[first_row(w)]) - 1 > row[j])
+                if row[j + 1] == 1 and any(w in a_row for _, a_row in a) and len(first_row(w)) - 1 > row[j])
     b = [row.copy() for row in fac.B]
     b[w][j], b[w][j + 1] = 255, 0
-    expected = f"basis {fac.cols[j]}: equality row X={fac.rows[first_row(w)]} has residual {255 - fac.B[w][j]}"
+    expected = f"basis {fac.cols[j]}: equality row X={first_row(w)} has residual {255 - fac.B[w][j]}"
     with pytest.raises(InfeasibleLiftedPointError, match=f"^{re.escape(expected)}$"):
         verify_factorization(fac._replace(B=b))
 
@@ -187,7 +194,7 @@ def test_memory_guard_threshold(monkeypatch):
     k8 = complete_graph(8)
     # each Laman graph on 7 vertices, with a new vertex joined to 2 of its 21 pairs, is one on 8
     with pytest.raises(EnumerationGuardError, match="memory guard"):  # K8 (2,3): about 25 GB
-        build_U(k8, P23, "B", [None] * (21 * 190491), enumerate_transcripts(k8, "B"))
+        build_U(k8, P23, "B", [None] * (21 * 190491))
 
     class Targeted(Exception):
         pass
@@ -199,7 +206,7 @@ def test_memory_guard_threshold(monkeypatch):
     # K8 (1,1) is estimated at 235 MB, K7 (2,3) at 672 MB
     for g, p, variant, bases in ((k8, P11, "A", 8**6), (complete_graph(7), P23, "B", 190491)):
         with pytest.raises(Targeted):  # passes the guard and reaches Bob's targets, made before any orientation
-            build_U(g, p, variant, [None] * bases, enumerate_transcripts(g, variant))
+            build_U(g, p, variant, [None] * bases)
 
 
 def test_build_u_computes_targets_once_per_announcement(monkeypatch):
@@ -240,17 +247,17 @@ def test_memory_guard_covers_traced_bytes(params, variant, monkeypatch):
     The orientations are made before tracing starts, which would slow them tenfold.
     """
     g = complete_graph(6)
-    bases, transcripts = enumerate_bases(g, params), enumerate_transcripts(g, variant)
+    bases, w = enumerate_bases(g, params), transcript_count(g, variant)
     monkeypatch.setattr(factorization, "bob_orientation", functools.cache(factorization.bob_orientation))
-    build_U(g, params, variant, bases, transcripts)
+    build_U(g, params, variant, bases)
 
     def b_and_packed():
-        b = build_U(g, params, variant, bases, transcripts)
+        b = build_U(g, params, variant, bases)
         return b, [factorization._pack(row, 1) for row in b]
 
     (b, packed), traced = _traced_bytes(b_and_packed)
-    assert len(packed) == len(b) == len(transcripts)
-    estimate = factorization.B_ENTRY_BYTES * len(bases) * len(transcripts)
+    assert len(packed) == len(b) == w
+    estimate = factorization.B_ENTRY_BYTES * len(bases) * w
     assert estimate >= traced, (estimate, traced)
 
 
@@ -275,11 +282,16 @@ def test_slack_csv_is_written_without_holding_s():
     assert peak < bound, (peak, bound)
 
 
-def test_a_rows_needs_every_announced_transcript():
-    """A row whose announcement has no transcripts is refused by every reader, not left as a zero row of T."""
+def test_a_rows_needs_every_announced_transcript(monkeypatch):
+    """A row whose announcement has no transcripts is refused by every reader, not left as a zero row of T.
+
+    Every reader takes |W| from ``transcript_count``, which is cut to the first half of the announcements.
+    """
     fac = build_factorization(K4, P11, "A", bases=())
-    half = len(fac.transcripts) // 2
-    cut = fac._replace(transcripts=fac.transcripts[:half], B=fac.B[:half])
+    half = transcript_count(K4, "A") // 2
+    for module in (factorization, lifted):
+        monkeypatch.setattr(module, "transcript_count", lambda g, variant: half)
+    cut = fac._replace(B=fac.B[:half])
     # X = {2, 3} announces vertex 2, dropped with the second half
     with pytest.raises(TypeError, match=re.escape(f"A row X=(2, 3) must be ascending transcript indices in [0, {half})")):
         verify_factorization(cut)
@@ -294,9 +306,11 @@ def test_dimension_mismatch_raises(monkeypatch):
     with pytest.raises(TypeError, match="B must be 18x2 rows of bytes"):
         verify_factorization(fac._replace(cols=fac.cols[:-1]))
     a = list(fac.a_rows())
-    for rows in (a[:-1], [*a, a[0]]):  # a wrong row count is a TypeError, never the ValueError of zip(strict=True)
+    order = "A must give the rows X in enumerate_rows order: "
+    # a wrong row count is a TypeError, never the ValueError of zip(strict=True)
+    for rows, wrong in ((a[:-1], "row 2 is X=None, not X=(1, 2)"), ([*a, a[0]], "row 3 is X=(0, 1), not X=None")):
         monkeypatch.setattr(Factorization, "a_rows", lambda self: iter(rows))
-        with pytest.raises(TypeError, match="^A must have 3 rows$"):
+        with pytest.raises(TypeError, match=f"^{re.escape(order + wrong)}$"):
             verify_factorization(fac)
 
 
@@ -308,8 +322,8 @@ def test_a_rows_must_be_0_1_with_at_most_e_ones(monkeypatch):
     """
     fac = build_factorization(K4, P11, "A")
     a = list(fac.a_rows())
-    last, w = a[-1], len(fac.transcripts)
-    assert len(last) == 4 and w == 48  # X = {2, 3}
+    (x, last), w = a[-1], len(fac.B)
+    assert len(last) == 4 and w == 48 and x == (2, 3)
     corrupted = (
         [last[0], *last],  # an entry of 2
         list(range(7)),  # 7 > |E| = 6 ones
@@ -319,8 +333,8 @@ def test_a_rows_must_be_0_1_with_at_most_e_ones(monkeypatch):
         [*last, w],  # |W| appended
     )
     for row in corrupted:
-        monkeypatch.setattr(Factorization, "a_rows", lambda self: iter([*a[:-1], row]))
-        expected = f"A row X={fac.rows[-1]} must be ascending transcript indices in [0, 48), at most 6 of them"
+        monkeypatch.setattr(Factorization, "a_rows", lambda self: iter([*a[:-1], (x, row)]))
+        expected = "A row X=(2, 3) must be ascending transcript indices in [0, 48), at most 6 of them"
         with pytest.raises(TypeError, match=f"^{re.escape(expected)}$"):
             verify_factorization(fac)
 
@@ -341,10 +355,9 @@ def test_product_matches_protocol_expectation():
     """T @ U recomputes the exact protocol expectation, route by route (T = c * A, U = B / c)."""
     for g, p, variant in [(K4, P11, "A"), (K4, P23, "B")]:
         fac = build_factorization(g, p, variant)
-        a = list(fac.a_rows())
-        for i, x in enumerate(fac.rows):
+        for x, support in fac.a_rows():
             for j, basis in enumerate(fac.cols):
-                cell = sum(fac.c * Fraction(fac.B[w][j], fac.c) for w in a[i])  # T[X][w] = c on the support
+                cell = sum(fac.c * Fraction(fac.B[w][j], fac.c) for w in support)  # T[X][w] = c on the support
                 assert cell == exact_expectation(g, p, variant, x, basis)
 
 
@@ -360,28 +373,35 @@ def test_product_equals_slack_matrix(corpus_cells):
     """A plain product A @ B equals slack_matrix's S on every cell, an S comparison no command makes."""
     for name, g, p, bases in corpus_cells:
         fac = build_factorization(g, p, bases=bases)
-        product = [[sum(fac.B[w][j] for w in support) for j in range(len(bases))] for support in fac.a_rows()]
+        product = [[sum(fac.B[w][j] for w in support) for j in range(len(bases))] for _, support in fac.a_rows()]
         assert product == list(slack_matrix(g, p, bases=bases)), (name, p)
 
 
 def test_a_and_b_follow_their_definitions(corpus_cells):
-    """a_rows and build_U match the module docstring's A and B entry by entry, read off each Transcript's fields.
+    """a_rows and build_U match the module docstring's A and B entry by entry, read off each transcript's fields.
 
-    This pins the transcript index 2|E| i + 2e + flag that both compute.
+    The transcripts (alice, edge, head) are listed here in the docstring's
+    lexicographic order, which pins the index 2|E| i + 2e + flag that
+    both compute, and the T.csv labels read off it.
     """
     for name, g, p, bases in corpus_cells:
         fac = build_factorization(g, p, bases=bases)
-        ws = fac.transcripts
-        ends = [(w.head, sum(g.edges[w.edge]) - w.head) for w in ws]  # (head, tail)
-        a = [[i for i, (w, (head, tail)) in enumerate(zip(ws, ends))
-              if w.alice == alice_choice(x, fac.variant) and head in x and tail not in x]
-             for x in fac.rows]
+        ws = [(alice, e, head) for alice in announcements(g.n, fac.variant)
+              for e, (u, v) in enumerate(g.edges) for head in (v, u)]
+        assert len(ws) == transcript_count(g, fac.variant) == len(fac.B), (name, p)
+        assert list(_transcript_labels(g, fac.variant)) == [
+            "+".join(map(str, alice)) + f"/e{e}h{head}" for alice, e, head in ws], (name, p)
+        ends = [(head, sum(g.edges[e]) - head) for _, e, head in ws]  # (head, tail)
+        a = [(x, [i for i, ((alice, _, _), (head, tail)) in enumerate(zip(ws, ends))
+                  if alice == alice_choice(x, fac.variant) and head in x and tail not in x])
+             for x in enumerate_rows(g, p)]
         assert list(fac.a_rows()) == a, (name, p)
         for j, basis in enumerate(bases):
-            edges = [g.edges[e] for e in basis]
+            edges = tuple(g.edges[e] for e in basis)
             heads = {alice: dict(zip(basis, bob_orientation(edges, protocol_targets(g.n, p, alice)).heads))
-                     for alice in dict.fromkeys(w.alice for w in ws)}
-            assert [row[j] for row in fac.B] == [int(heads[w.alice].get(w.edge) == w.head) for w in ws], (name, p, basis)
+                     for alice in announcements(g.n, fac.variant)}
+            expected = [int(heads[alice].get(e) == head) for alice, e, head in ws]
+            assert [row[j] for row in fac.B] == expected, (name, p, basis)
 
 
 def test_ine_is_rendered_without_holding_a():
@@ -397,7 +417,7 @@ def test_ine_is_rendered_without_holding_a():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    bound = len(fac.rows) * len(fac.transcripts) // 2
+    bound = len(enumerate_rows(g, P11)) * transcript_count(g, fac.variant) // 2
     assert size > 2 * bound  # the text alone would break the bound
     assert peak < bound, (peak, bound)
 

@@ -43,6 +43,9 @@ def test_load_edgeless():
         ('{"n":3,"edges":[null]}', "edge None is not a 2-element pair"),
         ('{"n":"3","edges":[]}', "integer"),
         ("{not json", "malformed JSON"),
+        # the decoder recurses once per nested array, and its RecursionError is bad input too
+        pytest.param("[" * 100_000, "malformed JSON: maximum recursion depth", id="nested-array"),
+        pytest.param('{"n":3,"edges":' + "[" * 100_000, "malformed JSON: maximum recursion depth", id="nested-edges"),
         ("[1,2]", "object"),
         ('{"edges":[]}', '"n"'),
     ],

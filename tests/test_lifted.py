@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from sparsity_ef import factorization
-from sparsity_ef.factorization import Factorization, build_factorization, build_U, factor_csvs
+from sparsity_ef.factorization import Factorization, build_factorization, build_U, enumerate_rows, factor_csvs
 from sparsity_ef.graphs import SparsityParams, make_graph
+from sparsity_ef.protocol import resolve_variant, transcript_count
 from sparsity_ef.lifted import (
     EmptyPolytopeError,
     InfeasibleLiftedPointError,
@@ -33,22 +34,22 @@ def lift(g, p, variant="auto"):
 
 def test_build_counts_k3():
     fac = lift(K3, P11, "A")
-    assert (K3.edge_count, len(fac.transcripts)) == (3, 18)
-    assert ine_size(fac) == (4, 21)
+    assert (K3.edge_count, transcript_count(K3, "A")) == (3, 18)
+    assert ine_size(K3, P11, "A") == (4, 21)
     assert fac.cols == () and fac.B == [bytearray()] * 18
 
 
 def test_build_counts_k4_variant_b():
     fac = lift(K4, P23, "B")
-    assert (K4.edge_count, len(fac.transcripts)) == (6, 144)
-    assert ine_size(fac) == (11, 150)
+    assert (K4.edge_count, transcript_count(K4, "B"), len(fac.B)) == (6, 144, 144)
+    assert ine_size(K4, P23, "B") == (11, 150)
 
 
 def test_build_counts_single_edge():
     g = make_graph(2, [(0, 1)])
     fac = lift(g, P11, "A")
-    assert (g.edge_count, len(fac.transcripts)) == (1, 4)
-    assert fac.rows == ()
+    assert (g.edge_count, transcript_count(g, "A")) == (1, 4)
+    assert list(fac.a_rows()) == []
     assert fac.c == 1
     point = lift_vertex(fac, (0,))
     assert point.x == (1,)
@@ -88,7 +89,7 @@ def test_all_lifts_feasible_with_zero_residuals():
         fac = lift(g, p, variant)
         for basis in enumerate_bases(g, p):
             point = lift_vertex(fac, basis)
-            assert all(r == 0 for r in equality_residuals(fac, point))
+            assert all(r == 0 for _, r in equality_residuals(fac, point))
             assert check_projection(fac, point)
 
 
@@ -98,7 +99,8 @@ def test_convex_combination_projects_into_polytope():
     lifts = [lift_vertex(fac, b) for b in bases[:4]]
     weights = [Fraction(1, 8), Fraction(3, 8), Fraction(1, 4), Fraction(1, 4)]
     x = tuple(sum((w * l.x[i] for w, l in zip(weights, lifts)), Fraction(0)) for i in range(K4.edge_count))
-    y = tuple(sum((w * l.y[i] for w, l in zip(weights, lifts)), Fraction(0)) for i in range(len(fac.transcripts)))
+    transcripts = transcript_count(K4, "A")
+    y = tuple(sum((w * l.y[i] for w, l in zip(weights, lifts)), Fraction(0)) for i in range(transcripts))
     assert check_projection(fac, LiftedPoint(x, y))
 
 
@@ -175,7 +177,7 @@ def test_ine_is_pinned_on_sixteen_vertices():
         data = line.encode()
         digest.update(data)
         size += len(data)
-    assert (ine_size(fac)[0], size) == (65518 + 1, 80537913)
+    assert (ine_size(g, P11, fac.variant)[0], size) == (65518 + 1, 80537913)
     assert digest.hexdigest() == "7b799af141760803cd3be2993fa7ec7aa7f4c8f957388b320716ffc0aeb01a34"
 
 
@@ -184,12 +186,35 @@ def test_t_csv_rows_are_the_negated_y_blocks_of_the_ine(corpus_cells):
     for name, g, p, _ in corpus_cells:
         for variant in ("A", "B") if p.k == p.ell else ("auto",):
             fac = lift(g, p, variant)
-            equalities = list(format_ine(fac))[4:4 + len(fac.rows)]
+            rows = 2**g.n - g.n - 2
+            equalities = list(format_ine(fac))[4:4 + rows]
             t_rows = list(factor_csvs(fac)[0])[1:]
-            assert len(equalities) == len(t_rows) == len(fac.rows), (name, p, variant)
+            assert len(equalities) == len(t_rows) == rows, (name, p, variant)
             for line, t_row in zip(equalities, t_rows):
                 y_block = line.split()[1 + g.edge_count:]
                 assert [-int(v) for v in y_block] == [int(v) for v in t_row.split(",")[1:]], (name, p, variant)
+
+
+def test_sizes_are_the_written_headers_and_rows(corpus_cells):
+    """ine_size and transcript_count equal the .ine and T.csv as written, on every corpus cell in both variants.
+
+    Each count is read twice: from the header, and from the rows and columns written.
+    """
+    for name, g, p, _ in corpus_cells:
+        for variant in ("A", "B") if p.k == p.ell else (resolve_variant(p),):
+            fac = lift(g, p, variant)
+            (eq, ineq), w = ine_size(g, p, variant), transcript_count(g, variant)
+            lines = "".join(format_ine(fac)).splitlines()
+            assert lines[1] == " ".join(["linearity", str(eq), *map(str, range(1, eq + 1))]), (name, p, variant)
+            assert lines[3] == f"{eq + ineq} {1 + g.edge_count + w} rational", (name, p, variant)
+            assert len(lines) == 5 + eq + ineq, (name, p, variant)
+            assert {len(line.split()) for line in lines[4:-1]} == {1 + g.edge_count + w}, (name, p, variant)
+            assert [line.split()[0] for line in lines[4:4 + eq]] == [
+                str(p.k * len(x) - p.ell) for x in enumerate_rows(g, p)] + [str(fac.c)], (name, p, variant)
+            t_csv, u_csv = (list(csv) for csv in factor_csvs(fac))
+            assert len(t_csv[0].split(",")) == 1 + w and len(t_csv) == eq, (name, p, variant)
+            assert {len(row.split(",")) for row in t_csv[1:]} == {1 + w}, (name, p, variant)
+            assert len(u_csv) == 1 + w, (name, p, variant)
 
 
 def _first_failures(monkeypatch, fac, edges, column):
@@ -221,13 +246,13 @@ def _perturbed_inputs(fac, bases, rng):
     A corrupted column holds a flipped entry or a 2; B is bytes, so no entry can be negative.
     """
     g = fac.graph
-    columns = build_U(g, fac.params, fac.variant, bases, fac.transcripts)
+    columns = build_U(g, fac.params, fac.variant, bases)
     inputs = [(basis, [row[j] for row in columns]) for j, basis in enumerate(bases)]
     for _ in range(3):
         j = rng.randrange(len(bases))
         basis, column = bases[j], [row[j] for row in columns]
         flipped, doubled = column.copy(), column.copy()
-        w = rng.randrange(len(fac.transcripts))
+        w = rng.randrange(len(columns))
         flipped[w] = 1 - flipped[w]
         doubled[w] = 2
         inputs += [(basis, flipped), (basis, doubled), (basis[:-1], column)]
@@ -263,7 +288,8 @@ def test_batched_checks_match_fraction_reference(corpus_cells, monkeypatch):
 
 
 def test_verify_extension_catches_flipped_u_entry(monkeypatch):
-    w = min(min(support) for support in lift(K4, P23, "B").a_rows() if support)  # the first transcript a row charges
+    # the first transcript a row charges
+    w = min(min(support) for _, support in lift(K4, P23, "B").a_rows() if support)
     real_build_u = factorization.build_U
 
     def flipped(*args):
@@ -281,17 +307,17 @@ def test_verify_extension_catches_corrupted_t_entry(monkeypatch):
     """Row 3 of A charges one more transcript, one that the first basis's U-column uses."""
     bases = enumerate_bases(K4, P23)
     fac = lift(K4, P23, "B")
-    support = list(fac.a_rows())[3]
-    column = build_U(K4, P23, "B", bases[:1], fac.transcripts)
+    x, support = list(fac.a_rows())[3]
+    column = build_U(K4, P23, "B", bases[:1])
     w = next(i for i, row in enumerate(column) if row[0] and i not in support)
     real_a_rows = Factorization.a_rows
 
     def corrupted(self):
-        for i, row in enumerate(real_a_rows(self)):
-            yield sorted([*row, w]) if i == 3 else row
+        for i, (x, row) in enumerate(real_a_rows(self)):
+            yield x, sorted([*row, w]) if i == 3 else row
 
     monkeypatch.setattr(Factorization, "a_rows", corrupted)
-    expected = f"basis {bases[0]}: equality row X={fac.rows[3]} has residual"
+    expected = f"basis {bases[0]}: equality row X={x} has residual"
     with pytest.raises(InfeasibleLiftedPointError, match=re.escape(expected)):
         verify_extension(build_factorization(K4, P23, "B"))
 
@@ -302,7 +328,8 @@ def test_verify_extension_catches_negative_t_entry(monkeypatch):
 
     def negative(self):
         a = list(real_a_rows(self))
-        a[0] = [-1, *a[0][1:]]
+        x, support = a[0]
+        a[0] = x, [-1, *support[1:]]
         return iter(a)
 
     monkeypatch.setattr(Factorization, "a_rows", negative)

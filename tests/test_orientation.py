@@ -3,12 +3,13 @@ import random
 
 import pytest
 
+from sparsity_ef import factorization, orientation, protocol
 from sparsity_ef.graphs import SparsityParams
 from sparsity_ef.orientation import (
     InfeasibleOrientationError,
     orient_with_targets,
 )
-from sparsity_ef.protocol import protocol_targets
+from sparsity_ef.protocol import exact_expectation, protocol_targets
 from sparsity_ef.sparsity import enumerate_bases
 
 from conftest import complete_graph, hakimi_violation, random_graph
@@ -169,3 +170,23 @@ def test_input_validation():
     for edges in ([(0, 1), (0, 1)], [(0, 1), (1, 0)]):
         with pytest.raises(ValueError, match="repeated edge"):
             orient_with_targets(2, edges, (1, 1))
+
+
+def test_bob_plays_the_game_on_inputs_checked_once(monkeypatch):
+    """Bob's edges (a basis of a validated graph) and targets (``protocol_targets``) are not checked again.
+
+    ``orient_with_targets`` still checks its own inputs, and Bob's
+    orientation keeps its edges as a tuple of tuples.
+    """
+    def checked(*args):
+        raise AssertionError("inputs checked again")
+
+    monkeypatch.setattr(orientation, "_check_inputs", checked)
+    p = SparsityParams(2, 3)
+    bases = enumerate_bases(K4, p)
+    factorization.verify_factorization(factorization.build_factorization(K4, p, "B", bases=bases))
+    assert exact_expectation(K4, p, "B", {0, 1}, bases[0]) == 0
+    _, _, bob = protocol._oriented_round(K4, p, "B", {0, 1}, [1, 0, 2, 3, 4])
+    assert bob.edges == K4.edges[:5] and type(bob.edges) is tuple and all(type(e) is tuple for e in bob.edges)
+    with pytest.raises(AssertionError, match="checked again"):
+        orient_with_targets(4, K4.edges[:5], (0, 1, 2, 2))

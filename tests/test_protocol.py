@@ -16,8 +16,9 @@ from sparsity_ef.protocol import (
     protocol_targets,
     resolve_variant,
     splitmix_draw,
+    transcript_count,
 )
-from sparsity_ef.factorization import enumerate_rows, enumerate_transcripts, slack_value
+from sparsity_ef.factorization import _transcript_labels, enumerate_rows, slack_value
 from sparsity_ef.sparsity import enumerate_bases
 
 from conftest import complete_graph
@@ -30,7 +31,7 @@ P23 = SparsityParams(2, 3)
 
 def _bob(g, p, basis, alice):
     """Bob's orientation of a basis, given by edge indices, for an announcement."""
-    return bob_orientation([g.edges[i] for i in basis], protocol_targets(g.n, p, alice))
+    return bob_orientation(tuple(g.edges[i] for i in basis), protocol_targets(g.n, p, alice))
 
 
 def test_alice_choice():
@@ -89,9 +90,10 @@ def test_announcements_are_the_transcript_order(g):
     }
     for variant, expected in first_stated.items():
         assert announcements(g.n, variant) == expected
-        transcripts = enumerate_transcripts(g, variant)
-        assert [w.alice for w in transcripts[:: 2 * g.edge_count]] == expected
-        assert len(transcripts) == 2 * g.edge_count * len(expected)
+        labels = list(_transcript_labels(g, variant))
+        alices = [label.split("/")[0] for label in labels[:: 2 * g.edge_count]]
+        assert alices == ["+".join(map(str, a)) for a in expected]
+        assert len(labels) == transcript_count(g, variant) == 2 * g.edge_count * len(expected)
         for x in enumerate_rows(g, P11):
             assert alice_choice(x, variant) in expected
 
