@@ -8,8 +8,8 @@ resulting lifted polytope as an ``.ine`` H-representation.
 The package is pure Python, with no runtime dependency.
 Each public name is imported from its module on first access, so
 ``import sparsity_ef`` loads none of its submodules: importing
-``lifted``, ``factorization`` and ``protocol`` eagerly costs 6–8 ms
-(15–17 ms compiling, as in ``cli``), which every start would pay.
+``lifted``, ``factorization`` and ``protocol`` eagerly costs about 2 ms
+(10–13 ms compiling, as in ``cli``), which every start would pay.
 """
 
 import importlib

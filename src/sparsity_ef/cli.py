@@ -17,11 +17,12 @@ verify.  Exit codes form the CI contract:
     3  enumeration, vertex or memory guard exceeded
     4  empty polytope (no basis exists)
 
-All numeric output is exact (integers or p/q rationals) except the Monte
-Carlo standard error.  Every command refuses more than 2^16 vertices
-(graphs.MAX_VERTICES, exit 3) when it reads its instance, before any
-per-vertex state is built.  --max-enum
-overrides the basis-enumeration guard.
+All numeric output is exact except the Monte Carlo standard error: ints,
+and p/q in lowest terms in U.csv and the Monte Carlo mean.  Every command
+refuses more than 2^16 vertices (graphs.MAX_VERTICES, exit 3) when it
+reads its instance, before any per-vertex state is built.  --max-enum
+overrides the basis-enumeration guard; `check`, `orient` and `protocol`
+enumerate no basis and refuse it (exit 1).
 `slack`, `factorize`, `verify` and `emit --verify` refuse a graph with
 more than 16 vertices (exit 3), then an instance without a basis (exit 4,
 decided by one pebble game), before they enumerate any basis; so
@@ -50,8 +51,9 @@ apply and `emit --max-enum 1` exits 0.
 
 No command imports numpy, nor `inspect` and what it loads; the package
 has no runtime dependency.  Each command imports what it runs: loading
-`factorization`, `lifted` and `protocol` up front would add 6–8 ms to
-every start, 15–17 ms where it compiles the source (`python -X
+`factorization`, `lifted` and `protocol` up front would add about 2 ms
+to every start, 10–13 ms where it compiles the source; `fractions` (2–3
+ms) is loaded only for U.csv and the Monte Carlo mean (`python -X
 importtime`, CPython 3.11).
 """
 
@@ -71,7 +73,7 @@ from .errors import (
     InstanceError,
 )
 from .graphs import Graph, SparsityParams, load_graph_file, validate_instance
-from .sparsity import enumerate_bases, is_sparse_bruteforce, is_sparse_pebble, is_tight, require_basis
+from .sparsity import enumerate_bases, is_sparse_bruteforce, is_sparse_pebble, require_basis, tight_cardinality
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -127,7 +129,7 @@ def cmd_check(args) -> int:
     if pebble != brute:
         print("ORACLE DISAGREEMENT")
         return EXIT_MISMATCH
-    tight = is_tight(g, p, subset)
+    tight = pebble and len(set(subset)) == tight_cardinality(g, p)  # from the one game already played
     print(f"tight: {'yes' if tight else 'no'}")
     return EXIT_OK if pebble else EXIT_INVALID
 
@@ -163,7 +165,7 @@ def cmd_orient(args) -> int:
 
 
 def cmd_protocol(args) -> int:
-    from .factorization import render_rational, slack_value
+    from .factorization import slack_value
     from .protocol import exact_expectation, monte_carlo, resolve_variant
 
     g, p = _load_instance(args)
@@ -174,12 +176,12 @@ def cmd_protocol(args) -> int:
         expectation = exact_expectation(g, p, variant, x_set, basis)
         slack = slack_value(g, p, x_set, basis)
         match = expectation == slack
-        print(f"expectation: {render_rational(expectation)}")
-        print(f"slack: {render_rational(slack)}")
+        print(f"expectation: {expectation}")
+        print(f"slack: {slack}")
         print("MATCH" if match else "MISMATCH")
         return EXIT_OK if match else EXIT_MISMATCH
     result = monte_carlo(g, p, variant, x_set, basis, args.samples, args.seed)
-    print(f"mean: {render_rational(result.mean)}")
+    print(f"mean: {result.mean}")
     print(f"stderr: {result.stderr!r}")
     print(f"samples: {result.samples}")
     print(f"seed: {args.seed}")
@@ -287,11 +289,12 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _add_instance_args(sp) -> None:
+def _add_instance_args(sp, *, enumerates: bool = False) -> None:
     sp.add_argument("--graph", required=True, help="path to a graph JSON file")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--l", type=int, required=True)
-    sp.add_argument("--max-enum", type=int, default=None, help="basis enumeration guard override")
+    if enumerates:
+        sp.add_argument("--max-enum", type=int, default=None, help="basis enumeration guard override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("bases", help="enumerate all tight spanning edge sets")
-    _add_instance_args(sp)
+    _add_instance_args(sp, enumerates=True)
     sp.set_defaults(func=cmd_bases)
 
     sp = sub.add_parser("orient", help="orient an edge subset to prescribed in-degrees")
@@ -329,25 +332,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_protocol)
 
     sp = sub.add_parser("slack", help="print or save the slack matrix CSV")
-    _add_instance_args(sp)
+    _add_instance_args(sp, enumerates=True)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_slack)
 
     sp = sub.add_parser("factorize", help="build and verify the slack factorization")
-    _add_instance_args(sp)
+    _add_instance_args(sp, enumerates=True)
     sp.add_argument("--variant", choices=["auto", "A", "B"], default="auto")
     sp.add_argument("--out", default=None, help="prefix for S/T/U CSV dumps")
     sp.set_defaults(func=cmd_factorize)
 
     sp = sub.add_parser("emit", help="write the lifted polytope as an .ine file")
-    _add_instance_args(sp)
+    _add_instance_args(sp, enumerates=True)
     sp.add_argument("--variant", choices=["auto", "A", "B"], default="auto")
     sp.add_argument("--out", required=True)
     sp.add_argument("--verify", action="store_true", help="also run the full verification report")
     sp.set_defaults(func=cmd_emit)
 
     sp = sub.add_parser("verify", help="run the extension verification report")
-    _add_instance_args(sp)
+    _add_instance_args(sp, enumerates=True)
     sp.add_argument("--variant", choices=["auto", "A", "B"], default="auto")
     sp.add_argument("--seed", type=int, default=0, help="accepted for old command lines; no effect")
     sp.add_argument("--out", default=None, help="write the JSON report here as well")

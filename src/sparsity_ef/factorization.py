@@ -52,7 +52,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import EnumerationGuardError, InfeasibleLiftedPointError
@@ -65,11 +64,6 @@ MAX_MATRIX_BYTES = 2**30  # build_U refuses B estimated beyond this; no code hol
 # per entry of B: its byte, then the byte of its field when verify_factorization
 # packs it (fields are one byte wide, module docstring)
 B_ENTRY_BYTES = 2
-
-
-def render_rational(value) -> str:
-    """The text of an exact number: 'p' for an integer, 'p/q' in lowest terms otherwise."""
-    return str(value) if isinstance(value, int) else str(Fraction(value))
 
 
 def check_row_count(g: Graph) -> None:
@@ -127,17 +121,18 @@ def slack_matrix(
 ) -> Iterator[list[int]]:
     """The rows of S = (k|X| - l) - |F ∩ E(X)| over the given bases, or over all of them when ``bases`` is None.
 
-    Rows and bases are enumerated by the call; each row X is a list of
-    ints, built as it is taken, in ``enumerate_rows`` order.  The
-    overlaps are one byte per basis, since |E| <= 120 for the n <= 16
-    rows allow.
+    The instance and its row count are checked, and the bases enumerated,
+    by the call; each row X is a list of ints, built as it is taken, in
+    ``enumerate_rows`` order.  The overlaps are one byte per basis, since
+    |E| <= 120 for the n <= 16 rows allow.
     """
-    rows = enumerate_rows(g, p)
+    validate_instance(g, p)
+    check_row_count(g)
     cols = enumerate_bases(g, p) if bases is None else list(bases)
     packed = _incidence(g, cols, 1)
 
     def entries():
-        for x in rows:
+        for x in _rows(g.n):
             rhs = p.k * len(x) - p.ell
             overlaps = sum([packed[e] for e in induced_edges(g, x)])
             yield [rhs - overlap for overlap in overlaps.to_bytes(len(cols), "little")]
@@ -312,7 +307,7 @@ def format_matrix_csv(col_labels: Iterable[str], rows: Iterable[tuple[str, str]]
 
 def slack_matrix_csv(g: Graph, p: SparsityParams, bases: Sequence[Basis]) -> Iterator[str]:
     """CSV dump of S over the bases, line by line, each row rendered as ``slack_matrix`` yields it."""
-    text = functools.cache(lambda value: "," + render_rational(value))  # each distinct entry is rendered once
+    text = functools.cache(lambda value: "," + str(value))  # each distinct entry is rendered once
     return format_matrix_csv(
         (_label("F:", f) for f in bases),
         ((_label("X:", x), "".join(map(text, row))) for x, row in zip(_rows(g.n), slack_matrix(g, p, bases=bases))),
@@ -327,9 +322,10 @@ def _transcript_labels(g: Graph, variant: str) -> Iterator[str]:
 
 def factor_csvs(fac: Factorization) -> tuple[Iterator[str], Iterator[str]]:
     """CSV dumps of (T, U) = (c * A, B / c), line by line, with transcript labels 'a0[+a1]/e<idx>h<head>'."""
+    from fractions import Fraction  # U's 1/c is the one rational in the factorization
     g, cols = fac.graph, range(len(fac.cols))
     t_row, u_row = sparse_renderer(transcript_count(g, fac.variant), ","), sparse_renderer(len(cols), ",")
-    c, c_inverse = render_rational(fac.c), render_rational(Fraction(1, fac.c))  # B is 0/1: U is 1/c where B is 1
+    c, c_inverse = str(fac.c), str(Fraction(1, fac.c))  # B is 0/1: U is 1/c where B is 1
     return (
         format_matrix_csv(_transcript_labels(g, fac.variant),
                           ((_label("X:", x), t_row(s, c)) for x, s in fac.a_rows())),

@@ -45,7 +45,7 @@ import itertools
 from typing import Iterator
 
 from .errors import EmptyPolytopeError, InfeasibleLiftedPointError  # both are re-exported
-from .factorization import Factorization, render_rational, row_count, sparse_renderer, verify_factorization
+from .factorization import Factorization, row_count, sparse_renderer, verify_factorization
 from .graphs import Graph, SparsityParams, induced_edges
 from .protocol import ANNOUNCED, bit_complexity, transcript_count
 from .sparsity import require_basis
@@ -119,12 +119,12 @@ def format_ine(fac: Factorization) -> Iterator[str]:
     d = m + w
     n_eq, n_ineq = ine_size(g, p, fac.variant)
     on_x, on_y, on_z = sparse_renderer(m, " "), sparse_renderer(w, " "), sparse_renderer(d, " ")
-    minus_c = render_rational(-fac.c)  # the coefficient of y_w is -T[X][w], -c on X's support
+    minus_c = str(-fac.c)  # the coefficient of y_w is -T[X][w], -c on X's support
     counting = (
-        render_rational(p.k * len(x) - p.ell) + on_x(sorted(induced_edges(g, x)), "-1") + on_y(support, minus_c)
+        str(p.k * len(x) - p.ell) + on_x(sorted(induced_edges(g, x)), "-1") + on_y(support, minus_c)
         for x, support in fac.a_rows()
     )
-    global_row = render_rational(fac.c) + on_x(range(m), "-1") + on_y((), "")
+    global_row = str(fac.c) + on_x(range(m), "-1") + on_y((), "")
 
     header = ["H-representation", "linearity " + " ".join([str(n_eq), *[str(i + 1) for i in range(n_eq)]]),
               "begin", f"{n_eq + n_ineq} {d + 1} rational"]

@@ -45,14 +45,15 @@ below anything observable at desk scale.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import perm, sqrt
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import InfeasibleOrientationError
 from .graphs import Graph, SparsityParams, validate_instance
 from .orientation import Orientation, pebble_orientation
 from .sparsity import Basis, is_tight
+if TYPE_CHECKING:
+    from fractions import Fraction  # monte_carlo imports it where it builds the one rational
 
 VARIANT_A, VARIANT_B = "A", "B"
 ANNOUNCED = {VARIANT_A: 1, VARIANT_B: 2}  # how many vertices of X Alice announces
@@ -170,11 +171,10 @@ def exact_expectation(
     variant: str,
     x_set: Iterable[int],
     basis: Iterable[int],
-) -> Fraction:
-    """Average the round output over all |F| equally likely edge picks."""
-    members, b, orientation = _oriented_round(g, p, variant, x_set, basis)
-    entering = sum(_entering_flags(orientation, members))
-    return Fraction((p.k * g.n - p.ell) * entering, len(b))
+) -> int:
+    """Round output averaged over the |F| = c = k n - l equally likely picks: the number of F's edges entering X."""
+    members, _, orientation = _oriented_round(g, p, variant, x_set, basis)
+    return sum(_entering_flags(orientation, members))
 
 
 class MCResult(NamedTuple):
@@ -198,6 +198,7 @@ def monte_carlo(
     Deterministic for a fixed seed; stderr is the only floating-point
     quantity in the package (0.0 when samples=1).
     """
+    from fractions import Fraction  # the sample mean is a round's one rational
     if samples < 1:
         raise ValueError("samples must be >= 1")
     members, b, orientation = _oriented_round(g, p, variant, x_set, basis)

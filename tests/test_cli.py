@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pathlib
 
 import pytest
 
@@ -62,6 +63,19 @@ def test_check_edge_pair_syntax(k3_path, capsys):
         capsys,
     )
     assert code == 0 and "tight: yes" in out
+
+
+@pytest.mark.parametrize(
+    "edges,verdict",
+    [("0,1,2", (0, "yes", "yes")), ("0,1,2,2,0", (0, "yes", "yes")), ("0,1", (0, "yes", "no")),
+     ("0,1,3", (1, "no", "no")), ("0,1,3,4", (1, "no", "no"))],
+    ids=["star", "star-repeated", "short", "triangle", "triangle-plus"],
+)
+def test_check_tightness_needs_sparse_and_basis_size(k4_path, capsys, edges, verdict):
+    """K4 at (1,1): tight is sparse with kn - l = 3 distinct edges; a triangle has 3 edges but is not sparse."""
+    code, out, _ = run(["check", "--graph", k4_path, "--k", "1", "--l", "1", "--edges", edges], capsys)
+    sparse = f"sparse[pebble]: {verdict[1]}\nsparse[bruteforce]: {verdict[1]}\n"
+    assert (code, out) == (verdict[0], sparse + f"tight: {verdict[2]}\n")
 
 
 def test_malformed_graph(tmp_path, capsys):
@@ -133,6 +147,22 @@ def test_bases_guard_exit(k4_path, capsys):
         ["bases", "--graph", k4_path, "--k", "1", "--l", "1", "--max-enum", "1"], capsys
     )
     assert code == 3 and "guard" in err
+
+
+def test_max_enum_is_an_option_of_exactly_the_enumerating_commands(k4_path, tmp_path, capsys):
+    """bases, slack, factorize, verify and emit take --max-enum; check, orient and protocol refuse it as usage."""
+    extra = {
+        "orient": ["--x", "0"],
+        "protocol": ["--X", "0,1", "--F", "0,1,2"],
+        "emit": ["--out", str(tmp_path / "k4.ine")],
+    }
+    for command in ("check", "bases", "orient", "protocol", "slack", "factorize", "emit", "verify"):
+        argv = [command, "--graph", k4_path, "--k", "1", "--l", "1", *extra.get(command, []), "--max-enum", "1000"]
+        code, _, err = run(argv, capsys)
+        if command in ("check", "orient", "protocol"):
+            assert code == 1 and err.endswith("error: unrecognized arguments: --max-enum 1000\n"), command
+        else:
+            assert code == 0 and err == "", command
 
 
 def test_orient_with_announced_vertex(k3_path, capsys):
@@ -243,7 +273,7 @@ def test_emit_determinism(k4_path, tmp_path, capsys):
             capsys,
         )
         assert code == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert pathlib.Path(a).read_bytes() == pathlib.Path(b).read_bytes()
 
 
 def test_verify_command(k4_path, tmp_path, capsys):
@@ -253,7 +283,7 @@ def test_verify_command(k4_path, tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    saved = json.loads(open(report_path).read())
+    saved = json.loads(pathlib.Path(report_path).read_text())
     assert saved["pass"] and saved["variant"] == "B"
     assert saved["counts"]["inequality_count"] == 150
 

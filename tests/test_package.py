@@ -126,3 +126,33 @@ def test_numpy_is_loaded_only_by_array_commands(tmp_path, body, exit_code):
     assert proc.returncode == 0, proc.stderr
     if exit_code is not None:
         assert proc.stdout.splitlines()[-1] == str(exit_code)
+
+
+@pytest.mark.parametrize(
+    "args,rational",
+    [
+        (("bases",), False),
+        (("slack",), False),
+        (("verify",), False),
+        (("emit", "--out", "k4.ine"), False),
+        (("emit", "--verify", "--out", "k4.ine"), False),
+        (("factorize",), False),
+        (("protocol", "--X", "0,1", "--F", "0,1,2,3,4"), False),
+        (("factorize", "--out", "k4"), True),
+        (("protocol", "--X", "0,1", "--F", "0,1,2,3,4", "--mode", "mc", "--samples", "10"), True),
+    ],
+    ids=["bases", "slack", "verify", "emit", "emit-verify", "factorize", "protocol-exact", "factorize-out",
+         "protocol-mc"],
+)
+def test_fractions_is_loaded_only_where_a_value_is_rational(tmp_path, args, rational):
+    """Only U.csv's 1/c and the Monte Carlo mean are rational; every other command runs on ints alone."""
+    proc = _run_without_numpy(tmp_path, _cli(*args) + "\nprint('fractions' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["0", str(rational)]
+
+
+def test_no_rational_renderer():
+    """``str`` renders every value an output holds: an int as 'p', a Fraction as 'p/q' in lowest terms."""
+    from sparsity_ef import factorization
+
+    assert not hasattr(factorization, "render_rational")
