@@ -41,8 +41,10 @@ satisfies the counting inequalities and x >= 0; x <= 1 is an emitted
 bound row where 2k - l >= 2 and follows from the rows |X| = 2
 elsewhere.  The `.ine` is the T side of the factorization.  No command
 holds T: each reader builds its rows as it reaches them, so `emit
---verify` builds T twice, and checks before it writes.  A regular output
-file that fails mid-write is removed.  Plain `emit` needs no certificate: it
+--verify` builds T twice, and checks before it writes.  The check holds
+one block of B at a time; `factorize` holds every block, built before
+its first line of output.  A regular output file that fails mid-write
+is removed.  Plain `emit` needs no certificate: it
 refuses an empty instance (exit 4, one pebble game),
 then more than 16 vertices (exit 3), and writes the factorization over
 no bases.  It enumerates no basis, so the enumeration guard does not
@@ -230,12 +232,14 @@ def cmd_slack(args) -> int:
 
 def cmd_factorize(args) -> int:
     from .factorization import build_factorization, factor_csvs, row_count, slack_matrix_csv, verify_factorization
-    from .protocol import resolve_variant, transcript_count
+    from .protocol import announcements, resolve_variant, transcript_count
 
     g, p = _load_instance(args)
     variant = resolve_variant(p, args.variant)
     bases = _bases_for_rows(g, p, args)
     fac = build_factorization(g, p, variant, bases=bases)
+    # every block of B, built before any output, so a refused game prints nothing, and held for the check and U.csv
+    fac = fac._replace(B=[fac.B(i) for i in range(len(announcements(g.n, variant)))].__getitem__)
     print(f"variant: {variant}")
     print(f"slack matrix: {row_count(g.n)}x{len(fac.cols)}")
     print(f"transcripts: {transcript_count(g, variant)}")

@@ -20,31 +20,34 @@ factors are two 0/1 incidence matrices,
 and S = A @ B exactly: (A @ B)[X][F] counts the edges of F's orientation
 that enter X.  Every basis has |F| = c = k n - l >= 1 edges, and the
 nonnegative factorization of the lift is T = c * A and U = B / c.  A
-``Factorization`` holds only the bases and B, as ``bytearray`` rows,
-nonnegative by type; rows, transcripts and A are rules.  A row of A is
-its support, the ascending transcripts it charges, one per edge entering
-X; ``Factorization.a_rows`` yields each X with its support, built in
-O(|E|) as a reader reaches it.  T and U exist only where
-``sparse_renderer`` writes them from supports, as the exact 'p' or 'p/q'
-entries of T.csv and U.csv and as ``.ine`` coefficients.  Nothing holds
-S: ``slack_matrix`` yields it one row at a time, and S.csv is written as
-the rows are computed, from the bases and their incidence packed by
-``_incidence`` (2|E| bytes per basis at one-byte fields), which only
-the basis-enumeration guard bounds, as in every command that enumerates.
+``Factorization`` holds only the bases; rows, transcripts, A and B are
+rules.  A row of A is its support, the ascending transcripts it
+charges, one per edge entering X; ``Factorization.a_rows`` yields each X
+with its support, built in O(|E|) as a reader reaches it.  B comes in
+blocks: ``Factorization.B(i)`` plays Bob's games for announcement i and
+returns its 2|E| rows, ``bytearray`` rows over the bases, nonnegative by
+type.  T and U exist only where ``sparse_renderer`` writes them from
+supports, as the exact 'p' or 'p/q' entries of T.csv and U.csv and as
+``.ine`` coefficients.  Nothing holds S: ``slack_matrix`` yields it one
+row at a time, and S.csv is written row by row, from the bases' edge
+incidence packed by ``_incidence`` (2|E| bytes per basis).
 
 ``verify_factorization`` checks every basis lift on each equality row
 of the lifted system and never builds S.  It walks the row rule beside
 ``a_rows``, so a row of A that is missing, extra, repeated, out of order
-or for another X is refused without a list of rows.  A row over the
-bases packs into one int whose little-endian fields of f bytes hold its
-entries.  Row X's left side packs to packed(|F ∩ E(X)|) plus
-packed(B[w]) for each w in X's support, and is compared with
-(k|X| - l) * packed(1, ..., 1).  A support must be strictly ascending in
-[0, |W|) with at most |E| indices, so f holds k n and the largest
-possible left side, |E| times one plus the largest entry of B: no field
-carries, and two packed rows are equal exactly when their entries are.
-|E| <= 120 for the n <= 16 that rows allow, so f is one byte while B is
-0/1 and k n < 256.  Entries are unpacked only to name a failure.
+or for another X is refused without a list of rows.  Row X charges the
+block of alice(X), a prefix of X, so the rows of one announcement come
+in a run: each block is built once, when a row first charges it, and
+dropped before the next; a block no row charges, as vertex n-1's in A
+or a decreasing pair's in B, is never built.  A row over the bases packs
+into one int whose little-endian fields of f bytes hold its entries.
+Row X's left side, packed(|F ∩ E(X)|) plus packed(B[w]) for each w in
+X's support, is compared with (k|X| - l) * packed(1, ..., 1).  A support
+must be strictly ascending in [0, |W|) with at most |E| indices, and B
+must be 0/1, so f holds k n and the largest possible left side, 2|E|:
+no field carries, and two packed rows are equal exactly when their
+entries are.  |E| <= 120 for the n <= 16 that rows allow, so f is one
+byte while k n < 256.  Entries are unpacked only to name a failure.
 """
 
 from __future__ import annotations
@@ -60,9 +63,8 @@ from .protocol import alice_choice, announcements, bob_orientation, protocol_tar
 from .sparsity import Basis, enumerate_bases
 
 MAX_ROW_ENUM_N = 16
-MAX_MATRIX_BYTES = 2**30  # build_U refuses B estimated beyond this; no code holds S
-# per entry of B: its byte, then the byte of its field when verify_factorization
-# packs it (fields are one byte wide, module docstring)
+MAX_MATRIX_BYTES = 2**30  # build_factorization refuses B estimated beyond this; no code holds S
+# per entry of B: the most any command holds, all of B at a byte an entry in factorize, and one block packed
 B_ENTRY_BYTES = 2
 
 
@@ -140,44 +142,19 @@ def slack_matrix(
     return entries()
 
 
-def build_U(g: Graph, p: SparsityParams, variant: str, cols: Sequence[Basis]) -> list[bytearray]:
-    """B = c * U as |W| x |cols| 0/1 rows of bytes.
-
-    First refuses (EnumerationGuardError) an instance whose B and its rows
-    as ``verify_factorization`` packs them are estimated at more than
-    ``MAX_MATRIX_BYTES``.  Each announcement's targets are computed once;
-    the bases are the outer loop, and each basis's edges go to
-    ``bob_orientation`` once per announcement.
-    """
-    w = transcript_count(g, variant)
-    estimate = B_ENTRY_BYTES * len(cols) * w
-    if estimate > MAX_MATRIX_BYTES:
-        raise EnumerationGuardError(
-            f"B for {len(cols)} bases would take about {estimate} bytes, beyond the memory guard of {MAX_MATRIX_BYTES}"
-        )
-    # announcement i's transcript (e, flag) is 2|E| i + 2e + flag (module docstring)
-    targets = [(2 * g.edge_count * i, protocol_targets(g.n, p, a)) for i, a in enumerate(announcements(g.n, variant))]
-    b = [bytearray(len(cols)) for _ in range(w)]
-    for j, basis in enumerate(cols):
-        edges = tuple(g.edges[e] for e in basis)
-        for offset, m in targets:
-            for e, (u, _), h in zip(basis, edges, bob_orientation(edges, m).heads):
-                b[offset + 2 * e + (h == u)][j] = 1
-    return b
-
-
 class Factorization(NamedTuple):
-    """S = A @ B, that is S = T @ U with T = c * A and U = B / c; B is a list of byte rows over the bases ``cols``.
+    """S = A @ B, that is S = T @ U with T = c * A and U = B / c, over the bases ``cols``.
 
     Rows, transcripts and A (``a_rows``) are rules of the instance and variant that fix the lifted system
-    ``lifted.format_ine`` emits; the columns of B only certify that each basis in ``cols`` lifts.
+    ``lifted.format_ine`` emits.  B is Bob's rule: ``B(i)`` plays his games on ``cols`` for announcement i,
+    returning B's rows 2|E| i + 2e + flag as rows 2e + flag; its columns only certify that each basis lifts.
     """
 
     graph: Graph
     params: SparsityParams
     variant: str
     cols: tuple[Basis, ...]
-    B: list[bytearray]
+    B: Callable[[int], list[bytearray]]
 
     @property
     def c(self) -> int:
@@ -207,17 +184,30 @@ def build_factorization(
     *,
     bases: Sequence[Basis] | None = None,
 ) -> Factorization:
-    """Factor the slack matrix over the given bases.
+    """Factor the slack matrix over the given bases; a basis is oriented only when a reader calls ``B``.
 
-    ``bases=None`` enumerates every basis; ``bases=()`` gives the
-    factorization over no bases, which is the lifted system without its
-    certificate: no basis is oriented.
+    ``bases=None`` enumerates every basis; ``bases=()`` gives the factorization over no bases, the lifted
+    system without its certificate.  Refuses (EnumerationGuardError) B estimated beyond ``MAX_MATRIX_BYTES``.
     """
     variant = resolve_variant(p, variant)
     validate_instance(g, p)
     check_row_count(g)
-    cols = enumerate_bases(g, p) if bases is None else list(bases)
-    return Factorization(graph=g, params=p, variant=variant, cols=tuple(cols), B=build_U(g, p, variant, cols))
+    cols = tuple(enumerate_bases(g, p) if bases is None else bases)
+    estimate = B_ENTRY_BYTES * len(cols) * transcript_count(g, variant)
+    if estimate > MAX_MATRIX_BYTES:
+        raise EnumerationGuardError(f"B for {len(cols)} bases would take about {estimate} bytes, "
+                                    f"beyond the memory guard of {MAX_MATRIX_BYTES}")
+
+    def bob(i: int) -> list[bytearray]:
+        block = [bytearray(len(cols)) for _ in range(2 * g.edge_count)]
+        targets = protocol_targets(g.n, p, announcements(g.n, variant)[i])  # they depend only on the announcement
+        for j, basis in enumerate(cols):
+            edges = tuple(g.edges[e] for e in basis)
+            for e, (u, _), h in zip(basis, edges, bob_orientation(edges, targets).heads):
+                block[2 * e + (h == u)][j] = 1
+        return block
+
+    return Factorization(graph=g, params=p, variant=variant, cols=cols, B=bob)
 
 
 def _pack(row: bytes, width: int) -> int:
@@ -235,20 +225,15 @@ def verify_factorization(fac: Factorization) -> None:
     |F| = c.  Raises InfeasibleLiftedPointError on the first failure,
     rows in row-major order before the global row, naming the basis and
     the row with its residual, which on row X is (A @ B - S)[X][F].
-    Factors of the wrong shape, rows of B that are not bytes, rows of A
-    that are not the rows X in ``enumerate_rows`` order, and a row of A
-    that is not a support (module docstring) are a bug and raise TypeError.
+    One block of B is held at a time (module docstring).  Rows of A that
+    are not the rows X in ``enumerate_rows`` order, a row of A that is not
+    a support, and a malformed block of B are a bug and raise TypeError.
     """
     g, p = fac.graph, fac.params
     ncols, w, m = len(fac.cols), transcript_count(g, fac.variant), g.edge_count
-    if len(fac.B) != w or not all(isinstance(row, (bytes, bytearray)) and len(row) == ncols for row in fac.B):
-        raise TypeError(f"B must be {w}x{ncols} rows of bytes")
-
-    # fields hold the largest possible left side and right side
-    top_b = 255 if any(row.translate(None, b"\x00\x01") for row in fac.B) else 1
-    width = max(1, max(m * (top_b + 1), p.k * g.n).bit_length() + 7 >> 3)
-    packed_b = [_pack(row, width) for row in fac.B]
+    width = max(1, max(2 * m, p.k * g.n).bit_length() + 7 >> 3)  # fields hold the largest left side and right side
     incidence = _incidence(g, fac.cols, width)
+    held = None  # the announcement whose block is in hand, its rows packed in packed_b
     ones = _pack(b"\x01" * ncols, width)
     for r, (due, row) in enumerate(itertools.zip_longest(_rows(g.n), fac.a_rows())):
         x, support = row or (None, None)
@@ -257,7 +242,17 @@ def verify_factorization(fac: Factorization) -> None:
         bounded = [-1, *support, w]  # -1 < first < ... < last < |W|
         if len(bounded) > m + 2 or not all(map(operator.lt, bounded, bounded[1:])):
             raise TypeError(f"A row X={x} must be ascending transcript indices in [0, {w}), at most {m} of them")
-        lhs = sum([incidence[e] for e in induced_edges(g, x)]) + sum([packed_b[i] for i in bounded[1:-1]])
+        lhs = sum([incidence[e] for e in induced_edges(g, x)])
+        for t in support:
+            i, at = divmod(t, 2 * m)
+            if i != held:
+                packed_b = block = None  # the block in hand goes before the next is built
+                block = fac.B(i)
+                if len(block) != 2 * m or not all(isinstance(row, (bytes, bytearray)) and len(row) == ncols
+                                                  and not row.translate(None, b"\x00\x01") for row in block):
+                    raise TypeError(f"B({i}) must be {2 * m} rows of 0/1 bytes, each {ncols} long")
+                held, packed_b = i, [_pack(row, width) for row in block]
+            lhs += packed_b[at]
         rhs = p.k * len(x) - p.ell
         if lhs != rhs * ones:
             fields = lhs.to_bytes(ncols * width, "little")
@@ -321,15 +316,16 @@ def _transcript_labels(g: Graph, variant: str) -> Iterator[str]:
 
 
 def factor_csvs(fac: Factorization) -> tuple[Iterator[str], Iterator[str]]:
-    """CSV dumps of (T, U) = (c * A, B / c), line by line, with transcript labels 'a0[+a1]/e<idx>h<head>'."""
+    """CSV dumps of (T, U) = (c * A, B / c), line by line, B a block at a time; labels 'a0[+a1]/e<idx>h<head>'."""
     from fractions import Fraction  # U's 1/c is the one rational in the factorization
     g, cols = fac.graph, range(len(fac.cols))
     t_row, u_row = sparse_renderer(transcript_count(g, fac.variant), ","), sparse_renderer(len(cols), ",")
     c, c_inverse = str(fac.c), str(Fraction(1, fac.c))  # B is 0/1: U is 1/c where B is 1
+    b_rows = (row for i in range(len(announcements(g.n, fac.variant))) for row in fac.B(i))
     return (
         format_matrix_csv(_transcript_labels(g, fac.variant),
                           ((_label("X:", x), t_row(s, c)) for x, s in fac.a_rows())),
         format_matrix_csv((_label("F:", f) for f in fac.cols),
                           zip(_transcript_labels(g, fac.variant),
-                              (u_row(itertools.compress(cols, row), c_inverse) for row in fac.B))),
+                              (u_row(itertools.compress(cols, row), c_inverse) for row in b_rows))),
     )

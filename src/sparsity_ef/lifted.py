@@ -23,8 +23,8 @@ That is, (1_F, U-column of F) satisfies each counting row, which is the
 identity A @ B = S on F's column, and the global row |F| = c.
 ``verify_factorization`` checks both, each counting row over all the
 bases at once, then the global row.  T >= 0, as a row of T is c >= 1
-on its support and 0 elsewhere; y >= 0 by type, as rows of B are bytes.
-The lifts put every basis in the projection.  Conversely, for a
+on its support and 0 elsewhere; y >= 0, as the check refuses a block of
+B that is not 0/1.  The lifts put every basis in the projection.  Conversely, for a
 feasible point, T >= 0 and y >= 0 make each row read
 sum_{E(X)} x_e = k|X| - l - (T y)[X] <= k|X| - l, and the global row
 fixes sum_e x_e = c; both are linear, so they hold for every convex

@@ -30,7 +30,7 @@ maps 'auto' to A there.  Everything else follows from the count:
 
 Bob has one entry point, ``bob_orientation(edges, targets)``, the
 orientation module's game, unchecked, on F's edges in index order, called
-by each public round here and by ``factorization.build_U``.  By the paper's
+by each public round here and by a factorization's ``B``.  By the paper's
 lemma every basis meets every announcement's targets, so a refusal is a
 bug, raised as RuntimeError ("internal consistency failure: ...").
 

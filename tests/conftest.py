@@ -8,6 +8,7 @@ import random
 import pytest
 
 from sparsity_ef.graphs import Graph, SparsityParams, make_graph
+from sparsity_ef.protocol import announcements
 from sparsity_ef.sparsity import edge_counts, enumerate_bases
 
 PARAM_GRID = [(1, 0), (1, 1), (2, 1), (2, 2), (2, 3), (3, 3), (3, 5)]
@@ -30,6 +31,16 @@ def hakimi_violation(n: int, edges, targets) -> frozenset[int] | None:
         if inside[mask] > target_sum[mask]:
             return frozenset(v for v in range(n) if (mask >> v) & 1)
     return None
+
+
+def b_matrix(fac) -> list[bytearray]:
+    """Every row of B, in transcript order: Bob's blocks, one per announcement, end to end."""
+    return [row for i in range(len(announcements(fac.graph.n, fac.variant))) for row in fac.B(i)]
+
+
+def b_rule(rows, edge_count: int):
+    """A rule for ``Factorization.B`` that hands out the given rows of B, 2|E| to a block."""
+    return lambda i: rows[2 * edge_count * i:2 * edge_count * (i + 1)]
 
 
 def complete_graph(n: int) -> Graph:

@@ -5,10 +5,11 @@ the edges, y over the transcripts.  ``lift_vertex`` lifts one basis with
 its U-column, ``assert_in_lifted`` checks a point against the emitted
 system row by row in exact rationals, and ``in_base_polytope`` tests the
 x-part against every counting inequality by full subset scan.
-``build_U`` is called through its module and A is read through
-``Factorization.a_rows``, so a test that replaces either changes the
-lift here and in the factorization alike.  Each support is densified
-here, one count per index, so the reference reads A as a plain matrix.
+``build_factorization`` is called through its module for Bob's rule,
+and A is read through ``Factorization.a_rows``, so a test that replaces
+either changes the lift here and in the factorization alike.  Each
+support is densified here, one count per index, so the reference reads
+A as a plain matrix.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from sparsity_ef.factorization import Factorization
 from sparsity_ef.graphs import Graph, SparsityParams, induced_edges
 from sparsity_ef.protocol import transcript_count
 
+from conftest import b_matrix
+
 
 class LiftedPoint(NamedTuple):
     x: tuple[Fraction, ...]
@@ -34,7 +37,7 @@ def lift_vertex(fac: Factorization, basis) -> LiftedPoint:
     basis = tuple(sorted(basis))
     in_basis = set(basis)
     x = tuple(Fraction(1 if i in in_basis else 0) for i in range(fac.graph.edge_count))
-    column = factorization.build_U(fac.graph, fac.params, fac.variant, [basis])
+    column = b_matrix(factorization.build_factorization(fac.graph, fac.params, fac.variant, bases=[basis]))
     return LiftedPoint(x=x, y=tuple(Fraction(row[0], fac.c) for row in column))
 
 

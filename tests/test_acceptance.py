@@ -38,6 +38,7 @@ from sparsity_ef.sparsity import (
 
 from conftest import (
     PARAM_GRID,
+    b_matrix,
     complete_graph,
     hakimi_violation,
     random_graph,
@@ -73,7 +74,7 @@ def test_c02_factorization_exactness(corpus_cells):
             if variant == "A"
             else 2 * g.n * (g.n - 1) * g.edge_count
         )
-        assert transcript_count(g, variant) == len(fac.B) == expected_w, (name, p)
+        assert transcript_count(g, variant) == len(b_matrix(fac)) == expected_w, (name, p)
         verify_factorization(fac)  # raises on the first lift that fails a row
         checked += 1
     _ok(2, "factorization exactness", f"{checked} instances, T@U = S exactly")

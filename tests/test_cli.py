@@ -8,7 +8,7 @@ from sparsity_ef import cli, factorization, lifted, protocol
 from sparsity_ef.graphs import MAX_VERTICES
 from sparsity_ef.lifted import InfeasibleLiftedPointError
 
-from conftest import complete_graph, path_graph, wheel_graph
+from conftest import b_matrix, complete_graph, path_graph, wheel_graph
 
 
 @pytest.fixture
@@ -296,7 +296,7 @@ def corrupted_t(monkeypatch):
     def corrupted(self):
         rows = a_rows(self)
         x, row = next(rows)
-        yield x, sorted([*row, next(w for w, b_row in enumerate(self.B) if any(b_row) and w not in row)])
+        yield x, sorted([*row, next(w for w, b_row in enumerate(b_matrix(self)) if any(b_row) and w not in row)])
         yield from rows
 
     monkeypatch.setattr(factorization.Factorization, "a_rows", corrupted)
@@ -343,12 +343,17 @@ def test_a_failed_write_keeps_a_symlinked_out(k4_path, tmp_path, no_memory_on_th
 
 
 def test_refused_basis_orientation_exits_2(k4_path, tmp_path, monkeypatch, capsys):
-    """Targets that a basis cannot meet are a bug: every command that orients a basis exits 2 with one line."""
+    """Targets that a basis cannot meet are a bug: every command that orients a basis exits 2 with one line.
+
+    The targets are moved for announcement (1,) alone, which the rows X = {1, ...} make, so each
+    command reaches the refusal in the first block that holds it, with the blocks before it right.
+    """
     targets = protocol.protocol_targets
 
     def moved(n, p, announced):  # vertex n-1's target moved onto vertex 0
         m = list(targets(n, p, announced))
-        m[0], m[n - 1] = m[0] + m[n - 1], 0
+        if announced == (1,):
+            m[0], m[n - 1] = m[0] + m[n - 1], 0
         return tuple(m)
 
     monkeypatch.setattr(protocol, "protocol_targets", moved)
@@ -361,6 +366,53 @@ def test_refused_basis_orientation_exits_2(k4_path, tmp_path, monkeypatch, capsy
             "infeasible: region [1, 3] has 1 internal edges but target sum 0)\n"
         )), argv
     assert not (tmp_path / "x.ine").exists()
+
+
+def test_unannounced_refusal_stops_only_factorize(k4_path, tmp_path, monkeypatch, capsys):
+    """K4 (1,1): a refusal in the block of announcement (3,), which no row X makes, enters no row of the lift.
+
+    So verify and emit --verify never build that block and pass; factorize --out builds every block
+    before its first line of output, so it exits 2 with nothing printed or written.
+    """
+    targets = protocol.protocol_targets
+
+    def refused(n, p, announced):
+        return (p.k * n - p.ell, *[0] * (n - 1)) if announced == (3,) else targets(n, p, announced)
+
+    monkeypatch.setattr(factorization, "protocol_targets", refused)
+    base = ["--graph", k4_path, "--k", "1", "--l", "1"]
+    assert run(["verify", *base], capsys)[0] == 0
+    assert run(["emit", *base, "--out", str(tmp_path / "x.ine"), "--verify"], capsys)[0] == 0
+    code, out, err = run(["factorize", *base, "--out", str(tmp_path / "dump")], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: internal consistency failure: orientation of a basis was refused")
+    assert list(tmp_path.glob("dump*")) == []
+
+
+@pytest.mark.parametrize("k, l, announced, every", [(2, 3, 1000, 2000), (1, 1, 500, 625)])
+def test_bob_plays_each_block_once(tmp_path, monkeypatch, capsys, k, l, announced, every):
+    """K5: verify and emit --verify play Bob's games only for the announcements Alice makes, factorize --out for all.
+
+    K5 has 100 bases at (2,3), with 20 announcements of which 10 are made, and 125 at (1,1), with 5 and 4.
+    """
+    games = []
+    bob = factorization.bob_orientation
+
+    def counted(edges, targets):
+        games.append(targets)
+        return bob(edges, targets)
+
+    monkeypatch.setattr(factorization, "bob_orientation", counted)
+    path = tmp_path / "k5.json"
+    g = complete_graph(5)
+    path.write_text(json.dumps({"n": g.n, "edges": g.edges}))
+    base = ["--graph", str(path), "--k", str(k), "--l", str(l)]
+    for argv, expected in ((["verify", *base], announced),
+                           (["emit", *base, "--out", str(tmp_path / "k5.ine"), "--verify"], announced),
+                           (["factorize", *base, "--out", str(tmp_path / "k5")], every)):
+        games.clear()
+        assert run(argv, capsys)[0] == 0, argv
+        assert len(games) == expected, argv
 
 
 G9_EDGES = [(0, 2), (0, 6), (1, 3), (1, 5), (1, 7), (1, 8), (2, 3), (2, 5), (2, 6), (2, 8), (3, 4), (3, 8), (4, 7),

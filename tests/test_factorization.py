@@ -1,18 +1,18 @@
 import functools
 import gc
 import hashlib
+import json
 import re
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from sparsity_ef import factorization, lifted
+from sparsity_ef import cli, factorization, lifted
 from sparsity_ef.errors import InfeasibleLiftedPointError
 from sparsity_ef.graphs import SparsityParams, make_graph
 from sparsity_ef.factorization import (
     Factorization,
-    build_U,
     build_factorization,
     _transcript_labels,
     enumerate_rows,
@@ -34,7 +34,7 @@ from sparsity_ef.protocol import (
 )
 from sparsity_ef.sparsity import EnumerationGuardError, enumerate_bases
 
-from conftest import complete_graph, path_graph, wheel_graph
+from conftest import b_matrix, b_rule, complete_graph, path_graph, wheel_graph
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
@@ -91,22 +91,25 @@ def test_transcript_counts_and_order():
 
 
 def test_factorization_dimensions_and_entry_domains():
-    """A is a support per row, B is 0/1 byte rows; T = c * A and U = B / c with c = 2 on K3 (1,1)."""
+    """A is a support per row, B is 0/1 byte rows, a block per announcement; T = c * A, U = B / c, c = 2 on K3 (1,1)."""
     fac = build_factorization(K3, P11, "A")
     assert fac.c == 2
     a = [support for _, support in fac.a_rows()]
     # each pair X has two entering edges, so two ones among the 18 transcripts
     assert len(a) == 3 and all(type(r) is list and len(r) == 2 and r == sorted(set(r)) for r in a)
     assert {w for row in a for w in row} <= set(range(18))
-    assert len(fac.B) == 18 and all(type(r) is bytearray and len(r) == 3 for r in fac.B)
-    assert {b for row in fac.B for b in row} == {0, 1}
+    assert [len(fac.B(i)) for i in range(3)] == [6] * 3
+    b = b_matrix(fac)
+    assert len(b) == 18 and all(type(r) is bytearray and len(r) == 3 for r in b)
+    assert {entry for row in b for entry in row} == {0, 1}
 
 
 def test_u_column_sums_equal_n_variant_a():
     for g, p in [(K3, P11), (K4, P11)]:
         fac = build_factorization(g, p, "A")
+        b = b_matrix(fac)
         for j in range(len(fac.cols)):
-            assert Fraction(sum(row[j] for row in fac.B), fac.c) == g.n  # a column of U = B / c
+            assert Fraction(sum(row[j] for row in b), fac.c) == g.n  # a column of U = B / c
 
 
 def test_verify_factorization_small_instances():
@@ -123,12 +126,12 @@ def test_verify_factorization_small_instances():
 
 def test_fault_injection_detected():
     fac = build_factorization(K3, P11, "A")
-    b = [row.copy() for row in fac.B]
-    b[4][1] += fac.c  # U[4][1] += 1
+    b = b_matrix(fac)
+    b[4][1] ^= 1  # U[4][1] moves by 1/c
     x = next(x for x, a_row in fac.a_rows() if 4 in a_row)  # the first row that charges transcript 4
-    expected = f"basis {fac.cols[1]}: equality row X={x} has residual {fac.c}"
+    expected = f"basis {fac.cols[1]}: equality row X={x} has residual {2 * b[4][1] - 1}"
     with pytest.raises(InfeasibleLiftedPointError, match=f"^{re.escape(expected)}$"):
-        verify_factorization(fac._replace(B=b))
+        verify_factorization(fac._replace(B=b_rule(b, K3.edge_count)))
 
 
 def test_global_row_checked_after_the_counting_rows():
@@ -149,14 +152,14 @@ def test_negative_entry_detected(monkeypatch):
     """No factor holds a negative entry: a byte row of B cannot, a row of ints is refused, and so is a negative index of A."""
     fac = build_factorization(K3, P11, "A")
     with pytest.raises(ValueError):
-        fac.B[2][0] = -1
-    b = [row.copy() for row in fac.B]
+        fac.B(0)[2][0] = -1
+    b = b_matrix(fac)
     b[2] = [-1, *b[2][1:]]  # U[2][0] = -1/c
-    with pytest.raises(TypeError, match="rows of bytes"):
-        verify_factorization(fac._replace(B=b))
+    with pytest.raises(TypeError, match=re.escape("B(0) must be 6 rows of 0/1 bytes")):
+        verify_factorization(fac._replace(B=b_rule(b, K3.edge_count)))
     # rows of ints are refused even where their entries are right
-    with pytest.raises(TypeError, match="rows of bytes"):
-        verify_factorization(fac._replace(B=[list(row) for row in fac.B]))
+    with pytest.raises(TypeError, match=re.escape("B(0) must be 6 rows of 0/1 bytes")):
+        verify_factorization(fac._replace(B=lambda i: [list(row) for row in fac.B(i)]))
     a = list(fac.a_rows())
     a[0] = a[0][0], [-1, *a[0][1][1:]]
     monkeypatch.setattr(Factorization, "a_rows", lambda self: iter(a))
@@ -164,14 +167,14 @@ def test_negative_entry_detected(monkeypatch):
         verify_factorization(fac)
 
 
-def test_packed_fields_hold_corrupted_entries():
-    """B[w][j] = 255 with B[w][j+1] set from 1 to 0 is named with its true residual.
+def test_packed_fields_hold_corrupted_entries(tmp_path, monkeypatch, capsys):
+    """B[w][j] = 255 with B[w][j+1] set from 1 to 0 is a malformed block, refused by the check and by verify (exit 2).
 
     In fields one byte wide, the left side's field j would carry into
     field j+1, which the lowered B[w][j+1] cancels, and field j would
-    read 256 less than its entry.  The fields are sized for the corrupted
-    entry instead, and the first row that charges w mismatches at column j
-    by 255 - B[w][j].  (w, j) is picked where that carry would happen,
+    read 256 less than its entry.  B is 0/1 by rule, so the fields stay
+    one byte wide and a block with any other entry is refused before it
+    is summed.  (w, j) is picked where that carry would happen,
     k|X| - l > B[w][j], which K3 (1,1) has nowhere.
     """
     fac = build_factorization(K4, P11, "A")
@@ -180,13 +183,20 @@ def test_packed_fields_hold_corrupted_entries():
     def first_row(w):
         return next(x for x, a_row in a if w in a_row)
 
-    w, j = next((w, j) for w, row in enumerate(fac.B) for j in range(len(row) - 1)
+    b = b_matrix(fac)
+    w, j = next((w, j) for w, row in enumerate(b) for j in range(len(row) - 1)
                 if row[j + 1] == 1 and any(w in a_row for _, a_row in a) and len(first_row(w)) - 1 > row[j])
-    b = [row.copy() for row in fac.B]
     b[w][j], b[w][j + 1] = 255, 0
-    expected = f"basis {fac.cols[j]}: equality row X={first_row(w)} has residual {255 - fac.B[w][j]}"
-    with pytest.raises(InfeasibleLiftedPointError, match=f"^{re.escape(expected)}$"):
-        verify_factorization(fac._replace(B=b))
+    message = f"B({w // 12}) must be 12 rows of 0/1 bytes, each 16 long"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        verify_factorization(fac._replace(B=b_rule(b, K4.edge_count)))
+    build = factorization.build_factorization
+    monkeypatch.setattr(factorization, "build_factorization",
+                        lambda *args, **kwargs: build(*args, **kwargs)._replace(B=b_rule(b, K4.edge_count)))
+    path = tmp_path / "k4.json"
+    path.write_text(json.dumps({"n": K4.n, "edges": K4.edges}))
+    assert cli.main(["verify", "--graph", str(path), "--k", "1", "--l", "1"]) == 2
+    assert capsys.readouterr() == ("", f"error: internal failure: TypeError({message!r})\n")
 
 
 def test_memory_guard_threshold(monkeypatch):
@@ -194,7 +204,7 @@ def test_memory_guard_threshold(monkeypatch):
     k8 = complete_graph(8)
     # each Laman graph on 7 vertices, with a new vertex joined to 2 of its 21 pairs, is one on 8
     with pytest.raises(EnumerationGuardError, match="memory guard"):  # K8 (2,3): about 25 GB
-        build_U(k8, P23, "B", [None] * (21 * 190491))
+        build_factorization(k8, P23, "B", bases=(None,) * (21 * 190491))
 
     class Targeted(Exception):
         pass
@@ -205,12 +215,17 @@ def test_memory_guard_threshold(monkeypatch):
     monkeypatch.setattr(factorization, "protocol_targets", reached)
     # K8 (1,1) is estimated at 235 MB, K7 (2,3) at 672 MB
     for g, p, variant, bases in ((k8, P11, "A", 8**6), (complete_graph(7), P23, "B", 190491)):
-        with pytest.raises(Targeted):  # passes the guard and reaches Bob's targets, made before any orientation
-            build_U(g, p, variant, [None] * bases)
+        fac = build_factorization(g, p, variant, bases=(None,) * bases)  # passes the guard
+        with pytest.raises(Targeted):  # a block reaches Bob's targets, made before any orientation
+            fac.B(0)
 
 
-def test_build_u_computes_targets_once_per_announcement(monkeypatch):
-    """Bob's targets depend only on the announcement, so build_U makes one call per announcement."""
+def test_b_computes_targets_once_per_block(monkeypatch):
+    """Bob's targets depend only on the announcement, so each block of B makes one call.
+
+    The check builds each block that Alice announces once, in order, and no other: on K5,
+    vertices 0 to 3 in variant A and the increasing pairs in variant B.
+    """
     calls = []
     targets = factorization.protocol_targets
 
@@ -222,8 +237,10 @@ def test_build_u_computes_targets_once_per_announcement(monkeypatch):
     for g, p, variant in ((complete_graph(5), P11, "A"), (complete_graph(5), P23, "B")):
         calls.clear()
         fac = build_factorization(g, p, variant)
-        assert calls == factorization.announcements(g.n, variant), (p, variant)
+        assert calls == []  # no block is built until a reader asks for it
         verify_factorization(fac)
+        announced = [a for a in factorization.announcements(g.n, variant) if list(a) == sorted(a) and a[0] < g.n - 1]
+        assert calls == announced, (p, variant)
 
 
 def _traced_bytes(build):
@@ -240,25 +257,53 @@ def _traced_bytes(build):
     return result, traced
 
 
+def _warm_orientations(monkeypatch, fac):
+    """Play every game of B once, cached, so that tracing, which would slow them tenfold, replays them."""
+    monkeypatch.setattr(factorization, "bob_orientation", functools.cache(factorization.bob_orientation))
+    b_matrix(fac)
+
+
 @pytest.mark.parametrize("params, variant", [(P23, "B"), (P11, "A")])
 def test_memory_guard_covers_traced_bytes(params, variant, monkeypatch):
-    """On K6, build_U's estimate is at least the traced bytes of B and of B packed.
+    """On K6, the guard's estimate is at least the traced bytes of B held whole and of B packed.
 
-    The orientations are made before tracing starts, which would slow them tenfold.
+    That covers the most any command holds: factorize holds B whole and packs one block of it at a time.
     """
     g = complete_graph(6)
     bases, w = enumerate_bases(g, params), transcript_count(g, variant)
-    monkeypatch.setattr(factorization, "bob_orientation", functools.cache(factorization.bob_orientation))
-    build_U(g, params, variant, bases)
+    fac = build_factorization(g, params, variant, bases=bases)
+    _warm_orientations(monkeypatch, fac)
 
     def b_and_packed():
-        b = build_U(g, params, variant, bases)
+        b = b_matrix(fac)
         return b, [factorization._pack(row, 1) for row in b]
 
     (b, packed), traced = _traced_bytes(b_and_packed)
     assert len(packed) == len(b) == w
     estimate = factorization.B_ENTRY_BYTES * len(bases) * w
     assert estimate >= traced, (estimate, traced)
+
+
+def test_verify_holds_one_block_of_b(monkeypatch):
+    """K6 (2,3): build_factorization and verify_factorization peak below half of B's |W| x |bases| bytes.
+
+    The check holds one block of B, 2|E| of its |W| rows, at a time.  The bases are
+    enumerated before tracing starts; they are an input, bounded by the enumeration guard.
+    """
+    g = complete_graph(6)
+    bases = enumerate_bases(g, P23)
+    _warm_orientations(monkeypatch, build_factorization(g, P23, bases=bases))
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        verify_factorization(build_factorization(g, P23, bases=bases))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    bound = transcript_count(g, "B") * len(bases) // 2
+    assert peak < bound, (peak, bound)
 
 
 def test_slack_csv_is_written_without_holding_s():
@@ -291,7 +336,7 @@ def test_a_rows_needs_every_announced_transcript(monkeypatch):
     half = transcript_count(K4, "A") // 2
     for module in (factorization, lifted):
         monkeypatch.setattr(module, "transcript_count", lambda g, variant: half)
-    cut = fac._replace(B=fac.B[:half])
+    cut = fac._replace(B=[fac.B(i) for i in range(2)].__getitem__)  # the blocks of the first half
     # X = {2, 3} announces vertex 2, dropped with the second half
     with pytest.raises(TypeError, match=re.escape(f"A row X=(2, 3) must be ascending transcript indices in [0, {half})")):
         verify_factorization(cut)
@@ -303,7 +348,7 @@ def test_a_rows_needs_every_announced_transcript(monkeypatch):
 
 def test_dimension_mismatch_raises(monkeypatch):
     fac = build_factorization(K3, P11, "A")
-    with pytest.raises(TypeError, match="B must be 18x2 rows of bytes"):
+    with pytest.raises(TypeError, match=re.escape("B(0) must be 6 rows of 0/1 bytes, each 2 long")):
         verify_factorization(fac._replace(cols=fac.cols[:-1]))
     a = list(fac.a_rows())
     order = "A must give the rows X in enumerate_rows order: "
@@ -322,7 +367,7 @@ def test_a_rows_must_be_0_1_with_at_most_e_ones(monkeypatch):
     """
     fac = build_factorization(K4, P11, "A")
     a = list(fac.a_rows())
-    (x, last), w = a[-1], len(fac.B)
+    (x, last), w = a[-1], len(b_matrix(fac))
     assert len(last) == 4 and w == 48 and x == (2, 3)
     corrupted = (
         [last[0], *last],  # an entry of 2
@@ -355,9 +400,10 @@ def test_product_matches_protocol_expectation():
     """T @ U recomputes the exact protocol expectation, route by route (T = c * A, U = B / c)."""
     for g, p, variant in [(K4, P11, "A"), (K4, P23, "B")]:
         fac = build_factorization(g, p, variant)
+        b = b_matrix(fac)
         for x, support in fac.a_rows():
             for j, basis in enumerate(fac.cols):
-                cell = sum(fac.c * Fraction(fac.B[w][j], fac.c) for w in support)  # T[X][w] = c on the support
+                cell = sum(fac.c * Fraction(b[w][j], fac.c) for w in support)  # T[X][w] = c on the support
                 assert cell == exact_expectation(g, p, variant, x, basis)
 
 
@@ -373,12 +419,13 @@ def test_product_equals_slack_matrix(corpus_cells):
     """A plain product A @ B equals slack_matrix's S on every cell, an S comparison no command makes."""
     for name, g, p, bases in corpus_cells:
         fac = build_factorization(g, p, bases=bases)
-        product = [[sum(fac.B[w][j] for w in support) for j in range(len(bases))] for _, support in fac.a_rows()]
+        b = b_matrix(fac)
+        product = [[sum(b[w][j] for w in support) for j in range(len(bases))] for _, support in fac.a_rows()]
         assert product == list(slack_matrix(g, p, bases=bases)), (name, p)
 
 
 def test_a_and_b_follow_their_definitions(corpus_cells):
-    """a_rows and build_U match the module docstring's A and B entry by entry, read off each transcript's fields.
+    """a_rows and B match the module docstring's A and B entry by entry, read off each transcript's fields.
 
     The transcripts (alice, edge, head) are listed here in the docstring's
     lexicographic order, which pins the index 2|E| i + 2e + flag that
@@ -388,7 +435,8 @@ def test_a_and_b_follow_their_definitions(corpus_cells):
         fac = build_factorization(g, p, bases=bases)
         ws = [(alice, e, head) for alice in announcements(g.n, fac.variant)
               for e, (u, v) in enumerate(g.edges) for head in (v, u)]
-        assert len(ws) == transcript_count(g, fac.variant) == len(fac.B), (name, p)
+        b = b_matrix(fac)
+        assert len(ws) == transcript_count(g, fac.variant) == len(b), (name, p)
         assert list(_transcript_labels(g, fac.variant)) == [
             "+".join(map(str, alice)) + f"/e{e}h{head}" for alice, e, head in ws], (name, p)
         ends = [(head, sum(g.edges[e]) - head) for _, e, head in ws]  # (head, tail)
@@ -401,7 +449,7 @@ def test_a_and_b_follow_their_definitions(corpus_cells):
             heads = {alice: dict(zip(basis, bob_orientation(edges, protocol_targets(g.n, p, alice)).heads))
                      for alice in announcements(g.n, fac.variant)}
             expected = [int(heads[alice].get(e) == head) for alice, e, head in ws]
-            assert [row[j] for row in fac.B] == expected, (name, p, basis)
+            assert [row[j] for row in b] == expected, (name, p, basis)
 
 
 def test_ine_is_rendered_without_holding_a():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sparsity_ef import factorization
-from sparsity_ef.factorization import Factorization, build_factorization, build_U, enumerate_rows, factor_csvs
+from sparsity_ef.factorization import Factorization, build_factorization, enumerate_rows, factor_csvs
 from sparsity_ef.graphs import SparsityParams, make_graph
 from sparsity_ef.protocol import resolve_variant, transcript_count
 from sparsity_ef.lifted import (
@@ -18,7 +18,7 @@ from sparsity_ef.lifted import (
 )
 from sparsity_ef.sparsity import enumerate_bases, require_basis
 
-from conftest import complete_graph, path_graph
+from conftest import b_matrix, b_rule, complete_graph, path_graph
 from lift_reference import LiftedPoint, assert_in_lifted, check_projection, equality_residuals, lift_vertex
 
 K3 = complete_graph(3)
@@ -36,12 +36,12 @@ def test_build_counts_k3():
     fac = lift(K3, P11, "A")
     assert (K3.edge_count, transcript_count(K3, "A")) == (3, 18)
     assert ine_size(K3, P11, "A") == (4, 21)
-    assert fac.cols == () and fac.B == [bytearray()] * 18
+    assert fac.cols == () and [fac.B(i) for i in range(3)] == [[bytearray()] * 6] * 3
 
 
 def test_build_counts_k4_variant_b():
     fac = lift(K4, P23, "B")
-    assert (K4.edge_count, transcript_count(K4, "B"), len(fac.B)) == (6, 144, 144)
+    assert (K4.edge_count, transcript_count(K4, "B"), len(b_matrix(fac))) == (6, 144, 144)
     assert ine_size(K4, P23, "B") == (11, 150)
 
 
@@ -220,19 +220,22 @@ def test_sizes_are_the_written_headers_and_rows(corpus_cells):
 def _first_failures(monkeypatch, fac, edges, column):
     """The error messages of verify_extension and of the Fraction reference for one lift.
 
-    Both lift the edge set with the given B-column: ``factorization.build_U``
-    is replaced for the factorization and for ``lift_vertex`` alike.  None
-    means no error.
+    Both lift the edge set with the given B-column: ``factorization.build_factorization``
+    hands out Bob's rule for that column, to the factorization and to ``lift_vertex``
+    alike.  None means no error.
     """
-    monkeypatch.setattr(factorization, "build_U", lambda *args: [bytearray([v]) for v in column])
+    build = factorization.build_factorization
+    rows = [bytearray([v]) for v in column]
+    monkeypatch.setattr(factorization, "build_factorization",
+                        lambda *args, **kwargs: build(*args, **kwargs)._replace(B=b_rule(rows, fac.graph.edge_count)))
     found = []
     for run in (
-        lambda: verify_extension(build_factorization(fac.graph, fac.params, fac.variant, bases=[edges])),
+        lambda: verify_extension(factorization.build_factorization(fac.graph, fac.params, fac.variant, bases=[edges])),
         lambda: assert_in_lifted(fac, lift_vertex(fac, edges)),
     ):
         try:
             run()
-        except InfeasibleLiftedPointError as exc:
+        except (InfeasibleLiftedPointError, TypeError) as exc:
             found.append(str(exc))
         else:
             found.append(None)
@@ -246,7 +249,7 @@ def _perturbed_inputs(fac, bases, rng):
     A corrupted column holds a flipped entry or a 2; B is bytes, so no entry can be negative.
     """
     g = fac.graph
-    columns = build_U(g, fac.params, fac.variant, bases)
+    columns = b_matrix(build_factorization(g, fac.params, fac.variant, bases=bases))
     inputs = [(basis, [row[j] for row in columns]) for j, basis in enumerate(bases)]
     for _ in range(3):
         j = rng.randrange(len(bases))
@@ -269,7 +272,9 @@ def test_batched_checks_match_fraction_reference(corpus_cells, monkeypatch):
     Covers every basis of the K3/K4/W5/prism cells, bases with a flipped
     B entry or an entry of 2, with one edge swapped and of the wrong size, and
     the single-edge graph, which has no counting rows, so only |F| = c
-    can reject its empty edge set.
+    can reject its empty edge set.  B is 0/1 by rule: a column with a 2 is
+    refused as a malformed block wherever a row reads that block, and
+    passes, as in the reference, where no row does.
     """
     rng = random.Random(7)
     single = make_graph(2, [(0, 1)])
@@ -279,28 +284,30 @@ def test_batched_checks_match_fraction_reference(corpus_cells, monkeypatch):
     outcomes = set()
     for name, g, p, bases in cells:
         fac = lift(g, p)
+        block = 2 * g.edge_count
+        read = {w // block for _, support in fac.a_rows() for w in support}  # the blocks a row charges
         for edges, column in _perturbed_inputs(fac, bases, rng):
             new, reference = _first_failures(monkeypatch, fac, edges, column)
+            if 2 in column and column.index(2) // block in read:
+                i = column.index(2) // block
+                assert new == f"B({i}) must be {block} rows of 0/1 bytes, each 1 long", (name, p, edges)
+                outcomes.add("malformed")
+                continue
             assert new == reference, (name, p, edges)
             failure = new and re.search(r": (equality row X=|equality row global)", new)
             outcomes.add(failure.group(1) if failure else new)
-    assert outcomes == {None, "equality row X=", "equality row global"}
+    assert outcomes == {None, "equality row X=", "equality row global", "malformed"}
 
 
-def test_verify_extension_catches_flipped_u_entry(monkeypatch):
+def test_verify_extension_catches_flipped_u_entry():
     # the first transcript a row charges
     w = min(min(support) for _, support in lift(K4, P23, "B").a_rows() if support)
-    real_build_u = factorization.build_U
-
-    def flipped(*args):
-        b = real_build_u(*args)
-        b[w][0] = 1 - b[w][0]
-        return b
-
-    monkeypatch.setattr(factorization, "build_U", flipped)
+    fac = build_factorization(K4, P23, "B")
+    b = b_matrix(fac)
+    b[w][0] = 1 - b[w][0]
     basis = enumerate_bases(K4, P23)[0]
     with pytest.raises(InfeasibleLiftedPointError, match=re.escape(f"basis {basis}: equality row X=")):
-        verify_extension(build_factorization(K4, P23, "B"))
+        verify_extension(fac._replace(B=b_rule(b, K4.edge_count)))
 
 
 def test_verify_extension_catches_corrupted_t_entry(monkeypatch):
@@ -308,7 +315,7 @@ def test_verify_extension_catches_corrupted_t_entry(monkeypatch):
     bases = enumerate_bases(K4, P23)
     fac = lift(K4, P23, "B")
     x, support = list(fac.a_rows())[3]
-    column = build_U(K4, P23, "B", bases[:1])
+    column = b_matrix(build_factorization(K4, P23, "B", bases=bases[:1]))
     w = next(i for i, row in enumerate(column) if row[0] and i not in support)
     real_a_rows = Factorization.a_rows
 
