@@ -42,8 +42,9 @@ bound row where 2k - l >= 2 and follows from the rows |X| = 2
 elsewhere.  The `.ine` is the T side of the factorization.  No command
 holds T: each reader builds its rows as it reaches them, so `emit
 --verify` builds T twice, and checks before it writes.  The check holds
-one block of B at a time; `factorize` holds every block, built before
-its first line of output.  A regular output file that fails mid-write
+one block of B at a time; only `factorize --out` holds every block,
+built before the check for U.csv.  `factorize` checks before its first
+line of output.  A regular output file that fails mid-write
 is removed.  Plain `emit` needs no certificate: it
 refuses an empty instance (exit 4, one pebble game),
 then more than 16 vertices (exit 3), and writes the factorization over
@@ -238,12 +239,12 @@ def cmd_factorize(args) -> int:
     variant = resolve_variant(p, args.variant)
     bases = _bases_for_rows(g, p, args)
     fac = build_factorization(g, p, variant, bases=bases)
-    # every block of B, built before any output, so a refused game prints nothing, and held for the check and U.csv
-    fac = fac._replace(B=[fac.B(i) for i in range(len(announcements(g.n, variant)))].__getitem__)
+    if args.out:  # every block of B, built before the check and held for U.csv, so a refused game writes nothing
+        fac = fac._replace(B=[fac.B(i) for i in range(len(announcements(g.n, variant)))].__getitem__)
+    verify_factorization(fac)  # before the first line of output, so a failed check or refused game prints nothing
     print(f"variant: {variant}")
     print(f"slack matrix: {row_count(g.n)}x{len(fac.cols)}")
     print(f"transcripts: {transcript_count(g, variant)}")
-    verify_factorization(fac)
     print("verified: yes")
     if args.out:
         t_csv, u_csv = factor_csvs(fac)

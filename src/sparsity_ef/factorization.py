@@ -64,7 +64,7 @@ from .sparsity import Basis, enumerate_bases
 
 MAX_ROW_ENUM_N = 16
 MAX_MATRIX_BYTES = 2**30  # build_factorization refuses B estimated beyond this; no code holds S
-# per entry of B: the most any command holds, all of B at a byte an entry in factorize, and one block packed
+# per entry of B: the most any command holds, all of B at a byte an entry in factorize --out, and one block packed
 B_ENTRY_BYTES = 2
 
 

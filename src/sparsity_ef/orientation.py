@@ -4,24 +4,24 @@ An in-degree vector m is realizable on (V, F) iff |F| = sum(m) and
 |F(X)| <= sum_{v in X} m(v) for every X ⊆ V (Hakimi's theorem).
 ``pebble_orientation`` decides it and builds the orientation with the
 pebble game of ``sparsity.PebbleGame``, the package's one path-reversal
-routine: every vertex v gets a budget of m(v) pebbles, l = 0, and the
-edges of F are inserted in the order given.  A pebble game leaves every
-vertex with as many out-edges as pebbles it spent, so once the |F| =
-sum(m) edges are in, no pebble is free and v has exactly m(v) out-edges.
-Bob's orientation is the reverse: each edge is headed at its pebble
-tail, so the in-degree of v is m(v).  Targets above k are as good as any
-others.  An edge that cannot get a pebble proves the vector infeasible,
-and the vertices that the failed search reached are the witness.
+routine: every vertex v gets a budget of m(v) pebbles, l = 0, and one
+``play`` inserts the edges of F in the order given.  A pebble game
+leaves every vertex with as many out-edges as pebbles it spent, so once
+the |F| = sum(m) edges are in, no pebble is free and v has exactly m(v)
+out-edges.  Bob's orientation is the reverse: each edge is headed at its
+pebble tail, so the in-degree of v is m(v).  Targets above k are as good
+as any others.  An edge that cannot get a pebble proves the vector
+infeasible, and the vertices that the failed search reached are the
+witness.
 
-The fetch rule: a pebble is fetched breadth-first from the edge's two
-ends, each vertex's out-neighbours walked in ascending order, and the
-first free pebble found is taken.  So each move of the game depends
-only on its current state, and Bob's orientation is a pure function of
-(F in its given order, m), whatever the game's history, the Python
-version or ``PYTHONHASHSEED``.  Where m does not force the orientation,
-this rule is what fixes U.csv, the ``orient`` output and Monte Carlo
-hit counts; no slack, T or ``.ine`` value depends on it, because how
-many edges of F enter a set X does not depend on the orientation.
+The fetch rule, stated on ``PebbleGame.play``, makes each move of the
+game depend only on its current state, so Bob's orientation is a pure
+function of (F in its given order, m), whatever the game's history, the
+Python version or ``PYTHONHASHSEED``.  Where m does not force the
+orientation, this rule is what fixes U.csv, the ``orient`` output and
+Monte Carlo hit counts; no slack, T or ``.ine`` value depends on it,
+because how many edges of F enter a set X does not depend on the
+orientation.
 """
 
 from __future__ import annotations
@@ -74,10 +74,10 @@ def orient_with_targets(n: int, edges: Sequence[tuple[int, int]], targets: Seque
 def pebble_orientation(edges: tuple[tuple[int, int], ...], targets: Sequence[int]) -> Orientation:
     """Orient the edges, already checked, so that the in-degree vector equals targets, by the pebble game.
 
-    Each vertex v starts with targets[v] pebbles, and the edges are
-    inserted in the order given with l = 0; each edge is headed at the
+    Each vertex v starts with targets[v] pebbles, and one ``play`` inserts
+    the edges in the order given with l = 0; each edge is headed at the
     endpoint whose pebble it took.  If an edge uv cannot get a pebble, the
-    vertices that the failed fetch reached form a set X that contains u
+    vertices that its failed search reached form a set X that contains u
     and v, holds no free pebble and has no game out-edge leaving it.  So
     the targets(X) edges paid for from X lie in F(X), as does uv, and
     |F(X)| > targets(X); X is raised as the witness.
@@ -88,15 +88,14 @@ def pebble_orientation(edges: tuple[tuple[int, int], ...], targets: Sequence[int
             f"|F| = {len(edges)} but targets sum to {total}", witness=None
         )
     game = PebbleGame(targets, 0)
-    for u, v in edges:
-        if not game.add(u, v):
-            region = frozenset(game.searched)
-            inside = sum(a in region and b in region for a, b in edges)
-            raise InfeasibleOrientationError(
-                f"in-degree targets infeasible: region {sorted(region)} has {inside} internal "
-                f"edges but target sum {sum(targets[w] for w in region)}",
-                witness=region,
-            )
+    if game.play(edges) < len(edges):
+        region = frozenset(game.searched)
+        inside = sum(a in region and b in region for a, b in edges)
+        raise InfeasibleOrientationError(
+            f"in-degree targets infeasible: region {sorted(region)} has {inside} internal "
+            f"edges but target sum {sum(targets[w] for w in region)}",
+            witness=region,
+        )
     out = game.out
     heads = tuple(u if v in out[u] else v for u, v in edges)
     return Orientation(n=len(targets), edges=edges, heads=heads)

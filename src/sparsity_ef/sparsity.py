@@ -13,16 +13,18 @@ An edge subset F is identified by its sorted tuple of edge indices; a
 basis is such a tuple of cardinality max(k*n - l, 0) whose subgraph is
 sparse (hence tight and spanning).
 
-The same pebble game serves three more uses.  ``enumerate_bases`` is a
-depth-first search over edges in index order that keeps one game for
-its current prefix, adding and taking out one edge at a time, and skips
-an edge as soon as the prefix plus that edge is dependent, pruning all
-of its extensions at once (sparsity is hereditary).  ``has_basis`` plays
-the game greedily once over all edges: the sparse edge sets are the
-independent sets of a matroid, so the count inserted is its rank, and a
-basis exists iff that rank is k*n - l.  ``orientation.orient_with_targets``
-plays it with per-vertex budgets, the in-degree targets, and l = 0, so
-``PebbleGame`` is the package's only path-reversal code.
+The game has one move, ``PebbleGame.play``, whose docstring states the
+fetch rule, and ``remove`` takes an edge out again.  It serves three
+more uses.  ``enumerate_bases`` is a depth-first search over edges in
+index order that keeps one game for its current prefix, playing and
+taking out one edge at a time, and skips an edge as soon as the prefix
+plus that edge is dependent, pruning all of its extensions at once
+(sparsity is hereditary).  ``has_basis`` plays every edge once, keeping
+those that go in: the sparse edge sets are the independent sets of a
+matroid, so the count that goes in is its rank, and a basis exists iff
+that rank is k*n - l.  ``orientation.pebble_orientation`` plays it with
+per-vertex budgets, the in-degree targets, and l = 0, so ``PebbleGame``
+is the package's only path-reversal code.
 """
 
 from __future__ import annotations
@@ -129,10 +131,9 @@ class PebbleGame:
     by returning its pebble to its tail.
 
     Each ``out[w]``, the heads of w's out-edges, is a list kept in
-    ascending order, so a fetch walks it as it stands.  The keys of
-    ``searched`` are the vertices that the last failed fetch reached.
-    None of them holds a free pebble apart from u and v, and every
-    out-edge of one of them ends in another.
+    ascending order.  The keys of ``searched`` are the vertices that the
+    last refused edge's search reached.  None of them holds a free pebble
+    apart from u and v, and every out-edge of one of them ends in another.
     """
 
     def __init__(self, budgets: Sequence[int], ell: int):
@@ -141,55 +142,53 @@ class PebbleGame:
         self.out: list[list[int]] = [[] for _ in budgets]
         self.searched: dict[int, int] = {}
 
-    def accepts(self, u: int, v: int) -> bool:
-        """Gather l+1 pebbles on u and v; whether uv is independent of the accepted edges.
+    def play(self, edges: Iterable[tuple[int, int]]) -> int:
+        """Insert the edges in order; how many went in, stopping at the first refused edge.
 
-        A fetch only reverses paths, so the state stays valid for the same
-        edges whether or not uv is then inserted.
+        Edge uv goes in once l+1 pebbles are gathered on u and v, paid
+        for by u if u has a pebble and by v otherwise.  The fetch rule:
+        each pebble is fetched breadth-first from u and v, each out-list
+        walked in its ascending order, and the first free pebble found is
+        moved to u or v by reversing the path to it.  Which pebble is
+        fetched changes no answer, only the orientation that the game
+        reaches; with this rule each move depends only on the game's
+        state.  A refused edge is not inserted: the edges accepted before
+        it stay in, some reversed by its fetches, and ``searched`` is set.
         """
-        pebbles = self.pebbles
-        while pebbles[u] + pebbles[v] <= self.ell:
-            if not self._fetch(u, v):
-                return False
-        return True
-
-    def _fetch(self, u: int, v: int) -> bool:
-        """Move one pebble onto u or v by reversing a directed path; False if none is reachable.
-
-        Breadth-first from u and v, each out-list in its ascending order,
-        stopping at the first vertex found with a free pebble.  Which pebble
-        is fetched changes no answer, only the orientation that the game
-        reaches.
-        """
-        out, pebbles = self.out, self.pebbles
-        parent = {u: -1, v: -1}
-        queue = [u, v]
-        for w in queue:  # the queue grows while it is walked
-            for s in out[w]:
-                if s in parent:
-                    continue
-                parent[s] = w
-                if pebbles[s] == 0:
-                    queue.append(s)
-                    continue
-                # reverse the path root -> s, paying s's pebble to the root
-                node = s
+        out, pebbles, ell = self.out, self.pebbles, self.ell
+        played = 0
+        for u, v in edges:
+            while pebbles[u] + pebbles[v] <= ell:
+                parent, queue, found = {u: -1, v: -1}, [u, v], -1
+                for w in queue:  # the queue grows while it is walked
+                    for s in out[w]:
+                        if s not in parent:
+                            parent[s] = w
+                            if pebbles[s]:
+                                found = s
+                                break
+                            queue.append(s)
+                    if found >= 0:
+                        break
+                if found < 0:
+                    self.searched = parent
+                    return played
+                node = found  # reverse the path root -> found, paying found's pebble to the root
                 while parent[node] >= 0:
                     prev = parent[node]
                     out[prev].remove(node)
                     insort(out[node], prev)
                     node = prev
-                pebbles[s] -= 1
+                pebbles[found] -= 1
                 pebbles[node] += 1
-                return True
-        self.searched = parent
-        return False
-
-    def insert(self, u: int, v: int) -> None:
-        """Accept uv, after ``accepts(u, v)``, paying with a pebble of u if it has one."""
-        tail, head = (u, v) if self.pebbles[u] > 0 else (v, u)
-        self.pebbles[tail] -= 1
-        insort(self.out[tail], head)
+            if pebbles[u]:
+                pebbles[u] -= 1
+                insort(out[u], v)
+            else:
+                pebbles[v] -= 1
+                insort(out[v], u)
+            played += 1
+        return played
 
     def remove(self, u: int, v: int) -> None:
         """Take out the accepted edge uv and return its pebble to its tail."""
@@ -197,27 +196,18 @@ class PebbleGame:
         self.out[tail].remove(head)
         self.pebbles[tail] += 1
 
-    def add(self, u: int, v: int) -> bool:
-        """Insert uv if it is independent of the accepted edges; whether it was."""
-        if not self.accepts(u, v):
-            return False
-        self.insert(u, v)
-        return True
-
 
 def is_sparse_pebble(g: Graph, p: SparsityParams, edge_set: Iterable[int]) -> bool:
     """Decide sparsity with the (k,l)-pebble game (production path).
 
-    Every vertex starts with k pebbles.  Edges of F are inserted in
-    ascending index order; inserting {u,v} requires l+1 pebbles gathered
-    on u and v, where a pebble is fetched by searching the oriented
-    inserted edges breadth-first for a pebbled vertex and reversing the
-    connecting path.  F is sparse iff every edge gets inserted.
+    Every vertex starts with k pebbles, and ``PebbleGame.play`` inserts
+    the edges of F in ascending index order; F is sparse iff every edge
+    goes in.
     """
     validate_instance(g, p)
     subset = _normalize_subset(g, edge_set)
     game = PebbleGame([p.k] * g.n, p.ell)
-    return all(game.add(*g.edges[i]) for i in subset)
+    return game.play(g.edges[i] for i in subset) == len(subset)
 
 
 def tight_cardinality(g: Graph, p: SparsityParams) -> int:
@@ -238,11 +228,11 @@ def enumerate_bases(
     """All tight spanning edge sets, in lexicographic edge-index order.
 
     A depth-first search over edges in index order that carries one
-    pebble game for the current prefix: edge j joins the prefix when l+1
-    pebbles can be gathered on its ends, and is skipped otherwise, which
-    prunes every extension through it (sparsity is hereditary).  An edge
-    accepted at the last depth is recorded without being inserted, and
-    backtracking takes the last edge out again.  The search is a loop, so
+    pebble game for the current prefix: edge j joins the prefix when the
+    game plays it, and is skipped otherwise, which prunes every extension
+    through it (sparsity is hereditary).  An edge played at the last depth
+    completes a basis, which is recorded, and is taken out again at once;
+    backtracking takes the last edge of the prefix out again.  The search is a loop, so
     its depth, the basis size, is not bounded by Python's recursion limit.
 
     Refuses (EnumerationGuardError) when C(|E|, k*n-l) exceeds the guard,
@@ -273,11 +263,11 @@ def enumerate_bases(
                 return bases
             j = prefix.pop()
             game.remove(*edges[j])
-        elif game.accepts(*edges[j]):
+        elif game.play([edges[j]]):
             if len(prefix) == m - 1:
                 bases.append((*prefix, j))
+                game.remove(*edges[j])
             else:
-                game.insert(*edges[j])
                 prefix.append(j)
         j += 1
 
@@ -285,8 +275,8 @@ def enumerate_bases(
 def has_basis(g: Graph, p: SparsityParams) -> bool:
     """Whether a tight spanning edge set exists, from one greedy pebble game.
 
-    The game inserts every edge it can, in index order; the count it
-    inserts is the rank of the sparsity matroid, and a basis exists iff
+    The game plays every edge once, in index order, and keeps those that
+    go in; their count is the rank of the sparsity matroid, and a basis exists iff
     that rank is k*n - l.  Polynomial, so no enumeration guard applies.
     """
     validate_instance(g, p)
@@ -294,7 +284,7 @@ def has_basis(g: Graph, p: SparsityParams) -> bool:
     if g.edge_count < m:  # before the game's O(n) state is built
         return False
     game = PebbleGame([p.k] * g.n, p.ell)
-    rank = sum(game.add(u, v) for u, v in g.edges)
+    rank = sum(game.play([e]) for e in g.edges)
     return rank == m
 
 

@@ -371,8 +371,8 @@ def test_refused_basis_orientation_exits_2(k4_path, tmp_path, monkeypatch, capsy
 def test_unannounced_refusal_stops_only_factorize(k4_path, tmp_path, monkeypatch, capsys):
     """K4 (1,1): a refusal in the block of announcement (3,), which no row X makes, enters no row of the lift.
 
-    So verify and emit --verify never build that block and pass; factorize --out builds every block
-    before its first line of output, so it exits 2 with nothing printed or written.
+    So verify, emit --verify and plain factorize never build that block and pass; factorize --out builds
+    every block before its check, so it exits 2 with nothing printed or written.
     """
     targets = protocol.protocol_targets
 
@@ -383,6 +383,7 @@ def test_unannounced_refusal_stops_only_factorize(k4_path, tmp_path, monkeypatch
     base = ["--graph", k4_path, "--k", "1", "--l", "1"]
     assert run(["verify", *base], capsys)[0] == 0
     assert run(["emit", *base, "--out", str(tmp_path / "x.ine"), "--verify"], capsys)[0] == 0
+    assert run(["factorize", *base], capsys)[0] == 0
     code, out, err = run(["factorize", *base, "--out", str(tmp_path / "dump")], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: internal consistency failure: orientation of a basis was refused")
@@ -391,7 +392,7 @@ def test_unannounced_refusal_stops_only_factorize(k4_path, tmp_path, monkeypatch
 
 @pytest.mark.parametrize("k, l, announced, every", [(2, 3, 1000, 2000), (1, 1, 500, 625)])
 def test_bob_plays_each_block_once(tmp_path, monkeypatch, capsys, k, l, announced, every):
-    """K5: verify and emit --verify play Bob's games only for the announcements Alice makes, factorize --out for all.
+    """K5: verify, emit --verify and factorize play Bob's games only for the announcements Alice makes, --out for all.
 
     K5 has 100 bases at (2,3), with 20 announcements of which 10 are made, and 125 at (1,1), with 5 and 4.
     """
@@ -409,6 +410,7 @@ def test_bob_plays_each_block_once(tmp_path, monkeypatch, capsys, k, l, announce
     base = ["--graph", str(path), "--k", str(k), "--l", str(l)]
     for argv, expected in ((["verify", *base], announced),
                            (["emit", *base, "--out", str(tmp_path / "k5.ine"), "--verify"], announced),
+                           (["factorize", *base], announced),
                            (["factorize", *base, "--out", str(tmp_path / "k5")], every)):
         games.clear()
         assert run(argv, capsys)[0] == 0, argv
@@ -470,12 +472,12 @@ def test_unexpected_exception_exits_2(k4_path, monkeypatch, capsys, exc):
 
 
 def test_factorize_mismatch_exits_2(k4_path, tmp_path, corrupted_t, capsys):
-    """A failed check is verify's error line, with no verdict line and no dump written."""
+    """A failed check is verify's error line, with nothing printed and no dump written."""
     prefix = tmp_path / "dump"
     base = ["--graph", k4_path, "--k", "2", "--l", "3"]
     code, out, err = run(["factorize", *base, "--out", str(prefix)], capsys)
     assert code == 2
-    assert out == "variant: B\nslack matrix: 10x6\ntranscripts: 144\n"
+    assert out == ""
     assert err.startswith("error: basis (") and "equality row X=" in err
     assert (code, err) == run(["verify", *base], capsys)[::2]
     assert list(tmp_path.glob("dump*")) == []

@@ -213,8 +213,8 @@ def test_fetch_order_does_not_depend_on_fill_order():
     """
     for first, second in ((9, 1), (1, 9)):
         game = sparsity.PebbleGame([2, 1, 0, 0, 0, 0, 0, 0, 0, 1], 0)
-        assert game.add(0, first) and game.add(0, second)
-        assert game.add(0, 5)  # vertex 0 has no pebble left, so one is fetched
+        assert game.play([(0, first), (0, second)]) == 2
+        assert game.play([(0, 5)]) == 1  # vertex 0 has no pebble left, so one is fetched
         assert game.pebbles == [0, 0, 0, 0, 0, 0, 0, 0, 0, 1], first
         assert game.out[0] == [5, 9] and game.out[1] == [0], first
 
@@ -222,12 +222,15 @@ def test_fetch_order_does_not_depend_on_fill_order():
 @settings(deadline=None, max_examples=300)
 @given(st.data())
 def test_pebble_game_matches_the_set_reference(data):
-    """Random add/accepts/remove sequences play the same game on ascending out-lists as on sorted sets.
+    """Random play/accepts/remove sequences play the same game on ascending out-lists as on sorted sets.
 
-    After every step the return values, free pebbles, out-neighbourhoods
-    and failed-fetch regions agree, and every out-list is strictly ascending.
+    A "play" step plays one to three free edges at once, and the reference
+    adds them one by one up to its first refusal; an "accepts" step plays
+    one edge and takes it out again if it went in.  After every step the
+    return values, free pebbles, out-neighbourhoods and failed-fetch
+    regions agree, and every out-list is strictly ascending.
     """
-    n = data.draw(st.integers(2, 9), label="n")
+    n = data.draw(st.integers(2, 12), label="n")
     budgets = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n), label="budgets")
     ell = data.draw(st.integers(0, 5), label="ell")
     game, ref = sparsity.PebbleGame(budgets, ell), SetPebbleGame(budgets, ell)
@@ -235,19 +238,30 @@ def test_pebble_game_matches_the_set_reference(data):
     pairs = list(itertools.combinations(range(n), 2))
     for _ in range(data.draw(st.integers(0, 40), label="steps")):
         free = [e for e in pairs if e not in accepted]
-        op = data.draw(st.sampled_from(["add", "accepts"] * bool(free) + ["remove"] * bool(accepted)))
-        u, v = data.draw(st.sampled_from(sorted(accepted) if op == "remove" else free))
-        if data.draw(st.booleans()):
-            u, v = v, u
+        op = data.draw(st.sampled_from(["play", "accepts"] * bool(free) + ["remove"] * bool(accepted)))
         if op == "remove":
+            u, v = data.draw(st.sampled_from(sorted(accepted)))
+            if data.draw(st.booleans()):
+                u, v = v, u
             game.remove(u, v)
             ref.remove(u, v)
             accepted.discard((min(u, v), max(u, v)))
         else:
-            answer = getattr(game, op)(u, v)
-            assert answer == getattr(ref, op)(u, v)
-            if op == "add" and answer:
-                accepted.add((min(u, v), max(u, v)))
+            size = 1 if op == "accepts" else 3
+            edges = data.draw(st.lists(st.sampled_from(free), min_size=1, max_size=size, unique=True))
+            edges = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in edges]
+            played = game.play(edges)
+            if op == "accepts":
+                (u, v), answer = edges[0], played == 1
+                if answer:
+                    game.remove(u, v)
+                assert answer == ref.accepts(u, v)
+            else:
+                expected = 0
+                while expected < len(edges) and ref.add(*edges[expected]):
+                    expected += 1
+                assert played == expected
+                accepted.update((min(u, v), max(u, v)) for u, v in edges[:played])
         assert game.pebbles == ref.pebbles
         assert [set(heads) for heads in game.out] == ref.out
         assert all(a < b for heads in game.out for a, b in zip(heads, heads[1:]))
