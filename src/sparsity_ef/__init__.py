@@ -30,7 +30,7 @@ _MODULES = {
         "make_graph", "validate_instance",
     ),
     "lifted": ("format_ine", "verify_extension"),
-    "orientation": ("Orientation", "orient_with_targets"),
+    "orientation": ("orient_with_targets",),
     "protocol": (
         "MCResult", "alice_choice", "bit_complexity", "exact_expectation", "monte_carlo", "protocol_targets",
         "resolve_variant",

@@ -160,10 +160,13 @@ def cmd_orient(args) -> int:
         raise ValueError("--y needs --x")
     else:
         raise ValueError("need --targets, or --x (variant A), or --x and --y (variant B)")
-    orientation = orient_with_targets(g.n, [g.edges[i] for i in sorted(set(subset))], targets)
-    for tail, head in orientation.directed_edges():
-        print(f"{tail}->{head}")
-    print("rho: " + ",".join(str(r) for r in orientation.rho))
+    edges = [g.edges[i] for i in sorted(set(subset))]
+    heads = orient_with_targets(g.n, edges, targets)
+    rho = [0] * g.n
+    for (u, v), head in zip(edges, heads):
+        print(f"{u + v - head}->{head}")
+        rho[head] += 1
+    print("rho: " + ",".join(map(str, rho)))
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ T.csv and U.csv label is read off that rule.  ``transcript_count`` gives
 factors are two 0/1 incidence matrices,
 
     A[X][w] = [alice(w) = alice_choice(X)] * [w's edge enters X]
-    B[w][F] = [w's directed edge appears in Bob's orientation of F for alice(w)]
+    B[w][F] = [in Bob's heads for F and alice(w), w's edge has w's head]
 
 and S = A @ B exactly: (A @ B)[X][F] counts the edges of F's orientation
 that enter X.  Every basis has |F| = c = k n - l >= 1 edges, and the
@@ -26,7 +26,8 @@ charges, one per edge entering X; ``Factorization.a_rows`` yields each X
 with its support, built in O(|E|) as a reader reaches it.  B comes in
 blocks: ``Factorization.B(i)`` plays Bob's games for announcement i and
 returns its 2|E| rows, ``bytearray`` rows over the bases, nonnegative by
-type.  T and U exist only where ``sparse_renderer`` writes them from
+type; a game's heads, one per edge of the basis, go straight into its
+column.  T and U exist only where ``sparse_renderer`` writes them from
 supports, as the exact 'p' or 'p/q' entries of T.csv and U.csv and as
 ``.ine`` coefficients.  Nothing holds S: ``slack_matrix`` yields it one
 row at a time, and S.csv is written row by row, from the bases' edge
@@ -203,7 +204,7 @@ def build_factorization(
         targets = protocol_targets(g.n, p, announcements(g.n, variant)[i])  # they depend only on the announcement
         for j, basis in enumerate(cols):
             edges = tuple(g.edges[e] for e in basis)
-            for e, (u, _), h in zip(basis, edges, bob_orientation(edges, targets).heads):
+            for e, (u, _), h in zip(basis, edges, bob_orientation(edges, targets)):
                 block[2 * e + (h == u)][j] = 1
         return block
 

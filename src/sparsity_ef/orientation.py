@@ -9,10 +9,13 @@ routine: every vertex v gets a budget of m(v) pebbles, l = 0, and one
 leaves every vertex with as many out-edges as pebbles it spent, so once
 the |F| = sum(m) edges are in, no pebble is free and v has exactly m(v)
 out-edges.  Bob's orientation is the reverse: each edge is headed at its
-pebble tail, so the in-degree of v is m(v).  Targets above k are as good
-as any others.  An edge that cannot get a pebble proves the vector
-infeasible, and the vertices that the failed search reached are the
-witness.
+pebble tail, so the in-degree of v is m(v).  An orientation is its
+heads, a tuple of one head per edge of F in the order given, read from
+the game's out-lists: the tail of uv is the endpoint that is not its
+head, and the in-degree of v is how often v is a head.  Targets above k
+are as good as any others.  An edge that cannot get a pebble proves the
+vector infeasible, and the vertices that the failed search reached are
+the witness.
 
 The fetch rule, stated on ``PebbleGame.play``, makes each move of the
 game depend only on its current state, so Bob's orientation is a pure
@@ -26,29 +29,10 @@ orientation.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import InfeasibleOrientationError
 from .sparsity import PebbleGame
-
-
-class Orientation(NamedTuple):
-    """Heads for each edge of F (aligned with the given edge list) and the in-degree vector."""
-
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    heads: tuple[int, ...]
-
-    @property
-    def rho(self) -> tuple[int, ...]:
-        counts = [0] * self.n
-        for h in self.heads:
-            counts[h] += 1
-        return tuple(counts)
-
-    def directed_edges(self) -> tuple[tuple[int, int], ...]:
-        """(tail, head) per edge, in the order the edge list was given."""
-        return tuple((u, v) if h == v else (v, u) for (u, v), h in zip(self.edges, self.heads))
 
 
 def _check_inputs(n: int, edges: Sequence[tuple[int, int]], targets: Sequence[int]) -> None:
@@ -65,14 +49,14 @@ def _check_inputs(n: int, edges: Sequence[tuple[int, int]], targets: Sequence[in
         raise ValueError("repeated edge pair: parallel edges are not supported")
 
 
-def orient_with_targets(n: int, edges: Sequence[tuple[int, int]], targets: Sequence[int]) -> Orientation:
-    """Orient the edges so that the in-degree vector equals targets: ``pebble_orientation`` on checked inputs."""
+def orient_with_targets(n: int, edges: Sequence[tuple[int, int]], targets: Sequence[int]) -> tuple[int, ...]:
+    """One head per edge, so that the in-degree vector equals targets: ``pebble_orientation`` on checked inputs."""
     _check_inputs(n, edges, targets)
-    return pebble_orientation(tuple(map(tuple, edges)), targets)
+    return pebble_orientation(edges, targets)
 
 
-def pebble_orientation(edges: tuple[tuple[int, int], ...], targets: Sequence[int]) -> Orientation:
-    """Orient the edges, already checked, so that the in-degree vector equals targets, by the pebble game.
+def pebble_orientation(edges: Sequence[tuple[int, int]], targets: Sequence[int]) -> tuple[int, ...]:
+    """One head per edge, already checked, so that the in-degree vector equals targets, by the pebble game.
 
     Each vertex v starts with targets[v] pebbles, and one ``play`` inserts
     the edges in the order given with l = 0; each edge is headed at the
@@ -97,5 +81,4 @@ def pebble_orientation(edges: tuple[tuple[int, int], ...], targets: Sequence[int
             witness=region,
         )
     out = game.out
-    heads = tuple(u if v in out[u] else v for u, v in edges)
-    return Orientation(n=len(targets), edges=edges, heads=heads)
+    return tuple(u if v in out[u] else v for u, v in edges)

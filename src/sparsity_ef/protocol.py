@@ -29,10 +29,12 @@ maps 'auto' to A there.  Everything else follows from the count:
   and O(|V|^2|E|) for B.
 
 Bob has one entry point, ``bob_orientation(edges, targets)``, the
-orientation module's game, unchecked, on F's edges in index order, called
-by each public round here and by a factorization's ``B``.  By the paper's
-lemma every basis meets every announcement's targets, so a refusal is a
-bug, raised as RuntimeError ("internal consistency failure: ...").
+orientation module's game, unchecked, on F's edges in index order.  It
+returns the orientation as its heads, one per edge, which is what B
+records.  Each public round here and a factorization's ``B`` call it.
+By the paper's lemma every basis meets every announcement's targets, so
+a refusal is a bug, raised as RuntimeError ("internal consistency
+failure: ...").
 
 The random edge pick uses a counter-based splitmix64 stream,
 ``splitmix_draw``: draw ``t`` of ``seed`` is
@@ -50,8 +52,8 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import InfeasibleOrientationError
 from .graphs import Graph, SparsityParams, validate_instance
-from .orientation import Orientation, pebble_orientation
-from .sparsity import Basis, is_tight
+from .orientation import pebble_orientation
+from .sparsity import is_tight
 if TYPE_CHECKING:
     from fractions import Fraction  # monte_carlo imports it where it builds the one rational
 
@@ -137,8 +139,8 @@ def protocol_targets(n: int, p: SparsityParams, announced: Sequence[int]) -> tup
     return tuple(m)
 
 
-def bob_orientation(edges: tuple[tuple[int, int], ...], targets: Sequence[int]) -> Orientation:
-    """Bob's orientation of a basis (edges in index order) for announced targets: unchecked; a refusal is a bug."""
+def bob_orientation(edges: Sequence[tuple[int, int]], targets: Sequence[int]) -> tuple[int, ...]:
+    """Bob's heads for a basis (edges in index order) and announced targets: unchecked; a refusal is a bug."""
     try:
         return pebble_orientation(edges, targets)
     except InfeasibleOrientationError as exc:
@@ -147,9 +149,10 @@ def bob_orientation(edges: tuple[tuple[int, int], ...], targets: Sequence[int]) 
 
 def _oriented_round(
     g: Graph, p: SparsityParams, variant: str, x_set: Iterable[int], basis: Iterable[int]
-) -> tuple[frozenset[int], Basis, Orientation]:
+) -> list[int]:
+    """One flag per edge of the basis, in index order: 1 where Bob heads the edge into X from outside."""
     validate_instance(g, p)
-    resolve_variant(p, variant)
+    variant = resolve_variant(p, variant)
     members = frozenset(x_set)
     for v in members:
         if not (0 <= v < g.n):
@@ -158,11 +161,9 @@ def _oriented_round(
     b = tuple(sorted(set(basis)))
     if not is_tight(g, p, b):
         raise ValueError("the edge set is not a basis (not tight for these parameters)")
-    return members, b, bob_orientation(tuple(g.edges[i] for i in b), protocol_targets(g.n, p, alice))
-
-
-def _entering_flags(orientation: Orientation, members: frozenset[int]) -> list[int]:
-    return [int(tail not in members and head in members) for tail, head in orientation.directed_edges()]
+    edges = tuple(g.edges[i] for i in b)
+    heads = bob_orientation(edges, protocol_targets(g.n, p, alice))
+    return [int(h in members and u + v - h not in members) for (u, v), h in zip(edges, heads)]  # u + v - h: tail
 
 
 def exact_expectation(
@@ -173,8 +174,7 @@ def exact_expectation(
     basis: Iterable[int],
 ) -> int:
     """Round output averaged over the |F| = c = k n - l equally likely picks: the number of F's edges entering X."""
-    members, _, orientation = _oriented_round(g, p, variant, x_set, basis)
-    return sum(_entering_flags(orientation, members))
+    return sum(_oriented_round(g, p, variant, x_set, basis))
 
 
 class MCResult(NamedTuple):
@@ -201,9 +201,8 @@ def monte_carlo(
     from fractions import Fraction  # the sample mean is a round's one rational
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    members, b, orientation = _oriented_round(g, p, variant, x_set, basis)
-    entering = _entering_flags(orientation, members)
-    hits = sum(entering[splitmix_draw(seed, t, len(b))] for t in range(samples))
+    entering = _oriented_round(g, p, variant, x_set, basis)
+    hits = sum(entering[splitmix_draw(seed, t, len(entering))] for t in range(samples))
     c = p.k * g.n - p.ell
     mean = Fraction(c * hits, samples)
     if samples == 1:

@@ -23,8 +23,9 @@ plus that edge is dependent, pruning all of its extensions at once
 those that go in: the sparse edge sets are the independent sets of a
 matroid, so the count that goes in is its rank, and a basis exists iff
 that rank is k*n - l.  ``orientation.pebble_orientation`` plays it with
-per-vertex budgets, the in-degree targets, and l = 0, so ``PebbleGame``
-is the package's only path-reversal code.
+per-vertex budgets, the in-degree targets, and l = 0, and reads an
+orientation's heads, one per edge, from ``out``; so ``PebbleGame`` is
+the package's only path-reversal code.
 """
 
 from __future__ import annotations

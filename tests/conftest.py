@@ -33,6 +33,16 @@ def hakimi_violation(n: int, edges, targets) -> frozenset[int] | None:
     return None
 
 
+def oriented(n: int, edges, heads) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """An orientation given by its heads, one per edge: its in-degree vector, and (tail, head) for each edge."""
+    rho, directed = [0] * n, []
+    for (u, v), h in zip(edges, heads, strict=True):
+        assert h in (u, v), (u, v, h)
+        rho[h] += 1
+        directed.append((v, u) if h == u else (u, v))
+    return tuple(rho), tuple(directed)
+
+
 def b_matrix(fac) -> list[bytearray]:
     """Every row of B, in transcript order: Bob's blocks, one per announcement, end to end."""
     return [row for i in range(len(announcements(fac.graph.n, fac.variant))) for row in fac.B(i)]

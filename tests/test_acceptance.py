@@ -41,6 +41,7 @@ from conftest import (
     b_matrix,
     complete_graph,
     hakimi_violation,
+    oriented,
     random_graph,
     spanning_tree_count,
 )
@@ -89,8 +90,8 @@ def test_c03_orientation_lemmas(corpus_cells):
             for variant in variants:
                 for alice in announcements(g.n, variant):
                     targets = protocol_targets(g.n, p, alice)
-                    o = orient_with_targets(g.n, edges, targets)
-                    assert o.rho == targets, (name, p, basis, alice)
+                    heads = orient_with_targets(g.n, edges, targets)
+                    assert oriented(g.n, edges, heads)[0] == targets, (name, p, basis, alice)
                     constructed += 1
     _ok(3, "orientation lemmas", f"{constructed} prescribed orientations, zero failures")
 
@@ -114,9 +115,9 @@ def test_c04_hakimi_equivalence():
                 and hakimi_violation(g.n, edges, targets) is None
             )
             try:
-                o = orient_with_targets(g.n, edges, targets)
+                heads = orient_with_targets(g.n, edges, targets)
                 constructive = True
-                assert o.rho == tuple(targets)
+                assert oriented(g.n, edges, heads)[0] == tuple(targets)
             except InfeasibleOrientationError:
                 constructive = False
             if constructive != by_enum:

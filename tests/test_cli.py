@@ -165,13 +165,22 @@ def test_max_enum_is_an_option_of_exactly_the_enumerating_commands(k4_path, tmp_
             assert code == 0 and err == "", command
 
 
-def test_orient_with_announced_vertex(k3_path, capsys):
-    code, out, _ = run(
-        ["orient", "--graph", k3_path, "--k", "1", "--l", "1", "--edges", "0,2", "--x", "0"],
-        capsys,
-    )
+@pytest.mark.parametrize(
+    "graph, argv, lines",
+    [
+        ("k3_path", ["--k", "1", "--l", "1", "--edges", "0,2", "--x", "0"], ["0->1", "1->2", "rho: 0,1,1"]),
+        ("k4_path", ["--k", "2", "--l", "3", "--edges", "0,1,2,3,4", "--x", "0", "--y", "1"],
+         ["0->1", "0->2", "0->3", "1->2", "1->3", "rho: 0,1,2,2"]),
+        # edge 0-1 goes in headed at 0, and the fetch for 0-3 reverses it
+        ("k4_path", ["--k", "1", "--l", "1", "--edges", "0,1,2", "--targets", "2,1,0,0"],
+         ["0->1", "2->0", "3->0", "rho: 2,1,0,0"]),
+    ],
+    ids=["k3-x", "k4-x-y", "k4-targets-reversed"],
+)
+def test_orient_with_announced_vertex(graph, argv, lines, capsys, request):
+    code, out, _ = run(["orient", "--graph", request.getfixturevalue(graph), *argv], capsys)
     assert code == 0
-    assert out.splitlines() == ["0->1", "1->2", "rho: 0,1,1"]
+    assert out.splitlines() == lines
 
 
 def test_orient_infeasible(tmp_path, capsys):

@@ -446,7 +446,7 @@ def test_a_and_b_follow_their_definitions(corpus_cells):
         assert list(fac.a_rows()) == a, (name, p)
         for j, basis in enumerate(bases):
             edges = tuple(g.edges[e] for e in basis)
-            heads = {alice: dict(zip(basis, bob_orientation(edges, protocol_targets(g.n, p, alice)).heads))
+            heads = {alice: dict(zip(basis, bob_orientation(edges, protocol_targets(g.n, p, alice))))
                      for alice in announcements(g.n, fac.variant)}
             expected = [int(heads[alice].get(e) == head) for alice, e, head in ws]
             assert [row[j] for row in b] == expected, (name, p, basis)

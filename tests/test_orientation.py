@@ -12,23 +12,24 @@ from sparsity_ef.orientation import (
 from sparsity_ef.protocol import exact_expectation, protocol_targets
 from sparsity_ef.sparsity import enumerate_bases
 
-from conftest import complete_graph, hakimi_violation, random_graph
+from conftest import complete_graph, hakimi_violation, oriented, random_graph
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
 
 
 def test_forced_tree_orientation():
-    o = orient_with_targets(3, [(0, 1), (1, 2)], (0, 1, 1))
-    assert o.directed_edges() == ((0, 1), (1, 2))
-    assert o.rho == (0, 1, 1)
+    edges = [(0, 1), (1, 2)]
+    rho, directed = oriented(3, edges, orient_with_targets(3, edges, (0, 1, 1)))
+    assert directed == ((0, 1), (1, 2))
+    assert rho == (0, 1, 1)
 
 
 def test_triangle_becomes_directed_cycle():
-    o = orient_with_targets(3, [(0, 1), (0, 2), (1, 2)], (1, 1, 1))
-    assert o.rho == (1, 1, 1)
-    directed = set(o.directed_edges())
-    assert directed in ({(0, 1), (1, 2), (2, 0)}, {(1, 0), (0, 2), (2, 1)})
+    edges = [(0, 1), (0, 2), (1, 2)]
+    rho, directed = oriented(3, edges, orient_with_targets(3, edges, (1, 1, 1)))
+    assert rho == (1, 1, 1)
+    assert set(directed) in ({(0, 1), (1, 2), (2, 0)}, {(1, 0), (0, 2), (2, 1)})
 
 
 def test_determinism():
@@ -36,7 +37,7 @@ def test_determinism():
     a = orient_with_targets(4, edges, (0, 1, 2, 2))
     b = orient_with_targets(4, edges, (0, 1, 2, 2))
     assert a == b
-    assert a.rho == (0, 1, 2, 2)
+    assert oriented(4, edges, a)[0] == (0, 1, 2, 2)
 
 
 def test_path_infeasible_with_witness():
@@ -57,11 +58,12 @@ def test_total_mismatch_infeasible():
 
 
 def test_hakimi_examples():
-    assert orient_with_targets(3, [(0, 1), (0, 2), (1, 2)], (1, 1, 1)).rho == (1, 1, 1)
+    triangle = [(0, 1), (0, 2), (1, 2)]
+    assert oriented(3, triangle, orient_with_targets(3, triangle, (1, 1, 1)))[0] == (1, 1, 1)
     with pytest.raises(InfeasibleOrientationError):
         orient_with_targets(3, [(0, 1), (1, 2)], (0, 0, 2))
     k4_minus = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
-    assert orient_with_targets(4, k4_minus, (0, 1, 2, 2)).rho == (0, 1, 2, 2)
+    assert oriented(4, k4_minus, orient_with_targets(4, k4_minus, (0, 1, 2, 2)))[0] == (0, 1, 2, 2)
 
 
 def test_hakimi_violation_example():
@@ -106,15 +108,7 @@ def test_orientation_lemmas_on_k4():
             edges = [K4.edges[i] for i in basis]
             for alice in itertools.permutations(range(4), count):
                 targets = protocol_targets(4, p, alice)
-                assert orient_with_targets(4, edges, targets).rho == targets
-
-
-def test_rho_consistency():
-    o = orient_with_targets(4, [(0, 1), (1, 2), (2, 3)], (0, 1, 1, 1))
-    counts = [0, 0, 0, 0]
-    for h in o.heads:
-        counts[h] += 1
-    assert tuple(counts) == o.rho == (0, 1, 1, 1)
+                assert oriented(4, edges, orient_with_targets(4, edges, targets))[0] == targets
 
 
 def test_constructive_matches_enumeration_oracle():
@@ -132,9 +126,9 @@ def test_constructive_matches_enumeration_oracle():
             targets = [rng.randint(0, 2) for _ in range(g.n)]
         by_enum = sum(targets) == len(edges) and hakimi_violation(g.n, edges, targets) is None
         try:
-            o = orient_with_targets(g.n, edges, targets)
+            heads = orient_with_targets(g.n, edges, targets)
             constructive = True
-            assert o.rho == tuple(targets)
+            assert oriented(g.n, edges, heads)[0] == tuple(targets)
         except InfeasibleOrientationError:
             constructive = False
         assert constructive == by_enum, (g, targets)
@@ -175,8 +169,7 @@ def test_input_validation():
 def test_bob_plays_the_game_on_inputs_checked_once(monkeypatch):
     """Bob's edges (a basis of a validated graph) and targets (``protocol_targets``) are not checked again.
 
-    ``orient_with_targets`` still checks its own inputs, and Bob's
-    orientation keeps its edges as a tuple of tuples.
+    ``orient_with_targets`` still checks its own inputs.
     """
     def checked(*args):
         raise AssertionError("inputs checked again")
@@ -186,7 +179,6 @@ def test_bob_plays_the_game_on_inputs_checked_once(monkeypatch):
     bases = enumerate_bases(K4, p)
     factorization.verify_factorization(factorization.build_factorization(K4, p, "B", bases=bases))
     assert exact_expectation(K4, p, "B", {0, 1}, bases[0]) == 0
-    _, _, bob = protocol._oriented_round(K4, p, "B", {0, 1}, [1, 0, 2, 3, 4])
-    assert bob.edges == K4.edges[:5] and type(bob.edges) is tuple and all(type(e) is tuple for e in bob.edges)
+    assert protocol._oriented_round(K4, p, "B", {0, 1}, [1, 0, 2, 3, 4]) == [0] * 5
     with pytest.raises(AssertionError, match="checked again"):
         orient_with_targets(4, K4.edges[:5], (0, 1, 2, 2))

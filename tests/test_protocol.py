@@ -21,7 +21,7 @@ from sparsity_ef.protocol import (
 from sparsity_ef.factorization import _transcript_labels, enumerate_rows, slack_value
 from sparsity_ef.sparsity import enumerate_bases
 
-from conftest import complete_graph
+from conftest import complete_graph, oriented
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
@@ -30,8 +30,9 @@ P23 = SparsityParams(2, 3)
 
 
 def _bob(g, p, basis, alice):
-    """Bob's orientation of a basis, given by edge indices, for an announcement."""
-    return bob_orientation(tuple(g.edges[i] for i in basis), protocol_targets(g.n, p, alice))
+    """Bob's orientation of a basis, given by edge indices, for an announcement: its in-degrees and directed edges."""
+    edges = tuple(g.edges[i] for i in basis)
+    return oriented(g.n, edges, bob_orientation(edges, protocol_targets(g.n, p, alice)))
 
 
 def test_alice_choice():
@@ -126,10 +127,10 @@ def test_run_once_always_zero_cases():
 def test_run_once_uses_documented_stream():
     basis = (1, 2)
     members = {0, 1}
-    o = _bob(K3, P11, basis, (0,))
+    _, directed = _bob(K3, P11, basis, (0,))
     for seed in (0, 1, 7, 2**63 + 11):
         idx = splitmix_draw(seed & ((1 << 64) - 1), 0, 2)
-        tail, head = o.directed_edges()[idx]
+        tail, head = directed[idx]
         expected = Fraction(2) if tail not in members and head in members else Fraction(0)
         assert monte_carlo(K3, P11, "A", members, basis, samples=1, seed=seed).mean == expected
 
@@ -138,8 +139,7 @@ def test_exact_expectation_k3_cells():
     assert exact_expectation(K3, P11, "A", {0, 1}, (1, 2)) == 1
     assert exact_expectation(K3, P11, "A", {0, 1}, (0, 2)) == 0
     # the canonical orientation behind the nonzero cell: 0->2 then repaired 2->1
-    o = _bob(K3, P11, (1, 2), (0,))
-    assert o.directed_edges() == ((0, 2), (2, 1))
+    assert _bob(K3, P11, (1, 2), (0,))[1] == ((0, 2), (2, 1))
 
 
 def test_expectation_on_full_vertex_set_is_zero(corpus_cells):
@@ -176,7 +176,8 @@ def test_both_variants_agree_at_boundary():
         for basis in enumerate_bases(K4, P11):
             a = exact_expectation(K4, P11, "A", x, basis)
             b = exact_expectation(K4, P11, "B", x, basis)
-            assert a == b == slack_value(K4, P11, x, basis)
+            auto = exact_expectation(K4, P11, "auto", x, basis)
+            assert a == b == auto == slack_value(K4, P11, x, basis)
 
 
 def test_counting_identity_inside_x():
@@ -185,17 +186,17 @@ def test_counting_identity_inside_x():
         for size in (2, 3, 4):
             for x in itertools.combinations(range(4), size):
                 alice = alice_choice(x, "B")
-                o = _bob(K4, P23, basis, alice)
-                assert sum(o.rho[v] for v in x) == 2 * len(x) - 3
+                rho, _ = _bob(K4, P23, basis, alice)
+                assert sum(rho[v] for v in x) == 2 * len(x) - 3
 
 
 def test_entering_edge_identity():
     for basis in enumerate_bases(K4, P11):
         for size in (1, 2, 3):
             for x in itertools.combinations(range(4), size):
-                o = _bob(K4, P11, basis, alice_choice(x, "A"))
+                _, directed = _bob(K4, P11, basis, alice_choice(x, "A"))
                 entering = sum(
-                    1 for tail, head in o.directed_edges() if tail not in x and head in x
+                    1 for tail, head in directed if tail not in x and head in x
                 )
                 assert entering == slack_value(K4, P11, x, basis)
 
@@ -203,7 +204,7 @@ def test_entering_edge_identity():
 def test_monte_carlo_reproducible_and_consistent():
     a = monte_carlo(K3, P11, "A", {0, 1}, (1, 2), samples=5000, seed=123)
     b = monte_carlo(K3, P11, "A", {0, 1}, (1, 2), samples=5000, seed=123)
-    assert a == b
+    assert a == b == monte_carlo(K3, P11, "auto", {0, 1}, (1, 2), samples=5000, seed=123)
     # the sample mean is the average of the documented per-draw stream
     hits = sum(1 for t in range(5000) if splitmix_draw(123, t, 2) == 1)
     assert a.hits == hits
