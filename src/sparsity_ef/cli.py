@@ -31,22 +31,22 @@ decided by one pebble game), before they enumerate any basis; so
 
 `factorize`, `verify` and `emit --verify` build one factorization over
 every basis and make one check on it, `verify_factorization`: every
-basis F lifts to (1_F, U-column of F) with zero residual on each
-counting row, which is S = A@B with 0/1 factors A = T/c and B = cU, so
-T@U = S with T, U >= 0, and on the global row |F| = c = kn - l.  No
+basis F lifts to (1_F, U-column of F) with zero residual on each row of
+the `.ine`, as `Factorization.rows` gives both.  A counting row is then
+S = A@B with 0/1 factors A = T/c and B = cU, so T@U = S with T, U >= 0;
+the global row, X = V, is |F| = c = kn - l.  No
 command holds S: `slack` and `factorize --out` write it row by row as
 each row is computed, as `emit` writes the `.ine`.  The lifts certify
 that the lifted polytope contains every basis and that its projection
 satisfies the counting inequalities and x >= 0; x <= 1 is an emitted
-bound row where 2k - l >= 2 and follows from the rows |X| = 2
-elsewhere.  The `.ine` is the T side of the factorization.  No command
-holds T: each reader builds its rows as it reaches them, so `emit
---verify` builds T twice, and checks before it writes.  The check holds
-one block of B at a time; only `factorize --out` holds every block,
-built before the check for U.csv.  `factorize` checks before its first
-line of output.  A regular output file that fails mid-write
-is removed.  Plain `emit` needs no certificate: it
-refuses an empty instance (exit 4, one pebble game),
+bound row where 2k - l >= 2 and follows from the rows |X| = 2 elsewhere.
+The `.ine` is the T side of the factorization.  No command holds T: each
+reader builds its rows as it reaches them, so `emit --verify` builds T
+twice, and checks before it writes.  The check holds one block of B at a
+time; only `factorize --out` holds every block, built before the check
+for U.csv.  `factorize` checks before its first line of output.  A
+regular output file that fails mid-write is removed.  Plain `emit` needs
+no certificate: it refuses an empty instance (exit 4, one pebble game),
 then more than 16 vertices (exit 3), and writes the factorization over
 no bases.  It enumerates no basis, so the enumeration guard does not
 apply and `emit --max-enum 1` exits 0.

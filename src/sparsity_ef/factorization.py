@@ -21,34 +21,39 @@ and S = A @ B exactly: (A @ B)[X][F] counts the edges of F's orientation
 that enter X.  Every basis has |F| = c = k n - l >= 1 edges, and the
 nonnegative factorization of the lift is T = c * A and U = B / c.  A
 ``Factorization`` holds only the bases; rows, transcripts, A and B are
-rules.  A row of A is its support, the ascending transcripts it
-charges, one per edge entering X; ``Factorization.a_rows`` yields each X
-with its support, built in O(|E|) as a reader reaches it.  B comes in
-blocks: ``Factorization.B(i)`` plays Bob's games for announcement i and
-returns its 2|E| rows, ``bytearray`` rows over the bases, nonnegative by
-type; a game's heads, one per edge of the basis, go straight into its
-column.  T and U exist only where ``sparse_renderer`` writes them from
-supports, as the exact 'p' or 'p/q' entries of T.csv and U.csv and as
-``.ine`` coefficients.  Nothing holds S: ``slack_matrix`` yields it one
-row at a time, and S.csv is written row by row, from the bases' edge
-incidence packed by ``_incidence`` (2|E| bytes per basis).
+rules.  ``Factorization.rows`` is the one rule for the equality rows of
+the lifted system: X, k|X| - l, E(X) and X's row of A, its support, the
+ascending transcripts it charges, one per edge entering X, each built in
+O(|E|) as a reader reaches it; the last, X = V, is the global row, with
+right side c, every edge and no support.  B comes in blocks:
+``Factorization.B(i)`` plays Bob's games for announcement i and returns
+its 2|E| rows, ``bytearray`` rows over the bases, nonnegative by type; a
+game's heads, one per edge of the basis, go straight into its column.
+T and U exist only where ``sparse_renderer`` writes them from supports,
+as the exact 'p' or 'p/q' entries of T.csv and U.csv and as ``.ine``
+coefficients.  Nothing holds S: ``slack_matrix`` yields it one row at a
+time, and S.csv is written row by row, from the bases' edge incidence
+packed by ``_incidence`` (2|E| bytes per basis).
 
-``verify_factorization`` checks every basis lift on each equality row
-of the lifted system and never builds S.  It walks the row rule beside
-``a_rows``, so a row of A that is missing, extra, repeated, out of order
-or for another X is refused without a list of rows.  Row X charges the
-block of alice(X), a prefix of X, so the rows of one announcement come
-in a run: each block is built once, when a row first charges it, and
-dropped before the next; a block no row charges, as vertex n-1's in A
-or a decreasing pair's in B, is never built.  A row over the bases packs
-into one int whose little-endian fields of f bytes hold its entries.
-Row X's left side, packed(|F ∩ E(X)|) plus packed(B[w]) for each w in
-X's support, is compared with (k|X| - l) * packed(1, ..., 1).  A support
-must be strictly ascending in [0, |W|) with at most |E| indices, and B
-must be 0/1, so f holds k n and the largest possible left side, 2|E|:
-no field carries, and two packed rows are equal exactly when their
-entries are.  |E| <= 120 for the n <= 16 that rows allow, so f is one
-byte while k n < 256.  Entries are unpacked only to name a failure.
+``verify_factorization`` checks every basis lift on each row of
+``rows``, the rows ``lifted.format_ine`` writes, and never builds S.  It
+walks the rows X, then X = V, beside ``rows``, so a row that is missing,
+extra, repeated, out of order or for another X is refused without a list
+of rows.  Row X charges the block of alice(X), a prefix of X, so the
+rows of one announcement come in a run: each block is built once, when a
+row first charges it, and dropped before the next; a block no row
+charges, as vertex n-1's in A or a decreasing pair's in B, is never
+built.  A row over the bases packs into one int whose little-endian
+fields of f bytes hold its entries.  Row X's left side,
+packed(|F ∩ E(X)|) plus packed(B[w]) for each w in X's support, is
+compared with (k|X| - l) * packed(1, ..., 1).  E(X) must be strictly
+ascending in [0, |E|), a support in [0, |W|) with at most |E| indices,
+B 0/1, and a given basis a tuple strictly ascending in [0, |E|), so
+X = V's left side is packed(|F|), and f holds k n and the largest
+possible left side, 2|E|: no field carries, and two packed rows are
+equal exactly when their entries are.  |E| <= 120 for the n <= 16 that
+rows allow, so f is one byte while k n < 256.  Entries are unpacked only
+to name a failure.
 """
 
 from __future__ import annotations
@@ -72,9 +77,7 @@ B_ENTRY_BYTES = 2
 def check_row_count(g: Graph) -> None:
     """Refuse (EnumerationGuardError) a graph with too many vertices to enumerate its rows."""
     if g.n > MAX_ROW_ENUM_N:
-        raise EnumerationGuardError(
-            f"row enumeration refused for n={g.n} > {MAX_ROW_ENUM_N}"
-        )
+        raise EnumerationGuardError(f"row enumeration refused for n={g.n} > {MAX_ROW_ENUM_N}")
 
 
 def row_count(n: int) -> int:
@@ -105,9 +108,14 @@ def enumerate_rows(g: Graph, p: SparsityParams) -> list[tuple[int, ...]]:
 def slack_value(g: Graph, p: SparsityParams, x_set: Iterable[int], basis: Iterable[int]) -> int:
     """k|X| - l - |F ∩ E(X)|; non-negative whenever the basis is sparse."""
     members = frozenset(x_set)
-    inside = induced_edges(g, members)
-    overlap = len(inside.intersection(basis))
-    return p.k * len(members) - p.ell - overlap
+    return p.k * len(members) - p.ell - len(induced_edges(g, members).intersection(basis))
+
+
+def _check_bases(g: Graph, cols: Iterable[Basis]) -> None:
+    """Refuse (ValueError) a basis that is not a tuple of strictly ascending edge indices in [0, |E|)."""
+    for basis in cols:
+        if type(basis) is not tuple or not all(map(operator.lt, (-1, *basis), (*basis, g.edge_count))):
+            raise ValueError(f"basis {basis!r}: not a tuple of strictly ascending edge indices in [0, {g.edge_count})")
 
 
 def _incidence(g: Graph, cols: Sequence[Basis], width: int) -> list[int]:
@@ -119,9 +127,7 @@ def _incidence(g: Graph, cols: Sequence[Basis], width: int) -> list[int]:
     return [int.from_bytes(column, "little") for column in incidence]
 
 
-def slack_matrix(
-    g: Graph, p: SparsityParams, *, bases: Sequence[Basis] | None = None
-) -> Iterator[list[int]]:
+def slack_matrix(g: Graph, p: SparsityParams, *, bases: Sequence[Basis] | None = None) -> Iterator[list[int]]:
     """The rows of S = (k|X| - l) - |F ∩ E(X)| over the given bases, or over all of them when ``bases`` is None.
 
     The instance and its row count are checked, and the bases enumerated,
@@ -132,6 +138,7 @@ def slack_matrix(
     validate_instance(g, p)
     check_row_count(g)
     cols = enumerate_bases(g, p) if bases is None else list(bases)
+    _check_bases(g, cols)
     packed = _incidence(g, cols, 1)
 
     def entries():
@@ -146,7 +153,7 @@ def slack_matrix(
 class Factorization(NamedTuple):
     """S = A @ B, that is S = T @ U with T = c * A and U = B / c, over the bases ``cols``.
 
-    Rows, transcripts and A (``a_rows``) are rules of the instance and variant that fix the lifted system
+    Rows, transcripts and A (``rows``) are rules of the instance and variant that fix the lifted system
     ``lifted.format_ine`` emits.  B is Bob's rule: ``B(i)`` plays his games on ``cols`` for announcement i,
     returning B's rows 2|E| i + 2e + flag as rows 2e + flag; its columns only certify that each basis lifts.
     """
@@ -162,28 +169,27 @@ class Factorization(NamedTuple):
         """k n - l, the size of every basis and the scale of T = c * A and U = B / c."""
         return self.params.k * self.graph.n - self.params.ell
 
-    def a_rows(self) -> Iterator[tuple[tuple[int, ...], list[int]]]:
-        """Each counting row X with its support in A = T / c, in ``enumerate_rows`` order, built as it is taken.
+    def rows(self) -> Iterator[tuple[tuple[int, ...], int, list[int], list[int]]]:
+        """Each equality row (X, k|X| - l, E(X), X's support in A): the rows X in ``enumerate_rows`` order, then V.
 
-        Row X charges, for each edge e = (u, v) that enters X, the transcript
-        offset + 2e + [u in X] of Alice's announcement for X, which heads e
-        at its end inside X.
+        A row is built as it is taken, in one pass over the edges: e = (u, v) entering X charges the
+        transcript offset + 2e + [u in X] of Alice's announcement for X, which heads e at its end inside X.
         """
-        g = self.graph
+        g, p = self.graph, self.params
         offsets = {alice: 2 * g.edge_count * i for i, alice in enumerate(announcements(g.n, self.variant))}
-        for x in _rows(g.n):
-            members = frozenset(x)
+        for x in itertools.chain(_rows(g.n), [tuple(range(g.n))]):
+            members, inside, support = frozenset(x), [], []
             offset = offsets[alice_choice(x, self.variant)]
-            yield x, [offset + 2 * e + (u in members)
-                      for e, (u, v) in enumerate(g.edges) if (u in members) != (v in members)]
+            for e, (u, v) in enumerate(g.edges):
+                if (u in members) != (v in members):
+                    support.append(offset + 2 * e + (u in members))
+                elif u in members:
+                    inside.append(e)
+            yield x, p.k * len(x) - p.ell, inside, support
 
 
 def build_factorization(
-    g: Graph,
-    p: SparsityParams,
-    variant: str = "auto",
-    *,
-    bases: Sequence[Basis] | None = None,
+    g: Graph, p: SparsityParams, variant: str = "auto", *, bases: Sequence[Basis] | None = None
 ) -> Factorization:
     """Factor the slack matrix over the given bases; a basis is oriented only when a reader calls ``B``.
 
@@ -198,12 +204,13 @@ def build_factorization(
     if estimate > MAX_MATRIX_BYTES:
         raise EnumerationGuardError(f"B for {len(cols)} bases would take about {estimate} bytes, "
                                     f"beyond the memory guard of {MAX_MATRIX_BYTES}")
+    _check_bases(g, cols)
 
     def bob(i: int) -> list[bytearray]:
         block = [bytearray(len(cols)) for _ in range(2 * g.edge_count)]
         targets = protocol_targets(g.n, p, announcements(g.n, variant)[i])  # they depend only on the announcement
         for j, basis in enumerate(cols):
-            edges = tuple(g.edges[e] for e in basis)
+            edges = [g.edges[e] for e in basis]
             for e, (u, _), h in zip(basis, edges, bob_orientation(edges, targets)):
                 block[2 * e + (h == u)][j] = 1
         return block
@@ -221,14 +228,11 @@ def _pack(row: bytes, width: int) -> int:
 def verify_factorization(fac: Factorization) -> None:
     """Exact check that every basis lifts to (1_F, U-column) on every equality row, so T @ U = S.
 
-    Row X reads |F ∩ E(X)| + (A @ B)[X][F] = k|X| - l for every basis F,
-    checked on packed rows (module docstring); then the global row reads
-    |F| = c.  Raises InfeasibleLiftedPointError on the first failure,
-    rows in row-major order before the global row, naming the basis and
-    the row with its residual, which on row X is (A @ B - S)[X][F].
-    One block of B is held at a time (module docstring).  Rows of A that
-    are not the rows X in ``enumerate_rows`` order, a row of A that is not
-    a support, and a malformed block of B are a bug and raise TypeError.
+    Each row of ``fac.rows()`` reads |F ∩ E(X)| + (A @ B)[X][F] = k|X| - l for every basis F, on packed
+    rows; on the global row, X = V, that is |F| = c.  Raises InfeasibleLiftedPointError on the first
+    failure, in row-major order, naming the basis and the row with its residual, on row X (A @ B - S)[X][F].
+    One block of B is held at a time (module docstring).  Rows other than the rows X in ``enumerate_rows``
+    order and X = V, an E(X) or support out of form, and a malformed block of B are a bug: TypeError.
     """
     g, p = fac.graph, fac.params
     ncols, w, m = len(fac.cols), transcript_count(g, fac.variant), g.edge_count
@@ -236,14 +240,17 @@ def verify_factorization(fac: Factorization) -> None:
     incidence = _incidence(g, fac.cols, width)
     held = None  # the announcement whose block is in hand, its rows packed in packed_b
     ones = _pack(b"\x01" * ncols, width)
-    for r, (due, row) in enumerate(itertools.zip_longest(_rows(g.n), fac.a_rows())):
-        x, support = row or (None, None)
+    due_rows = itertools.chain(_rows(g.n), [tuple(range(g.n))])
+    for r, (due, row) in enumerate(itertools.zip_longest(due_rows, fac.rows())):
+        x, rhs, inside, support = row or (None,) * 4
         if x != due:
-            raise TypeError(f"A must give the rows X in enumerate_rows order: row {r} is X={x}, not X={due}")
-        bounded = [-1, *support, w]  # -1 < first < ... < last < |W|
+            raise TypeError(f"rows must be the X in enumerate_rows order, then X = V: row {r} is X={x}, not X={due}")
+        edges, bounded = [-1, *inside, m], [-1, *support, w]  # -1 < first < ... < last < |E| or |W|
+        if not all(map(operator.lt, edges, edges[1:])):
+            raise TypeError(f"E(X) of row X={x} must be ascending edge indices in [0, {m})")
         if len(bounded) > m + 2 or not all(map(operator.lt, bounded, bounded[1:])):
             raise TypeError(f"A row X={x} must be ascending transcript indices in [0, {w}), at most {m} of them")
-        lhs = sum([incidence[e] for e in induced_edges(g, x)])
+        lhs = sum([incidence[e] for e in inside])
         for t in support:
             i, at = divmod(t, 2 * m)
             if i != held:
@@ -254,15 +261,12 @@ def verify_factorization(fac: Factorization) -> None:
                     raise TypeError(f"B({i}) must be {2 * m} rows of 0/1 bytes, each {ncols} long")
                 held, packed_b = i, [_pack(row, width) for row in block]
             lhs += packed_b[at]
-        rhs = p.k * len(x) - p.ell
         if lhs != rhs * ones:
             fields = lhs.to_bytes(ncols * width, "little")
             entries = [int.from_bytes(fields[i:i + width], "little") for i in range(0, len(fields), width)]
             j, entry = next((j, entry) for j, entry in enumerate(entries) if entry != rhs)
-            raise InfeasibleLiftedPointError(f"basis {fac.cols[j]}: equality row X={x} has residual {entry - rhs}")
-    for basis in fac.cols:
-        if len(basis) != fac.c:
-            raise InfeasibleLiftedPointError(f"basis {basis}: equality row global has residual {len(basis) - fac.c}")
+            name = "global" if len(x) == g.n else f"X={x}"
+            raise InfeasibleLiftedPointError(f"basis {fac.cols[j]}: equality row {name} has residual {entry - rhs}")
 
 
 def _label(prefix: str, indices: Iterable[int]) -> str:
@@ -325,7 +329,8 @@ def factor_csvs(fac: Factorization) -> tuple[Iterator[str], Iterator[str]]:
     b_rows = (row for i in range(len(announcements(g.n, fac.variant))) for row in fac.B(i))
     return (
         format_matrix_csv(_transcript_labels(g, fac.variant),
-                          ((_label("X:", x), t_row(s, c)) for x, s in fac.a_rows())),
+                          ((_label("X:", x), t_row(s, c))
+                           for x, _, _, s in itertools.islice(fac.rows(), row_count(g.n)))),
         format_matrix_csv((_label("F:", f) for f in fac.cols),
                           zip(_transcript_labels(g, fac.variant),
                               (u_row(itertools.compress(cols, row), c_inverse) for row in b_rows))),

@@ -6,10 +6,13 @@ its U-column, ``assert_in_lifted`` checks a point against the emitted
 system row by row in exact rationals, and ``in_base_polytope`` tests the
 x-part against every counting inequality by full subset scan.
 ``build_factorization`` is called through its module for Bob's rule,
-and A is read through ``Factorization.a_rows``, so a test that replaces
-either changes the lift here and in the factorization alike.  Each
-support is densified here, one count per index, so the reference reads
-A as a plain matrix.
+and A is read through ``Factorization.rows``, so a test that replaces
+either changes the lift here and in the factorization alike.  Only X
+and its support are read from a row: the reference requires the rows
+X in lexicographic order, then X = V, and computes each row's E(X) and
+k|X| - l from X itself, so the global row is X = V's, sum_e x_e = c.
+Each support is densified here, one count per index, so the reference
+reads A as a plain matrix.
 """
 
 from __future__ import annotations
@@ -42,15 +45,19 @@ def lift_vertex(fac: Factorization, basis) -> LiftedPoint:
 
 
 def equality_residuals(fac: Factorization, point: LiftedPoint) -> list[tuple[str, Fraction]]:
-    """Each row equality's name and left-hand side minus right-hand side, then the global one's."""
-    p = fac.params
+    """Each row equality's name and left-hand side minus right-hand side, the global one's last."""
+    g, p = fac.graph, fac.params
+    rows = [(x_set, support) for x_set, *_, support in fac.rows()]
+    every_x = sorted(x for size in range(2, g.n) for x in itertools.combinations(range(g.n), size))
+    if [x_set for x_set, _ in rows] != [*every_x, tuple(range(g.n))]:
+        raise TypeError("the rows are not every X with 2 <= |X| <= n - 1 in lexicographic order, then X = V")
     residuals = []
-    for x_set, support in fac.a_rows():  # T = c * A
+    for x_set, support in rows:  # T = c * A
         a_row = [support.count(w) for w in range(len(point.y))]
-        acc = sum((point.x[i] for i in induced_edges(fac.graph, x_set)), Fraction(0))
+        acc = sum((point.x[i] for i in induced_edges(g, x_set)), Fraction(0))
         acc += sum((fac.c * a * yw for a, yw in zip(a_row, point.y) if a), Fraction(0))
-        residuals.append((f"X={x_set}", acc - (p.k * len(x_set) - p.ell)))
-    residuals.append(("global", sum(point.x, Fraction(0)) - fac.c))
+        name = "global" if len(x_set) == g.n else f"X={x_set}"
+        residuals.append((name, acc - (p.k * len(x_set) - p.ell)))
     return residuals
 
 

@@ -300,15 +300,16 @@ def test_verify_command(k4_path, tmp_path, capsys):
 @pytest.fixture
 def corrupted_t(monkeypatch):
     """The first row of A charges one more transcript, the first that a basis's orientation uses, so c more of T."""
-    a_rows = factorization.Factorization.a_rows
+    real_rows = factorization.Factorization.rows
 
     def corrupted(self):
-        rows = a_rows(self)
-        x, row = next(rows)
-        yield x, sorted([*row, next(w for w, b_row in enumerate(b_matrix(self)) if any(b_row) and w not in row)])
+        rows = real_rows(self)
+        x, rhs, inside, row = next(rows)
+        w = next(w for w, b_row in enumerate(b_matrix(self)) if any(b_row) and w not in row)
+        yield x, rhs, inside, sorted([*row, w])
         yield from rows
 
-    monkeypatch.setattr(factorization.Factorization, "a_rows", corrupted)
+    monkeypatch.setattr(factorization.Factorization, "rows", corrupted)
 
 
 def test_injected_residual_exits_2(k4_path, tmp_path, corrupted_t, capsys):
@@ -323,16 +324,16 @@ def test_injected_residual_exits_2(k4_path, tmp_path, corrupted_t, capsys):
 
 @pytest.fixture
 def no_memory_on_third_row(monkeypatch):
-    """Every walk over A raises MemoryError when it reaches its third row, after the .ine has begun."""
-    a_rows = factorization.Factorization.a_rows
+    """Every walk over the rows raises MemoryError when it reaches the third, after the .ine has begun."""
+    real_rows = factorization.Factorization.rows
 
     def failing(self):
-        rows = a_rows(self)
+        rows = real_rows(self)
         yield next(rows)
         yield next(rows)
         raise MemoryError
 
-    monkeypatch.setattr(factorization.Factorization, "a_rows", failing)
+    monkeypatch.setattr(factorization.Factorization, "rows", failing)
 
 
 def test_emit_leaves_no_file_when_the_system_cannot_be_built(k4_path, tmp_path, no_memory_on_third_row, capsys):
@@ -494,12 +495,12 @@ def test_factorize_mismatch_exits_2(k4_path, tmp_path, corrupted_t, capsys):
 
 def test_malformed_factorization_exits_2(k4_path, monkeypatch, capsys):
     """A support out of order can only come from a bug: exit 2, not exit 1."""
-    a_rows = factorization.Factorization.a_rows
+    real_rows = factorization.Factorization.rows
 
     def reversed_supports(self):
-        return ((x, row[::-1]) for x, row in a_rows(self))
+        return ((x, rhs, inside, row[::-1]) for x, rhs, inside, row in real_rows(self))
 
-    monkeypatch.setattr(factorization.Factorization, "a_rows", reversed_supports)
+    monkeypatch.setattr(factorization.Factorization, "rows", reversed_supports)
     base = ["--graph", k4_path, "--k", "2", "--l", "3"]
     message = "A row X=(0, 1) must be ascending transcript indices in [0, 144), at most 6 of them"
     for argv in (["verify", *base], ["factorize", *base]):
@@ -507,22 +508,22 @@ def test_malformed_factorization_exits_2(k4_path, monkeypatch, capsys):
         assert (code, err) == (2, f"error: internal failure: TypeError({message!r})\n"), argv
 
 
-# each misplaces row 3 of K4's ten rows X, keeping every support as a_rows gives it
+# each misplaces row 3 of K4's eleven rows X, keeping every row as rows() gives it
 ROW_MUTATIONS = {
     "dropped": (lambda rows: [*rows[:3], *rows[4:]], "row 3 is X=(0, 2, 3), not X=(0, 2)"),
     "repeated": (lambda rows: [*rows[:4], *rows[3:]], "row 4 is X=(0, 2), not X=(0, 2, 3)"),
     "swapped": (lambda rows: [*rows[:3], rows[4], rows[3], *rows[5:]], "row 3 is X=(0, 2, 3), not X=(0, 2)"),
-    "wrong-x": (lambda rows: [*rows[:3], ((1, 3), rows[3][1]), *rows[4:]], "row 3 is X=(1, 3), not X=(0, 2)"),
+    "wrong-x": (lambda rows: [*rows[:3], ((1, 3), *rows[3][1:]), *rows[4:]], "row 3 is X=(1, 3), not X=(0, 2)"),
 }
 
 
 @pytest.mark.parametrize("mutation", list(ROW_MUTATIONS))
 def test_misplaced_row_of_a_exits_2(mutation, k4_path, tmp_path, monkeypatch, capsys):
-    """A row of A that is missing, repeated, out of order or for the wrong X is a bug: exit 2, and no .ine."""
+    """A row that is missing, repeated, out of order or for the wrong X is a bug: exit 2, and no .ine."""
     mutate, wrong = ROW_MUTATIONS[mutation]
-    a_rows = factorization.Factorization.a_rows
-    monkeypatch.setattr(factorization.Factorization, "a_rows", lambda self: iter(mutate(list(a_rows(self)))))
-    message = f"A must give the rows X in enumerate_rows order: {wrong}"
+    real_rows = factorization.Factorization.rows
+    monkeypatch.setattr(factorization.Factorization, "rows", lambda self: iter(mutate(list(real_rows(self)))))
+    message = f"rows must be the X in enumerate_rows order, then X = V: {wrong}"
     base = ["--graph", k4_path, "--k", "2", "--l", "3"]
     for argv in (["verify", *base], ["emit", *base, "--out", str(tmp_path / "x.ine"), "--verify"]):
         assert run(argv, capsys) == (2, "", f"error: internal failure: TypeError({message!r})\n"), argv

@@ -10,7 +10,7 @@ import pytest
 
 from sparsity_ef import cli, factorization, lifted
 from sparsity_ef.errors import InfeasibleLiftedPointError
-from sparsity_ef.graphs import SparsityParams, make_graph
+from sparsity_ef.graphs import SparsityParams, induced_edges, make_graph
 from sparsity_ef.factorization import (
     Factorization,
     build_factorization,
@@ -94,7 +94,7 @@ def test_factorization_dimensions_and_entry_domains():
     """A is a support per row, B is 0/1 byte rows, a block per announcement; T = c * A, U = B / c, c = 2 on K3 (1,1)."""
     fac = build_factorization(K3, P11, "A")
     assert fac.c == 2
-    a = [support for _, support in fac.a_rows()]
+    a = [support for *_, support in fac.rows()][:-1]  # the global row has no support
     # each pair X has two entering edges, so two ones among the 18 transcripts
     assert len(a) == 3 and all(type(r) is list and len(r) == 2 and r == sorted(set(r)) for r in a)
     assert {w for row in a for w in row} <= set(range(18))
@@ -128,7 +128,7 @@ def test_fault_injection_detected():
     fac = build_factorization(K3, P11, "A")
     b = b_matrix(fac)
     b[4][1] ^= 1  # U[4][1] moves by 1/c
-    x = next(x for x, a_row in fac.a_rows() if 4 in a_row)  # the first row that charges transcript 4
+    x = next(x for x, *_, a_row in fac.rows() if 4 in a_row)  # the first row that charges transcript 4
     expected = f"basis {fac.cols[1]}: equality row X={x} has residual {2 * b[4][1] - 1}"
     with pytest.raises(InfeasibleLiftedPointError, match=f"^{re.escape(expected)}$"):
         verify_factorization(fac._replace(B=b_rule(b, K3.edge_count)))
@@ -148,6 +148,40 @@ def test_global_row_checked_after_the_counting_rows():
         verify_factorization(fac._replace(cols=(short, *fac.cols[1:])))
 
 
+def test_verify_reads_the_rows_that_emit_writes(monkeypatch):
+    """An E(X) edge dropped from one row, or the global row's right side off by one, fails the check at that row.
+
+    The check reads each row's k|X| - l and E(X) from rows(), the rows that format_ine writes.
+    """
+    fac = build_factorization(K4, P23, "B")
+    *rows, (v, c, every_edge, no_support) = fac.rows()
+    x, rhs, inside, support = rows[1]
+    assert (x, inside) == ((0, 1, 2), [0, 1, 3])
+    dropped = [rows[0], (x, rhs, [0, 3], support), *rows[2:], (v, c, every_edge, no_support)]
+    off_by_one = [*rows, (v, c + 1, every_edge, no_support)]
+    first_with_edge_1 = next(basis for basis in fac.cols if 1 in basis)
+    for rule, expected in ((dropped, f"basis {first_with_edge_1}: equality row X={x} has residual -1"),
+                           (off_by_one, f"basis {fac.cols[0]}: equality row global has residual -1")):
+        monkeypatch.setattr(Factorization, "rows", lambda self: iter(rule))
+        with pytest.raises(InfeasibleLiftedPointError, match=f"^{re.escape(expected)}$"):
+            verify_factorization(fac)
+    # E(X) must be strictly ascending edge indices, or its packed sum could carry or wrap
+    for wrong in ([0, 1, 1, 3], [-1, 0, 1, 3], [0, 1, 3, 6], [3, 1, 0]):
+        monkeypatch.setattr(Factorization, "rows", lambda self: iter([rows[0], (x, rhs, wrong, support), *rows[2:]]))
+        with pytest.raises(TypeError, match=re.escape(f"E(X) of row X={x} must be ascending edge indices in [0, 6)")):
+            verify_factorization(fac)
+
+
+@pytest.mark.parametrize("basis", [(-3, -2), (1, 0), (0, 0), (0, 3), [0, 1]])
+def test_a_basis_must_be_ascending_edge_indices(basis):
+    """A given basis outside [0, |E|), out of order, repeated or not a tuple is refused; -3 would index edge 0."""
+    message = f"basis {basis!r}: not a tuple of strictly ascending edge indices in [0, 3)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_factorization(K3, P11, bases=[(0, 1), basis])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        slack_matrix(K3, P11, bases=[basis])
+
+
 def test_negative_entry_detected(monkeypatch):
     """No factor holds a negative entry: a byte row of B cannot, a row of ints is refused, and so is a negative index of A."""
     fac = build_factorization(K3, P11, "A")
@@ -160,9 +194,9 @@ def test_negative_entry_detected(monkeypatch):
     # rows of ints are refused even where their entries are right
     with pytest.raises(TypeError, match=re.escape("B(0) must be 6 rows of 0/1 bytes")):
         verify_factorization(fac._replace(B=lambda i: [list(row) for row in fac.B(i)]))
-    a = list(fac.a_rows())
-    a[0] = a[0][0], [-1, *a[0][1][1:]]
-    monkeypatch.setattr(Factorization, "a_rows", lambda self: iter(a))
+    a = list(fac.rows())
+    a[0] = *a[0][:3], [-1, *a[0][3][1:]]
+    monkeypatch.setattr(Factorization, "rows", lambda self: iter(a))
     with pytest.raises(TypeError, match=re.escape("A row X=(0, 1) must be ascending transcript indices in [0, 18)")):
         verify_factorization(fac)
 
@@ -178,7 +212,7 @@ def test_packed_fields_hold_corrupted_entries(tmp_path, monkeypatch, capsys):
     k|X| - l > B[w][j], which K3 (1,1) has nowhere.
     """
     fac = build_factorization(K4, P11, "A")
-    a = list(fac.a_rows())
+    a = [(x, support) for x, *_, support in fac.rows()]
 
     def first_row(w):
         return next(x for x, a_row in a if w in a_row)
@@ -200,7 +234,7 @@ def test_packed_fields_hold_corrupted_entries(tmp_path, monkeypatch, capsys):
 
 
 def test_memory_guard_threshold(monkeypatch):
-    # the guard reads only the basis count, so placeholder bases suffice
+    # the guard reads only the basis count, before any basis: placeholders suffice, shaped as bases past the guard
     k8 = complete_graph(8)
     # each Laman graph on 7 vertices, with a new vertex joined to 2 of its 21 pairs, is one on 8
     with pytest.raises(EnumerationGuardError, match="memory guard"):  # K8 (2,3): about 25 GB
@@ -215,7 +249,8 @@ def test_memory_guard_threshold(monkeypatch):
     monkeypatch.setattr(factorization, "protocol_targets", reached)
     # K8 (1,1) is estimated at 235 MB, K7 (2,3) at 672 MB
     for g, p, variant, bases in ((k8, P11, "A", 8**6), (complete_graph(7), P23, "B", 190491)):
-        fac = build_factorization(g, p, variant, bases=(None,) * bases)  # passes the guard
+        placeholder = tuple(range(p.k * g.n - p.ell))
+        fac = build_factorization(g, p, variant, bases=(placeholder,) * bases)  # passes the guard
         with pytest.raises(Targeted):  # a block reaches Bob's targets, made before any orientation
             fac.B(0)
 
@@ -259,7 +294,8 @@ def _traced_bytes(build):
 
 def _warm_orientations(monkeypatch, fac):
     """Play every game of B once, cached, so that tracing, which would slow them tenfold, replays them."""
-    monkeypatch.setattr(factorization, "bob_orientation", functools.cache(factorization.bob_orientation))
+    play = functools.cache(factorization.bob_orientation)
+    monkeypatch.setattr(factorization, "bob_orientation", lambda edges, targets: play(tuple(edges), tuple(targets)))
     b_matrix(fac)
 
 
@@ -350,11 +386,11 @@ def test_dimension_mismatch_raises(monkeypatch):
     fac = build_factorization(K3, P11, "A")
     with pytest.raises(TypeError, match=re.escape("B(0) must be 6 rows of 0/1 bytes, each 2 long")):
         verify_factorization(fac._replace(cols=fac.cols[:-1]))
-    a = list(fac.a_rows())
-    order = "A must give the rows X in enumerate_rows order: "
+    a = list(fac.rows())
+    order = "rows must be the X in enumerate_rows order, then X = V: "
     # a wrong row count is a TypeError, never the ValueError of zip(strict=True)
-    for rows, wrong in ((a[:-1], "row 2 is X=None, not X=(1, 2)"), ([*a, a[0]], "row 3 is X=(0, 1), not X=None")):
-        monkeypatch.setattr(Factorization, "a_rows", lambda self: iter(rows))
+    for rows, wrong in ((a[:-1], "row 3 is X=None, not X=(0, 1, 2)"), ([*a, a[0]], "row 4 is X=(0, 1), not X=None")):
+        monkeypatch.setattr(Factorization, "rows", lambda self: iter(rows))
         with pytest.raises(TypeError, match=f"^{re.escape(order + wrong)}$"):
             verify_factorization(fac)
 
@@ -366,8 +402,8 @@ def test_a_rows_must_be_0_1_with_at_most_e_ones(monkeypatch):
     the last row, so every row before it has been checked and summed.
     """
     fac = build_factorization(K4, P11, "A")
-    a = list(fac.a_rows())
-    (x, last), w = a[-1], len(b_matrix(fac))
+    *a, global_row = fac.rows()  # the global row is left as it is
+    (x, rhs, inside, last), w = a[-1], len(b_matrix(fac))
     assert len(last) == 4 and w == 48 and x == (2, 3)
     corrupted = (
         [last[0], *last],  # an entry of 2
@@ -378,7 +414,7 @@ def test_a_rows_must_be_0_1_with_at_most_e_ones(monkeypatch):
         [*last, w],  # |W| appended
     )
     for row in corrupted:
-        monkeypatch.setattr(Factorization, "a_rows", lambda self: iter([*a[:-1], (x, row)]))
+        monkeypatch.setattr(Factorization, "rows", lambda self: iter([*a[:-1], (x, rhs, inside, row), global_row]))
         expected = "A row X=(2, 3) must be ascending transcript indices in [0, 48), at most 6 of them"
         with pytest.raises(TypeError, match=f"^{re.escape(expected)}$"):
             verify_factorization(fac)
@@ -401,7 +437,7 @@ def test_product_matches_protocol_expectation():
     for g, p, variant in [(K4, P11, "A"), (K4, P23, "B")]:
         fac = build_factorization(g, p, variant)
         b = b_matrix(fac)
-        for x, support in fac.a_rows():
+        for x, *_, support in fac.rows():
             for j, basis in enumerate(fac.cols):
                 cell = sum(fac.c * Fraction(b[w][j], fac.c) for w in support)  # T[X][w] = c on the support
                 assert cell == exact_expectation(g, p, variant, x, basis)
@@ -420,16 +456,17 @@ def test_product_equals_slack_matrix(corpus_cells):
     for name, g, p, bases in corpus_cells:
         fac = build_factorization(g, p, bases=bases)
         b = b_matrix(fac)
-        product = [[sum(b[w][j] for w in support) for j in range(len(bases))] for _, support in fac.a_rows()]
-        assert product == list(slack_matrix(g, p, bases=bases)), (name, p)
+        product = [[sum(b[w][j] for w in support) for j in range(len(bases))] for *_, support in fac.rows()]
+        assert product[:-1] == list(slack_matrix(g, p, bases=bases)), (name, p)
 
 
 def test_a_and_b_follow_their_definitions(corpus_cells):
-    """a_rows and B match the module docstring's A and B entry by entry, read off each transcript's fields.
+    """rows() and B match the module docstring's A and B entry by entry, read off each transcript's fields.
 
-    The transcripts (alice, edge, head) are listed here in the docstring's
-    lexicographic order, which pins the index 2|E| i + 2e + flag that
-    both compute, and the T.csv labels read off it.
+    Each row is (X, k|X| - l, E(X), X's support in A), for the rows X and
+    then X = V.  The transcripts (alice, edge, head) are listed here in the
+    docstring's lexicographic order, which pins the index 2|E| i + 2e + flag
+    that both compute, and the T.csv labels read off it.
     """
     for name, g, p, bases in corpus_cells:
         fac = build_factorization(g, p, bases=bases)
@@ -440,10 +477,12 @@ def test_a_and_b_follow_their_definitions(corpus_cells):
         assert list(_transcript_labels(g, fac.variant)) == [
             "+".join(map(str, alice)) + f"/e{e}h{head}" for alice, e, head in ws], (name, p)
         ends = [(head, sum(g.edges[e]) - head) for _, e, head in ws]  # (head, tail)
-        a = [(x, [i for i, ((alice, _, _), (head, tail)) in enumerate(zip(ws, ends))
+        rows = [(x, p.k * len(x) - p.ell, sorted(induced_edges(g, x)),
+                 [i for i, ((alice, _, _), (head, tail)) in enumerate(zip(ws, ends))
                   if alice == alice_choice(x, fac.variant) and head in x and tail not in x])
-             for x in enumerate_rows(g, p)]
-        assert list(fac.a_rows()) == a, (name, p)
+                for x in [*enumerate_rows(g, p), tuple(range(g.n))]]
+        assert rows[-1][1:] == (fac.c, list(range(g.edge_count)), []), (name, p)  # the global row
+        assert list(fac.rows()) == rows, (name, p)
         for j, basis in enumerate(bases):
             edges = tuple(g.edges[e] for e in basis)
             heads = {alice: dict(zip(basis, bob_orientation(edges, protocol_targets(g.n, p, alice))))

@@ -49,7 +49,7 @@ def test_build_counts_single_edge():
     g = make_graph(2, [(0, 1)])
     fac = lift(g, P11, "A")
     assert (g.edge_count, transcript_count(g, "A")) == (1, 4)
-    assert list(fac.a_rows()) == []
+    assert list(fac.rows()) == [((0, 1), 1, [0], [])]  # the global row alone
     assert fac.c == 1
     point = lift_vertex(fac, (0,))
     assert point.x == (1,)
@@ -181,6 +181,25 @@ def test_ine_is_pinned_on_sixteen_vertices():
     assert digest.hexdigest() == "7b799af141760803cd3be2993fa7ec7aa7f4c8f957388b320716ffc0aeb01a34"
 
 
+# sha256 and size of the .ine where the x_e <= 1 rows are emitted (2k - l >= 2), on complete graphs
+INE_WITH_EDGE_BOUNDS = {
+    (7, 2, 2, "A"): ("8b55eaf55a750e5826328b7ed10047bfe748adeddaa268b7a966485583d4a58a", 291927),
+    (7, 2, 2, "B"): ("c8a37ddaaa7f4367fdd017607023e85a0f29a3232523e181cc6d14a859ee04a1", 6883409),
+    (6, 1, 0, "A"): ("d29a23cd8954cb77917d5a7e626f52dcabfc8a994a19349580178518300ef7a5", 105588),
+}
+
+
+@pytest.mark.parametrize("n, k, ell, variant", list(INE_WITH_EDGE_BOUNDS))
+def test_ine_is_pinned_with_edge_bounds(n, k, ell, variant):
+    """K7 (2,2) in both variants and K6 (1,0): the .ine ends in one row x_e <= 1 per edge."""
+    g, p = complete_graph(n), SparsityParams(k, ell)
+    fac = lift(g, p, variant)
+    text = "".join(format_ine(fac))
+    last_bound = ["1", *["0"] * (g.edge_count - 1), "-1", *["0"] * transcript_count(g, variant)]
+    assert text.splitlines()[-2].split() == last_bound
+    assert (hashlib.sha256(text.encode()).hexdigest(), len(text)) == INE_WITH_EDGE_BOUNDS[n, k, ell, variant]
+
+
 def test_t_csv_rows_are_the_negated_y_blocks_of_the_ine(corpus_cells):
     """Each row of T.csv is minus the y-block of its .ine equality row, in both variants where both exist."""
     for name, g, p, _ in corpus_cells:
@@ -285,7 +304,7 @@ def test_batched_checks_match_fraction_reference(corpus_cells, monkeypatch):
     for name, g, p, bases in cells:
         fac = lift(g, p)
         block = 2 * g.edge_count
-        read = {w // block for _, support in fac.a_rows() for w in support}  # the blocks a row charges
+        read = {w // block for *_, support in fac.rows() for w in support}  # the blocks a row charges
         for edges, column in _perturbed_inputs(fac, bases, rng):
             new, reference = _first_failures(monkeypatch, fac, edges, column)
             if 2 in column and column.index(2) // block in read:
@@ -301,7 +320,7 @@ def test_batched_checks_match_fraction_reference(corpus_cells, monkeypatch):
 
 def test_verify_extension_catches_flipped_u_entry():
     # the first transcript a row charges
-    w = min(min(support) for _, support in lift(K4, P23, "B").a_rows() if support)
+    w = min(min(support) for *_, support in lift(K4, P23, "B").rows() if support)
     fac = build_factorization(K4, P23, "B")
     b = b_matrix(fac)
     b[w][0] = 1 - b[w][0]
@@ -314,16 +333,16 @@ def test_verify_extension_catches_corrupted_t_entry(monkeypatch):
     """Row 3 of A charges one more transcript, one that the first basis's U-column uses."""
     bases = enumerate_bases(K4, P23)
     fac = lift(K4, P23, "B")
-    x, support = list(fac.a_rows())[3]
+    x, *_, support = list(fac.rows())[3]
     column = b_matrix(build_factorization(K4, P23, "B", bases=bases[:1]))
     w = next(i for i, row in enumerate(column) if row[0] and i not in support)
-    real_a_rows = Factorization.a_rows
+    real_rows = Factorization.rows
 
     def corrupted(self):
-        for i, (x, row) in enumerate(real_a_rows(self)):
-            yield x, sorted([*row, w]) if i == 3 else row
+        for i, (x, rhs, inside, row) in enumerate(real_rows(self)):
+            yield x, rhs, inside, sorted([*row, w]) if i == 3 else row
 
-    monkeypatch.setattr(Factorization, "a_rows", corrupted)
+    monkeypatch.setattr(Factorization, "rows", corrupted)
     expected = f"basis {bases[0]}: equality row X={x} has residual"
     with pytest.raises(InfeasibleLiftedPointError, match=re.escape(expected)):
         verify_extension(build_factorization(K4, P23, "B"))
@@ -331,14 +350,14 @@ def test_verify_extension_catches_corrupted_t_entry(monkeypatch):
 
 def test_verify_extension_catches_negative_t_entry(monkeypatch):
     """T = c * A cannot hold a negative entry: a support with a negative index is refused."""
-    real_a_rows = Factorization.a_rows
+    real_rows = Factorization.rows
 
     def negative(self):
-        a = list(real_a_rows(self))
-        x, support = a[0]
-        a[0] = x, [-1, *support[1:]]
+        a = list(real_rows(self))
+        *row, support = a[0]
+        a[0] = *row, [-1, *support[1:]]
         return iter(a)
 
-    monkeypatch.setattr(Factorization, "a_rows", negative)
+    monkeypatch.setattr(Factorization, "rows", negative)
     with pytest.raises(TypeError, match=re.escape("A row X=(0, 1) must be ascending transcript indices in [0, 144)")):
         verify_extension(build_factorization(K4, P23, "B"))
