@@ -22,8 +22,7 @@ _MODULES = {
         "InfeasibleOrientationError", "InstanceError",
     ),
     "factorization": (
-        "Factorization", "build_factorization", "enumerate_rows", "slack_matrix", "slack_value",
-        "verify_factorization",
+        "Factorization", "build_factorization", "slack_matrix", "slack_value", "verify_factorization",
     ),
     "graphs": (
         "Graph", "SparsityParams", "induced_edges", "load_graph", "load_graph_file",

@@ -3,8 +3,8 @@
 Rows of the slack matrix are the counting inequalities indexed by vertex
 sets X with 2 <= |X| <= n-1, 2^n - n - 2 of them in lexicographic order
 (the full-set row is the global equality and singletons are dominated,
-so neither appears); columns are the bases in lexicographic edge-index
-order.  Entry: k|X| - l - |F ∩ E(X)|, a non-negative integer.
+so neither appears); columns are the bases passed in, none enumerated
+here.  Entry: k|X| - l - |F ∩ E(X)|, a non-negative integer.
 
 A transcript is one full protocol round: Alice's announced vertices plus
 Bob's announced directed edge.  Transcript (alice, e, flag), where flag
@@ -36,8 +36,9 @@ time, and S.csv is written row by row, from the bases' edge incidence
 packed by ``_incidence`` (2|E| bytes per basis).
 
 ``verify_factorization`` checks every basis lift on each row of
-``rows``, the rows ``lifted.format_ine`` writes, and never builds S.  It
-walks the rows X, then X = V, beside ``rows``, so a row that is missing,
+``rows``, the rows ``lifted.format_ine`` writes, and never builds S; a
+factorization over no bases certifies nothing and is refused.  It walks
+the rows X, then X = V, beside ``rows``, so a row that is missing,
 extra, repeated, out of order or for another X is refused without a list
 of rows.  Row X charges the block of alice(X), a prefix of X, so the
 rows of one announcement come in a run: each block is built once, when a
@@ -48,12 +49,12 @@ fields of f bytes hold its entries.  Row X's left side,
 packed(|F ∩ E(X)|) plus packed(B[w]) for each w in X's support, is
 compared with (k|X| - l) * packed(1, ..., 1).  E(X) must be strictly
 ascending in [0, |E|), a support in [0, |W|) with at most |E| indices,
-B 0/1, and a given basis a tuple strictly ascending in [0, |E|), so
-X = V's left side is packed(|F|), and f holds k n and the largest
-possible left side, 2|E|: no field carries, and two packed rows are
-equal exactly when their entries are.  |E| <= 120 for the n <= 16 that
-rows allow, so f is one byte while k n < 256.  Entries are unpacked only
-to name a failure.
+B 0/1, and a given basis a tuple of ints strictly ascending in
+[0, |E|), so X = V's left side is packed(|F|), and f holds k n and the
+largest possible left side, 2|E|: no field carries, and two packed rows
+are equal exactly when their entries are.  |E| <= 120 for the n <= 16
+that rows allow, so f is one byte while k n < 256.  Entries are unpacked
+only to name a failure.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from .errors import EnumerationGuardError, InfeasibleLiftedPointError
 from .graphs import Graph, SparsityParams, induced_edges, validate_instance
 from .protocol import alice_choice, announcements, bob_orientation, protocol_targets, resolve_variant, transcript_count
-from .sparsity import Basis, enumerate_bases
+from .sparsity import Basis, require_basis
 
 MAX_ROW_ENUM_N = 16
 MAX_MATRIX_BYTES = 2**30  # build_factorization refuses B estimated beyond this; no code holds S
@@ -98,13 +99,6 @@ def _rows(n: int) -> Iterator[tuple[int, ...]]:
             yield tuple(x)
 
 
-def enumerate_rows(g: Graph, p: SparsityParams) -> list[tuple[int, ...]]:
-    """All X with 2 <= |X| <= n-1 as sorted tuples, in lexicographic order."""
-    validate_instance(g, p)
-    check_row_count(g)
-    return list(_rows(g.n))
-
-
 def slack_value(g: Graph, p: SparsityParams, x_set: Iterable[int], basis: Iterable[int]) -> int:
     """k|X| - l - |F ∩ E(X)|; non-negative whenever the basis is sparse."""
     members = frozenset(x_set)
@@ -114,8 +108,13 @@ def slack_value(g: Graph, p: SparsityParams, x_set: Iterable[int], basis: Iterab
 def _check_bases(g: Graph, cols: Iterable[Basis]) -> None:
     """Refuse (ValueError) a basis that is not a tuple of strictly ascending edge indices in [0, |E|)."""
     for basis in cols:
-        if type(basis) is not tuple or not all(map(operator.lt, (-1, *basis), (*basis, g.edge_count))):
-            raise ValueError(f"basis {basis!r}: not a tuple of strictly ascending edge indices in [0, {g.edge_count})")
+        try:  # in [0, |E|), an index is below |E| <= 120, so bytes() refuses only one that is not an int
+            if type(basis) is tuple and all(map(operator.lt, (-1, *basis), (*basis, g.edge_count))):
+                bytes(basis)
+                continue
+        except TypeError:
+            pass
+        raise ValueError(f"basis {basis!r}: not a tuple of strictly ascending edge indices in [0, {g.edge_count})")
 
 
 def _incidence(g: Graph, cols: Sequence[Basis], width: int) -> list[int]:
@@ -127,17 +126,17 @@ def _incidence(g: Graph, cols: Sequence[Basis], width: int) -> list[int]:
     return [int.from_bytes(column, "little") for column in incidence]
 
 
-def slack_matrix(g: Graph, p: SparsityParams, *, bases: Sequence[Basis] | None = None) -> Iterator[list[int]]:
-    """The rows of S = (k|X| - l) - |F ∩ E(X)| over the given bases, or over all of them when ``bases`` is None.
+def slack_matrix(g: Graph, p: SparsityParams, *, bases: Sequence[Basis]) -> Iterator[list[int]]:
+    """The rows of S = (k|X| - l) - |F ∩ E(X)| over the given bases.
 
-    The instance and its row count are checked, and the bases enumerated,
-    by the call; each row X is a list of ints, built as it is taken, in
-    ``enumerate_rows`` order.  The overlaps are one byte per basis, since
-    |E| <= 120 for the n <= 16 rows allow.
+    The instance, its row count and the bases are checked by the call;
+    each row X is a list of ints, built as it is taken, in lexicographic
+    order.  The overlaps are one byte per basis, since |E| <= 120 for the
+    n <= 16 rows allow.
     """
     validate_instance(g, p)
     check_row_count(g)
-    cols = enumerate_bases(g, p) if bases is None else list(bases)
+    cols = list(bases)
     _check_bases(g, cols)
     packed = _incidence(g, cols, 1)
 
@@ -170,7 +169,7 @@ class Factorization(NamedTuple):
         return self.params.k * self.graph.n - self.params.ell
 
     def rows(self) -> Iterator[tuple[tuple[int, ...], int, list[int], list[int]]]:
-        """Each equality row (X, k|X| - l, E(X), X's support in A): the rows X in ``enumerate_rows`` order, then V.
+        """Each equality row (X, k|X| - l, E(X), X's support in A): the rows X in lexicographic order, then V.
 
         A row is built as it is taken, in one pass over the edges: e = (u, v) entering X charges the
         transcript offset + 2e + [u in X] of Alice's announcement for X, which heads e at its end inside X.
@@ -189,17 +188,17 @@ class Factorization(NamedTuple):
 
 
 def build_factorization(
-    g: Graph, p: SparsityParams, variant: str = "auto", *, bases: Sequence[Basis] | None = None
+    g: Graph, p: SparsityParams, variant: str = "auto", *, bases: Sequence[Basis]
 ) -> Factorization:
     """Factor the slack matrix over the given bases; a basis is oriented only when a reader calls ``B``.
 
-    ``bases=None`` enumerates every basis; ``bases=()`` gives the factorization over no bases, the lifted
-    system without its certificate.  Refuses (EnumerationGuardError) B estimated beyond ``MAX_MATRIX_BYTES``.
+    ``bases=()`` gives the factorization over no bases, the lifted system without its certificate.
+    Refuses (EnumerationGuardError) B estimated beyond ``MAX_MATRIX_BYTES``.
     """
     variant = resolve_variant(p, variant)
     validate_instance(g, p)
     check_row_count(g)
-    cols = tuple(enumerate_bases(g, p) if bases is None else bases)
+    cols = tuple(bases)
     estimate = B_ENTRY_BYTES * len(cols) * transcript_count(g, variant)
     if estimate > MAX_MATRIX_BYTES:
         raise EnumerationGuardError(f"B for {len(cols)} bases would take about {estimate} bytes, "
@@ -231,10 +230,14 @@ def verify_factorization(fac: Factorization) -> None:
     Each row of ``fac.rows()`` reads |F ∩ E(X)| + (A @ B)[X][F] = k|X| - l for every basis F, on packed
     rows; on the global row, X = V, that is |F| = c.  Raises InfeasibleLiftedPointError on the first
     failure, in row-major order, naming the basis and the row with its residual, on row X (A @ B - S)[X][F].
-    One block of B is held at a time (module docstring).  Rows other than the rows X in ``enumerate_rows``
+    One block of B is held at a time (module docstring).  Rows other than the rows X in lexicographic
     order and X = V, an E(X) or support out of form, and a malformed block of B are a bug: TypeError.
+    A factorization over no bases certifies nothing: EmptyPolytopeError where the instance has none, else ValueError.
     """
     g, p = fac.graph, fac.params
+    if not fac.cols:
+        require_basis(g, p)
+        raise ValueError("the factorization has no bases, so it certifies no lift")
     ncols, w, m = len(fac.cols), transcript_count(g, fac.variant), g.edge_count
     width = max(1, max(2 * m, p.k * g.n).bit_length() + 7 >> 3)  # fields hold the largest left side and right side
     incidence = _incidence(g, fac.cols, width)
@@ -244,7 +247,7 @@ def verify_factorization(fac: Factorization) -> None:
     for r, (due, row) in enumerate(itertools.zip_longest(due_rows, fac.rows())):
         x, rhs, inside, support = row or (None,) * 4
         if x != due:
-            raise TypeError(f"rows must be the X in enumerate_rows order, then X = V: row {r} is X={x}, not X={due}")
+            raise TypeError(f"rows must be the X in lexicographic order, then X = V: row {r} is X={x}, not X={due}")
         edges, bounded = [-1, *inside, m], [-1, *support, w]  # -1 < first < ... < last < |E| or |W|
         if not all(map(operator.lt, edges, edges[1:])):
             raise TypeError(f"E(X) of row X={x} must be ascending edge indices in [0, {m})")

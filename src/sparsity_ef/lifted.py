@@ -21,7 +21,8 @@ factorization over the bases: every basis F lifts with zero residual.
 That is, (1_F, U-column of F) satisfies each row: a counting row is the
 identity A @ B = S on F's column, and the global row is |F| = c.
 ``verify_factorization`` checks the rows that ``format_ine`` writes,
-each over all the bases at once.  T >= 0, as a row of T is c >= 1 on its
+each over all the bases at once, and refuses a factorization over no
+bases, which certifies nothing.  T >= 0, as a row of T is c >= 1 on its
 support and 0 elsewhere; y >= 0, as the check refuses a block of B that
 is not 0/1.  The lifts put every basis in the projection.  Conversely,
 for a feasible point, T >= 0 and y >= 0 make each row read
@@ -47,7 +48,6 @@ from .errors import EmptyPolytopeError, InfeasibleLiftedPointError  # both are r
 from .factorization import Factorization, row_count, sparse_renderer, verify_factorization
 from .graphs import Graph, SparsityParams
 from .protocol import ANNOUNCED, bit_complexity, transcript_count
-from .sparsity import require_basis
 
 
 def upper_bound_count(g: Graph, p: SparsityParams) -> int:
@@ -64,14 +64,10 @@ def verify_extension(fac: Factorization) -> dict:
     """End-to-end verification report for a factorization over the instance's bases.
 
     Checks the certificate of the module docstring with ``verify_factorization``, which raises
-    InfeasibleLiftedPointError naming the basis and the row on the first failure; returns the report dict
-    on success.  A factorization without columns certifies nothing: it is refused with EmptyPolytopeError
-    when the instance has no basis, ValueError otherwise.
+    InfeasibleLiftedPointError naming the basis and the row on the first failure, and refuses a
+    factorization over no bases; returns the report dict on success.
     """
     g, p = fac.graph, fac.params
-    if not fac.cols:
-        require_basis(g, p)
-        raise ValueError("the factorization has no bases, so it certifies no lift")
     verify_factorization(fac)
 
     n, m, w = g.n, g.edge_count, transcript_count(g, fac.variant)

@@ -43,6 +43,11 @@ def oriented(n: int, edges, heads) -> tuple[tuple[int, ...], tuple[tuple[int, in
     return tuple(rho), tuple(directed)
 
 
+def row_sets(n: int) -> list[tuple[int, ...]]:
+    """Every X with 2 <= |X| <= n - 1 as a sorted tuple, in lexicographic order, listed by combinations."""
+    return sorted(x for size in range(2, n) for x in itertools.combinations(range(n), size))
+
+
 def b_matrix(fac) -> list[bytearray]:
     """Every row of B, in transcript order: Bob's blocks, one per announcement, end to end."""
     return [row for i in range(len(announcements(fac.graph.n, fac.variant))) for row in fac.B(i)]

@@ -27,7 +27,7 @@ from sparsity_ef.factorization import Factorization
 from sparsity_ef.graphs import Graph, SparsityParams, induced_edges
 from sparsity_ef.protocol import transcript_count
 
-from conftest import b_matrix
+from conftest import b_matrix, row_sets
 
 
 class LiftedPoint(NamedTuple):
@@ -48,8 +48,7 @@ def equality_residuals(fac: Factorization, point: LiftedPoint) -> list[tuple[str
     """Each row equality's name and left-hand side minus right-hand side, the global one's last."""
     g, p = fac.graph, fac.params
     rows = [(x_set, support) for x_set, *_, support in fac.rows()]
-    every_x = sorted(x for size in range(2, g.n) for x in itertools.combinations(range(g.n), size))
-    if [x_set for x_set, _ in rows] != [*every_x, tuple(range(g.n))]:
+    if [x_set for x_set, _ in rows] != [*row_sets(g.n), tuple(range(g.n))]:
         raise TypeError("the rows are not every X with 2 <= |X| <= n - 1 in lexicographic order, then X = V")
     residuals = []
     for x_set, support in rows:  # T = c * A

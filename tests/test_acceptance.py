@@ -15,7 +15,6 @@ from sparsity_ef import cli
 from sparsity_ef.graphs import SparsityParams
 from sparsity_ef.factorization import (
     build_factorization,
-    enumerate_rows,
     slack_value,
     verify_factorization,
 )
@@ -43,6 +42,7 @@ from conftest import (
     hakimi_violation,
     oriented,
     random_graph,
+    row_sets,
     spanning_tree_count,
 )
 
@@ -56,7 +56,7 @@ def test_c01_unbiasedness_suite(corpus_cells):
     cells = 0
     for name, g, p, bases in corpus_cells:
         variant = resolve_variant(p, "auto")
-        for x in enumerate_rows(g, p):
+        for x in row_sets(g.n):
             for basis in bases:
                 expectation = exact_expectation(g, p, variant, x, basis)
                 slack = slack_value(g, p, x, basis)
@@ -69,7 +69,7 @@ def test_c02_factorization_exactness(corpus_cells):
     checked = 0
     for name, g, p, bases in corpus_cells:
         variant = resolve_variant(p, "auto")
-        fac = build_factorization(g, p, variant)
+        fac = build_factorization(g, p, variant, bases=bases)
         expected_w = (
             2 * g.n * g.edge_count
             if variant == "A"
@@ -206,7 +206,7 @@ def test_c09_monte_carlo_sanity(corpus_cells):
     candidates = []
     for name, g, p, bases in corpus_cells:
         variant = resolve_variant(p, "auto")
-        for x in enumerate_rows(g, p):
+        for x in row_sets(g.n):
             for basis in bases:
                 if slack_value(g, p, x, basis) > 0:
                     candidates.append((name, g, p, variant, x, basis))

@@ -523,7 +523,7 @@ def test_misplaced_row_of_a_exits_2(mutation, k4_path, tmp_path, monkeypatch, ca
     mutate, wrong = ROW_MUTATIONS[mutation]
     real_rows = factorization.Factorization.rows
     monkeypatch.setattr(factorization.Factorization, "rows", lambda self: iter(mutate(list(real_rows(self)))))
-    message = f"rows must be the X in enumerate_rows order, then X = V: {wrong}"
+    message = f"rows must be the X in lexicographic order, then X = V: {wrong}"
     base = ["--graph", k4_path, "--k", "2", "--l", "3"]
     for argv in (["verify", *base], ["emit", *base, "--out", str(tmp_path / "x.ine"), "--verify"]):
         assert run(argv, capsys) == (2, "", f"error: internal failure: TypeError({message!r})\n"), argv

@@ -9,13 +9,12 @@ from fractions import Fraction
 import pytest
 
 from sparsity_ef import cli, factorization, lifted
-from sparsity_ef.errors import InfeasibleLiftedPointError
+from sparsity_ef.errors import EmptyPolytopeError, InfeasibleLiftedPointError
 from sparsity_ef.graphs import SparsityParams, induced_edges, make_graph
 from sparsity_ef.factorization import (
     Factorization,
     build_factorization,
     _transcript_labels,
-    enumerate_rows,
     factor_csvs,
     slack_matrix,
     slack_matrix_csv,
@@ -34,7 +33,7 @@ from sparsity_ef.protocol import (
 )
 from sparsity_ef.sparsity import EnumerationGuardError, enumerate_bases
 
-from conftest import b_matrix, b_rule, complete_graph, path_graph, wheel_graph
+from conftest import b_matrix, b_rule, complete_graph, path_graph, row_sets, wheel_graph
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
@@ -43,12 +42,11 @@ P23 = SparsityParams(2, 3)
 
 
 def test_enumerate_rows():
-    assert enumerate_rows(K3, P11) == [(0, 1), (0, 2), (1, 2)]
-    assert enumerate_rows(complete_graph(2), P11) == []
-    k4_rows = enumerate_rows(K4, P23)
-    assert len(k4_rows) == 10
-    assert k4_rows == sorted(k4_rows)
-    assert all(2 <= len(x) <= 3 for x in k4_rows)
+    """The row walk lists the X with 2 <= |X| <= n-1 as combinations do, in lexicographic order; none for n = 2."""
+    assert row_sets(2) == [] and row_sets(3) == [(0, 1), (0, 2), (1, 2)]
+    for n in range(2, 12):
+        assert list(factorization._rows(n)) == row_sets(n), n
+        assert len(row_sets(n)) == factorization.row_count(n), n
 
 
 def test_slack_value_examples():
@@ -58,26 +56,38 @@ def test_slack_value_examples():
 
 
 def test_k3_slack_matrix_pattern():
-    s = list(slack_matrix(K3, P11))
     bases = enumerate_bases(K3, P11)
+    s = list(slack_matrix(K3, P11, bases=bases))
     assert (len(s), len(bases)) == (3, 3)
-    for i, x in enumerate(enumerate_rows(K3, P11)):
+    for i, x in enumerate(row_sets(3)):
         x_edge = K3.index_of(*x)
         for j, basis in enumerate(bases):
             assert s[i][j] == (0 if x_edge in basis else 1)
 
 
 def test_k4_slack_matrix_zero_one():
-    s = list(slack_matrix(K4, P23))
+    s = list(slack_matrix(K4, P23, bases=enumerate_bases(K4, P23)))
     assert [len(row) for row in s] == [6] * 10
     assert {e for row in s for e in row} == {0, 1}
     assert all(e >= 0 for row in s for e in row)
 
 
 def test_empty_family_gives_zero_columns():
-    assert list(slack_matrix(path_graph(3), P23)) == [[], [], []]
-    fac = build_factorization(path_graph(3), P23, "B")
-    verify_factorization(fac)  # no basis, so nothing to fail
+    """S over no bases has empty rows; a check over no bases is refused, since it could not fail."""
+    bases = enumerate_bases(path_graph(3), P23)
+    assert bases == [] and list(slack_matrix(path_graph(3), P23, bases=bases)) == [[], [], []]
+    with pytest.raises(EmptyPolytopeError):  # the instance has no basis
+        verify_factorization(build_factorization(path_graph(3), P23, "B", bases=bases))
+    with pytest.raises(ValueError, match="^the factorization has no bases, so it certifies no lift$"):
+        verify_factorization(build_factorization(K3, P11, bases=()))
+
+
+def test_bases_are_an_argument():
+    """The factorization enumerates nothing: every caller passes its bases."""
+    for build in (build_factorization, slack_matrix):
+        with pytest.raises(TypeError, match="bases"):
+            build(K3, P11)
+    assert not hasattr(factorization, "enumerate_bases")
 
 
 def test_transcript_counts_and_order():
@@ -92,7 +102,7 @@ def test_transcript_counts_and_order():
 
 def test_factorization_dimensions_and_entry_domains():
     """A is a support per row, B is 0/1 byte rows, a block per announcement; T = c * A, U = B / c, c = 2 on K3 (1,1)."""
-    fac = build_factorization(K3, P11, "A")
+    fac = build_factorization(K3, P11, "A", bases=enumerate_bases(K3, P11))
     assert fac.c == 2
     a = [support for *_, support in fac.rows()][:-1]  # the global row has no support
     # each pair X has two entering edges, so two ones among the 18 transcripts
@@ -106,7 +116,7 @@ def test_factorization_dimensions_and_entry_domains():
 
 def test_u_column_sums_equal_n_variant_a():
     for g, p in [(K3, P11), (K4, P11)]:
-        fac = build_factorization(g, p, "A")
+        fac = build_factorization(g, p, "A", bases=enumerate_bases(g, p))
         b = b_matrix(fac)
         for j in range(len(fac.cols)):
             assert Fraction(sum(row[j] for row in b), fac.c) == g.n  # a column of U = B / c
@@ -121,11 +131,11 @@ def test_verify_factorization_small_instances():
         (K4, SparsityParams(2, 2), "A"),
         (K4, SparsityParams(1, 0), "A"),
     ]:
-        verify_factorization(build_factorization(g, p, variant))
+        verify_factorization(build_factorization(g, p, variant, bases=enumerate_bases(g, p)))
 
 
 def test_fault_injection_detected():
-    fac = build_factorization(K3, P11, "A")
+    fac = build_factorization(K3, P11, "A", bases=enumerate_bases(K3, P11))
     b = b_matrix(fac)
     b[4][1] ^= 1  # U[4][1] moves by 1/c
     x = next(x for x, *_, a_row in fac.rows() if 4 in a_row)  # the first row that charges transcript 4
@@ -142,7 +152,7 @@ def test_global_row_checked_after_the_counting_rows():
     with pytest.raises(InfeasibleLiftedPointError, match=r"^basis \(\): equality row global has residual -1$"):
         verify_factorization(fac._replace(cols=((),)))
     # on K3 a basis short of an edge fails a counting row first
-    fac = build_factorization(K3, P11, "A")
+    fac = build_factorization(K3, P11, "A", bases=enumerate_bases(K3, P11))
     short = fac.cols[0][:-1]
     with pytest.raises(InfeasibleLiftedPointError, match=re.escape(f"basis {short}: equality row X=")):
         verify_factorization(fac._replace(cols=(short, *fac.cols[1:])))
@@ -153,7 +163,7 @@ def test_verify_reads_the_rows_that_emit_writes(monkeypatch):
 
     The check reads each row's k|X| - l and E(X) from rows(), the rows that format_ine writes.
     """
-    fac = build_factorization(K4, P23, "B")
+    fac = build_factorization(K4, P23, "B", bases=enumerate_bases(K4, P23))
     *rows, (v, c, every_edge, no_support) = fac.rows()
     x, rhs, inside, support = rows[1]
     assert (x, inside) == ((0, 1, 2), [0, 1, 3])
@@ -172,9 +182,12 @@ def test_verify_reads_the_rows_that_emit_writes(monkeypatch):
             verify_factorization(fac)
 
 
-@pytest.mark.parametrize("basis", [(-3, -2), (1, 0), (0, 0), (0, 3), [0, 1]])
+@pytest.mark.parametrize("basis", [(-3, -2), (1, 0), (0, 0), (0, 3), [0, 1], (0.0, 1.0), (0, 1.0)])
 def test_a_basis_must_be_ascending_edge_indices(basis):
-    """A given basis outside [0, |E|), out of order, repeated or not a tuple is refused; -3 would index edge 0."""
+    """A given basis outside [0, |E|), out of order, repeated, not a tuple or not of ints is refused.
+
+    -3 would index edge 0, and a float would fail only as a list index.
+    """
     message = f"basis {basis!r}: not a tuple of strictly ascending edge indices in [0, 3)"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build_factorization(K3, P11, bases=[(0, 1), basis])
@@ -184,7 +197,7 @@ def test_a_basis_must_be_ascending_edge_indices(basis):
 
 def test_negative_entry_detected(monkeypatch):
     """No factor holds a negative entry: a byte row of B cannot, a row of ints is refused, and so is a negative index of A."""
-    fac = build_factorization(K3, P11, "A")
+    fac = build_factorization(K3, P11, "A", bases=enumerate_bases(K3, P11))
     with pytest.raises(ValueError):
         fac.B(0)[2][0] = -1
     b = b_matrix(fac)
@@ -211,7 +224,7 @@ def test_packed_fields_hold_corrupted_entries(tmp_path, monkeypatch, capsys):
     is summed.  (w, j) is picked where that carry would happen,
     k|X| - l > B[w][j], which K3 (1,1) has nowhere.
     """
-    fac = build_factorization(K4, P11, "A")
+    fac = build_factorization(K4, P11, "A", bases=enumerate_bases(K4, P11))
     a = [(x, support) for x, *_, support in fac.rows()]
 
     def first_row(w):
@@ -271,7 +284,7 @@ def test_b_computes_targets_once_per_block(monkeypatch):
     monkeypatch.setattr(factorization, "protocol_targets", counted)
     for g, p, variant in ((complete_graph(5), P11, "A"), (complete_graph(5), P23, "B")):
         calls.clear()
-        fac = build_factorization(g, p, variant)
+        fac = build_factorization(g, p, variant, bases=enumerate_bases(g, p))
         assert calls == []  # no block is built until a reader asks for it
         verify_factorization(fac)
         announced = [a for a in factorization.announcements(g.n, variant) if list(a) == sorted(a) and a[0] < g.n - 1]
@@ -349,7 +362,7 @@ def test_slack_csv_is_written_without_holding_s():
     """
     g = complete_graph(6)
     bases = enumerate_bases(g, P23)
-    bound = 8 * len(enumerate_rows(g, P23)) * len(bases) // 4
+    bound = 8 * len(row_sets(g.n)) * len(bases) // 4
     tracemalloc.start()
     try:
         gc.collect()
@@ -368,7 +381,7 @@ def test_a_rows_needs_every_announced_transcript(monkeypatch):
 
     Every reader takes |W| from ``transcript_count``, which is cut to the first half of the announcements.
     """
-    fac = build_factorization(K4, P11, "A", bases=())
+    fac = build_factorization(K4, P11, "A", bases=enumerate_bases(K4, P11))
     half = transcript_count(K4, "A") // 2
     for module in (factorization, lifted):
         monkeypatch.setattr(module, "transcript_count", lambda g, variant: half)
@@ -383,11 +396,11 @@ def test_a_rows_needs_every_announced_transcript(monkeypatch):
 
 
 def test_dimension_mismatch_raises(monkeypatch):
-    fac = build_factorization(K3, P11, "A")
+    fac = build_factorization(K3, P11, "A", bases=enumerate_bases(K3, P11))
     with pytest.raises(TypeError, match=re.escape("B(0) must be 6 rows of 0/1 bytes, each 2 long")):
         verify_factorization(fac._replace(cols=fac.cols[:-1]))
     a = list(fac.rows())
-    order = "rows must be the X in enumerate_rows order, then X = V: "
+    order = "rows must be the X in lexicographic order, then X = V: "
     # a wrong row count is a TypeError, never the ValueError of zip(strict=True)
     for rows, wrong in ((a[:-1], "row 3 is X=None, not X=(0, 1, 2)"), ([*a, a[0]], "row 4 is X=(0, 1), not X=None")):
         monkeypatch.setattr(Factorization, "rows", lambda self: iter(rows))
@@ -401,7 +414,7 @@ def test_a_rows_must_be_0_1_with_at_most_e_ones(monkeypatch):
     An entry of 2 is a repeated index.  Each corrupted support replaces
     the last row, so every row before it has been checked and summed.
     """
-    fac = build_factorization(K4, P11, "A")
+    fac = build_factorization(K4, P11, "A", bases=enumerate_bases(K4, P11))
     *a, global_row = fac.rows()  # the global row is left as it is
     (x, rhs, inside, last), w = a[-1], len(b_matrix(fac))
     assert len(last) == 4 and w == 48 and x == (2, 3)
@@ -435,7 +448,7 @@ def test_sparse_renderer_places_text_at_the_support():
 def test_product_matches_protocol_expectation():
     """T @ U recomputes the exact protocol expectation, route by route (T = c * A, U = B / c)."""
     for g, p, variant in [(K4, P11, "A"), (K4, P23, "B")]:
-        fac = build_factorization(g, p, variant)
+        fac = build_factorization(g, p, variant, bases=enumerate_bases(g, p))
         b = b_matrix(fac)
         for x, *_, support in fac.rows():
             for j, basis in enumerate(fac.cols):
@@ -445,8 +458,8 @@ def test_product_matches_protocol_expectation():
 
 def test_slack_entries_nonnegative_integers(corpus_cells):
     for name, g, p, bases in corpus_cells:
-        s = list(slack_matrix(g, p))
-        assert [len(row) for row in s] == [len(bases)] * len(enumerate_rows(g, p)), (name, p)
+        s = list(slack_matrix(g, p, bases=bases))
+        assert [len(row) for row in s] == [len(bases)] * len(row_sets(g.n)), (name, p)
         assert all(type(e) is int for row in s for e in row), (name, p)
         assert all(e >= 0 for row in s for e in row), (name, p)
 
@@ -480,7 +493,7 @@ def test_a_and_b_follow_their_definitions(corpus_cells):
         rows = [(x, p.k * len(x) - p.ell, sorted(induced_edges(g, x)),
                  [i for i, ((alice, _, _), (head, tail)) in enumerate(zip(ws, ends))
                   if alice == alice_choice(x, fac.variant) and head in x and tail not in x])
-                for x in [*enumerate_rows(g, p), tuple(range(g.n))]]
+                for x in [*row_sets(g.n), tuple(range(g.n))]]
         assert rows[-1][1:] == (fac.c, list(range(g.edge_count)), []), (name, p)  # the global row
         assert list(fac.rows()) == rows, (name, p)
         for j, basis in enumerate(bases):
@@ -504,7 +517,7 @@ def test_ine_is_rendered_without_holding_a():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    bound = len(enumerate_rows(g, P11)) * transcript_count(g, fac.variant) // 2
+    bound = len(row_sets(g.n)) * transcript_count(g, fac.variant) // 2
     assert size > 2 * bound  # the text alone would break the bound
     assert peak < bound, (peak, bound)
 
@@ -521,7 +534,7 @@ def test_slack_csv_golden():
 
 def test_factor_csv_golden_k4():
     """T.csv and U.csv bytes of K4 (2,3), pinned from the Fraction-based implementation."""
-    t_csv, u_csv = map("".join, factor_csvs(build_factorization(K4, P23, "B")))
+    t_csv, u_csv = map("".join, factor_csvs(build_factorization(K4, P23, "B", bases=enumerate_bases(K4, P23))))
     assert hashlib.sha256(t_csv.encode()).hexdigest() == (
         "c368c0608e08c33647e72cdde5400c64b2f8949252b75503d4f6c89aad519428"
     )
@@ -572,6 +585,6 @@ def test_bob_orientations_are_pinned(corpus_cells):
     digests = {}
     for name, g, p in cells:
         for variant in ("A", "B") if p.k == p.ell else ("auto",):
-            u_csv = "".join(factor_csvs(build_factorization(g, p, variant))[1])
+            u_csv = "".join(factor_csvs(build_factorization(g, p, variant, bases=enumerate_bases(g, p)))[1])
             digests[name, p.k, p.ell, variant] = hashlib.sha256(u_csv.encode()).hexdigest()
     assert digests == BOB_U_CSV

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sparsity_ef import factorization
-from sparsity_ef.factorization import Factorization, build_factorization, enumerate_rows, factor_csvs
+from sparsity_ef.factorization import Factorization, build_factorization, factor_csvs
 from sparsity_ef.graphs import SparsityParams, make_graph
 from sparsity_ef.protocol import resolve_variant, transcript_count
 from sparsity_ef.lifted import (
@@ -18,7 +18,7 @@ from sparsity_ef.lifted import (
 )
 from sparsity_ef.sparsity import enumerate_bases, require_basis
 
-from conftest import b_matrix, b_rule, complete_graph, path_graph
+from conftest import b_matrix, b_rule, complete_graph, path_graph, row_sets
 from lift_reference import LiftedPoint, assert_in_lifted, check_projection, equality_residuals, lift_vertex
 
 K3 = complete_graph(3)
@@ -61,7 +61,7 @@ def test_empty_polytope_refused():
     with pytest.raises(EmptyPolytopeError):
         require_basis(path_graph(3), P23)
     with pytest.raises(EmptyPolytopeError):
-        verify_extension(build_factorization(path_graph(3), P23, "B"))
+        verify_extension(build_factorization(path_graph(3), P23, "B", bases=enumerate_bases(path_graph(3), P23)))
 
 
 def test_verify_extension_refuses_no_bases():
@@ -118,16 +118,16 @@ def test_infeasible_point_is_distinct_diagnostic():
 
 
 def test_verify_extension_reports():
-    rep = verify_extension(build_factorization(K3, P11, "A"))
+    rep = verify_extension(build_factorization(K3, P11, "A", bases=enumerate_bases(K3, P11)))
     assert rep["pass"]
     assert rep["counts"]["inequality_count"] == 21
     assert rep["bounds"]["protocol_size_bound"] == 32
     assert rep["counts"]["ine_rows"] == 25
 
-    rep = verify_extension(build_factorization(K4, P11, "A"))
+    rep = verify_extension(build_factorization(K4, P11, "A", bases=enumerate_bases(K4, P11)))
     assert rep["pass"] and rep["counts"]["bases"] == 16
 
-    rep = verify_extension(build_factorization(K4, P23, "B"))
+    rep = verify_extension(build_factorization(K4, P23, "B", bases=enumerate_bases(K4, P23)))
     assert rep["pass"]
     assert rep["counts"]["inequality_count"] == 150
     assert rep["bounds"]["protocol_size_bound"] == 256
@@ -151,7 +151,8 @@ def test_format_ine_k3_structure():
 
 
 def test_emit_is_byte_deterministic():
-    a, b = "".join(format_ine(lift(K4, P23, "B"))), "".join(format_ine(build_factorization(K4, P23, "B")))
+    a = "".join(format_ine(lift(K4, P23, "B")))
+    b = "".join(format_ine(build_factorization(K4, P23, "B", bases=enumerate_bases(K4, P23))))
     assert a == b  # the T side alone: the bases do not change the text
     assert len(a.splitlines()) == 5 + 161
 
@@ -229,7 +230,7 @@ def test_sizes_are_the_written_headers_and_rows(corpus_cells):
             assert len(lines) == 5 + eq + ineq, (name, p, variant)
             assert {len(line.split()) for line in lines[4:-1]} == {1 + g.edge_count + w}, (name, p, variant)
             assert [line.split()[0] for line in lines[4:4 + eq]] == [
-                str(p.k * len(x) - p.ell) for x in enumerate_rows(g, p)] + [str(fac.c)], (name, p, variant)
+                str(p.k * len(x) - p.ell) for x in row_sets(g.n)] + [str(fac.c)], (name, p, variant)
             t_csv, u_csv = (list(csv) for csv in factor_csvs(fac))
             assert len(t_csv[0].split(",")) == 1 + w and len(t_csv) == eq, (name, p, variant)
             assert {len(row.split(",")) for row in t_csv[1:]} == {1 + w}, (name, p, variant)
@@ -321,11 +322,10 @@ def test_batched_checks_match_fraction_reference(corpus_cells, monkeypatch):
 def test_verify_extension_catches_flipped_u_entry():
     # the first transcript a row charges
     w = min(min(support) for *_, support in lift(K4, P23, "B").rows() if support)
-    fac = build_factorization(K4, P23, "B")
+    fac = build_factorization(K4, P23, "B", bases=enumerate_bases(K4, P23))
     b = b_matrix(fac)
     b[w][0] = 1 - b[w][0]
-    basis = enumerate_bases(K4, P23)[0]
-    with pytest.raises(InfeasibleLiftedPointError, match=re.escape(f"basis {basis}: equality row X=")):
+    with pytest.raises(InfeasibleLiftedPointError, match=re.escape(f"basis {fac.cols[0]}: equality row X=")):
         verify_extension(fac._replace(B=b_rule(b, K4.edge_count)))
 
 
@@ -345,7 +345,7 @@ def test_verify_extension_catches_corrupted_t_entry(monkeypatch):
     monkeypatch.setattr(Factorization, "rows", corrupted)
     expected = f"basis {bases[0]}: equality row X={x} has residual"
     with pytest.raises(InfeasibleLiftedPointError, match=re.escape(expected)):
-        verify_extension(build_factorization(K4, P23, "B"))
+        verify_extension(build_factorization(K4, P23, "B", bases=bases))
 
 
 def test_verify_extension_catches_negative_t_entry(monkeypatch):
@@ -360,4 +360,4 @@ def test_verify_extension_catches_negative_t_entry(monkeypatch):
 
     monkeypatch.setattr(Factorization, "rows", negative)
     with pytest.raises(TypeError, match=re.escape("A row X=(0, 1) must be ascending transcript indices in [0, 144)")):
-        verify_extension(build_factorization(K4, P23, "B"))
+        verify_extension(build_factorization(K4, P23, "B", bases=enumerate_bases(K4, P23)))

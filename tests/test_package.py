@@ -1,4 +1,4 @@
-"""The package's public names, and that no command needs numpy."""
+"""The package's public names, the README's library example, and that no command needs numpy."""
 
 import importlib
 import json
@@ -14,12 +14,12 @@ import sparsity_ef
 from conftest import complete_graph
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = SRC.parent / "README.md"
 
 # every public name, under the module it has always been importable from
 PUBLIC = {
     "factorization": [
-        "Factorization", "build_factorization", "enumerate_rows", "slack_matrix", "slack_value",
-        "verify_factorization",
+        "Factorization", "build_factorization", "slack_matrix", "slack_value", "verify_factorization",
     ],
     "graphs": [
         "Graph", "GraphError", "InstanceError", "SparsityParams", "induced_edges",
@@ -44,7 +44,7 @@ EXIT_CODE_ERRORS = [
 
 def test_public_names_are_pinned():
     names = sorted(name for group in PUBLIC.values() for name in group)
-    assert len(names) == 34
+    assert len(names) == 33
     assert sorted(sparsity_ef.__all__) == names
 
 
@@ -56,6 +56,14 @@ def test_each_public_name_is_its_module_attribute():
     errors = importlib.import_module("sparsity_ef.errors")
     for name in EXIT_CODE_ERRORS:
         assert getattr(sparsity_ef, name) is getattr(errors, name), name
+
+
+def test_readme_library_example_runs():
+    """The README's one ``python`` block, the library example, runs as written."""
+    head, *blocks = README.read_text(encoding="utf-8").split("```python\n")
+    assert len(blocks) == 1
+    lead = "\n" * (head.count("\n") + 1)  # so a traceback names the README's own line
+    exec(compile(lead + blocks[0].split("```")[0], str(README), "exec"), {})
 
 
 def test_star_import_binds_every_public_name():

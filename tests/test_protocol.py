@@ -18,10 +18,10 @@ from sparsity_ef.protocol import (
     splitmix_draw,
     transcript_count,
 )
-from sparsity_ef.factorization import _transcript_labels, enumerate_rows, slack_value
+from sparsity_ef.factorization import _transcript_labels, slack_value
 from sparsity_ef.sparsity import enumerate_bases
 
-from conftest import complete_graph, oriented
+from conftest import complete_graph, oriented, row_sets
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
@@ -95,7 +95,7 @@ def test_announcements_are_the_transcript_order(g):
         alices = [label.split("/")[0] for label in labels[:: 2 * g.edge_count]]
         assert alices == ["+".join(map(str, a)) for a in expected]
         assert len(labels) == transcript_count(g, variant) == 2 * g.edge_count * len(expected)
-        for x in enumerate_rows(g, P11):
+        for x in row_sets(g.n):
             assert alice_choice(x, variant) in expected
 
 
