@@ -21,8 +21,9 @@ All numeric output is exact except the Monte Carlo standard error: ints,
 and p/q in lowest terms in U.csv and the Monte Carlo mean.  Every command
 refuses more than 2^16 vertices (graphs.MAX_VERTICES, exit 3) when it
 reads its instance, before any per-vertex state is built.  --max-enum
-overrides the basis-enumeration guard; `check`, `orient` and `protocol`
-enumerate no basis and refuse it (exit 1).
+overrides the basis-enumeration guard, and a negative value is a usage
+error (exit 1); `check`, `orient` and `protocol` enumerate no basis and
+refuse it (exit 1).
 `slack`, `factorize`, `verify` and `emit --verify` refuse a graph with
 more than 16 vertices (exit 3), then an instance without a basis (exit 4,
 decided by one pebble game), before they enumerate any basis; so
@@ -113,6 +114,13 @@ def _parse_edge_list(g: Graph, text: str) -> list[int]:
                 raise ValueError(f"edge index {idx} outside 0..{g.edge_count - 1}")
             out.append(idx)
     return out
+
+
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)  # argparse reports it as a usage error
+    return value
 
 
 def _load_instance(args) -> tuple[Graph, SparsityParams]:
@@ -302,7 +310,7 @@ def _add_instance_args(sp, *, enumerates: bool = False) -> None:
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--l", type=int, required=True)
     if enumerates:
-        sp.add_argument("--max-enum", type=int, default=None, help="basis enumeration guard override")
+        sp.add_argument("--max-enum", type=nonnegative_int, default=None, help="basis enumeration guard override")
 
 
 def build_parser() -> argparse.ArgumentParser:

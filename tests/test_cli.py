@@ -149,6 +149,16 @@ def test_bases_guard_exit(k4_path, capsys):
     assert code == 3 and "guard" in err
 
 
+@pytest.mark.parametrize("g, k, ell", [(complete_graph(5), 1, 1), (path_graph(3), 2, 3)], ids=["K5-11", "P3-23"])
+def test_negative_max_enum_is_a_usage_error(g, k, ell, tmp_path, capsys):
+    """Neither a guard refusal (exit 3) on K5 nor a pass on P3, whose basis size 3 exceeds its 2 edges."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": g.n, "edges": g.edges}))
+    code, out, err = run(["bases", "--graph", str(path), "--k", str(k), "--l", str(ell), "--max-enum=-5"], capsys)
+    assert code == 1 and out == ""
+    assert err.endswith("error: argument --max-enum: invalid nonnegative_int value: '-5'\n")
+
+
 def test_max_enum_is_an_option_of_exactly_the_enumerating_commands(k4_path, tmp_path, capsys):
     """bases, slack, factorize, verify and emit take --max-enum; check, orient and protocol refuse it as usage."""
     extra = {

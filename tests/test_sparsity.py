@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparsity_ef import sparsity
-from sparsity_ef.graphs import MAX_VERTICES, Graph, SparsityParams
+from sparsity_ef.graphs import MAX_VERTICES, Graph, SparsityParams, make_graph
 from sparsity_ef.sparsity import (
     EnumerationGuardError,
     enumerate_bases,
@@ -74,7 +74,8 @@ def _bases_by_brute_force(g, p):
     ]
 
 
-def test_enumeration_matches_brute_force_oracle():
+def test_enumeration_matches_brute_force_oracle(monkeypatch):
+    """Both searches, the packed table's and, with PACKED_MAX_N at 0, the pebble game's."""
     rng = random.Random(2026)
     graphs = corpus_graphs() + [
         (f"random {i}", random_graph(rng, rng.randint(2, 7))) for i in range(30)
@@ -84,7 +85,25 @@ def test_enumeration_matches_brute_force_oracle():
             p = SparsityParams(k, ell)
             expected = _bases_by_brute_force(g, p)
             assert enumerate_bases(g, p) == expected, (name, g.edges, p)
+            with monkeypatch.context() as m:
+                m.setattr(sparsity, "PACKED_MAX_N", 0)
+                assert enumerate_bases(g, p) == expected, (name, g.edges, p)
             assert has_basis(g, p) == bool(expected), (name, g.edges, p)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_table_search_matches_the_pebble_search(data):
+    """Up to 9 vertices, with |E| from kn - l - 1 to kn - l + 3, so C(|E|, kn - l) stays small."""
+    n = data.draw(st.integers(2, 9), label="n")
+    p = SparsityParams(*data.draw(st.sampled_from(PARAM_GRID), label="(k, l)"))
+    pairs = list(itertools.combinations(range(n), 2))
+    size = min(max(tight_cardinality(Graph(n, ()), p) + data.draw(st.integers(-1, 3)), 0), len(pairs))
+    g = make_graph(n, data.draw(st.permutations(pairs))[:size])
+    table = enumerate_bases(g, p)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sparsity, "PACKED_MAX_N", 0)
+        assert table == enumerate_bases(g, p), (g.edges, p)
 
 
 def test_complete_graph_counts():
@@ -123,9 +142,32 @@ def test_has_basis_refuses_too_few_edges_without_a_game(monkeypatch):
     assert has_basis(Graph(MAX_VERTICES, ()), P11) is False
 
 
+def test_enumeration_plays_a_pebble_game_only_beyond_the_table(monkeypatch):
+    """n = PACKED_MAX_N = 9 is searched on the packed table, without a game; n = 10 builds one game."""
+    games = []
+
+    def counted(*args):
+        games.append(args)
+        return game_class(*args)
+
+    game_class = sparsity.PebbleGame
+    monkeypatch.setattr(sparsity, "PebbleGame", counted)
+    assert enumerate_bases(path_graph(9), P11) == [tuple(range(8))]
+    assert games == []
+    assert enumerate_bases(path_graph(10), P11) == [tuple(range(9))]
+    assert len(games) == 1
+
+
 def test_enumeration_guard():
     with pytest.raises(EnumerationGuardError):
         enumerate_bases(K4, P11, max_enum=1)
+
+
+@pytest.mark.parametrize("g, p", [(K4, P11), (path_graph(3), P23)], ids=["K4-11", "P3-23"])
+def test_negative_enumeration_guard_is_a_value_error(g, p):
+    """Refused before the basis size is compared with |E|: P3 at (2,3) has no basis to enumerate."""
+    with pytest.raises(ValueError, match="enumeration guard must be >= 0, got -1"):
+        enumerate_bases(g, p, max_enum=-1)
 
 
 def test_bruteforce_guard_refusal():
