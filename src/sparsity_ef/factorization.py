@@ -45,15 +45,15 @@ rows of one announcement come in a run: each block is built once, when a
 row first charges it, and dropped before the next; a block no row
 charges, as vertex n-1's in A or a decreasing pair's in B, is never
 built.  A row over the bases packs into one int whose little-endian
-fields of f bytes hold its entries.  Row X's left side,
+bytes hold its entries, one byte per basis.  Row X's left side,
 packed(|F ∩ E(X)|) plus packed(B[w]) for each w in X's support, is
-compared with (k|X| - l) * packed(1, ..., 1).  E(X) must be strictly
-ascending in [0, |E|), a support in [0, |W|) with at most |E| indices,
-B 0/1, and a given basis a tuple of ints strictly ascending in
-[0, |E|), so X = V's left side is packed(|F|), and f holds k n and the
-largest possible left side, 2|E|: no field carries, and two packed rows
-are equal exactly when their entries are.  |E| <= 120 for the n <= 16
-that rows allow, so f is one byte while k n < 256.  Entries are unpacked
+compared with (k|X| - l) * packed(1, ..., 1).  The check refuses n > 16,
+so |E| <= 120; E(X) must be strictly ascending in [0, |E|), a support
+in [0, |W|) with at most |E| indices, B 0/1, and a given basis a tuple
+of ints strictly ascending in [0, |E|), so X = V's left side is
+packed(|F|) and no left side exceeds 2|E| <= 240: no byte carries.  A
+right side in [0, 256) is equal on every byte exactly when the entries
+are, and any other is unequal to every left side.  Entries are unpacked
 only to name a failure.
 """
 
@@ -71,7 +71,7 @@ from .sparsity import Basis, require_basis
 
 MAX_ROW_ENUM_N = 16
 MAX_MATRIX_BYTES = 2**30  # build_factorization refuses B estimated beyond this; no code holds S
-# per entry of B: the most any command holds, all of B at a byte an entry in factorize --out, and one block packed
+# per entry of B: the most any command holds, a held byte (all of B in factorize --out) plus a packed byte (one block)
 B_ENTRY_BYTES = 2
 
 
@@ -117,12 +117,12 @@ def _check_bases(g: Graph, cols: Iterable[Basis]) -> None:
         raise ValueError(f"basis {basis!r}: not a tuple of strictly ascending edge indices in [0, {g.edge_count})")
 
 
-def _incidence(g: Graph, cols: Sequence[Basis], width: int) -> list[int]:
-    """Each edge's incidence over the bases, in fields of ``width`` bytes: row X's |F ∩ E(X)| is a sum over E(X)."""
-    incidence = [bytearray(len(cols) * width) for _ in g.edges]
+def _incidence(g: Graph, cols: Sequence[Basis]) -> list[int]:
+    """Each edge's incidence over the bases, one byte per basis: row X's |F ∩ E(X)| is a sum over E(X)."""
+    incidence = [bytearray(len(cols)) for _ in g.edges]
     for j, basis in enumerate(cols):
         for e in basis:
-            incidence[e][j * width] = 1
+            incidence[e][j] = 1
     return [int.from_bytes(column, "little") for column in incidence]
 
 
@@ -138,7 +138,7 @@ def slack_matrix(g: Graph, p: SparsityParams, *, bases: Sequence[Basis]) -> Iter
     check_row_count(g)
     cols = list(bases)
     _check_bases(g, cols)
-    packed = _incidence(g, cols, 1)
+    packed = _incidence(g, cols)
 
     def entries():
         for x in _rows(g.n):
@@ -217,32 +217,26 @@ def build_factorization(
     return Factorization(graph=g, params=p, variant=variant, cols=cols, B=bob)
 
 
-def _pack(row: bytes, width: int) -> int:
-    """sum_j row[j] * 256**(width*j), from a strided copy of the row's bytes."""
-    buf = bytearray(len(row) * width)
-    buf[::width] = row
-    return int.from_bytes(buf, "little")
-
-
 def verify_factorization(fac: Factorization) -> None:
     """Exact check that every basis lifts to (1_F, U-column) on every equality row, so T @ U = S.
 
     Each row of ``fac.rows()`` reads |F ∩ E(X)| + (A @ B)[X][F] = k|X| - l for every basis F, on packed
     rows; on the global row, X = V, that is |F| = c.  Raises InfeasibleLiftedPointError on the first
     failure, in row-major order, naming the basis and the row with its residual, on row X (A @ B - S)[X][F].
-    One block of B is held at a time (module docstring).  Rows other than the rows X in lexicographic
-    order and X = V, an E(X) or support out of form, and a malformed block of B are a bug: TypeError.
+    One block of B is held at a time, and a row packs one byte per basis (module docstring), so n > 16
+    is refused first: EnumerationGuardError.  Rows other than the rows X in lexicographic order and X = V,
+    an E(X) or support out of form, and a malformed block of B are a bug: TypeError.
     A factorization over no bases certifies nothing: EmptyPolytopeError where the instance has none, else ValueError.
     """
     g, p = fac.graph, fac.params
+    check_row_count(g)  # |E| <= 120, so no left side carries out of its byte
     if not fac.cols:
         require_basis(g, p)
         raise ValueError("the factorization has no bases, so it certifies no lift")
     ncols, w, m = len(fac.cols), transcript_count(g, fac.variant), g.edge_count
-    width = max(1, max(2 * m, p.k * g.n).bit_length() + 7 >> 3)  # fields hold the largest left side and right side
-    incidence = _incidence(g, fac.cols, width)
+    incidence = _incidence(g, fac.cols)
     held = None  # the announcement whose block is in hand, its rows packed in packed_b
-    ones = _pack(b"\x01" * ncols, width)
+    ones = int.from_bytes(b"\x01" * ncols, "little")
     due_rows = itertools.chain(_rows(g.n), [tuple(range(g.n))])
     for r, (due, row) in enumerate(itertools.zip_longest(due_rows, fac.rows())):
         x, rhs, inside, support = row or (None,) * 4
@@ -262,12 +256,10 @@ def verify_factorization(fac: Factorization) -> None:
                 if len(block) != 2 * m or not all(isinstance(row, (bytes, bytearray)) and len(row) == ncols
                                                   and not row.translate(None, b"\x00\x01") for row in block):
                     raise TypeError(f"B({i}) must be {2 * m} rows of 0/1 bytes, each {ncols} long")
-                held, packed_b = i, [_pack(row, width) for row in block]
+                held, packed_b = i, [int.from_bytes(row, "little") for row in block]
             lhs += packed_b[at]
         if lhs != rhs * ones:
-            fields = lhs.to_bytes(ncols * width, "little")
-            entries = [int.from_bytes(fields[i:i + width], "little") for i in range(0, len(fields), width)]
-            j, entry = next((j, entry) for j, entry in enumerate(entries) if entry != rhs)
+            j, entry = next((j, entry) for j, entry in enumerate(lhs.to_bytes(ncols, "little")) if entry != rhs)
             name = "global" if len(x) == g.n else f"X={x}"
             raise InfeasibleLiftedPointError(f"basis {fac.cols[j]}: equality row {name} has residual {entry - rhs}")
 

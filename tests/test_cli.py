@@ -570,6 +570,34 @@ def test_huge_k_is_answered_exactly(graph, tmp_path, capsys, request):
     assert (code, out, err) == (1, "", "error: the edge set is not a basis (not tight for these parameters)\n")
 
 
+def test_one_edge_at_huge_k_verifies_and_writes_pinned_bytes(tmp_path, capsys):
+    """P2 at k = 2^62, l = 2^63 - 1 has one basis, c = 1: verify, factorize --out and emit --verify pass it.
+
+    k n = 2^63 is far past a byte, yet the check packs one byte per basis; every output is pinned.
+    """
+    path = tmp_path / "p2.json"
+    path.write_text(json.dumps({"n": 2, "edges": [[0, 1]]}))
+    base = ["--graph", str(path), "--k", str(2**62), "--l", str(2**63 - 1)]
+    code, report, err = run(["verify", *base], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(report.encode()).hexdigest() == \
+        "7f68758aef57a598414074067b4d7bb57329a8d8eb6ec8cf9f2b2887d80d3b93"
+    summary = json.loads(report)
+    assert (summary["counts"]["bases"], summary["pass"], summary["variant"]) == (1, True, "B")
+    prefix = tmp_path / "p2"
+    wrote = "".join(f"wrote {prefix}.{suffix}\n" for suffix in ("S.csv", "T.csv", "U.csv"))
+    assert run(["factorize", *base, "--out", str(prefix)], capsys) == \
+        (0, f"variant: B\nslack matrix: 0x1\ntranscripts: 4\nverified: yes\n{wrote}", "")
+    ine = tmp_path / "p2.ine"
+    assert run(["emit", *base, "--out", str(ine), "--verify"], capsys) == \
+        (0, f"wrote {ine} (1 equalities + 5 inequalities)\n{report}", "")
+    assert (tmp_path / "p2.S.csv").read_text() == ",F:0\n"
+    assert (tmp_path / "p2.T.csv").read_text() == ",0+1/e0h1,0+1/e0h0,1+0/e0h1,1+0/e0h0\n"
+    assert (tmp_path / "p2.U.csv").read_text() == ",F:0\n0+1/e0h1,1\n0+1/e0h0,0\n1+0/e0h1,0\n1+0/e0h0,1\n"
+    assert ine.read_text() == ("H-representation\nlinearity 1 1\nbegin\n6 6 rational\n1 -1 0 0 0 0\n"
+                               "0 1 0 0 0 0\n0 0 1 0 0 0\n0 0 0 1 0 0\n0 0 0 0 1 0\n0 0 0 0 0 1\nend\n")
+
+
 def test_vertex_guard_exits_3(tmp_path, capsys):
     """One vertex past the guard is refused as the instance is read, before any game is built."""
     path = tmp_path / "wide.json"

@@ -158,6 +158,37 @@ def test_global_row_checked_after_the_counting_rows():
         verify_factorization(fac._replace(cols=(short, *fac.cols[1:])))
 
 
+def test_one_edge_at_huge_k_is_checked_on_one_byte_per_basis():
+    """P2 at k = 2^62, l = 2^63 - 1 has one basis, c = 1, though k n = 2^63 is far past a byte.
+
+    Its one row is the global row, |F| = c: the basis passes, and the empty edge set is named with its residual.
+    """
+    p2, p = path_graph(2), SparsityParams(2**62, 2**63 - 1)
+    fac = build_factorization(p2, p, bases=enumerate_bases(p2, p))
+    assert (fac.variant, fac.c, fac.cols) == ("B", 1, ((0,),))
+    verify_factorization(fac)
+    with pytest.raises(InfeasibleLiftedPointError, match=r"^basis \(\): equality row global has residual -1$"):
+        verify_factorization(build_factorization(p2, p, bases=[()]))
+
+
+def test_verify_refuses_more_than_16_vertices_before_any_row(monkeypatch):
+    """A Factorization built by hand on K17, which build_factorization refuses, is refused before a row or a block.
+
+    A row packs one byte per basis only while |E| <= 120, so the check enforces the row bound itself.
+    """
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(Factorization, "rows", reached)
+    k17 = complete_graph(17)
+    fac = Factorization(graph=k17, params=P11, variant="A", cols=(tuple(range(16)),), B=reached)
+    with pytest.raises(EnumerationGuardError, match=r"^row enumeration refused for n=17 > 16$"):
+        verify_factorization(fac)
+
+
 def test_verify_reads_the_rows_that_emit_writes(monkeypatch):
     """An E(X) edge dropped from one row, or the global row's right side off by one, fails the check at that row.
 
@@ -325,7 +356,7 @@ def test_memory_guard_covers_traced_bytes(params, variant, monkeypatch):
 
     def b_and_packed():
         b = b_matrix(fac)
-        return b, [factorization._pack(row, 1) for row in b]
+        return b, [int.from_bytes(row, "little") for row in b]
 
     (b, packed), traced = _traced_bytes(b_and_packed)
     assert len(packed) == len(b) == w

@@ -122,6 +122,29 @@ def test_spanning_tree_counts_match_matrix_tree(corpus):
         assert len(enumerate_bases(g, P11)) == spanning_tree_count(g), name
 
 
+def _random_connected_graph(rng, n, extra):
+    """A random spanning tree on n shuffled vertices plus ``extra`` further random edges."""
+    order = rng.sample(range(n), n)
+    edges = {tuple(sorted((order[i], order[rng.randrange(i)]))) for i in range(1, n)}
+    others = [pair for pair in itertools.combinations(range(n), 2) if pair not in edges]
+    return make_graph(n, [*edges, *rng.sample(others, extra)])
+
+
+def test_spanning_trees_are_counted_by_kirchhoff_on_both_sides_of_the_table():
+    """At (1,1), the bases are the spanning trees, as many as a Laplacian cofactor counts (Bareiss, exact).
+
+    K2-K7 give Cayley's n^(n-2); seeded random connected graphs with n = 6-12 straddle PACKED_MAX_N = 9,
+    so the table search and the pebble search each meet an oracle with no pebble game in it.
+    """
+    for n in range(2, 8):
+        assert len(enumerate_bases(complete_graph(n), P11)) == spanning_tree_count(complete_graph(n)) == n ** (n - 2)
+    rng = random.Random(36)
+    for n in range(6, 13):
+        for extra in (2, 5, 8):
+            g = _random_connected_graph(rng, n, extra)
+            assert len(enumerate_bases(g, P11)) == spanning_tree_count(g), g.edges
+
+
 def test_bases_sorted_and_equicardinal():
     bases = enumerate_bases(K4, P11)
     assert bases == sorted(bases)
